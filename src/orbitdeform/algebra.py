@@ -152,6 +152,8 @@ class CartanData:
         return np.array([r.functional @ coeffs for r in self.roots])
 
     def check_chamber(self, h: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+        if not np.all(np.isfinite(h)):
+            raise DomainError("chamber element must be finite")
         vals = self.root_values(h)
         for i in self.simple_set:
             if vals[i] < -max(tol.abs_eps, 1e-9):
@@ -266,10 +268,6 @@ def build_algebra(family: str, n: int) -> LieAlgebraData:
         j_op=j_op,
         _expand_pinv=expand_pinv,
     )
-
-
-def bracket(alg: LieAlgebraData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return alg.bracket(x, y)
 
 
 def _theta_matrix(alg: LieAlgebraData) -> np.ndarray:

@@ -391,15 +391,3 @@ def symplectic_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     )
     return out
 
-
-def run_all_suites(descriptor: str, seed: int = 0) -> list[CheckResult]:
-    family, n = al.parse_descriptor(descriptor)
-    alg = al.build_algebra(family, n)
-    cd = al.cartan_structure(alg)
-    results = numerics_suite(seed)
-    results += algebra_suite(cd, seed)
-    if cd.roots:
-        results += deformation_suite(cd, seed)
-        results += semidirect_suite(cd, seed)
-    results += symplectic_suite(cd, seed)
-    return results

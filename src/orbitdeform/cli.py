@@ -91,6 +91,8 @@ def _sample_csv(samples, r: float) -> str:
 
 
 def _build(args) -> tuple[al.LieAlgebraData, al.CartanData, np.ndarray]:
+    if args.n_base < 1 or args.n_fiber < 1:
+        raise DomainError("--n-base and --n-fiber must be at least 1")
     family, n = al.parse_descriptor(args.algebra)
     alg = al.build_algebra(family, n)
     cd = al.cartan_structure(alg, Tolerance(args.abs_eps, args.rel_eps))
@@ -108,6 +110,10 @@ def cmd_verify(args) -> int:
     }
     if args.suite != "all" and args.suite not in suites:
         print(f"unknown suite {args.suite!r}", file=sys.stderr)
+        return 2
+    if args.H != "regular":
+        print("verify checks the regular chamber element only; --H must be 'regular'",
+              file=sys.stderr)
         return 2
     _, cd, _ = _build(args)
     results = []
@@ -140,6 +146,9 @@ def cmd_verify(args) -> int:
 def cmd_orbit_sample(args) -> int:
     _, cd, h = _build(args)
     r_values = [_parse_r(x) for x in args.r.split(",")]
+    if args.kind == "semidirect" and len(r_values) > 1:
+        print("semidirect sampling is at r = inf; give at most one --r", file=sys.stderr)
+        return 2
     written = []
     for r in r_values:
         if args.kind == "semidirect":
@@ -163,9 +172,8 @@ def cmd_orbit_sample(args) -> int:
 def cmd_deform_sweep(args) -> int:
     _, cd, h = _build(args)
     r_values = [_parse_r(x) for x in args.r.split(",")]
-    finite = [r for r in r_values if math.isfinite(r)]
-    if finite != sorted(finite):
-        print("r list must be sorted ascending", file=sys.stderr)
+    if r_values != sorted(r_values):
+        print("r list must be sorted ascending, inf last", file=sys.stderr)
         return 2
     deduped = []
     for r in r_values:
@@ -191,13 +199,15 @@ def cmd_deform_sweep(args) -> int:
 
 
 def cmd_lagrangian_section(args) -> int:
+    t_values = [float(x) for x in args.t.split(",")]
+    if not all(math.isfinite(t) for t in t_values):
+        raise DomainError("section parameters --t must be finite")
     _, cd, h = _build(args)
     if cd.alg.field_tag != "complex":
         print("Lagrangian sections require a complex-family algebra", file=sys.stderr)
         return 2
     hc = sp.make_hermitian_context(cd)
     flag = al.flag_orbit_sample(cd, h, args.seed, args.n_base)
-    t_values = [float(x) for x in args.t.split(",")]
     dim = cd.alg.dim
     header = "t,base_tag," + ",".join(f"c{i+1}" for i in range(dim))
     lines = [header]

@@ -19,7 +19,7 @@ explicitly instead of approximating with a large parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +37,17 @@ class DeformationContext:
     t_r: np.ndarray | None  # None at r = infinity
     t_r_inv: np.ndarray | None
     psi_r: np.ndarray
-    structure_r: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def finite(self) -> bool:
         return math.isfinite(self.r)
+
+    @property
+    def kind(self) -> str:
+        """The orbit kind sampled at this parameter."""
+        if not self.finite:
+            return "semidirect"
+        return "adjoint" if self.r == 1.0 else "deformed"
 
     def _require_finite(self, op: str):
         if not self.finite:
@@ -63,18 +69,15 @@ def make_context(cd: CartanData, r: float) -> DeformationContext:
     diag = np.where(np.abs(np.diag(cd.theta) - 1.0) < 1e-12, r, 1.0)
     t_r = np.diag(diag)
     t_r_inv = np.diag(1.0 / diag)
-    c = cd.alg.structure
-    structure_r = np.einsum("ia,jb,abc,kc->ijk", t_r_inv, t_r_inv, c, t_r)
-    return DeformationContext(
-        cd=cd, r=r, t_r=t_r, t_r_inv=t_r_inv, psi_r=psi, structure_r=structure_r
-    )
+    return DeformationContext(cd=cd, r=r, t_r=t_r, t_r_inv=t_r_inv, psi_r=psi)
 
 
 def bracket_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y]_r = T_r [T_r^{-1}x, T_r^{-1}y]."""
     ctx._require_finite("the deformed bracket")
-    x = ctx.cd.alg._check_vec(x)
-    y = ctx.cd.alg._check_vec(y)
-    return np.einsum("i,j,ijk->k", x, y, ctx.structure_r)
+    alg = ctx.cd.alg
+    x, y = alg._check_vec(x), alg._check_vec(y)
+    return ctx.t_r @ alg.bracket(ctx.t_r_inv @ x, ctx.t_r_inv @ y)
 
 
 def ad_r(ctx: DeformationContext, x: np.ndarray) -> np.ndarray:
@@ -125,7 +128,6 @@ def sample_deformed_orbit(
     coeff_sets = [
         fiber_scale * fiber_rng.standard_normal(n_plus.shape[1]) for _ in range(n_fiber)
     ]
-    kind = "deformed" if ctx.finite and ctx.r != 1.0 else ("adjoint" if ctx.finite else "semidirect")
     samples = []
     for b_tag, k_op in enumerate(k_ops):
         base = k_op @ np.asarray(h, dtype=float)
@@ -135,7 +137,7 @@ def sample_deformed_orbit(
             samples.append(
                 OrbitSample(
                     point=p,
-                    kind=kind,
+                    kind=ctx.kind,
                     base_point=base,
                     k_op=k_op,
                     fiber=x_c,
@@ -158,10 +160,9 @@ def tilde_psi_r(ctx: DeformationContext, p: OrbitSample) -> OrbitSample:
     if p.k_op is None or p.fiber is None or p.k_op.size == 0:
         raise RepresentationError("sample carries no construction tags")
     point = p.base_point + ctx.psi_r @ (p.k_op @ p.fiber)
-    kind = "deformed" if ctx.finite and ctx.r != 1.0 else ("adjoint" if ctx.finite else "semidirect")
     return OrbitSample(
         point=point,
-        kind=kind,
+        kind=ctx.kind,
         base_point=p.base_point,
         k_op=p.k_op,
         fiber=p.fiber,

@@ -119,8 +119,7 @@ def ad_rho_matrix(cd: CartanData, e: SemidirectElement) -> np.ndarray:
 def coadjoint_fiber(cd: CartanData, w: np.ndarray, tol: Tolerance = Tolerance()) -> CoadjointFiber:
     """The affine fiber direction [w, s] inside k over a base point w."""
     w = np.asarray(w, dtype=float)
-    cols = [cd.alg.bracket(w, cd.s_basis[:, i]) for i in range(cd.s_basis.shape[1])]
-    span = orthonormal_range(np.stack(cols, axis=1), tol)
+    span = orthonormal_range(cd.alg.ad(w) @ cd.s_basis, tol)
     return CoadjointFiber(base=w, fiber_basis=span)
 
 
@@ -130,9 +129,7 @@ def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
     B_theta-orthonormality makes tangential projection (the complement
     being the centralizer directions) a plain coefficient contraction.
     """
-    w = np.asarray(w, dtype=float)
-    cols = [cd.alg.bracket(cd.k_basis[:, i], w) for i in range(cd.k_basis.shape[1])]
-    span = orthonormal_range(np.stack(cols, axis=1))
+    span = orthonormal_range(-cd.alg.ad(w) @ cd.k_basis)
     if span.shape[1] == 0:
         return span
     gram = span.T @ cd.b_theta @ span

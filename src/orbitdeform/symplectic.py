@@ -12,10 +12,11 @@ a single fixed normalization of the imaginary part.  The compact real
 form u and the fibers [w, s] of the semidirect orbit are Lagrangian /
 isotropic for Omega; the restriction of Omega to the semidirect orbit
 over a chamber element H is symplectic, which is certified pointwise by
-rank.  The module also provides gradient fields and Lagrangian sections
-on the flag orbit, finite-difference pullback residuals for the
-deformation maps, the moment map of the compact-group action, and a
-generic skew-form toolkit (radical / maximal isotropic subspaces).
+rank.  The module also provides height-function gradients and
+Lagrangian sections on the flag orbit, finite-difference pullback
+residuals for the deformation maps, the moment map of the compact-group
+action, and a generic skew-form toolkit (radical / maximal isotropic
+subspaces).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import deformation as df
+from . import semidirect as sd
 from .algebra import CartanData, DomainError, OrbitSample, RepresentationError
 from .numerics import DimensionError, Tolerance, matrix_exp, nullspace, orthonormal_range
 
@@ -113,10 +115,6 @@ def hermitian_form(ctx: HermitianContext, x: np.ndarray, y: np.ndarray) -> compl
     return complex(re, im)
 
 
-def omega_value(ctx: HermitianContext, x: np.ndarray, y: np.ndarray) -> float:
-    return ctx.omega.value(x, y)
-
-
 def u_moment(ctx: HermitianContext, x: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
     """Moment map of the compact action: -i[tau x, x], an element of u.
 
@@ -138,9 +136,7 @@ def u_moment(ctx: HermitianContext, x: np.ndarray, tol: Tolerance = Tolerance())
 
 def fiber_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the fiber direction [w, s] inside u."""
-    cols = [cd.alg.bracket(np.asarray(w, dtype=float), cd.s_basis[:, i])
-            for i in range(cd.s_basis.shape[1])]
-    return orthonormal_range(np.stack(cols, axis=1))
+    return sd.coadjoint_fiber(cd, w).fiber_basis
 
 
 def orbit_tangent_basis(
@@ -156,21 +152,17 @@ def orbit_tangent_basis(
     kind = kind or p.kind
     x = p.point
     if kind == "flag":
-        cols = [cd.alg.bracket(cd.k_basis[:, i], x) for i in range(cd.k_basis.shape[1])]
-        return orthonormal_range(np.stack(cols, axis=1))
-    if kind == "semidirect":
-        cols = [cd.alg.bracket(cd.k_basis[:, i], x) for i in range(cd.k_basis.shape[1])]
+        cols = -cd.alg.ad(x) @ cd.k_basis
+    elif kind == "semidirect":
         w = cd.s_basis @ (cd.s_basis.T @ x)  # base point = s-component
-        cols += [cd.alg.bracket(w, cd.s_basis[:, i]) for i in range(cd.s_basis.shape[1])]
-        return orthonormal_range(np.stack(cols, axis=1))
-    if kind == "adjoint":
-        cols = [cd.alg.bracket(np.eye(cd.alg.dim)[i], x) for i in range(cd.alg.dim)]
-        return orthonormal_range(np.stack(cols, axis=1))
-    if kind == "deformed":
-        dctx = df.make_context(cd, p.r)
-        cols = [df.bracket_r(dctx, np.eye(cd.alg.dim)[i], x) for i in range(cd.alg.dim)]
-        return orthonormal_range(np.stack(cols, axis=1))
-    raise RepresentationError(f"unknown orbit kind {kind!r}")
+        cols = np.hstack([-cd.alg.ad(x) @ cd.k_basis, cd.alg.ad(w) @ cd.s_basis])
+    elif kind == "adjoint":
+        cols = -cd.alg.ad(x)
+    elif kind == "deformed":
+        cols = -df.ad_r(df.make_context(cd, p.r), x)
+    else:
+        raise RepresentationError(f"unknown orbit kind {kind!r}")
+    return orthonormal_range(cols)
 
 
 def check_symplectic_on_orbit(
@@ -211,7 +203,7 @@ def check_symplectic_on_orbit(
 
 
 # ---------------------------------------------------------------------------
-# Gradient fields and Lagrangian sections on the flag orbit
+# Height-function gradients and Lagrangian sections on the flag orbit
 # ---------------------------------------------------------------------------
 
 
@@ -223,25 +215,12 @@ class SectionSample:
     section_points: list[np.ndarray]
 
 
-def _flag_tangent(cd: CartanData, x: np.ndarray) -> np.ndarray:
-    cols = [cd.alg.bracket(cd.k_basis[:, i], x) for i in range(cd.k_basis.shape[1])]
-    return orthonormal_range(np.stack(cols, axis=1))
-
-
 def gradient_at(ctx: HermitianContext, x: np.ndarray, n_vec: np.ndarray) -> np.ndarray:
     """B_tau-gradient of the height function f(x) = B_tau(x, N) on the flag."""
-    t = _flag_tangent(ctx.cd, x)
+    t = orthonormal_range(-ctx.cd.alg.ad(x) @ ctx.cd.k_basis)
     gram = t.T @ ctx.b_tau @ t
     coeffs = np.linalg.solve(gram, t.T @ ctx.b_tau @ np.asarray(n_vec, dtype=float))
     return t @ coeffs
-
-
-def gradient_field(
-    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: list[OrbitSample]
-) -> SectionSample:
-    base = [p.point for p in flag_samples]
-    vals = [gradient_at(ctx, x, n_vec) for x in base]
-    return SectionSample(base_points=base, field_values=vals, t=0.0, section_points=base)
 
 
 def lagrangian_section(
@@ -439,10 +418,7 @@ def hamiltonian_q_check(
 
 def compact_isotropy_dim(ctx: HermitianContext, x: np.ndarray) -> int:
     """dim of {A in u : [A, x] = 0}."""
-    cd = ctx.cd
-    cols = [cd.alg.bracket(cd.k_basis[:, i], np.asarray(x, dtype=float))
-            for i in range(cd.k_basis.shape[1])]
-    return nullspace(np.stack(cols, axis=1)).shape[1]
+    return nullspace(-ctx.cd.alg.ad(x) @ ctx.cd.k_basis).shape[1]
 
 
 def unique_isotropic_orbit_check(
@@ -459,10 +435,8 @@ def unique_isotropic_orbit_check(
 
     cd = ctx.cd
     h = np.asarray(h, dtype=float)
-    flag_dim = _flag_tangent(cd, h).shape[1]
-    adj_cols = np.stack(
-        [cd.alg.bracket(np.eye(cd.alg.dim)[i], h) for i in range(cd.alg.dim)], axis=1
-    )
+    adj_cols = -cd.alg.ad(h)  # column i is [e_i, H]
+    flag_dim = orthonormal_range(adj_cols @ cd.k_basis).shape[1]
     adjoint_dim = adj_cols.shape[1] - nullspace(adj_cols).shape[1]
     flag_samples = flag_orbit_sample(cd, h, seed, 25)
     max_flag_omega = 0.0

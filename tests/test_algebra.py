@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -242,3 +244,26 @@ def test_complex_algebra_j_operator():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(6)
     assert np.linalg.norm(alg.to_matrix(j @ x) - 1j * alg.to_matrix(x)) < 1e-12
+
+
+def test_check_chamber_rejects_non_finite(sl2r):
+    _, cd = sl2r
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(al.DomainError):
+            cd.check_chamber(np.full(3, bad))
+
+
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_ad_columns_match_bracket_columns(descriptor):
+    # the tangent kernel: [B_i, x] over the columns of B is -ad(x) @ B
+    alg = al.build_algebra(*al.parse_descriptor(descriptor))
+    cd = al.cartan_structure(alg)
+    rng = np.random.default_rng(11)
+    for basis in (cd.k_basis, cd.s_basis):
+        for _ in range(5):
+            x = rng.standard_normal(alg.dim)
+            ref = np.zeros(basis.shape)  # so(n) has an empty s_basis
+            for i in range(basis.shape[1]):
+                ref[:, i] = alg.bracket(basis[:, i], x)
+            assert np.allclose(-alg.ad(x) @ basis, ref, rtol=0.0,
+                               atol=1e-12 * np.linalg.norm(x))

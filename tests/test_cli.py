@@ -137,3 +137,44 @@ def test_config_flag_override(tmp_path, capsys):
                 "--kind", "adjoint", "--n-base", "1", "--n-fiber", "1",
                 "--out", str(tmp_path)]) == 0
     assert (tmp_path / "orbit_sl2r_adjoint_r1.csv").exists()
+
+
+def test_orbit_sample_rejects_nan_chamber(tmp_path, capsys):
+    assert run(["orbit-sample", "--algebra", "sl2r", "--H", "nan",
+                "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_rejects_nan_chamber(capsys):
+    assert run(["verify", "--algebra", "sl2r", "--H", "nan"]) == 2
+
+
+def test_verify_rejects_ignored_chamber(capsys):
+    # verify checks the regular element only, so any other --H is refused
+    assert run(["verify", "--algebra", "sl2r", "--H", "5"]) == 2
+
+
+def test_orbit_sample_rejects_negative_count(tmp_path, capsys):
+    assert run(["orbit-sample", "--algebra", "sl2r", "--n-base", "-3",
+                "--out", str(tmp_path)]) == 2
+    assert run(["orbit-sample", "--algebra", "sl2r", "--n-fiber", "0",
+                "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_lagrangian_section_rejects_non_finite_t(tmp_path, capsys):
+    assert run(["lagrangian-section", "--algebra", "sl2c", "--t", "0,nan",
+                "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_deform_sweep_requires_inf_last(tmp_path, capsys):
+    assert run(["deform-sweep", "--algebra", "sl2r", "--r", "inf,1",
+                "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_orbit_sample_semidirect_rejects_r_list(tmp_path, capsys):
+    assert run(["orbit-sample", "--algebra", "sl2r", "--kind", "semidirect",
+                "--r", "1,10", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())

@@ -288,3 +288,18 @@ def test_sampling_deterministic(sl2r):
     b = df.sample_deformed_orbit(ctx, H, seed=9, n_base=5, n_fiber=2)
     for p, q in zip(a, b):
         assert np.array_equal(p.point, q.point)
+
+
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_bracket_r_matches_deformed_structure_tensor(descriptor):
+    # reference: the structure tensor of [X,Y]_r, c_r = T_r^{-1} x T_r^{-1} x c x T_r
+    alg = al.build_algebra(*al.parse_descriptor(descriptor))
+    cd = al.cartan_structure(alg)
+    basis = np.eye(alg.dim)
+    for r in df.R_GRID:
+        ctx = df.make_context(cd, r)
+        ref = np.einsum("ia,jb,abc,kc->ijk", ctx.t_r_inv, ctx.t_r_inv, alg.structure, ctx.t_r,
+                        optimize=True)
+        got = np.stack([[df.bracket_r(ctx, basis[i], basis[j]) for j in range(alg.dim)]
+                        for i in range(alg.dim)])
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)

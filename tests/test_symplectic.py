@@ -6,6 +6,7 @@ import pytest
 from orbitdeform import algebra as al
 from orbitdeform import deformation as df
 from orbitdeform import symplectic as sp
+from orbitdeform.checks import _proj_residual
 
 
 @pytest.fixture(scope="module")
@@ -302,3 +303,23 @@ def test_unique_isotropic_orbit_sl3c(sl3c):
     assert report["flag_dim"] == 6 and report["adjoint_dim"] == 12
     assert report["lagrangian"]
     assert report["isotropy_drops"]
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_adjoint_and_deformed_tangents(fixture, request):
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    ctx1 = df.make_context(cd, 1.0)
+    adjoint = df.sample_deformed_orbit(ctx1, h, seed=9, n_base=4, n_fiber=2)
+    adjoint_dim = sp.orbit_tangent_basis(hc, adjoint[0], "adjoint").shape[1]
+    assert adjoint_dim == cd.alg.dim - al.h_subspaces(cd, h)[2].shape[1]
+    for p in adjoint:
+        t_adj = sp.orbit_tangent_basis(hc, p, "adjoint")
+        t_def = sp.orbit_tangent_basis(hc, p, "deformed")  # at the sample's r = 1
+        assert t_adj.shape[1] == t_def.shape[1] == adjoint_dim
+        assert _proj_residual(t_adj, t_def) < 1e-9
+    for r in (2.0, 10.0):
+        ctx = df.make_context(cd, r)
+        for p in df.sample_deformed_orbit(ctx, h, seed=9, n_base=4, n_fiber=2):
+            assert p.kind == "deformed"
+            assert sp.orbit_tangent_basis(hc, p).shape[1] == adjoint_dim
