@@ -450,17 +450,15 @@ def h_subspaces(
     return n_plus, n_minus, z_h
 
 
-def sample_k_operators(
-    cd: CartanData, seed: int, count: int, n_factors: int = 3, scale: float = 1.0
-) -> list[np.ndarray]:
+def sample_k_operators(cd: CartanData, seed: int, count: int) -> list[np.ndarray]:
     """Seeded Ad(K) operators as products of 3 exponentials of random k-elements."""
     rng = np.random.default_rng(seed)
     dim_k = cd.k_basis.shape[1]
     ops = []
     for _ in range(count):
         op = np.eye(cd.alg.dim)
-        for _ in range(n_factors):
-            a = cd.k_basis @ (scale * rng.standard_normal(dim_k))
+        for _ in range(3):
+            a = cd.k_basis @ rng.standard_normal(dim_k)
             op = matrix_exp(cd.alg.ad(a)) @ op
         ops.append(op)
     return ops

@@ -351,7 +351,7 @@ def symplectic_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
         g = pmat @ rng.standard_normal((k, k)) @ pmat.T
         form = sp.make_skew_form(g - g.T)
         rad = sp.radical(form)
-        w = sp.max_isotropic(form, seed)
+        w = sp.max_isotropic(form)
         worst = max(worst, abs(2 * w.shape[1] - d - rad.shape[1]))
         worst = max(worst, float(np.max(np.abs(w.T @ form.gram @ w))) if w.size else 0.0)
     out.append(CheckResult("max_isotropic_dim", "2 dim W = dim V + dim R", worst, 0.5))

@@ -284,19 +284,19 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     if args.config:
+        # config supplies defaults for the subcommand's options; explicit flags win
+        options = set(vars(args)) - {"command", "fn", "config"}
+        given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
         try:
-            cfg = _load_config(args.config)
+            for key, value in _load_config(args.config).items():
+                if key not in options:
+                    raise ValueError(f"{key!r} is not an option of {args.command}")
+                if "--" + key.replace("_", "-") not in given:
+                    current = getattr(args, key)
+                    setattr(args, key, value if current is None else type(current)(value))
         except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        # config supplies defaults; explicit flags win
-        given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
-        for key, value in cfg.items():
-            flag = "--" + key.replace("_", "-")
-            if hasattr(args, key) and flag not in given:
-                current = getattr(args, key)
-                cast = type(current) if current is not None and not isinstance(current, bool) else str
-                setattr(args, key, cast(value))
     try:
         return args.fn(args)
     except (ConfigurationError, DomainError, ValueError, OSError) as exc:

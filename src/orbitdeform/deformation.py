@@ -108,12 +108,7 @@ def ad_r_exp_orbit(
 
 
 def sample_deformed_orbit(
-    ctx: DeformationContext,
-    h: np.ndarray,
-    seed: int,
-    n_base: int,
-    n_fiber: int,
-    fiber_scale: float = 1.0,
+    ctx: DeformationContext, h: np.ndarray, seed: int, n_base: int, n_fiber: int
 ) -> list[OrbitSample]:
     """Tagged samples Ad(k).H + psi_r(Ad(k).X_c), X_c random in n_H^+.
 
@@ -125,9 +120,7 @@ def sample_deformed_orbit(
     n_plus, _, _ = h_subspaces(cd, h)
     k_ops = sample_k_operators(cd, seed, n_base)
     fiber_rng = np.random.default_rng([seed, 0x5F1BE])
-    coeff_sets = [
-        fiber_scale * fiber_rng.standard_normal(n_plus.shape[1]) for _ in range(n_fiber)
-    ]
+    coeff_sets = [fiber_rng.standard_normal(n_plus.shape[1]) for _ in range(n_fiber)]
     samples = []
     for b_tag, k_op in enumerate(k_ops):
         base = k_op @ np.asarray(h, dtype=float)

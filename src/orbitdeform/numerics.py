@@ -7,6 +7,7 @@ are made with one consistent rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class Tolerance:
     rel_eps: float = 1e-7
 
     def __post_init__(self):
-        if self.abs_eps < 0 or self.rel_eps < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0 <= self.abs_eps < math.inf and 0 <= self.rel_eps < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
 
     def close(self, a, b) -> bool:
         a = np.asarray(a, dtype=float)

@@ -137,12 +137,7 @@ def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
 
 
 def sample_semidirect_orbit(
-    cd: CartanData,
-    h: np.ndarray,
-    seed: int,
-    n_base: int,
-    n_fiber: int,
-    fiber_scale: float = 1.0,
+    cd: CartanData, h: np.ndarray, seed: int, n_base: int, n_fiber: int
 ) -> list[OrbitSample]:
     """Tagged points Ad(k).H + [Ad(k).H, v] with v random in s.
 
@@ -158,7 +153,7 @@ def sample_semidirect_orbit(
         w = k_op @ np.asarray(h, dtype=float)
         tangent = orbit_tangent_at(cd, w)
         for f_tag in range(n_fiber):
-            v = cd.s_basis @ (fiber_scale * rng.standard_normal(dim_s))
+            v = cd.s_basis @ rng.standard_normal(dim_s)
             v_t = tangent @ (tangent.T @ cd.b_theta @ v)
             p = w + cd.alg.bracket(w, v)
             samples.append(

@@ -13,10 +13,11 @@ form u and the fibers [w, s] of the semidirect orbit are Lagrangian /
 isotropic for Omega; the restriction of Omega to the semidirect orbit
 over a chamber element H is symplectic, which is certified pointwise by
 rank.  The module also provides height-function gradients and
-Lagrangian sections on the flag orbit, the finite-difference defect by
-which the deformation maps fail to preserve Omega (psi~_r is a
-diffeomorphism, not a symplectomorphism; see pullback_check), the
-moment map of the compact-group action, and a generic skew-form toolkit
+Lagrangian sections on the flag orbit, checked by central differences
+along the compact flows exp(h ad A); the defect by which the
+deformation maps fail to preserve Omega, from exact tangents (psi~_r is
+a diffeomorphism, not a symplectomorphism; see pullback_check); the
+moment map of the compact-group action; and a generic skew-form toolkit
 (radical / maximal isotropic subspaces).
 """
 
@@ -70,7 +71,7 @@ def radical(form: SkewFormData) -> np.ndarray:
     return nullspace(form.gram, form.tol)
 
 
-def max_isotropic(form: SkewFormData, seed: int = 0) -> np.ndarray:
+def max_isotropic(form: SkewFormData) -> np.ndarray:
     """Greedy maximal isotropic subspace containing the radical.
 
     Extends the radical one vector at a time inside the form-orthogonal
@@ -224,14 +225,40 @@ def gradient_at(ctx: HermitianContext, x: np.ndarray, n_vec: np.ndarray) -> np.n
     return t @ coeffs
 
 
+def _section(ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float):
+    """(Y(x), sigma(x)) for the section sigma(x) = x + t i Y(x), Y = grad f_N."""
+    y = gradient_at(ctx, x, n_vec)
+    return y, x + t * (ctx.j @ y)
+
+
+def _compact_flows(cd: CartanData, step: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(exp(step ad A), exp(-step ad A)) for A over the compact basis."""
+    ads = [cd.alg.ad(a) for a in cd.k_basis.T]
+    return [(matrix_exp(step * ad), matrix_exp(-step * ad)) for ad in ads]
+
+
 def lagrangian_section(
     ctx: HermitianContext, n_vec: np.ndarray, flag_samples: list[OrbitSample], t: float
 ) -> SectionSample:
     """The section sigma(x) = x + t i Y(x) over the flag, Y = grad f_N."""
     base = [p.point for p in flag_samples]
-    vals = [gradient_at(ctx, x, n_vec) for x in base]
-    pts = [x + t * (ctx.j @ y) for x, y in zip(base, vals)]
-    return SectionSample(base_points=base, field_values=vals, t=t, section_points=pts)
+    pairs = [_section(ctx, n_vec, x, t) for x in base]
+    return SectionSample(
+        base_points=base, field_values=[y for y, _ in pairs], t=t,
+        section_points=[sig for _, sig in pairs],
+    )
+
+
+def _section_differences(
+    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float, flows, step: float
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Central differences (D_A Y, D_A sigma) at x along each compact flow."""
+    out = []
+    for flow_p, flow_m in flows:
+        y_p, sig_p = _section(ctx, n_vec, flow_p @ x, t)
+        y_m, sig_m = _section(ctx, n_vec, flow_m @ x, t)
+        out.append(((y_p - y_m) / (2 * step), (sig_p - sig_m) / (2 * step)))
+    return out
 
 
 def section_omega_residual(
@@ -246,19 +273,11 @@ def section_omega_residual(
     Tangents are central differences of sigma along the flag curves
     x(h) = exp(h ad(A)) x for A ranging over the compact basis.
     """
-    cd = ctx.cd
+    flows = _compact_flows(ctx.cd, step)
     worst = 0.0
     for p in flag_samples:
-        x = p.point
-        tangents = []
-        for i in range(cd.k_basis.shape[1]):
-            flow = matrix_exp(step * cd.alg.ad(cd.k_basis[:, i]))
-            flow_m = matrix_exp(-step * cd.alg.ad(cd.k_basis[:, i]))
-            x_p, x_m = flow @ x, flow_m @ x
-            sig_p = x_p + t * (ctx.j @ gradient_at(ctx, x_p, n_vec))
-            sig_m = x_m + t * (ctx.j @ gradient_at(ctx, x_m, n_vec))
-            tangents.append((sig_p - sig_m) / (2 * step))
-        tb = orthonormal_range(np.stack(tangents, axis=1))
+        diffs = _section_differences(ctx, n_vec, p.point, t, flows, step)
+        tb = orthonormal_range(np.stack([d_sig for _, d_sig in diffs], axis=1))
         if tb.shape[1]:
             worst = max(worst, float(np.max(np.abs(tb.T @ ctx.omega.gram @ tb))))
     return worst
@@ -278,19 +297,12 @@ def section_tangent_formula_residual(
     differences of Y along the flow of A.
     """
     cd = ctx.cd
+    flows = _compact_flows(cd, step)
     worst = 0.0
     for p in flag_samples:
         x = p.point
-        y = gradient_at(ctx, x, n_vec)
-        for i in range(cd.k_basis.shape[1]):
-            a = cd.k_basis[:, i]
-            flow = matrix_exp(step * cd.alg.ad(a))
-            flow_m = matrix_exp(-step * cd.alg.ad(a))
-            x_p, x_m = flow @ x, flow_m @ x
-            sig_p = x_p + t * (ctx.j @ gradient_at(ctx, x_p, n_vec))
-            sig_m = x_m + t * (ctx.j @ gradient_at(ctx, x_m, n_vec))
-            fd = (sig_p - sig_m) / (2 * step)
-            dy = (gradient_at(ctx, x_p, n_vec) - gradient_at(ctx, x_m, n_vec)) / (2 * step)
+        diffs = _section_differences(ctx, n_vec, x, t, flows, step)
+        for a, (dy, fd) in zip(cd.k_basis.T, diffs):
             formula = cd.alg.bracket(a, x) + t * (ctx.j @ dy)
             worst = max(worst, float(np.linalg.norm(fd - formula)))
     return worst
@@ -307,19 +319,15 @@ def gradient_hamiltonian_residual(
     flag.  Under the fixed convention Omega(X,Y) = B_tau(iX,Y) the
     pairing slot matters: Omega(w, iY) = B_tau(w, Y) = dF(w).
     """
-    cd = ctx.cd
+    flows = _compact_flows(ctx.cd, step)
     worst = 0.0
     for p in flag_samples:
         x = p.point
         y = gradient_at(ctx, x, n_vec)
-        for i in range(cd.k_basis.shape[1]):
-            a = cd.k_basis[:, i]
-            flow = matrix_exp(step * cd.alg.ad(a))
-            flow_m = matrix_exp(-step * cd.alg.ad(a))
-            w = (flow @ x - flow_m @ x) / (2 * step)
-            f_p = float((flow @ x) @ ctx.b_tau @ n_vec)
-            f_m = float((flow_m @ x) @ ctx.b_tau @ n_vec)
-            d_f = (f_p - f_m) / (2 * step)
+        for flow_p, flow_m in flows:
+            x_p, x_m = flow_p @ x, flow_m @ x
+            w = (x_p - x_m) / (2 * step)
+            d_f = (float(x_p @ ctx.b_tau @ n_vec) - float(x_m @ ctx.b_tau @ n_vec)) / (2 * step)
             worst = max(worst, abs(d_f - ctx.omega.value(w, ctx.j @ y)))
     return worst
 
@@ -329,61 +337,35 @@ def gradient_hamiltonian_residual(
 # ---------------------------------------------------------------------------
 
 
-def _h_of(p: OrbitSample) -> np.ndarray:
-    # recover H from the tags: base_point = k_op . H
-    return np.linalg.solve(p.k_op, p.base_point)
-
-
 def pullback_check(
-    ctx: HermitianContext,
-    r: float,
-    samples: list[OrbitSample],
-    fiber_dirs: np.ndarray,
-    step: float = 1e-5,
+    ctx: HermitianContext, r: float, samples: list[OrbitSample], fiber_dirs: np.ndarray
 ) -> float:
     """max |Omega(d psi~_r v, d psi~_r w) - Omega(v, w)| over tangent pairs.
 
-    Tangent vectors at a tagged adjoint-orbit sample come from central
-    differences along base curves k(h) = exp(h ad(A)) k (A over the
-    compact basis) and fiber curves X + h d (d over fiber_dirs); the
-    differential of psi~_r is taken by the same finite differences of
-    the retagged curve pushed to parameter r.
+    The tangents at a tagged adjoint-orbit sample Ad(k)(H + X) are exact.
+    Each splits as v = h_v + x_v, the derivatives of the base part Ad(k)H
+    and of the fiber part Ad(k)X.  Along the compact flow of A in the
+    compact basis, h_v = [A, Ad(k)H] and x_v = [A, Ad(k)X]; along a fiber
+    direction d in fiber_dirs, h_v = 0 and x_v = Ad(k)d.  The differential
+    of psi~_r sends v to h_v + psi_r x_v.
 
     The residual is not a tolerance-sized error: psi~_r does not preserve
-    Omega.  With q = (r-1)/(r+1) (q = 1 at r = infinity) and v = h_v + x_v
-    split into the derivatives of the base part Ad(k)H and of the fiber
-    part Ad(k)X, the returned value is max |q Omega_1 - q^2 Omega_2| with
-    Omega_1 = Omega(h_v, x_w) + Omega(x_v, h_w) and Omega_2 =
-    Omega(x_v, x_w).  It is zero only at r = 1.
+    Omega.  With q = (r-1)/(r+1) (q = 1 at r = infinity) the returned
+    value is max |q Omega_1 - q^2 Omega_2| with Omega_1 = Omega(h_v, x_w)
+    + Omega(x_v, h_w) and Omega_2 = Omega(x_v, x_w).  It is zero only at
+    r = 1.
     """
     cd = ctx.cd
-    ctx1 = df.make_context(cd, 1.0)
-    ctxr = df.make_context(cd, r)
+    psi = df.make_context(cd, r).psi_r
+    gram = ctx.omega.gram
+    no_base = np.zeros((cd.alg.dim, fiber_dirs.shape[1]))
     worst = 0.0
     for p in samples:
-        h_amb = _h_of(p)
-        curves = []
-        for i in range(cd.k_basis.shape[1]):
-            flow = matrix_exp(step * cd.alg.ad(cd.k_basis[:, i]))
-            flow_m = matrix_exp(-step * cd.alg.ad(cd.k_basis[:, i]))
-            curves.append((flow @ p.k_op, p.fiber, flow_m @ p.k_op, p.fiber))
-        for j in range(fiber_dirs.shape[1]):
-            d = fiber_dirs[:, j]
-            curves.append((p.k_op, p.fiber + step * d, p.k_op, p.fiber - step * d))
-        vs, vrs = [], []
-        for k_p, f_p, k_m, f_m in curves:
-            pt1_p = k_p @ h_amb + ctx1.psi_r @ (k_p @ f_p)
-            pt1_m = k_m @ h_amb + ctx1.psi_r @ (k_m @ f_m)
-            ptr_p = k_p @ h_amb + ctxr.psi_r @ (k_p @ f_p)
-            ptr_m = k_m @ h_amb + ctxr.psi_r @ (k_m @ f_m)
-            vs.append((pt1_p - pt1_m) / (2 * step))
-            vrs.append((ptr_p - ptr_m) / (2 * step))
-        for a in range(len(vs)):
-            for b in range(a + 1, len(vs)):
-                worst = max(
-                    worst,
-                    abs(ctx.omega.value(vrs[a], vrs[b]) - ctx.omega.value(vs[a], vs[b])),
-                )
+        h = np.hstack([-cd.alg.ad(p.base_point) @ cd.k_basis, no_base])
+        x = np.hstack([-cd.alg.ad(p.k_op @ p.fiber) @ cd.k_basis, p.k_op @ fiber_dirs])
+        v, v_r = h + x, h + psi @ x
+        diff = v_r.T @ gram @ v_r - v.T @ gram @ v
+        worst = max(worst, float(np.max(np.abs(np.triu(diff, 1)))))
     return worst
 
 

@@ -238,7 +238,7 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
                     law = om(h_v, h_w) + (1 + q) * mixed + (1 - q * q) * fib
                     worst = max(worst, abs(om(v_r, w_r) - law))
                     defect = max(defect, abs(q * mixed - q * q * fib))
-        measured = sp.pullback_check(hc, r, samples, n_plus, step=step)
+        measured = sp.pullback_check(hc, r, samples, n_plus)
         defect_err = max(defect_err, abs(measured - defect) / defect)
         defects.append(measured)
     _line("criterion 9 (psi~_r pulls Omega back to Omega_hh + (1+q) Omega_hx + (1-q^2) Omega_xx)",

@@ -139,6 +139,29 @@ def test_config_flag_override(tmp_path, capsys):
     assert (tmp_path / "orbit_sl2r_adjoint_r1.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["n_bse = 3", "fn = x", "command = x", "n-base = abc"])
+def test_config_rejects_bad_key_or_value(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"algebra=sl2r\n{line}\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["orbit-sample", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--algebra", "sl2r", "--rel-eps", "inf"],
+    ["orbit-sample", "--algebra", "sl2r", "--rel-eps", "inf"],
+    ["orbit-sample", "--algebra", "sl2r", "--abs-eps", "nan"],
+])
+def test_non_finite_tolerance_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "report.json" if args[0] == "verify" else tmp_path
+    assert run(args + ["--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_orbit_sample_rejects_nan_chamber(tmp_path, capsys):
     assert run(["orbit-sample", "--algebra", "sl2r", "--H", "nan",
                 "--out", str(tmp_path)]) == 2

@@ -16,6 +16,11 @@ from orbitdeform.numerics import (
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(abs_eps=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Tolerance(abs_eps=bad)
+        with pytest.raises(ValueError):
+            Tolerance(rel_eps=bad)
     tol = Tolerance(abs_eps=1e-6, rel_eps=0.0)
     assert tol.close(1.0, 1.0 + 5e-7)
     assert not tol.close(1.0, 1.0 + 5e-6)

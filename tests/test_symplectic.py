@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from orbitdeform import algebra as al
 from orbitdeform import deformation as df
 from orbitdeform import symplectic as sp
 from orbitdeform.checks import _proj_residual
+from orbitdeform.numerics import matrix_exp
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +238,49 @@ def test_pullback_identity_at_r1(sl2c):
     samples = df.sample_deformed_orbit(ctx1, h, seed=12, n_base=5, n_fiber=2)
     n_plus, _, _ = al.h_subspaces(cd, h)
     assert sp.pullback_check(hc, 1.0, samples, n_plus) < 1e-12
+
+
+def _fd_pullback_check(hc, r, samples, fiber_dirs, step=1e-5):
+    # reference: the finite-difference pullback_check the exact tangents replaced
+    cd = hc.cd
+    ctx1, ctxr = df.make_context(cd, 1.0), df.make_context(cd, r)
+    worst = 0.0
+    for p in samples:
+        h_amb = np.linalg.solve(p.k_op, p.base_point)
+        curves = []
+        for a in cd.k_basis.T:
+            flow, flow_m = matrix_exp(step * cd.alg.ad(a)), matrix_exp(-step * cd.alg.ad(a))
+            curves.append((flow @ p.k_op, p.fiber, flow_m @ p.k_op, p.fiber))
+        for d in fiber_dirs.T:
+            curves.append((p.k_op, p.fiber + step * d, p.k_op, p.fiber - step * d))
+        vs, vrs = [], []
+        for k_p, f_p, k_m, f_m in curves:
+            for ctx, out in ((ctx1, vs), (ctxr, vrs)):
+                pt_p = k_p @ h_amb + ctx.psi_r @ (k_p @ f_p)
+                pt_m = k_m @ h_amb + ctx.psi_r @ (k_m @ f_m)
+                out.append((pt_p - pt_m) / (2 * step))
+        for a in range(len(vs)):
+            for b in range(a + 1, len(vs)):
+                worst = max(
+                    worst, abs(hc.omega.value(vrs[a], vrs[b]) - hc.omega.value(vs[a], vs[b]))
+                )
+    return worst
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_pullback_exact_tangents_match_finite_differences(fixture, request):
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    samples = df.sample_deformed_orbit(df.make_context(cd, 1.0), h, seed=17, n_base=4, n_fiber=2)
+    n_plus, _, _ = al.h_subspaces(cd, h)
+    # with 10 n_plus the pairs involving a fiber direction carry the maximum
+    for fiber_dirs, r in itertools.product((n_plus, 10 * n_plus), (1.0, 2.0, 10.0, math.inf)):
+        exact = sp.pullback_check(hc, r, samples, fiber_dirs)
+        reference = _fd_pullback_check(hc, r, samples, fiber_dirs)
+        if r == 1.0:
+            assert exact < 1e-12 and reference < 1e-12
+        else:
+            assert abs(exact - reference) <= 1e-6 * reference, (r, exact, reference)
 
 
 def test_pullback_fiber_scaling(sl2c):
