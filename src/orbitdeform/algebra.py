@@ -452,16 +452,10 @@ def h_subspaces(
 
 def sample_k_operators(cd: CartanData, seed: int, count: int) -> list[np.ndarray]:
     """Seeded Ad(K) operators as products of 3 exponentials of random k-elements."""
-    rng = np.random.default_rng(seed)
-    dim_k = cd.k_basis.shape[1]
-    ops = []
-    for _ in range(count):
-        op = np.eye(cd.alg.dim)
-        for _ in range(3):
-            a = cd.k_basis @ rng.standard_normal(dim_k)
-            op = matrix_exp(cd.alg.ad(a)) @ op
-        ops.append(op)
-    return ops
+    coeffs = np.random.default_rng(seed).standard_normal((count, 3, cd.k_basis.shape[1]))
+    ads = [cd.alg.ad(cd.k_basis @ c) for c in coeffs.reshape(-1, coeffs.shape[-1])]
+    exps = matrix_exp(np.reshape(ads, (count, 3, cd.alg.dim, cd.alg.dim)))
+    return list(exps[:, 2] @ (exps[:, 1] @ exps[:, 0]))
 
 
 def flag_orbit_sample(

@@ -108,9 +108,6 @@ def cmd_verify(args) -> int:
         "semidirect": lambda cd: checks.semidirect_suite(cd, args.seed) if cd.roots else [],
         "symplectic": lambda cd: checks.symplectic_suite(cd, args.seed),
     }
-    if args.suite != "all" and args.suite not in suites:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
     if args.H != "regular":
         print("verify checks the regular chamber element only; --H must be 'regular'",
               file=sys.stderr)
@@ -243,34 +240,40 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--rel-eps", type=float, default=1e-7)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
+    """The CLI parser; with exit_on_error=False a bad value raises argparse.ArgumentError."""
     parser = argparse.ArgumentParser(
         prog="orbitdeform",
         description="Deformations of adjoint orbits: verification and sampling tools.",
+        exit_on_error=exit_on_error,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the identity verification suites")
+    p = sub.add_parser("verify", help="run the identity verification suites",
+                       exit_on_error=exit_on_error)
     _add_common(p)
     p.add_argument("--suite", default="all",
                    choices=["all", "numerics", "algebra", "deformation", "semidirect", "symplectic"])
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("orbit-sample", help="emit orbit sample CSVs")
+    p = sub.add_parser("orbit-sample", help="emit orbit sample CSVs",
+                       exit_on_error=exit_on_error)
     _add_common(p)
     p.add_argument("--kind", default="adjoint", choices=["semidirect", "adjoint", "deformed"])
     p.add_argument("--r", default="1", help='comma-separated r values; "inf" allowed')
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_orbit_sample)
 
-    p = sub.add_parser("deform-sweep", help="sample the orbit across an r grid")
+    p = sub.add_parser("deform-sweep", help="sample the orbit across an r grid",
+                       exit_on_error=exit_on_error)
     _add_common(p)
     p.add_argument("--r", default="1,10,100", help="ascending comma-separated r values")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_deform_sweep)
 
-    p = sub.add_parser("lagrangian-section", help="emit Lagrangian section samples")
+    p = sub.add_parser("lagrangian-section", help="emit Lagrangian section samples",
+                       exit_on_error=exit_on_error)
     _add_common(p)
     p.add_argument("--t", default="0,0.5,1,2", help="comma-separated section parameters")
     p.add_argument("--out", default=".", help="output directory")
@@ -278,23 +281,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_config(args, argv: list[str]) -> argparse.Namespace:
+    """Parse argv again with the config file's lines as flags after the subcommand.
+
+    The config flags pass argparse's type and choices checks, and every flag
+    the user gave, abbreviated or not, comes after them and wins.  Raises
+    ValueError for a key that is not an option, argparse.ArgumentError for a
+    bad value.
+    """
+    options = set(vars(args)) - {"command", "fn", "config"}
+    flags = []
+    for key, value in _load_config(args.config).items():
+        if key not in options:
+            raise ValueError(f"{key!r} is not an option of {args.command}")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    at = argv.index(args.command) + 1
+    return build_parser(exit_on_error=False).parse_args([*argv[:at], *flags, *argv[at:]])
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
     if args.config:
-        # config supplies defaults for the subcommand's options; explicit flags win
-        options = set(vars(args)) - {"command", "fn", "config"}
-        given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
         try:
-            for key, value in _load_config(args.config).items():
-                if key not in options:
-                    raise ValueError(f"{key!r} is not an option of {args.command}")
-                if "--" + key.replace("_", "-") not in given:
-                    current = getattr(args, key)
-                    setattr(args, key, value if current is None else type(current)(value))
-        except (OSError, ValueError) as exc:
+            args = _with_config(args, argv)
+        except (OSError, ValueError, argparse.ArgumentError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
     try:

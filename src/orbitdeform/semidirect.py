@@ -270,14 +270,10 @@ def cartan_rep(cd: CartanData) -> SemidirectRep:
 
 def rep_group_elements(rep: SemidirectRep, seed: int, count: int) -> list[np.ndarray]:
     """Seeded orthogonal-ish group elements on V: products of 3 exponentials."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        g = np.eye(rep.v_dim)
-        for _ in range(3):
-            g = matrix_exp(rep.rho_of(rng.standard_normal(rep.g_dim))) @ g
-        out.append(g)
-    return out
+    coeffs = np.random.default_rng(seed).standard_normal((count, 3, rep.g_dim))
+    rhos = [rep.rho_of(c) for c in coeffs.reshape(-1, rep.g_dim)]
+    exps = matrix_exp(np.reshape(rhos, (count, 3, rep.v_dim, rep.v_dim)))
+    return list(exps[:, 2] @ (exps[:, 1] @ exps[:, 0]))
 
 
 def rep_orbit_tangent(rep: SemidirectRep, w: np.ndarray) -> np.ndarray:

@@ -233,8 +233,9 @@ def _section(ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float):
 
 def _compact_flows(cd: CartanData, step: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """(exp(step ad A), exp(-step ad A)) for A over the compact basis."""
-    ads = [cd.alg.ad(a) for a in cd.k_basis.T]
-    return [(matrix_exp(step * ad), matrix_exp(-step * ad)) for ad in ads]
+    ads = np.array([cd.alg.ad(a) for a in cd.k_basis.T])
+    plus, minus = matrix_exp(np.stack([step * ads, -step * ads]))
+    return list(zip(plus, minus))
 
 
 def lagrangian_section(

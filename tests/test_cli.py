@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orbitdeform
 from orbitdeform.cli import main
 
 
@@ -139,7 +144,16 @@ def test_config_flag_override(tmp_path, capsys):
     assert (tmp_path / "orbit_sl2r_adjoint_r1.csv").exists()
 
 
-@pytest.mark.parametrize("line", ["n_bse = 3", "fn = x", "command = x", "n-base = abc"])
+@pytest.mark.parametrize("flag", [["--n-b", "1"], ["--n-b=1"], ["--n-base=1"]])
+def test_config_abbreviated_flag_override(tmp_path, capsys, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algebra=sl2r\nn_base=3\nn_fiber=1\n")
+    assert run(["orbit-sample", "--config", str(cfg), *flag, "--out", str(tmp_path)]) == 0
+    _, rows = _read_rows(tmp_path / "orbit_sl2r_adjoint_r1.csv")
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("line", ["n_bse = 3", "fn = x", "command = x", "n-base = abc", "kind = foo"])
 def test_config_rejects_bad_key_or_value(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"algebra=sl2r\n{line}\n")
@@ -201,3 +215,26 @@ def test_orbit_sample_semidirect_rejects_r_list(tmp_path, capsys):
     assert run(["orbit-sample", "--algebra", "sl2r", "--kind", "semidirect",
                 "--r", "1,10", "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_does_not_import_scipy(tmp_path):
+    # scipy.linalg alone costs more start-up than the rest of the CLI; run in
+    # a fresh interpreter because this test process may have imported it
+    code = f"""
+import sys
+from orbitdeform.cli import main
+out = {str(tmp_path)!r}
+assert main(["verify", "--algebra", "sl2c", "--out", out + "/report.json"]) == 0
+assert main(["orbit-sample", "--kind", "semidirect", "--algebra", "sl2c",
+             "--n-base", "2", "--n-fiber", "2", "--out", out]) == 0
+assert main(["deform-sweep", "--algebra", "sl2c", "--n-base", "2", "--n-fiber", "2",
+             "--r", "1,inf", "--out", out]) == 0
+assert main(["lagrangian-section", "--algebra", "sl2c", "--n-base", "2", "--out", out]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+    src = str(Path(orbitdeform.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

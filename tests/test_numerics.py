@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orbitdeform import algebra as al
 from orbitdeform.numerics import (
     DimensionError,
     StructureError,
@@ -52,6 +53,59 @@ def test_exp_inverse_property():
 def test_exp_rejects_nonsquare():
     with pytest.raises(DimensionError):
         matrix_exp(np.zeros((2, 3)))
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("descriptor", al.DESCRIPTORS)
+def test_exp_matches_scipy_on_ad_k(descriptor):
+    from scipy.linalg import expm
+
+    cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
+    rng = np.random.default_rng(3)
+    for norm in (None, 1.0, 10.0, 50.0):  # 1-norm 50 needs about four squarings
+        ad = cd.alg.ad(cd.k_basis @ rng.standard_normal(cd.k_basis.shape[1]))
+        if norm is not None:
+            ad *= norm / np.linalg.norm(ad, 1)
+        assert _rel(matrix_exp(ad), expm(ad)) < 1e-12
+
+
+def test_exp_matches_scipy_on_complex_input():
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(4)
+    for scale in (0.1, 1.0, 8.0):
+        c = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        out = matrix_exp(c)
+        assert out.dtype == complex
+        assert _rel(out, expm(c)) < 1e-12
+
+
+def test_exp_jordan_block():
+    for lam in (-2.0, 0.0, 0.7, 3.0):
+        out = matrix_exp(np.array([[lam, 1.0], [0.0, lam]]))
+        assert _rel(out, np.exp(lam) * np.array([[1.0, 1.0], [0.0, 1.0]])) < 1e-14
+
+
+def test_exp_stack_matches_single_matrices():
+    rng = np.random.default_rng(5)
+    scales = np.array([0.01, 1.0, 20.0])[None, :, None, None]  # from no squaring to several
+    stack = scales * rng.standard_normal((2, 3, 4, 4))
+    out = matrix_exp(stack)
+    assert out.shape == stack.shape
+    for i in range(2):
+        for j in range(3):
+            assert _rel(out[i, j], matrix_exp(stack[i, j])) < 1e-14
+    assert np.array_equal(matrix_exp(np.zeros((2, 3, 3))), np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+
+def test_exp_rejects_vector_and_non_finite():
+    with pytest.raises(DimensionError):
+        matrix_exp(np.zeros(3))
+    with pytest.raises(ValueError):
+        matrix_exp(np.array([[0.0, np.inf], [0.0, 0.0]]))
 
 
 def test_nullspace_full_rank_and_zero():
