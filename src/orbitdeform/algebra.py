@@ -30,7 +30,6 @@ from .numerics import (
     Tolerance,
     matrix_exp,
     nullspace,
-    orthonormal_range,
     simultaneous_eigenspaces,
 )
 

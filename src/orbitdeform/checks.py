@@ -271,7 +271,7 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
         n_plus, _, _ = al.h_subspaces(cd, h)
         psi_inf = np.eye(alg.dim) + cd.theta
         img = np.linalg.qr(psi_inf @ n_plus)[0]
-        fib = sd.coadjoint_fiber(cd, h).fiber_basis
+        fib = sd.coadjoint_fiber(cd, h)
         out.append(
             CheckResult("fiber_is_psi_n_plus", "[H,s] = psi(n+_H)", _proj_residual(img, fib), 1e-9)
         )
@@ -281,7 +281,7 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
         worst = 0.0
         for p, q in zip(samples, dsamples):
             worst = max(worst, float(np.linalg.norm(p.base_point - q.base_point)))
-            fib_p = sd.coadjoint_fiber(cd, p.base_point).fiber_basis
+            fib_p = sd.coadjoint_fiber(cd, p.base_point)
             kq = cd.project_k(q.point)
             worst = max(worst, float(np.linalg.norm(kq - fib_p @ (fib_p.T @ kq))))
         out.append(

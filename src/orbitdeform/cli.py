@@ -91,8 +91,9 @@ def _sample_csv(samples, r: float) -> str:
 
 
 def _build(args) -> tuple[al.LieAlgebraData, al.CartanData, np.ndarray]:
-    if args.n_base < 1 or args.n_fiber < 1:
-        raise DomainError("--n-base and --n-fiber must be at least 1")
+    for key in ("n_base", "n_fiber"):
+        if vars(args).get(key, 1) < 1:
+            raise DomainError(f"--{key.replace('_', '-')} must be at least 1")
     family, n = al.parse_descriptor(args.algebra)
     alg = al.build_algebra(family, n)
     cd = al.cartan_structure(alg, Tolerance(args.abs_eps, args.rel_eps))
@@ -142,23 +143,22 @@ def cmd_verify(args) -> int:
 
 def cmd_orbit_sample(args) -> int:
     _, cd, h = _build(args)
-    r_values = [_parse_r(x) for x in args.r.split(",")]
-    if args.kind == "semidirect" and len(r_values) > 1:
-        print("semidirect sampling is at r = inf; give at most one --r", file=sys.stderr)
+    r_text = args.r if args.r is not None else ("inf" if args.kind == "semidirect" else "1")
+    r_values = [_parse_r(x) for x in r_text.split(",")]
+    if args.kind == "semidirect" and r_values != [math.inf]:
+        print("semidirect sampling is at r = inf; --r must be inf", file=sys.stderr)
+        return 2
+    if args.kind == "adjoint" and r_values != [1.0]:
+        print("adjoint sampling requires r=1", file=sys.stderr)
         return 2
     written = []
     for r in r_values:
         if args.kind == "semidirect":
             samples = sd.sample_semidirect_orbit(cd, h, args.seed, args.n_base, args.n_fiber)
-            tag = "inf"
-            r = math.inf
         else:
-            if args.kind == "adjoint" and r != 1.0:
-                print("adjoint sampling requires r=1", file=sys.stderr)
-                return 2
             ctx = df.make_context(cd, r)
             samples = df.sample_deformed_orbit(ctx, h, args.seed, args.n_base, args.n_fiber)
-            tag = "inf" if math.isinf(r) else _fmt(r)
+        tag = "inf" if math.isinf(r) else _fmt(r)
         path = os.path.join(args.out, f"orbit_{args.algebra}_{args.kind}_r{tag}.csv")
         _atomic_write(path, _sample_csv(samples, r))
         written.append(path)
@@ -234,10 +234,14 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--H", default="regular",
                    help='chamber element: "regular", "wall:k", or comma-separated coefficients')
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-base", type=int, default=10)
-    p.add_argument("--n-fiber", type=int, default=5)
     p.add_argument("--abs-eps", type=float, default=1e-9)
     p.add_argument("--rel-eps", type=float, default=1e-7)
+
+
+def _add_counts(p: argparse.ArgumentParser, fiber: bool = True):
+    p.add_argument("--n-base", type=int, default=10, help="base points on the compact orbit")
+    if fiber:
+        p.add_argument("--n-fiber", type=int, default=5, help="fiber points per base point")
 
 
 def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
@@ -260,14 +264,17 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("orbit-sample", help="emit orbit sample CSVs",
                        exit_on_error=exit_on_error)
     _add_common(p)
+    _add_counts(p)
     p.add_argument("--kind", default="adjoint", choices=["semidirect", "adjoint", "deformed"])
-    p.add_argument("--r", default="1", help='comma-separated r values; "inf" allowed')
+    p.add_argument("--r", help='comma-separated r values; "inf" allowed '
+                               "(default 1; --kind semidirect is at inf only)")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_orbit_sample)
 
     p = sub.add_parser("deform-sweep", help="sample the orbit across an r grid",
                        exit_on_error=exit_on_error)
     _add_common(p)
+    _add_counts(p)
     p.add_argument("--r", default="1,10,100", help="ascending comma-separated r values")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_deform_sweep)
@@ -275,6 +282,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("lagrangian-section", help="emit Lagrangian section samples",
                        exit_on_error=exit_on_error)
     _add_common(p)
+    _add_counts(p, fiber=False)
     p.add_argument("--t", default="0,0.5,1,2", help="comma-separated section parameters")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_lagrangian_section)

@@ -1,17 +1,17 @@
-"""Semidirect products k x_ad s and their coadjoint orbit geometry.
+"""The semidirect product k x_ad s of a Cartan decomposition g = k + s.
 
-Two instantiations of the compact-group-on-inner-product-space setup:
-
-  * the Cartan case: K acting by ad on s inside a semisimple algebra,
-    where the moment map of the representation is mu(X ^ Y) = [X, Y];
-  * the canonical case: SO(n) acting on R^n, where mu(v ^ w) is the
-    antisymmetric matrix w v^T - v w^T.
+This is the contraction of g at r = inf: K acts on the abelian ideal s
+by ad, and the moment map of that representation is mu(X ^ Y) = [X, Y]
+in k.  The canonical SO(n) acting on R^n is the Cartan case of so(n,1).
+For n = 3 that is sl(2,C) = so(3,1): K = SU(2) rotates s = i su(2),
+and with s-coordinates (H, S, iA) read as R^3 and k-coordinates
+(A, iH, iS), [v, w] = 2 (c3, -c1, -c2) for c = v x w.
 
 Coadjoint orbits through a point x are affine bundles over the compact
-orbit of x: each point decomposes as w + mu(w ^ v) with w on the base
+orbit of x: each point decomposes as w + [w, v] with w on the base
 orbit and the fiber part in the dual of the tangent space at w.  The
-map phi sends a fiber point to the covector it induces via the inner
-product; the moment application m inverts it.
+map phi sends a fiber point to the covector it induces via B_theta; the
+moment application m inverts it.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ import numpy as np
 from .algebra import (
     CartanData,
     DomainError,
-    LieAlgebraData,
     OrbitSample,
     RepresentationError,
-    build_algebra,
-    h_subspaces,
+    _b_orthonormalize,
     sample_k_operators,
 )
-from .numerics import DimensionError, Tolerance, matrix_exp, orthonormal_range
+from .numerics import DimensionError, Tolerance, orthonormal_range
 
 
 @dataclass(frozen=True)
@@ -39,12 +37,6 @@ class SemidirectElement:
 
     k_part: np.ndarray
     s_part: np.ndarray
-
-
-@dataclass(frozen=True)
-class CoadjointFiber:
-    base: np.ndarray  # w on the compact orbit, ambient coefficients
-    fiber_basis: np.ndarray  # orthonormal columns spanning [w, s] in k
 
 
 def make_element(
@@ -116,11 +108,10 @@ def ad_rho_matrix(cd: CartanData, e: SemidirectElement) -> np.ndarray:
     return out
 
 
-def coadjoint_fiber(cd: CartanData, w: np.ndarray, tol: Tolerance = Tolerance()) -> CoadjointFiber:
-    """The affine fiber direction [w, s] inside k over a base point w."""
+def coadjoint_fiber(cd: CartanData, w: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Orthonormal columns spanning the fiber direction [w, s] inside k over w."""
     w = np.asarray(w, dtype=float)
-    span = orthonormal_range(cd.alg.ad(w) @ cd.s_basis, tol)
-    return CoadjointFiber(base=w, fiber_basis=span)
+    return orthonormal_range(cd.alg.ad(w) @ cd.s_basis, tol)
 
 
 def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
@@ -129,11 +120,7 @@ def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
     B_theta-orthonormality makes tangential projection (the complement
     being the centralizer directions) a plain coefficient contraction.
     """
-    span = orthonormal_range(-cd.alg.ad(w) @ cd.k_basis)
-    if span.shape[1] == 0:
-        return span
-    gram = span.T @ cd.b_theta @ span
-    return span @ np.linalg.inv(np.linalg.cholesky(gram)).T
+    return _b_orthonormalize(orthonormal_range(-cd.alg.ad(w) @ cd.k_basis), cd.b_theta)
 
 
 def sample_semidirect_orbit(
@@ -154,7 +141,7 @@ def sample_semidirect_orbit(
         tangent = orbit_tangent_at(cd, w)
         for f_tag in range(n_fiber):
             v = cd.s_basis @ rng.standard_normal(dim_s)
-            v_t = tangent @ (tangent.T @ cd.b_theta @ v)
+            coeffs = tangent.T @ cd.b_theta @ v
             p = w + cd.alg.bracket(w, v)
             samples.append(
                 OrbitSample(
@@ -162,8 +149,8 @@ def sample_semidirect_orbit(
                     kind="semidirect",
                     base_point=w,
                     k_op=k_op,
-                    fiber=v_t,
-                    fiber_coeffs=tangent.T @ cd.b_theta @ v,
+                    fiber=tangent @ coeffs,
+                    fiber_coeffs=coeffs,
                     r=np.inf,
                     base_tag=b_tag,
                     fiber_tag=f_tag,
@@ -197,124 +184,3 @@ def cotangent_moment(
     return SemidirectElement(
         k_part=cd.alg.bracket(base_point, covector), s_part=base_point
     )
-
-
-# ---------------------------------------------------------------------------
-# Generic compact-representation layer (canonical SO(n) on R^n instance)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SemidirectRep:
-    """A compact Lie algebra g represented on an inner product space V.
-
-    rho[i] is the matrix of the i-th g-basis element on V; g_pair is a
-    non-degenerate symmetric pairing on g coefficients used to identify
-    g* with g; v_ip is the positive inner product on V.  The moment map
-    mu: V x V -> g is defined by  pair(mu(v,w), A) = <rho(A)v, w>_V.
-    """
-
-    g_dim: int
-    v_dim: int
-    rho: np.ndarray  # (g_dim, v_dim, v_dim)
-    g_pair: np.ndarray
-    v_ip: np.ndarray
-
-    def rho_of(self, a: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(a, dtype=float), self.rho, axes=(0, 0))
-
-    def mu(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        rhs = np.array([float(r @ v @ self.v_ip @ w) for r in self.rho])
-        return np.linalg.solve(self.g_pair, rhs)
-
-
-@dataclass(frozen=True)
-class RepOrbitSample:
-    k_part: np.ndarray  # g coefficients of the fiber part mu(w ^ v)
-    base: np.ndarray  # w in V
-    fiber: np.ndarray  # tangential fiber coordinate v_t in V
-    base_tag: int = 0
-    fiber_tag: int = 0
-
-
-def so_canonical_rep(n: int) -> SemidirectRep:
-    """so(n) acting on R^n, pairing -1/2 tr(AB), Euclidean V.
-
-    With these choices mu(v, w) = w v^T - v w^T.
-    """
-    alg = build_algebra("so", n)
-    rho = np.stack([m.real for m in alg.basis])
-    g_pair = np.zeros((alg.dim, alg.dim))
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            g_pair[i, j] = -0.5 * np.trace(alg.basis[i].real @ alg.basis[j].real)
-    return SemidirectRep(g_dim=alg.dim, v_dim=n, rho=rho, g_pair=g_pair, v_ip=np.eye(n))
-
-
-def cartan_rep(cd: CartanData) -> SemidirectRep:
-    """The Cartan instantiation: k on s with the Killing pairing on k.
-
-    mu then reproduces the bracket: mu(v, w) = [v, w].
-    """
-    alg = cd.alg
-    kb, sb = cd.k_basis, cd.s_basis
-    rho = np.stack(
-        [sb.T @ alg.ad(kb[:, i]) @ sb for i in range(kb.shape[1])]
-    )
-    g_pair = kb.T @ alg.killing @ kb
-    v_ip = sb.T @ cd.b_theta @ sb
-    return SemidirectRep(
-        g_dim=kb.shape[1], v_dim=sb.shape[1], rho=rho, g_pair=g_pair, v_ip=v_ip
-    )
-
-
-def rep_group_elements(rep: SemidirectRep, seed: int, count: int) -> list[np.ndarray]:
-    """Seeded orthogonal-ish group elements on V: products of 3 exponentials."""
-    coeffs = np.random.default_rng(seed).standard_normal((count, 3, rep.g_dim))
-    rhos = [rep.rho_of(c) for c in coeffs.reshape(-1, rep.g_dim)]
-    exps = matrix_exp(np.reshape(rhos, (count, 3, rep.v_dim, rep.v_dim)))
-    return list(exps[:, 2] @ (exps[:, 1] @ exps[:, 0]))
-
-
-def rep_orbit_tangent(rep: SemidirectRep, w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of T_w(G.w) = rho(g).w in V (v_ip-orthonormal)."""
-    cols = np.stack([r @ w for r in rep.rho], axis=1)
-    chol = np.linalg.cholesky(rep.v_ip)
-    on = orthonormal_range(chol.T @ cols)
-    return np.linalg.solve(chol.T, on)
-
-
-def sample_rep_orbit(
-    rep: SemidirectRep, x: np.ndarray, seed: int, n_base: int, n_fiber: int
-) -> list[RepOrbitSample]:
-    """Coadjoint-orbit samples (mu(w ^ v), w) through (0, x)."""
-    x = np.asarray(x, dtype=float)
-    rng = np.random.default_rng([seed, 0x0CA])
-    samples = []
-    for b_tag, g in enumerate(rep_group_elements(rep, seed, n_base)):
-        w = g @ x
-        tangent = rep_orbit_tangent(rep, w)
-        for f_tag in range(n_fiber):
-            v = rng.standard_normal(rep.v_dim)
-            v_t = tangent @ (tangent.T @ rep.v_ip @ v)
-            samples.append(
-                RepOrbitSample(
-                    k_part=rep.mu(w, v),
-                    base=w,
-                    fiber=v_t,
-                    base_tag=b_tag,
-                    fiber_tag=f_tag,
-                )
-            )
-    return samples
-
-
-def rep_phi(rep: SemidirectRep, p: RepOrbitSample) -> tuple[np.ndarray, np.ndarray]:
-    """phi: orbit point -> (base, covector as tangential V-vector)."""
-    tangent = rep_orbit_tangent(rep, p.base)
-    return p.base, tangent @ (tangent.T @ rep.v_ip @ p.fiber)
-
-
-def rep_moment(rep: SemidirectRep, base: np.ndarray, covector: np.ndarray) -> RepOrbitSample:
-    """m(gamma_y) = (mu(y ^ covector), y), the inverse of rep_phi."""
-    return RepOrbitSample(k_part=rep.mu(base, covector), base=base, fiber=covector)

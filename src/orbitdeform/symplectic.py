@@ -138,7 +138,7 @@ def u_moment(ctx: HermitianContext, x: np.ndarray, tol: Tolerance = Tolerance())
 
 def fiber_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the fiber direction [w, s] inside u."""
-    return sd.coadjoint_fiber(cd, w).fiber_basis
+    return sd.coadjoint_fiber(cd, w)
 
 
 def orbit_tangent_basis(

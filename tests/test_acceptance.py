@@ -287,25 +287,18 @@ def test_criterion_11_skew_form_toolkit():
     _line("criterion 11 (2 dim W = dim V + dim radical on 200 random forms)", ok, "exact")
 
 
-def test_criterion_12_cotangent_identification(sl2r):
-    _, cd = sl2r
+def test_criterion_12_cotangent_identification(sl2r, sl2c):
+    # sl2c carries the canonical case: SO(3) rotating s = R^3 inside so(3,1)
     worst, ranks_ok = 0.0, True
-    for p in sd.sample_semidirect_orbit(cd, cd.chamber_H, SEED, n_base=20, n_fiber=5):
-        w, cov = sd.phi_cotangent(cd, p)
-        m = sd.cotangent_moment(cd, w, cov)
-        worst = max(worst, float(np.linalg.norm((m.k_part + m.s_part) - p.point)))
-        tangent = sd.orbit_tangent_at(cd, w)
-        f = np.stack(
-            [cd.alg.bracket(w, tangent[:, i]) for i in range(tangent.shape[1])], axis=1
-        )
-        ranks_ok = ranks_ok and np.linalg.matrix_rank(f) == tangent.shape[1]
-    rep = sd.so_canonical_rep(3)
-    for p in sd.sample_rep_orbit(rep, np.array([1.0, 0.0, 0.0]), SEED, n_base=20, n_fiber=5):
-        base, cov = sd.rep_phi(rep, p)
-        m = sd.rep_moment(rep, base, cov)
-        worst = max(worst, float(np.linalg.norm(m.k_part - p.k_part)))
-        tangent = sd.rep_orbit_tangent(rep, base)
-        f = np.stack([rep.mu(base, tangent[:, i]) for i in range(tangent.shape[1])], axis=1)
-        ranks_ok = ranks_ok and np.linalg.matrix_rank(f) == tangent.shape[1]
+    for cd in (sl2r[1], sl2c[0]):
+        for p in sd.sample_semidirect_orbit(cd, cd.chamber_H, SEED, n_base=20, n_fiber=5):
+            w, cov = sd.phi_cotangent(cd, p)
+            m = sd.cotangent_moment(cd, w, cov)
+            worst = max(worst, float(np.linalg.norm((m.k_part + m.s_part) - p.point)))
+            tangent = sd.orbit_tangent_at(cd, w)
+            f = np.stack(
+                [cd.alg.bracket(w, tangent[:, i]) for i in range(tangent.shape[1])], axis=1
+            )
+            ranks_ok = ranks_ok and np.linalg.matrix_rank(f) == tangent.shape[1]
     _line("criterion 12 (phi fiberwise isomorphism, m o phi = id)",
           worst < 1e-9 and ranks_ok, f"roundtrip residual {worst:.3e} < 1e-9, ranks ok")

@@ -217,6 +217,51 @@ def test_orbit_sample_semidirect_rejects_r_list(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "--algebra", "sl2r", "--n-base", "50"],
+    ["verify", "--algebra", "sl2r", "--n-fiber", "7"],
+    ["lagrangian-section", "--algebra", "sl2c", "--n-fiber", "99"],
+])
+def test_unread_count_flag_is_usage_error(tmp_path, capsys, args):
+    # verify reads neither count and lagrangian-section reads no fiber count
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_config_rejects_count_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algebra=sl2r\nn_fiber = 3\n")
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("r", ["5", "1"])
+def test_orbit_sample_semidirect_rejects_finite_r(tmp_path, capsys, r):
+    assert run(["orbit-sample", "--algebra", "sl2r", "--kind", "semidirect",
+                "--r", r, "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_orbit_sample_adjoint_rejects_r_list_before_writing(tmp_path, capsys):
+    assert run(["orbit-sample", "--algebra", "sl2r", "--kind", "adjoint",
+                "--r", "1,2", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_orbit_sample_semidirect_accepts_r_inf(tmp_path, capsys):
+    args = ["orbit-sample", "--algebra", "sl2r", "--kind", "semidirect",
+            "--n-base", "2", "--n-fiber", "2", "--out", str(tmp_path)]
+    assert run(args + ["--r", "inf"]) == 0
+    first = (tmp_path / "orbit_sl2r_semidirect_rinf.csv").read_bytes()
+    assert run(args) == 0
+    assert (tmp_path / "orbit_sl2r_semidirect_rinf.csv").read_bytes() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["orbit_sl2r_semidirect_rinf.csv"]
+
+
 def test_cli_does_not_import_scipy(tmp_path):
     # scipy.linalg alone costs more start-up than the rest of the CLI; run in
     # a fresh interpreter because this test process may have imported it

@@ -11,6 +11,11 @@ from orbitdeform.numerics import matrix_exp
 H, S, A = np.eye(3)
 
 
+def _cartan(desc):
+    family, n = al.parse_descriptor(desc)
+    return al.cartan_structure(al.build_algebra(family, n))
+
+
 @pytest.fixture(scope="module")
 def sl2r():
     alg = al.build_algebra("sl_real", 2)
@@ -132,9 +137,9 @@ def test_zero_element_orbit(sl2r):
 def test_fiber_dimension_over_h(sl2r):
     _, cd = sl2r
     fib = sd.coadjoint_fiber(cd, H)
-    assert fib.fiber_basis.shape[1] == 1
+    assert fib.shape[1] == 1
     # ad(H)(s) = span{A}
-    assert abs(abs(fib.fiber_basis[2, 0]) - 1.0) < 1e-12
+    assert abs(abs(fib[2, 0]) - 1.0) < 1e-12
 
 
 def test_fiber_equals_psi_n_plus():
@@ -145,7 +150,7 @@ def test_fiber_equals_psi_n_plus():
         n_plus, _, _ = al.h_subspaces(cd, h)
         psi = np.eye(cd.alg.dim) + cd.theta
         img = np.linalg.qr(psi @ n_plus)[0]
-        fib = sd.coadjoint_fiber(cd, h).fiber_basis
+        fib = sd.coadjoint_fiber(cd, h)
         assert np.linalg.norm(img - fib @ (fib.T @ img)) < 1e-9
         assert np.linalg.norm(fib - img @ (img.T @ fib)) < 1e-9
 
@@ -166,7 +171,7 @@ def test_semidirect_matches_deformed_at_infinity(sl2r):
     sdf = df.sample_deformed_orbit(ctx, H, seed=4, n_base=10, n_fiber=3)
     for p, q in zip(ssd, sdf):
         assert np.linalg.norm(p.base_point - q.base_point) < 1e-12
-        fib = sd.coadjoint_fiber(cd, p.base_point).fiber_basis
+        fib = sd.coadjoint_fiber(cd, p.base_point)
         kq = cd.project_k(q.point)
         assert np.linalg.norm(kq - fib @ (fib.T @ kq)) < 1e-8
 
@@ -191,19 +196,19 @@ def test_phi_pairs_fiber_with_tangent(sl2r):
             assert abs(cov @ cd.b_theta @ S) > 1e-12
 
 
-def test_phi_fiber_map_is_isomorphism(sl2r):
-    _, cd = sl2r
-    for p in sd.sample_semidirect_orbit(cd, H, seed=6, n_base=10, n_fiber=2):
-        tangent = sd.orbit_tangent_at(cd, p.base_point)
-        cols = [cd.alg.bracket(p.base_point, tangent[:, i]) for i in range(tangent.shape[1])]
-        f = np.stack(cols, axis=1)
-        assert np.linalg.matrix_rank(f) == tangent.shape[1]
+def test_phi_fiber_map_is_isomorphism():
+    for desc in ("sl2r", "sl2c", "sl3c"):
+        cd = _cartan(desc)
+        for p in sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=6, n_base=10, n_fiber=2):
+            tangent = sd.orbit_tangent_at(cd, p.base_point)
+            cols = [cd.alg.bracket(p.base_point, tangent[:, i]) for i in range(tangent.shape[1])]
+            f = np.stack(cols, axis=1)
+            assert np.linalg.matrix_rank(f) == tangent.shape[1]
 
 
 def test_moment_inverts_phi():
-    for desc in ("sl2r", "sl3r"):
-        family, n = al.parse_descriptor(desc)
-        cd = al.cartan_structure(al.build_algebra(family, n))
+    for desc in ("sl2r", "sl3r", "sl2c", "sl3c"):
+        cd = _cartan(desc)
         for p in sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=7, n_base=10, n_fiber=3):
             w, cov = sd.phi_cotangent(cd, p)
             m = sd.cotangent_moment(cd, w, cov)
@@ -230,45 +235,42 @@ def test_moment_equivariance(sl2r):
         assert np.linalg.norm((m_pushed.k_part + m_pushed.s_part) - pushed_point) < 1e-8
 
 
-# ---- canonical SO(n) instantiation --------------------------------------
+# ---- SO(3) on R^3 as the Cartan case of sl(2,C) = so(3,1) -------------
+# s-coordinates (H, S, iA) are (e1, e2, e3); k-coordinates (A, iH, iS) are so(3).
 
 
-def test_so3_mu_formula():
-    rep = sd.so_canonical_rep(3)
-    so3 = al.build_algebra("so", 3)
+@pytest.fixture(scope="module")
+def sl2c():
+    return _cartan("sl2c")
+
+
+def test_sl2c_mu_formula(sl2c):
+    cd = sl2c
     rng = np.random.default_rng(9)
     for _ in range(20):
         v, w = rng.standard_normal(3), rng.standard_normal(3)
-        mu = rep.mu(v, w)
-        m = sum(mu[i] * so3.basis[i].real for i in range(3))
-        assert np.linalg.norm(m - (np.outer(w, v) - np.outer(v, w))) < 1e-10
+        mu = sd.moment_mu(cd, cd.s_basis @ v, cd.s_basis @ w)
+        c = np.cross(v, w)
+        assert np.linalg.norm(cd.k_basis @ (2 * np.array([c[2], -c[0], -c[1]])) - mu) < 1e-10
 
 
-def test_cartan_rep_mu_is_bracket(sl2r):
-    alg, cd = sl2r
-    rep = sd.cartan_rep(cd)
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        v = cd.s_basis @ rng.standard_normal(2)
-        w = cd.s_basis @ rng.standard_normal(2)
-        mu = rep.mu(cd.s_basis.T @ v, cd.s_basis.T @ w)
-        assert np.linalg.norm(cd.k_basis @ mu - alg.bracket(v, w)) < 1e-9
+def test_sl2c_orbit_roundtrip(sl2c):
+    cd = sl2c
+    for scale in (1.0, 2.0):
+        h = scale * cd.chamber_H
+        for p in sd.sample_semidirect_orbit(cd, h, seed=11, n_base=15, n_fiber=4):
+            assert abs(np.linalg.norm(cd.s_basis.T @ p.base_point) - scale) < 1e-10  # sphere
+            base, cov = sd.phi_cotangent(cd, p)
+            m = sd.cotangent_moment(cd, base, cov)
+            assert np.linalg.norm(m.s_part - p.base_point) < 1e-12
+            assert np.linalg.norm((m.k_part + m.s_part) - p.point) < 1e-9
 
 
-def test_so3_orbit_roundtrip():
-    rep = sd.so_canonical_rep(3)
-    x = np.array([1.0, 0.0, 0.0])
-    for p in sd.sample_rep_orbit(rep, x, seed=11, n_base=15, n_fiber=4):
-        assert abs(np.linalg.norm(p.base) - 1.0) < 1e-10  # sphere
-        base, cov = sd.rep_phi(rep, p)
-        m = sd.rep_moment(rep, base, cov)
-        assert np.linalg.norm(m.k_part - p.k_part) < 1e-9
-
-
-def test_so3_fiber_map_isomorphism():
-    rep = sd.so_canonical_rep(3)
-    x = np.array([0.0, 2.0, 0.0])
-    for p in sd.sample_rep_orbit(rep, x, seed=12, n_base=10, n_fiber=2):
-        tangent = sd.rep_orbit_tangent(rep, p.base)
-        f = np.stack([rep.mu(p.base, tangent[:, i]) for i in range(tangent.shape[1])], axis=1)
-        assert np.linalg.matrix_rank(f) == tangent.shape[1] == 2
+def test_sl2c_fiber_map_isomorphism(sl2c):
+    cd = sl2c
+    for scale in (1.0, 2.0):
+        h = scale * cd.chamber_H
+        for p in sd.sample_semidirect_orbit(cd, h, seed=12, n_base=10, n_fiber=2):
+            tangent = sd.orbit_tangent_at(cd, p.base_point)
+            f = np.stack([sd.moment_mu(cd, p.base_point, t) for t in tangent.T], axis=1)
+            assert np.linalg.matrix_rank(f) == tangent.shape[1] == 2
