@@ -14,7 +14,8 @@ Basis conventions (fixed, canonical order):
   so(n):    A_ij = E_ij - E_ji        (i < j).
 
 For sl(2,R) this gives exactly the basis {H, S, A} with coordinates
-(x, y, z) = xH + yS + zA.
+(x, y, z) = xH + yS + zA.  The orbit samplers return an OrbitBatch:
+arrays over (base, fiber) whose items are OrbitSample views.
 """
 
 from __future__ import annotations
@@ -102,9 +103,11 @@ class LieAlgebraData:
         return np.einsum("i,j,ijk->k", x, y, self.structure)
 
     def ad(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad(x) on basis coefficients."""
-        x = self._check_vec(x)
-        return np.einsum("i,ijk->kj", x, self.structure)
+        """Matrix of ad(x) on basis coefficients; a (..., dim) stack gives (..., dim, dim)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (self.dim,):
+            raise DimensionError(f"expected coefficient vectors of length {self.dim}")
+        return np.einsum("...i,ijk->...kj", x, self.structure)
 
     def killing_form(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(self._check_vec(x) @ self.killing @ self._check_vec(y))
@@ -185,6 +188,43 @@ class OrbitSample:
     r: float = 1.0
     base_tag: int = 0
     fiber_tag: int = 0
+
+
+@dataclass(frozen=True)
+class OrbitBatch:
+    """n_base x n_fiber tagged orbit samples as arrays; the tags are the indices.
+
+    points, fibers (the fiber element before any deformation map) and
+    fiber_coeffs are (n_base, n_fiber, ...) arrays, base_points is
+    (n_base, dim) and k_ops (n_base, dim, dim).  len, iteration and
+    indexing give OrbitSample views in (base_tag, fiber_tag) row-major
+    order; a slice gives a list of them.
+    """
+
+    points: np.ndarray
+    base_points: np.ndarray
+    k_ops: np.ndarray
+    fibers: np.ndarray
+    fiber_coeffs: np.ndarray
+    kind: str
+    r: float
+
+    def __len__(self) -> int:
+        return self.points.shape[0] * self.points.shape[1]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if isinstance(i, range):
+            return [self[j] for j in i]
+        b, f = divmod(i, self.points.shape[1])
+        return OrbitSample(
+            point=self.points[b, f], kind=self.kind, base_point=self.base_points[b],
+            k_op=self.k_ops[b], fiber=self.fibers[b, f], fiber_coeffs=self.fiber_coeffs[b, f],
+            r=self.r, base_tag=b, fiber_tag=f,
+        )
 
 
 _FAMILIES = {"sl_real", "sl_complex", "so"}
@@ -288,12 +328,12 @@ def _eigen_basis_indices(theta: np.ndarray, sign: float) -> np.ndarray:
 
 
 def _b_orthonormalize(basis: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormalize columns with respect to the positive form b."""
-    if basis.shape[1] == 0:
+    """Orthonormalize the columns of a matrix, or of each in a stack, for the positive form b."""
+    if basis.shape[-1] == 0:
         return basis
-    gram = basis.T @ b @ basis
+    gram = np.swapaxes(basis, -1, -2) @ b @ basis
     chol = np.linalg.cholesky(gram)
-    return basis @ np.linalg.inv(chol).T
+    return basis @ np.swapaxes(np.linalg.inv(chol), -1, -2)
 
 
 def cartan_structure(alg: LieAlgebraData, tol: Tolerance = Tolerance()) -> CartanData:
@@ -449,32 +489,20 @@ def h_subspaces(
     return n_plus, n_minus, z_h
 
 
-def sample_k_operators(cd: CartanData, seed: int, count: int) -> list[np.ndarray]:
-    """Seeded Ad(K) operators as products of 3 exponentials of random k-elements."""
+def sample_k_operators(cd: CartanData, seed: int, count: int) -> np.ndarray:
+    """Seeded Ad(K) operators (count, dim, dim): products of 3 exponentials of random k-elements."""
     coeffs = np.random.default_rng(seed).standard_normal((count, 3, cd.k_basis.shape[1]))
-    ads = [cd.alg.ad(cd.k_basis @ c) for c in coeffs.reshape(-1, coeffs.shape[-1])]
-    exps = matrix_exp(np.reshape(ads, (count, 3, cd.alg.dim, cd.alg.dim)))
-    return list(exps[:, 2] @ (exps[:, 1] @ exps[:, 0]))
+    exps = matrix_exp(cd.alg.ad(coeffs @ cd.k_basis.T))
+    return exps[:, 2] @ (exps[:, 1] @ exps[:, 0])
 
 
-def flag_orbit_sample(
-    cd: CartanData, h: np.ndarray, seed: int, count: int
-) -> list[OrbitSample]:
-    """Samples of the compact orbit Ad(K).H (the flag manifold through H)."""
+def flag_orbit_sample(cd: CartanData, h: np.ndarray, seed: int, count: int) -> OrbitBatch:
+    """Samples of the compact orbit Ad(K).H (the flag manifold through H), one fiber point each."""
     cd.check_chamber(h)
-    samples = []
-    for tag, k_op in enumerate(sample_k_operators(cd, seed, count)):
-        p = k_op @ h
-        samples.append(
-            OrbitSample(
-                point=p,
-                kind="flag",
-                base_point=p,
-                k_op=k_op,
-                fiber=np.zeros(cd.alg.dim),
-                fiber_coeffs=np.zeros(0),
-                r=math.inf,
-                base_tag=tag,
-            )
-        )
-    return samples
+    k_ops = sample_k_operators(cd, seed, count)
+    base = k_ops @ np.asarray(h, dtype=float)
+    return OrbitBatch(
+        points=base[:, None], base_points=base, k_ops=k_ops,
+        fibers=np.zeros((count, 1, cd.alg.dim)), fiber_coeffs=np.zeros((count, 1, 0)),
+        kind="flag", r=math.inf,
+    )

@@ -80,14 +80,36 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _sample_csv(samples, r: float) -> str:
-    dim = samples[0].point.shape[0] if samples else 0
+def _coord_rows(points: np.ndarray) -> list[str]:
+    """Each point's coordinates as one CSV row of "%.17g" fields: the characters of _fmt."""
+    flat = points.reshape(-1, points.shape[-1])
+    row = ",".join(["%.17g"] * flat.shape[1])
+    return [row % tuple(p) for p in flat.tolist()]
+
+
+def _sample_csv(batch: al.OrbitBatch, r: float) -> str:
+    n_fiber, dim = batch.points.shape[1:]
     header = "r,base_tag,fiber_tag," + ",".join(f"c{i+1}" for i in range(dim))
-    lines = [header]
-    for p in samples:
-        coords = ",".join(_fmt(float(v)) for v in p.point)
-        lines.append(f"{_fmt(r)},{p.base_tag},{p.fiber_tag},{coords}")
-    return "\n".join(lines) + "\n"
+    r_text = _fmt(r)
+    rows = [f"{r_text},{i // n_fiber},{i % n_fiber},{coords}"
+            for i, coords in enumerate(_coord_rows(batch.points))]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _parse_r_list(text: str, ascending: bool = False) -> list[float]:
+    """The comma-separated r values, each once: a repeat is dropped with a warning."""
+    values = [_parse_r(x) for x in text.split(",")]
+    if ascending and values != sorted(values):
+        raise DomainError("r list must be sorted ascending, inf last")
+    unique = list(dict.fromkeys(values))
+    for r in unique:
+        if values.count(r) > 1:
+            print(f"warning: duplicate r={r} dropped", file=sys.stderr)
+    return unique
+
+
+def _r_tag(r: float) -> str:
+    return "inf" if math.isinf(r) else _fmt(r)
 
 
 def _build(args) -> tuple[al.LieAlgebraData, al.CartanData, np.ndarray]:
@@ -143,24 +165,26 @@ def cmd_verify(args) -> int:
 
 def cmd_orbit_sample(args) -> int:
     _, cd, h = _build(args)
-    r_text = args.r if args.r is not None else ("inf" if args.kind == "semidirect" else "1")
-    r_values = [_parse_r(x) for x in r_text.split(",")]
+    r_values = _parse_r_list(args.r if args.r is not None
+                             else ("inf" if args.kind == "semidirect" else "1"))
     if args.kind == "semidirect" and r_values != [math.inf]:
         print("semidirect sampling is at r = inf; --r must be inf", file=sys.stderr)
         return 2
     if args.kind == "adjoint" and r_values != [1.0]:
         print("adjoint sampling requires r=1", file=sys.stderr)
         return 2
+    if args.kind == "semidirect":
+        batches = {math.inf: sd.sample_semidirect_orbit(cd, h, args.seed, args.n_base,
+                                                        args.n_fiber)}
+    else:
+        # one sampling at r = 1, pushed to each r by psi~_r
+        base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
+                                        args.seed, args.n_base, args.n_fiber)
+        batches = {r: df.tilde_psi_r(df.make_context(cd, r), base) for r in r_values}
     written = []
-    for r in r_values:
-        if args.kind == "semidirect":
-            samples = sd.sample_semidirect_orbit(cd, h, args.seed, args.n_base, args.n_fiber)
-        else:
-            ctx = df.make_context(cd, r)
-            samples = df.sample_deformed_orbit(ctx, h, args.seed, args.n_base, args.n_fiber)
-        tag = "inf" if math.isinf(r) else _fmt(r)
-        path = os.path.join(args.out, f"orbit_{args.algebra}_{args.kind}_r{tag}.csv")
-        _atomic_write(path, _sample_csv(samples, r))
+    for r, batch in batches.items():
+        path = os.path.join(args.out, f"orbit_{args.algebra}_{args.kind}_r{_r_tag(r)}.csv")
+        _atomic_write(path, _sample_csv(batch, r))
         written.append(path)
     print("\n".join(written))
     return 0
@@ -168,26 +192,19 @@ def cmd_orbit_sample(args) -> int:
 
 def cmd_deform_sweep(args) -> int:
     _, cd, h = _build(args)
-    r_values = [_parse_r(x) for x in args.r.split(",")]
-    if r_values != sorted(r_values):
-        print("r list must be sorted ascending, inf last", file=sys.stderr)
-        return 2
-    deduped = []
-    for r in r_values:
-        if r in deduped:
-            print(f"warning: duplicate r={r} dropped", file=sys.stderr)
-        else:
-            deduped.append(r)
+    r_values = _parse_r_list(args.r, ascending=True)
+    # one sampling at r = 1, pushed to each r by psi~_r; the limit deviation
+    # is read off the same batch
+    base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
+                                    args.seed, args.n_base, args.n_fiber)
     summary = []
-    for r in deduped:
+    for r in r_values:
         ctx = df.make_context(cd, r)
-        samples = df.sample_deformed_orbit(ctx, h, args.seed, args.n_base, args.n_fiber)
-        tag = "inf" if math.isinf(r) else _fmt(r)
-        path = os.path.join(args.out, f"sweep_{args.algebra}_r{tag}.csv")
-        _atomic_write(path, _sample_csv(samples, r))
+        path = os.path.join(args.out, f"sweep_{args.algebra}_r{_r_tag(r)}.csv")
+        _atomic_write(path, _sample_csv(df.tilde_psi_r(ctx, base), r))
         entry = {"r": "inf" if math.isinf(r) else r, "csv": os.path.basename(path)}
         if math.isfinite(r):
-            entry["limit_deviation"] = df.limit_deviation(ctx, h, args.seed, args.n_base)
+            entry["limit_deviation"] = df.limit_deviation(ctx, base)
         summary.append(entry)
     spath = os.path.join(args.out, f"sweep_{args.algebra}_summary.json")
     _atomic_write(spath, json.dumps(summary, indent=2) + "\n")
@@ -206,14 +223,13 @@ def cmd_lagrangian_section(args) -> int:
     hc = sp.make_hermitian_context(cd)
     flag = al.flag_orbit_sample(cd, h, args.seed, args.n_base)
     dim = cd.alg.dim
-    header = "t,base_tag," + ",".join(f"c{i+1}" for i in range(dim))
-    lines = [header]
+    lines = ["t,base_tag," + ",".join(f"c{i+1}" for i in range(dim))]
     report = []
     for t in t_values:
         sec = sp.lagrangian_section(hc, h, flag, t)
-        for p, pt in zip(flag, sec.section_points):
-            coords = ",".join(_fmt(float(v)) for v in pt)
-            lines.append(f"{_fmt(t)},{p.base_tag},{coords}")
+        t_text = _fmt(t)
+        lines += [f"{t_text},{tag},{coords}"
+                  for tag, coords in enumerate(_coord_rows(sec.section_points))]
         resid = sp.section_omega_residual(hc, h, flag, t)
         report.append({"t": t, "max_omega_residual": resid})
         print(f"t={t}: max |Omega| over section tangent pairs = {resid:.3e}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Everything downstream (algebra construction, orbit sampling, form checks)
 goes through these routines so that rank / nullspace / eigenspace decisions
-are made with one consistent rule.
+are made with one consistent rule.  matrix_exp and orthonormal_range also
+take (..., n, m) stacks, one matrix per orbit sample.
 """
 
 from __future__ import annotations
@@ -127,13 +128,22 @@ def rank(a: np.ndarray, tol: Tolerance = Tolerance()) -> int:
 
 
 def orthonormal_range(a: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Orthonormal basis (columns) for the column span of A."""
+    """Orthonormal basis (columns) for the span of A, or of each A in a (..., rows, cols) stack.
+
+    Each matrix gets its own cutoff abs_eps + rel_eps * sigma_max.  The
+    result of a stack is one array, so a stack whose ranks differ raises
+    StructureError.
+    """
     a = np.asarray(a, dtype=float)
     if a.size == 0:
-        return a.reshape(a.shape[0], 0)
+        return a.reshape(*a.shape[:-1], 0)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cutoff = tol.abs_eps + tol.rel_eps * (s[0] if s.size else 0.0)
-    return u[:, s > cutoff]
+    # s is sorted, so each row of keep is a prefix: equal rows, equal ranks
+    keep = (s > tol.abs_eps + tol.rel_eps * s[..., :1]).reshape(-1, s.shape[-1])
+    if keep.shape[0] > 1 and (keep != keep[0]).any():
+        ranks = sorted(set(keep.sum(axis=1).tolist()))
+        raise StructureError(f"matrices in the stack have ranks {ranks}")
+    return u[..., keep[0]]
 
 
 def _cluster(values: np.ndarray, eps: float) -> list[np.ndarray]:

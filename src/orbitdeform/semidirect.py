@@ -11,11 +11,13 @@ Coadjoint orbits through a point x are affine bundles over the compact
 orbit of x: each point decomposes as w + [w, v] with w on the base
 orbit and the fiber part in the dual of the tangent space at w.  The
 map phi sends a fiber point to the covector it induces via B_theta; the
-moment application m inverts it.
+moment application m inverts it.  The sampler returns an OrbitBatch and
+takes its tangents from one stacked orbit_tangent_at call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +25,7 @@ import numpy as np
 from .algebra import (
     CartanData,
     DomainError,
+    OrbitBatch,
     OrbitSample,
     RepresentationError,
     _b_orthonormalize,
@@ -117,46 +120,36 @@ def coadjoint_fiber(cd: CartanData, w: np.ndarray, tol: Tolerance = Tolerance())
 def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
     """B_theta-orthonormal basis of T_w(Ad(K).w) = {[A, w] : A in k}.
 
-    B_theta-orthonormality makes tangential projection (the complement
-    being the centralizer directions) a plain coefficient contraction.
+    A (..., dim) stack of points gives a (..., dim, rank) stack, from one
+    batched SVD and one batched Cholesky step.  B_theta-orthonormality
+    makes tangential projection (the complement being the centralizer
+    directions) a plain coefficient contraction.
     """
     return _b_orthonormalize(orthonormal_range(-cd.alg.ad(w) @ cd.k_basis), cd.b_theta)
 
 
 def sample_semidirect_orbit(
     cd: CartanData, h: np.ndarray, seed: int, n_base: int, n_fiber: int
-) -> list[OrbitSample]:
+) -> OrbitBatch:
     """Tagged points Ad(k).H + [Ad(k).H, v] with v random in s.
 
-    The stored fiber tag is the tangential component of v at the base
-    point, which determines the k-part uniquely.
+    The stored fiber is the tangential component of v at the base
+    point, which determines the k-part uniquely; fiber_coeffs are its
+    coordinates in the orbit_tangent_at basis.
     """
     cd.check_chamber(h)
     k_ops = sample_k_operators(cd, seed, n_base)
+    w = k_ops @ np.asarray(h, dtype=float)
     rng = np.random.default_rng([seed, 0x5D1E])
-    dim_s = cd.s_basis.shape[1]
-    samples = []
-    for b_tag, k_op in enumerate(k_ops):
-        w = k_op @ np.asarray(h, dtype=float)
-        tangent = orbit_tangent_at(cd, w)
-        for f_tag in range(n_fiber):
-            v = cd.s_basis @ rng.standard_normal(dim_s)
-            coeffs = tangent.T @ cd.b_theta @ v
-            p = w + cd.alg.bracket(w, v)
-            samples.append(
-                OrbitSample(
-                    point=p,
-                    kind="semidirect",
-                    base_point=w,
-                    k_op=k_op,
-                    fiber=tangent @ coeffs,
-                    fiber_coeffs=coeffs,
-                    r=np.inf,
-                    base_tag=b_tag,
-                    fiber_tag=f_tag,
-                )
-            )
-    return samples
+    v = rng.standard_normal((n_base, n_fiber, cd.s_basis.shape[1])) @ cd.s_basis.T
+    # stacked matrix-vector products keep the bits of the per-sample ones
+    tangent = orbit_tangent_at(cd, w)[:, None]
+    coeffs = (np.swapaxes(tangent, -1, -2) @ cd.b_theta @ v[..., None])[..., 0]
+    return OrbitBatch(
+        points=w[:, None] + np.einsum("bi,bfj,ijk->bfk", w, v, cd.alg.structure),
+        base_points=w, k_ops=k_ops, fibers=(tangent @ coeffs[..., None])[..., 0],
+        fiber_coeffs=coeffs, kind="semidirect", r=math.inf,
+    )
 
 
 def phi_cotangent(cd: CartanData, p: OrbitSample) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,8 @@ isotropic for Omega; the restriction of Omega to the semidirect orbit
 over a chamber element H is symplectic, which is certified pointwise by
 rank.  The module also provides height-function gradients and
 Lagrangian sections on the flag orbit, checked by central differences
-along the compact flows exp(h ad A); the defect by which the
+along the compact flows exp(h ad A), with one gradient call on the stack
+of flag points or of their flow images; the defect by which the
 deformation maps fail to preserve Omega, from exact tangents (psi~_r is
 a diffeomorphism, not a symplectomorphism; see pullback_check); the
 moment map of the compact-group action; and a generic skew-form toolkit
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import deformation as df
 from . import semidirect as sd
-from .algebra import CartanData, DomainError, OrbitSample, RepresentationError
+from .algebra import CartanData, DomainError, OrbitBatch, OrbitSample, RepresentationError
 from .numerics import DimensionError, Tolerance, matrix_exp, nullspace, orthonormal_range
 
 
@@ -211,61 +212,58 @@ def check_symplectic_on_orbit(
 
 @dataclass(frozen=True)
 class SectionSample:
-    base_points: list[np.ndarray]
-    field_values: list[np.ndarray]
+    """(n, dim) arrays: flag points x, field values Y(x) and section points x + t i Y(x)."""
+
+    base_points: np.ndarray
+    field_values: np.ndarray
     t: float
-    section_points: list[np.ndarray]
+    section_points: np.ndarray
 
 
 def gradient_at(ctx: HermitianContext, x: np.ndarray, n_vec: np.ndarray) -> np.ndarray:
-    """B_tau-gradient of the height function f(x) = B_tau(x, N) on the flag."""
+    """B_tau-gradient of the height function f(x) = B_tau(x, N) on the flag.
+
+    x is one point or a (..., dim) stack of flag points; the result has its shape.
+    """
     t = orthonormal_range(-ctx.cd.alg.ad(x) @ ctx.cd.k_basis)
-    gram = t.T @ ctx.b_tau @ t
-    coeffs = np.linalg.solve(gram, t.T @ ctx.b_tau @ np.asarray(n_vec, dtype=float))
-    return t @ coeffs
+    t_b = np.swapaxes(t, -1, -2) @ ctx.b_tau
+    rhs = t_b @ np.asarray(n_vec, dtype=float)
+    return (t @ np.linalg.solve(t_b @ t, rhs[..., None]))[..., 0]
 
 
-def _section(ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float):
-    """(Y(x), sigma(x)) for the section sigma(x) = x + t i Y(x), Y = grad f_N."""
-    y = gradient_at(ctx, x, n_vec)
-    return y, x + t * (ctx.j @ y)
-
-
-def _compact_flows(cd: CartanData, step: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(exp(step ad A), exp(-step ad A)) for A over the compact basis."""
-    ads = np.array([cd.alg.ad(a) for a in cd.k_basis.T])
-    plus, minus = matrix_exp(np.stack([step * ads, -step * ads]))
-    return list(zip(plus, minus))
+def _flow_images(cd: CartanData, x: np.ndarray, step: float) -> np.ndarray:
+    """exp(+-step ad A) x for A over the compact basis and x over the (n, dim)
+    points: a (2, dim k, n, dim) stack, the + flow first."""
+    ads = cd.alg.ad(cd.k_basis.T)
+    flows = matrix_exp(np.stack([step * ads, -step * ads]))
+    return (flows[:, :, None] @ x[..., None])[..., 0]
 
 
 def lagrangian_section(
-    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: list[OrbitSample], t: float
+    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float
 ) -> SectionSample:
     """The section sigma(x) = x + t i Y(x) over the flag, Y = grad f_N."""
-    base = [p.point for p in flag_samples]
-    pairs = [_section(ctx, n_vec, x, t) for x in base]
-    return SectionSample(
-        base_points=base, field_values=[y for y, _ in pairs], t=t,
-        section_points=[sig for _, sig in pairs],
-    )
+    x = flag_samples.base_points
+    y = gradient_at(ctx, x, n_vec)
+    return SectionSample(base_points=x, field_values=y, t=t, section_points=x + t * (y @ ctx.j.T))
 
 
 def _section_differences(
-    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float, flows, step: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Central differences (D_A Y, D_A sigma) at x along each compact flow."""
-    out = []
-    for flow_p, flow_m in flows:
-        y_p, sig_p = _section(ctx, n_vec, flow_p @ x, t)
-        y_m, sig_m = _section(ctx, n_vec, flow_m @ x, t)
-        out.append(((y_p - y_m) / (2 * step), (sig_p - sig_m) / (2 * step)))
-    return out
+    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float, step: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences (D_A Y, D_A sigma) at the points x along each
+    compact flow: two (dim k, n, dim) stacks.  Y does not depend on t, so
+    it is computed once, at every flow image in one stacked call."""
+    xs = _flow_images(ctx.cd, x, step)
+    ys = gradient_at(ctx, xs, n_vec)
+    sig = xs + t * (ys @ ctx.j.T)
+    return (ys[0] - ys[1]) / (2 * step), (sig[0] - sig[1]) / (2 * step)
 
 
 def section_omega_residual(
     ctx: HermitianContext,
     n_vec: np.ndarray,
-    flag_samples: list[OrbitSample],
+    flag_samples: OrbitBatch,
     t: float,
     step: float = 1e-5,
 ) -> float:
@@ -274,20 +272,17 @@ def section_omega_residual(
     Tangents are central differences of sigma along the flag curves
     x(h) = exp(h ad(A)) x for A ranging over the compact basis.
     """
-    flows = _compact_flows(ctx.cd, step)
-    worst = 0.0
-    for p in flag_samples:
-        diffs = _section_differences(ctx, n_vec, p.point, t, flows, step)
-        tb = orthonormal_range(np.stack([d_sig for _, d_sig in diffs], axis=1))
-        if tb.shape[1]:
-            worst = max(worst, float(np.max(np.abs(tb.T @ ctx.omega.gram @ tb))))
-    return worst
+    _, d_sig = _section_differences(ctx, n_vec, flag_samples.base_points, t, step)
+    tb = orthonormal_range(np.moveaxis(d_sig, 0, -1))
+    if not tb.shape[-1]:
+        return 0.0
+    return float(np.max(np.abs(np.swapaxes(tb, -1, -2) @ ctx.omega.gram @ tb)))
 
 
 def section_tangent_formula_residual(
     ctx: HermitianContext,
     n_vec: np.ndarray,
-    flag_samples: list[OrbitSample],
+    flag_samples: OrbitBatch,
     t: float,
     step: float = 1e-5,
 ) -> float:
@@ -298,19 +293,14 @@ def section_tangent_formula_residual(
     differences of Y along the flow of A.
     """
     cd = ctx.cd
-    flows = _compact_flows(cd, step)
-    worst = 0.0
-    for p in flag_samples:
-        x = p.point
-        diffs = _section_differences(ctx, n_vec, x, t, flows, step)
-        for a, (dy, fd) in zip(cd.k_basis.T, diffs):
-            formula = cd.alg.bracket(a, x) + t * (ctx.j @ dy)
-            worst = max(worst, float(np.linalg.norm(fd - formula)))
-    return worst
+    x = flag_samples.base_points
+    dy, fd = _section_differences(ctx, n_vec, x, t, step)
+    formula = (cd.alg.ad(cd.k_basis.T)[:, None] @ x[..., None])[..., 0] + t * (dy @ ctx.j.T)
+    return float(np.linalg.norm(fd - formula, axis=-1).max())
 
 
 def gradient_hamiltonian_residual(
-    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: list[OrbitSample],
+    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch,
     step: float = 1e-5,
 ) -> float:
     """|dF(w) - Omega(w, iY)| over flag tangent directions w.
@@ -320,17 +310,14 @@ def gradient_hamiltonian_residual(
     flag.  Under the fixed convention Omega(X,Y) = B_tau(iX,Y) the
     pairing slot matters: Omega(w, iY) = B_tau(w, Y) = dF(w).
     """
-    flows = _compact_flows(ctx.cd, step)
-    worst = 0.0
-    for p in flag_samples:
-        x = p.point
-        y = gradient_at(ctx, x, n_vec)
-        for flow_p, flow_m in flows:
-            x_p, x_m = flow_p @ x, flow_m @ x
-            w = (x_p - x_m) / (2 * step)
-            d_f = (float(x_p @ ctx.b_tau @ n_vec) - float(x_m @ ctx.b_tau @ n_vec)) / (2 * step)
-            worst = max(worst, abs(d_f - ctx.omega.value(w, ctx.j @ y)))
-    return worst
+    x = flag_samples.base_points
+    # (1, dim) rows: stacked vector-matrix products keep the per-point bits
+    xs = _flow_images(ctx.cd, x, step)[..., None, :]
+    w = (xs[0] - xs[1]) / (2 * step)
+    f = xs @ ctx.b_tau @ np.asarray(n_vec, dtype=float)
+    d_f = (f[0] - f[1]) / (2 * step)
+    i_y = (gradient_at(ctx, x, n_vec) @ ctx.j.T)[..., None]
+    return float(np.max(np.abs(d_f - (w @ ctx.omega.gram @ i_y)[..., 0])))
 
 
 # ---------------------------------------------------------------------------

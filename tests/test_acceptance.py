@@ -4,7 +4,6 @@ Each test prints a single PASS/FAIL line (visible in verbose runs via
 the test outcome) and asserts the stated tolerance.
 """
 
-import dataclasses
 import math
 import sys
 
@@ -91,7 +90,7 @@ def test_criterion_04_limit_convergence(sl2r):
     c_max = max(math.sqrt(2.0) * np.linalg.norm(p.fiber) for p in samples)
     devs, within = [], True
     for r in (10.0, 100.0, 1000.0):
-        dev = df.limit_deviation(df.make_context(cd, r), h, SEED, n=10)
+        dev = df.limit_deviation(df.make_context(cd, r), samples)
         closed = math.sqrt(2.0) * c_max / (r + 1)
         within = within and abs(dev - closed) <= 0.1 * closed
         devs.append(dev)
@@ -209,10 +208,11 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
     ]
 
     def retag(p, k_op, coeffs):
-        # the r = 1 sample with construction tags (k_op, n_plus @ coeffs)
+        # the r = 1 sample with construction tags (k_op, n_plus @ coeffs), as a 1 x 1 batch
         base, fiber = k_op @ h, n_plus @ coeffs
-        return dataclasses.replace(
-            p, point=base + k_op @ fiber, base_point=base, k_op=k_op, fiber=fiber, fiber_coeffs=coeffs
+        return al.OrbitBatch(
+            points=(base + k_op @ fiber)[None, None], base_points=base[None], k_ops=k_op[None],
+            fibers=fiber[None, None], fiber_coeffs=coeffs[None, None], kind=p.kind, r=p.r,
         )
 
     worst, defect_err, defects = 0.0, 0.0, []
@@ -227,9 +227,9 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
             tangents = []
             for k_p, c_p, k_m, c_m in curves:
                 plus, minus = retag(p, k_p, c_p), retag(p, k_m, c_m)
-                h_v = (plus.base_point - minus.base_point) / (2 * step)
-                x_v = (k_p @ plus.fiber - k_m @ minus.fiber) / (2 * step)
-                v_r = df.tilde_psi_r(ctxr, plus).point - df.tilde_psi_r(ctxr, minus).point
+                h_v = (plus[0].base_point - minus[0].base_point) / (2 * step)
+                x_v = (k_p @ plus[0].fiber - k_m @ minus[0].fiber) / (2 * step)
+                v_r = df.tilde_psi_r(ctxr, plus)[0].point - df.tilde_psi_r(ctxr, minus)[0].point
                 v_r /= 2 * step
                 tangents.append((h_v, x_v, v_r))
             for a, (h_v, x_v, v_r) in enumerate(tangents):

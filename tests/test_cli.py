@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import orbitdeform
-from orbitdeform.cli import main
+from orbitdeform.cli import _coord_rows, _fmt, main
 
 
 def run(args):
@@ -112,6 +112,26 @@ def test_deform_sweep_dedupes(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "sweep_sl2r_summary.json").read_text())
     assert [e["r"] for e in summary] == [1.0, 10.0]
+
+
+def test_orbit_sample_drops_repeated_r(tmp_path, capsys):
+    assert run(["orbit-sample", "--algebra", "sl2r", "--kind", "deformed", "--r", "2,2,2",
+                "--n-base", "1", "--n-fiber", "1", "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [str(tmp_path / "orbit_sl2r_deformed_r2.csv")]
+    assert err.splitlines() == ["warning: duplicate r=2.0 dropped"]
+
+
+def test_coord_rows_match_fmt():
+    # the one %-format per row must write exactly the characters of _fmt
+    rows = np.array([
+        [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300],
+        [2.0, -2.0, 0.1, 1 / 3, 2.0 ** -1074, 1.7976931348623157e308],
+        [0.30000000000000004, 123456789.12345679, 1e-5, 1e16, 9007199254740993.0, -1e-300],
+    ])
+    expected = [",".join(_fmt(float(v)) for v in row) for row in rows]
+    assert _coord_rows(rows) == expected
+    assert _coord_rows(rows.reshape(3, 1, 6)) == expected
 
 
 def test_lagrangian_section(tmp_path, capsys):
@@ -267,7 +287,7 @@ def test_cli_does_not_import_scipy(tmp_path):
     # a fresh interpreter because this test process may have imported it
     code = f"""
 import sys
-from orbitdeform.cli import main
+from orbitdeform.cli import _coord_rows, _fmt, main
 out = {str(tmp_path)!r}
 assert main(["verify", "--algebra", "sl2c", "--out", out + "/report.json"]) == 0
 assert main(["orbit-sample", "--kind", "semidirect", "--algebra", "sl2c",

@@ -237,8 +237,9 @@ def test_deformed_quadric_sl2r(sl2r):
 def test_tilde_psi_identity_at_r1(sl2r):
     _, cd = sl2r
     ctx1 = df.make_context(cd, 1.0)
-    for p in df.sample_deformed_orbit(ctx1, H, seed=7, n_base=5, n_fiber=2):
-        assert np.allclose(df.tilde_psi_r(ctx1, p).point, p.point, atol=1e-14)
+    batch = df.sample_deformed_orbit(ctx1, H, seed=7, n_base=5, n_fiber=2)
+    for p, q in zip(batch, df.tilde_psi_r(ctx1, batch)):
+        assert np.allclose(q.point, p.point, atol=1e-14)
 
 
 def test_tilde_psi_coordinates(sl2r):
@@ -246,22 +247,22 @@ def test_tilde_psi_coordinates(sl2r):
     _, cd = sl2r
     c = 1.7
     e12 = (S + A) / 2
-    base = al.OrbitSample(
-        point=H + c * e12, kind="adjoint", base_point=H, k_op=np.eye(3),
-        fiber=c * e12, fiber_coeffs=np.array([c]), r=1.0,
+    base = al.OrbitBatch(
+        points=(H + c * e12)[None, None], base_points=H[None], k_ops=np.eye(3)[None],
+        fibers=(c * e12)[None, None], fiber_coeffs=np.array([[[c]]]), kind="adjoint", r=1.0,
     )
     for r in (2.0, 10.0):
-        out = df.tilde_psi_r(df.make_context(cd, r), base)
+        out = df.tilde_psi_r(df.make_context(cd, r), base)[0]
         assert np.allclose(out.point, [1.0, c / (r + 1), c * r / (r + 1)])
-    out = df.tilde_psi_r(df.make_context(cd, math.inf), base)
+    out = df.tilde_psi_r(df.make_context(cd, math.inf), base)[0]
     assert np.allclose(out.point, [1.0, 0.0, c])
 
 
 def test_tilde_psi_rejects_untagged(sl2r):
     _, cd = sl2r
-    p = al.OrbitSample(
-        point=H, kind="adjoint", base_point=H, k_op=np.zeros((0, 0)),
-        fiber=None, fiber_coeffs=None,
+    p = al.OrbitBatch(
+        points=H[None, None], base_points=H[None], k_ops=np.zeros((1, 0, 0)),
+        fibers=None, fiber_coeffs=None, kind="adjoint", r=1.0,
     )
     with pytest.raises(al.RepresentationError):
         df.tilde_psi_r(df.make_context(cd, 2.0), p)
@@ -274,7 +275,7 @@ def test_limit_deviation_closed_form(sl2r):
     c_max = max(math.sqrt(2.0) * np.linalg.norm(p.fiber) for p in samples)
     prev = math.inf
     for r in (10.0, 100.0, 1000.0):
-        dev = df.limit_deviation(df.make_context(cd, r), H, seed=8, n=10)
+        dev = df.limit_deviation(df.make_context(cd, r), samples)
         expected = math.sqrt(2.0) * c_max / (r + 1)
         assert abs(dev - expected) < 0.1 * expected
         assert dev < prev
@@ -303,3 +304,78 @@ def test_bracket_r_matches_deformed_structure_tensor(descriptor):
         got = np.stack([[df.bracket_r(ctx, basis[i], basis[j]) for j in range(alg.dim)]
                         for i in range(alg.dim)])
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _loop_deformed_orbit(ctx, h, seed, n_base, n_fiber):
+    # reference: the per-sample loop sample_deformed_orbit ran before it returned a batch
+    cd = ctx.cd
+    n_plus, _, _ = al.h_subspaces(cd, h)
+    fiber_rng = np.random.default_rng([seed, 0x5F1BE])
+    coeff_sets = [fiber_rng.standard_normal(n_plus.shape[1]) for _ in range(n_fiber)]
+    samples = []
+    for b_tag, k_op in enumerate(al.sample_k_operators(cd, seed, n_base)):
+        base = k_op @ np.asarray(h, dtype=float)
+        for f_tag, c in enumerate(coeff_sets):
+            x_c = n_plus @ c
+            samples.append(al.OrbitSample(
+                point=base + ctx.psi_r @ (k_op @ x_c), kind=ctx.kind, base_point=base,
+                k_op=k_op, fiber=x_c, fiber_coeffs=c, r=ctx.r, base_tag=b_tag, fiber_tag=f_tag,
+            ))
+    return samples
+
+
+def _close(a, b, rel=1e-14):
+    return np.linalg.norm(np.asarray(a) - b) <= rel * max(np.linalg.norm(b), 1e-300)
+
+
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_deformed_batch_matches_per_sample_loop(descriptor):
+    cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
+    for r in (1.0, 2.0, math.inf):
+        ctx = df.make_context(cd, r)
+        batch = df.sample_deformed_orbit(ctx, cd.chamber_H, seed=13, n_base=6, n_fiber=4)
+        reference = _loop_deformed_orbit(ctx, cd.chamber_H, seed=13, n_base=6, n_fiber=4)
+        assert batch.points.shape == (6, 4, cd.alg.dim) and len(batch) == len(reference)
+        for p, q in zip(batch, reference):
+            assert (p.base_tag, p.fiber_tag, p.kind, p.r) == (q.base_tag, q.fiber_tag, q.kind, q.r)
+            for field in ("point", "base_point", "k_op", "fiber", "fiber_coeffs"):
+                assert _close(getattr(p, field), getattr(q, field)), field
+
+
+def _loop_limit_deviation(ctx, samples):
+    # reference: the brute-force loop limit_deviation ran before its closed form
+    inf_ctx = df.make_context(ctx.cd, math.inf)
+    dev = 0.0
+    for p in samples:
+        a = p.base_point + ctx.psi_r @ (p.k_op @ p.fiber)
+        b = p.base_point + inf_ctx.psi_r @ (p.k_op @ p.fiber)
+        dev = max(dev, float(np.linalg.norm(a - b)))
+    return dev
+
+
+@pytest.mark.parametrize("descriptor", ["sl2c", "sl3r"])
+def test_limit_deviation_exact_law(descriptor):
+    # tilde_psi_r(p) - tilde_psi_inf(p) = (q - 1) theta Ad(k)X, so the deviation
+    # times (r+1)/2 does not depend on r
+    cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
+    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, seed=8,
+                                     n_base=10, n_fiber=4)
+    scaled = []
+    for r in (1.0, 2.0, 10.0, 100.0):
+        ctx = df.make_context(cd, r)
+        dev = df.limit_deviation(ctx, batch)
+        assert abs(dev - _loop_limit_deviation(ctx, batch)) <= 1e-12 * dev
+        scaled.append(dev * (r + 1) / 2)
+    assert max(scaled) - min(scaled) <= 1e-12 * max(scaled)
+
+
+def test_orbit_batch_views(sl2r):
+    _, cd = sl2r
+    batch = df.sample_deformed_orbit(df.make_context(cd, 2.0), H, seed=3, n_base=3, n_fiber=2)
+    tags = [(p.base_tag, p.fiber_tag) for p in batch]
+    assert tags == [(b, f) for b in range(3) for f in range(2)]
+    assert batch[-1].base_tag == 2 and batch[-1].fiber_tag == 1
+    assert [p.fiber_tag for p in batch[1:4]] == [1, 0, 1]
+    assert np.array_equal(batch[3].point, batch.points[1, 1])
+    with pytest.raises(IndexError):
+        batch[6]

@@ -155,3 +155,21 @@ def test_simultaneous_eigenspaces_rejects_noncommuting():
     b = np.array([[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(StructureError):
         simultaneous_eigenspaces([a, b])
+
+
+def test_orthonormal_range_stack_matches_single():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((2, 3, 6, 2)) @ rng.standard_normal((2, 3, 2, 4))
+    stack = orthonormal_range(a)
+    assert stack.shape == (2, 3, 6, 2)
+    for a_i, u_i in zip(a.reshape(-1, 6, 4), stack.reshape(-1, 6, 2)):
+        single = orthonormal_range(a_i)
+        ref = single @ single.T
+        assert np.linalg.norm(u_i @ u_i.T - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_orthonormal_range_stack_with_mixed_ranks_raises():
+    rng = np.random.default_rng(22)
+    low = np.outer(rng.standard_normal(5), rng.standard_normal(3))
+    with pytest.raises(StructureError):
+        orthonormal_range(np.stack([low, rng.standard_normal((5, 3))]))

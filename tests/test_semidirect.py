@@ -274,3 +274,44 @@ def test_sl2c_fiber_map_isomorphism(sl2c):
             tangent = sd.orbit_tangent_at(cd, p.base_point)
             f = np.stack([sd.moment_mu(cd, p.base_point, t) for t in tangent.T], axis=1)
             assert np.linalg.matrix_rank(f) == tangent.shape[1] == 2
+
+
+def _loop_semidirect_orbit(cd, h, seed, n_base, n_fiber):
+    # reference: the per-sample loop sample_semidirect_orbit ran before it returned a batch
+    rng = np.random.default_rng([seed, 0x5D1E])
+    dim_s = cd.s_basis.shape[1]
+    samples = []
+    for b_tag, k_op in enumerate(al.sample_k_operators(cd, seed, n_base)):
+        w = k_op @ np.asarray(h, dtype=float)
+        tangent = sd.orbit_tangent_at(cd, w)
+        for f_tag in range(n_fiber):
+            v = cd.s_basis @ rng.standard_normal(dim_s)
+            coeffs = tangent.T @ cd.b_theta @ v
+            samples.append(al.OrbitSample(
+                point=w + cd.alg.bracket(w, v), kind="semidirect", base_point=w, k_op=k_op,
+                fiber=tangent @ coeffs, fiber_coeffs=coeffs, r=np.inf,
+                base_tag=b_tag, fiber_tag=f_tag,
+            ))
+    return samples
+
+
+@pytest.mark.parametrize("descriptor", ["sl2r", "sl2c", "sl3c"])
+def test_semidirect_batch_matches_per_sample_loop(descriptor):
+    cd = _cartan(descriptor)
+    batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=14, n_base=6, n_fiber=4)
+    reference = _loop_semidirect_orbit(cd, cd.chamber_H, seed=14, n_base=6, n_fiber=4)
+    assert len(batch) == len(reference) == 24
+    for p, q in zip(batch, reference):
+        assert (p.base_tag, p.fiber_tag, p.kind, p.r) == (q.base_tag, q.fiber_tag, q.kind, q.r)
+        for field in ("point", "base_point", "k_op", "fiber", "fiber_coeffs"):
+            a, b = getattr(p, field), getattr(q, field)
+            assert np.linalg.norm(a - b) <= 1e-14 * max(np.linalg.norm(b), 1e-300), field
+
+
+def test_orbit_tangent_stack_matches_single():
+    cd = _cartan("sl3c")
+    w = al.flag_orbit_sample(cd, cd.chamber_H, seed=15, count=5).base_points
+    stack = sd.orbit_tangent_at(cd, w)
+    for w_i, t_i in zip(w, stack):
+        single = sd.orbit_tangent_at(cd, w_i)
+        assert np.linalg.norm(t_i - single) <= 1e-14 * np.linalg.norm(single)

@@ -209,6 +209,17 @@ def test_gradient_vanishes_at_poles(sl2c):
     assert any(np.linalg.norm(sp.gradient_at(hc, x, h)) > 1e-3 for x in away)
 
 
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_gradient_stack_matches_single(fixture, request):
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    x = al.flag_orbit_sample(cd, h, seed=16, count=6).base_points
+    stack = sp.gradient_at(hc, x.reshape(2, 3, -1), h).reshape(6, -1)
+    for x_i, y_i in zip(x, stack):
+        single = sp.gradient_at(hc, x_i, h)
+        assert np.linalg.norm(y_i - single) <= 1e-14 * np.linalg.norm(single)
+
+
 def test_lagrangian_sections(sl2c):
     cd, hc = sl2c
     h = cd.chamber_H
