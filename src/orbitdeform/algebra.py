@@ -15,7 +15,7 @@ Basis conventions (fixed, canonical order):
 
 For sl(2,R) this gives exactly the basis {H, S, A} with coordinates
 (x, y, z) = xH + yS + zA.  The orbit samplers return an OrbitBatch:
-arrays over (base, fiber) whose items are OrbitSample views.
+one set of arrays over (base, fiber), the only sample format.
 """
 
 from __future__ import annotations
@@ -99,18 +99,22 @@ class LieAlgebraData:
         return self._expand_pinv @ flat
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x, y = self._check_vec(x), self._check_vec(y)
-        return np.einsum("i,j,ijk->k", x, y, self.structure)
+        """[x, y] on basis coefficients; (..., dim) stacks broadcast against each other."""
+        x, y = self._check_stack(x), self._check_stack(y)
+        return np.einsum("...i,...j,ijk->...k", x, y, self.structure)
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(x) on basis coefficients; a (..., dim) stack gives (..., dim, dim)."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.dim,):
-            raise DimensionError(f"expected coefficient vectors of length {self.dim}")
-        return np.einsum("...i,ijk->...kj", x, self.structure)
+        return np.einsum("...i,ijk->...kj", self._check_stack(x), self.structure)
 
     def killing_form(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(self._check_vec(x) @ self.killing @ self._check_vec(y))
+
+    def _check_stack(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1:] != (self.dim,):
+            raise DimensionError(f"expected coefficient vectors of length {self.dim}")
+        return v
 
     def _check_vec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -163,42 +167,24 @@ class CartanData:
         return vals
 
     def project_k(self, v: np.ndarray) -> np.ndarray:
-        return 0.5 * (v + self.theta @ v)
+        """The k-part of a vector or of each vector of a (..., dim) stack."""
+        return 0.5 * (v + (self.theta @ v[..., None])[..., 0])
 
     def project_s(self, v: np.ndarray) -> np.ndarray:
-        return 0.5 * (v - self.theta @ v)
-
-
-@dataclass(frozen=True)
-class OrbitSample:
-    """A point of an orbit together with its construction tags.
-
-    ``fiber`` stores the fiber element before any deformation map is
-    applied: an element of n_H^+ for adjoint/deformed samples, the
-    tangential fiber coordinate v (with point = w + [w, v]) for
-    semidirect samples.
-    """
-
-    point: np.ndarray
-    kind: str  # "flag" | "adjoint" | "deformed" | "semidirect"
-    base_point: np.ndarray
-    k_op: np.ndarray
-    fiber: np.ndarray
-    fiber_coeffs: np.ndarray
-    r: float = 1.0
-    base_tag: int = 0
-    fiber_tag: int = 0
+        """The s-part of a vector or of each vector of a (..., dim) stack."""
+        return 0.5 * (v - (self.theta @ v[..., None])[..., 0])
 
 
 @dataclass(frozen=True)
 class OrbitBatch:
     """n_base x n_fiber tagged orbit samples as arrays; the tags are the indices.
 
-    points, fibers (the fiber element before any deformation map) and
-    fiber_coeffs are (n_base, n_fiber, ...) arrays, base_points is
-    (n_base, dim) and k_ops (n_base, dim, dim).  len, iteration and
-    indexing give OrbitSample views in (base_tag, fiber_tag) row-major
-    order; a slice gives a list of them.
+    points, fibers and fiber_coeffs are (n_base, n_fiber, ...) arrays,
+    base_points is (n_base, dim) and k_ops (n_base, dim, dim); consumers
+    read them in stacked calls.  The fiber is stored before any
+    deformation map: an element of n_H^+ for adjoint/deformed samples,
+    the tangential fiber coordinate v (point = w + [w, v]) for
+    semidirect samples.
     """
 
     points: np.ndarray
@@ -208,23 +194,6 @@ class OrbitBatch:
     fiber_coeffs: np.ndarray
     kind: str
     r: float
-
-    def __len__(self) -> int:
-        return self.points.shape[0] * self.points.shape[1]
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]
-        if isinstance(i, range):
-            return [self[j] for j in i]
-        b, f = divmod(i, self.points.shape[1])
-        return OrbitSample(
-            point=self.points[b, f], kind=self.kind, base_point=self.base_points[b],
-            k_op=self.k_ops[b], fiber=self.fibers[b, f], fiber_coeffs=self.fiber_coeffs[b, f],
-            r=self.r, base_tag=b, fiber_tag=f,
-        )
 
 
 _FAMILIES = {"sl_real", "sl_complex", "so"}
@@ -292,16 +261,12 @@ def build_algebra(family: str, n: int) -> LieAlgebraData:
         j_op[half:, :half] = np.eye(half)
         j_op[:half, half:] = -np.eye(half)
 
-    if family == "sl_real" or family == "sl_complex":
-        basis_out = basis if field_tag == "complex" else basis.real
-    else:
-        basis_out = basis.real
     return LieAlgebraData(
         family=family,
         n=n,
         field_tag=field_tag,
         dim=dim,
-        basis=basis_out,
+        basis=basis if field_tag == "complex" else basis.real,
         structure=structure,
         killing=killing,
         j_op=j_op,

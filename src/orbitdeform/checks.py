@@ -44,6 +44,11 @@ def _proj_residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(ra, rb))
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each vector of a (..., dim) stack, from stacked dot products."""
+    return np.sqrt((v[..., None, :] @ v[..., None])[..., 0, 0])
+
+
 def numerics_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -120,11 +125,10 @@ def algebra_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
         mismatch = 0
     out.append(CheckResult("h_subspace_dims", "dim g = dim z_H + dim n+ + dim n-", float(mismatch), 0.5))
 
-    worst = 0.0
     h_norm = alg.killing_form(cd.chamber_H, cd.chamber_H)
-    for p in al.flag_orbit_sample(cd, cd.chamber_H, seed, 50):
-        worst = max(worst, abs(alg.killing_form(p.point, p.point) - h_norm))
-        worst = max(worst, float(np.linalg.norm(cd.project_k(p.point))))
+    x = al.flag_orbit_sample(cd, cd.chamber_H, seed, 50).points
+    norm_err = np.abs((x[..., None, :] @ alg.killing @ x[..., None]) - h_norm)
+    worst = float(max(norm_err.max(), _norms(cd.project_k(x)).max()))
     out.append(CheckResult("flag_norm_preservation", "<Ad(k)H,Ad(k)H>=<H,H>, Ad(k)H in s", worst, 1e-8))
     return out
 
@@ -258,13 +262,13 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("coad_duality", "B(ad(e)a,b) + B(a,ad*(e)b) = 0", worst, 1e-9))
 
     h = cd.chamber_H
-    samples = sd.sample_semidirect_orbit(cd, h, seed, 10, 3)
-    worst = 0.0
-    for i, p in enumerate(samples):
-        for q in samples[i + 1 :]:
-            if np.linalg.norm(p.base_point - q.base_point) > 1e-6:
-                s_diff = np.linalg.norm(cd.project_s(p.point) - cd.project_s(q.point))
-                worst = max(worst, 1.0 if s_diff < 1e-9 else 0.0)
+    batch = sd.sample_semidirect_orbit(cd, h, seed, 10, 3)
+    base = np.broadcast_to(batch.base_points[:, None], batch.points.shape).reshape(-1, alg.dim)
+    s_part = cd.project_s(batch.points.reshape(-1, alg.dim))
+    # every pair of samples, in row-major order: distinct bases must give distinct s-parts
+    far = _norms(base[:, None] - base[None]) > 1e-6
+    same_s = _norms(s_part[:, None] - s_part[None]) < 1e-9
+    worst = float(np.triu(far & same_s, 1).any())
     out.append(CheckResult("fiber_disjointness", "fibers over distinct bases are disjoint", worst, 0.5))
 
     if cd.roots:
@@ -277,22 +281,18 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
         )
 
         ctx_inf = df.make_context(cd, math.inf)
-        dsamples = df.sample_deformed_orbit(ctx_inf, h, seed, 10, 3)
-        worst = 0.0
-        for p, q in zip(samples, dsamples):
-            worst = max(worst, float(np.linalg.norm(p.base_point - q.base_point)))
-            fib_p = sd.coadjoint_fiber(cd, p.base_point)
-            kq = cd.project_k(q.point)
-            worst = max(worst, float(np.linalg.norm(kq - fib_p @ (fib_p.T @ kq))))
+        dbatch = df.sample_deformed_orbit(ctx_inf, h, seed, 10, 3)
+        fib = sd.coadjoint_fiber(cd, batch.base_points)[:, None]
+        kq = cd.project_k(dbatch.points)[..., None]
+        off_fiber = (kq - fib @ (np.swapaxes(fib, -1, -2) @ kq))[..., 0]
+        worst = float(max(_norms(batch.base_points - dbatch.base_points).max(),
+                          _norms(off_fiber).max()))
         out.append(
             CheckResult("semidirect_matches_r_inf", "K_ad.H = Ad_inf(G).H", worst, 1e-8)
         )
 
-    worst = 0.0
-    for p in samples:
-        w, cov = sd.phi_cotangent(cd, p)
-        m = sd.cotangent_moment(cd, w, cov)
-        worst = max(worst, float(np.linalg.norm((m.k_part + m.s_part) - p.point)))
+    m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
+    worst = float(_norms((m.k_part + m.s_part) - batch.points).max())
     out.append(CheckResult("moment_inverts_phi", "m(phi(p)) = p", worst, 1e-9))
     return out
 
@@ -370,16 +370,16 @@ def symplectic_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("hamiltonian_q", "d(Q/2)/dt = Omega(ad(A)a', a)", fr, 1e-6))
     out.append(CheckResult("beta_symmetric", "beta_A(X,Y)=beta_A(Y,X)", sr, 1e-10))
 
-    worst_zero, nonzero_ok = 0.0, 1.0
-    for p in samples[:20]:
-        x = p.point
-        mom = float(np.linalg.norm(sp.u_moment(hc, x)))
-        tb = sp.orbit_tangent_basis(hc, p, "flag")  # compact orbit through x
-        restr = float(np.max(np.abs(tb.T @ hc.omega.gram @ tb))) if tb.size else 0.0
-        if mom < 1e-10:
-            worst_zero = max(worst_zero, restr)
-        elif mom > 1e-3:
-            nonzero_ok = min(nonzero_ok, restr)
+    def moment_and_omega(x):
+        # |mu(x)| and max |Omega| on the tangents of the compact orbit through x
+        tangents = sp.orbit_tangent_basis(hc, x, "flag")
+        return _norms(sp.u_moment(hc, x)), sp.max_omega(hc, tangents)
+
+    # mu = 0 on the flag points; off it, at the first 20 samples of the orbit
+    mom, restr = moment_and_omega(samples.base_points)
+    worst_zero = float(restr[mom < 1e-10].max(initial=0.0))
+    mom, restr = moment_and_omega(samples.points.reshape(-1, alg.dim)[:20])
+    nonzero_ok = float(restr[mom > 1e-3].min(initial=1.0))
     out.append(CheckResult("isotropy_criterion_zero", "mu=0 => compact orbit isotropic", worst_zero, 1e-8))
     out.append(
         CheckResult(

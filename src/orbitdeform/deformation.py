@@ -62,13 +62,10 @@ def make_context(cd: CartanData, r: float) -> DeformationContext:
     """Build the deformation data for a parameter r > 0 or infinity."""
     if not (r > 0):
         raise DomainError("deformation parameter must satisfy r > 0")
-    dim = cd.alg.dim
+    q = 1.0 if math.isinf(r) else (r - 1.0) / (r + 1.0)
+    psi = np.eye(cd.alg.dim) + q * cd.theta
     if math.isinf(r):
-        q = 1.0
-        psi = np.eye(dim) + q * cd.theta
         return DeformationContext(cd=cd, r=r, t_r=None, t_r_inv=None, psi_r=psi)
-    q = (r - 1.0) / (r + 1.0)
-    psi = np.eye(dim) + q * cd.theta
     # theta is diagonal +/-1 on the adapted basis, so T_r is diagonal too
     diag = np.where(np.abs(np.diag(cd.theta) - 1.0) < 1e-12, r, 1.0)
     t_r = np.diag(diag)
@@ -85,9 +82,11 @@ def bracket_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> np.ndarr
 
 
 def ad_r(ctx: DeformationContext, x: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of ad_r(x) = T_r ad(T_r^{-1}x) T_r^{-1}."""
+    """Coefficient matrix of ad_r(x) = T_r ad(T_r^{-1}x) T_r^{-1}; a (..., dim) stack
+    gives (..., dim, dim)."""
     ctx._require_finite("ad_r")
-    return ctx.t_r @ ctx.cd.alg.ad(ctx.t_r_inv @ x) @ ctx.t_r_inv
+    x = (ctx.t_r_inv @ np.asarray(x, dtype=float)[..., None])[..., 0]
+    return ctx.t_r @ ctx.cd.alg.ad(x) @ ctx.t_r_inv
 
 
 def killing_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> float:

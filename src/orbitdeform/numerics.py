@@ -118,13 +118,13 @@ def nullspace(a: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def rank(a: np.ndarray, tol: Tolerance = Tolerance()) -> int:
+def rank(a: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+    """Numerical rank of A, or of each A in a (..., rows, cols) stack, with nullspace's cutoff."""
     a = np.asarray(a)
     if a.size == 0:
-        return 0
+        return np.zeros(a.shape[:-2], dtype=int)
     s = np.linalg.svd(a, compute_uv=False)
-    cutoff = tol.abs_eps + tol.rel_eps * (s[0] if s.size else 0.0)
-    return int(np.sum(s > cutoff))
+    return (s > tol.abs_eps + tol.rel_eps * s[..., :1]).sum(axis=-1)
 
 
 def orthonormal_range(a: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:

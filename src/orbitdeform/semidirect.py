@@ -11,8 +11,9 @@ Coadjoint orbits through a point x are affine bundles over the compact
 orbit of x: each point decomposes as w + [w, v] with w on the base
 orbit and the fiber part in the dual of the tangent space at w.  The
 map phi sends a fiber point to the covector it induces via B_theta; the
-moment application m inverts it.  The sampler returns an OrbitBatch and
-takes its tangents from one stacked orbit_tangent_at call.
+moment application m inverts it.  The sampler returns an OrbitBatch;
+the sampler and phi each take their tangents from one stacked
+orbit_tangent_at call, and m works on the resulting stacks.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .algebra import (
     CartanData,
     DomainError,
     OrbitBatch,
-    OrbitSample,
     RepresentationError,
     _b_orthonormalize,
     sample_k_operators,
@@ -85,30 +85,27 @@ def coad_star_matrix(cd: CartanData, e: SemidirectElement) -> np.ndarray:
     dual pairing is B_theta, under which this is minus the transpose of
     the adjoint action.
     """
-    alg = cd.alg
-    kb, sb = cd.k_basis, cd.s_basis
-    ad_x = alg.ad(e.k_part)
-    ad_y = alg.ad(e.s_part)
-    nk, ns = kb.shape[1], sb.shape[1]
-    out = np.zeros((nk + ns, nk + ns))
-    out[:nk, :nk] = kb.T @ ad_x @ kb
-    out[nk:, nk:] = sb.T @ ad_x @ sb
-    out[:nk, nk:] = -(kb.T @ ad_y @ sb)
+    out, ad_y, nk = _diagonal_blocks(cd, e)
+    out[:nk, nk:] = -(cd.k_basis.T @ ad_y @ cd.s_basis)
     return out
 
 
 def ad_rho_matrix(cd: CartanData, e: SemidirectElement) -> np.ndarray:
     """Adjoint action of (X,Y) on (k, s) coordinates, for duality checks."""
-    alg = cd.alg
+    out, ad_y, nk = _diagonal_blocks(cd, e)
+    out[nk:, :nk] = cd.s_basis.T @ ad_y @ cd.k_basis
+    return out
+
+
+def _diagonal_blocks(cd: CartanData, e: SemidirectElement) -> tuple[np.ndarray, np.ndarray, int]:
+    """(the (k, s) matrix holding only the blocks ad(X)|k and ad(X)|s, ad(Y), dim k)."""
     kb, sb = cd.k_basis, cd.s_basis
-    ad_x = alg.ad(e.k_part)
-    ad_y = alg.ad(e.s_part)
-    nk, ns = kb.shape[1], sb.shape[1]
-    out = np.zeros((nk + ns, nk + ns))
+    ad_x = cd.alg.ad(e.k_part)
+    nk = kb.shape[1]
+    out = np.zeros((nk + sb.shape[1],) * 2)
     out[:nk, :nk] = kb.T @ ad_x @ kb
     out[nk:, nk:] = sb.T @ ad_x @ sb
-    out[nk:, :nk] = sb.T @ ad_y @ kb
-    return out
+    return out, cd.alg.ad(e.s_part), nk
 
 
 def coadjoint_fiber(cd: CartanData, w: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
@@ -152,24 +149,25 @@ def sample_semidirect_orbit(
     )
 
 
-def phi_cotangent(cd: CartanData, p: OrbitSample) -> tuple[np.ndarray, np.ndarray]:
-    """Cotangent identification: (base w, covector on T_w(Ad(K).H)).
+def phi_cotangent(cd: CartanData, batch: OrbitBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Cotangent identification: (base w, covector on T_w(Ad(K).H)) at every sample.
 
-    The covector f_v is stored as its B_theta-dual tangent vector: the
-    tangential component of the fiber coordinate v at w.
+    Both are (n_base, n_fiber, dim) stacks.  The covector f_v is stored
+    as its B_theta-dual tangent vector: the tangential component of the
+    fiber coordinate v at w.
     """
-    if p.kind != "semidirect" or p.fiber is None:
-        raise RepresentationError("need a tagged semidirect orbit sample")
-    w = p.base_point
-    tangent = orbit_tangent_at(cd, w)
-    v_t = tangent @ (tangent.T @ cd.b_theta @ p.fiber)
-    return w, v_t
+    if batch.kind != "semidirect" or batch.fibers is None:
+        raise RepresentationError("need a tagged semidirect orbit batch")
+    tangent = orbit_tangent_at(cd, batch.base_points)[:, None]
+    coeffs = np.swapaxes(tangent, -1, -2) @ cd.b_theta @ batch.fibers[..., None]
+    v_t = (tangent @ coeffs)[..., 0]
+    return np.broadcast_to(batch.base_points[:, None], v_t.shape), v_t
 
 
 def cotangent_moment(
     cd: CartanData, base_point: np.ndarray, covector: np.ndarray
 ) -> SemidirectElement:
-    """Moment application m(gamma_y) = mu(y ^ covector) + y."""
+    """Moment application m(gamma_y) = mu(y ^ covector) + y, at one point or a (..., dim) stack."""
     base_point = np.asarray(base_point, dtype=float)
     covector = np.asarray(covector, dtype=float)
     if covector.shape != base_point.shape:

@@ -11,15 +11,18 @@ throughout is
 a single fixed normalization of the imaginary part.  The compact real
 form u and the fibers [w, s] of the semidirect orbit are Lagrangian /
 isotropic for Omega; the restriction of Omega to the semidirect orbit
-over a chamber element H is symplectic, which is certified pointwise by
-rank.  The module also provides height-function gradients and
+over a chamber element H is symplectic, which is certified at every
+sample by rank.  The module also provides height-function gradients and
 Lagrangian sections on the flag orbit, checked by central differences
-along the compact flows exp(h ad A), with one gradient call on the stack
-of flag points or of their flow images; the defect by which the
+along the compact flows exp(h ad A); the defect by which the
 deformation maps fail to preserve Omega, from exact tangents (psi~_r is
 a diffeomorphism, not a symplectomorphism; see pullback_check); the
 moment map of the compact-group action; and a generic skew-form toolkit
-(radical / maximal isotropic subspaces).
+(radical / maximal isotropic subspaces in the linear Darboux form).
+
+Samples are OrbitBatch arrays or (..., dim) stacks of points: tangent
+bases, the certificate, gradients, pullbacks and moments each take one
+stacked call, never a loop over samples.
 """
 
 from __future__ import annotations
@@ -31,8 +34,12 @@ import numpy as np
 
 from . import deformation as df
 from . import semidirect as sd
-from .algebra import CartanData, DomainError, OrbitBatch, OrbitSample, RepresentationError
-from .numerics import DimensionError, Tolerance, matrix_exp, nullspace, orthonormal_range
+from .algebra import (
+    CartanData, DomainError, OrbitBatch, RepresentationError, flag_orbit_sample, h_subspaces,
+)
+from .numerics import (
+    DimensionError, StructureError, Tolerance, matrix_exp, nullspace, orthonormal_range, rank,
+)
 
 
 @dataclass(frozen=True)
@@ -57,37 +64,26 @@ def make_skew_form(gram: np.ndarray, tol: Tolerance = Tolerance()) -> SkewFormDa
     return SkewFormData(gram=0.5 * (gram - gram.T), tol=tol)
 
 
-def restrict_form(form: SkewFormData, tangent_basis: np.ndarray) -> SkewFormData:
-    """Gram matrix of the form on the given (independent) columns."""
-    tangent_basis = np.asarray(tangent_basis, dtype=float)
-    if tangent_basis.shape[1] > 0:
-        s = np.linalg.svd(tangent_basis, compute_uv=False)
-        if s[-1] <= 1e-10 * s[0]:
-            raise DimensionError("tangent basis is linearly dependent")
-    return make_skew_form(tangent_basis.T @ form.gram @ tangent_basis, form.tol)
-
-
 def radical(form: SkewFormData) -> np.ndarray:
     """Orthonormal basis of {v : form(v, .) = 0}; empty iff non-degenerate."""
     return nullspace(form.gram, form.tol)
 
 
 def max_isotropic(form: SkewFormData) -> np.ndarray:
-    """Greedy maximal isotropic subspace containing the radical.
+    """Orthonormal basis of a maximal isotropic subspace W containing the radical.
 
-    Extends the radical one vector at a time inside the form-orthogonal
-    complement of the current span; the output W satisfies
-    2 dim W = dim V + dim radical.
+    Linear Darboux normal form: i * gram is Hermitian, and for its
+    eigenvectors u_j with eigenvalue above the radical's cutoff the
+    vectors sqrt(2) Re u_j are orthonormal, isotropic and orthogonal to
+    the radical.  So 2 dim W = dim V + dim radical.
     """
-    w = radical(form)
-    while True:
-        perp = nullspace(w.T @ form.gram, form.tol)
-        # remove the part already in span(W)
-        fresh = perp - w @ (w.T @ perp)
-        cand = orthonormal_range(fresh, form.tol)
-        if cand.shape[1] == 0:
-            return w
-        w = np.hstack([w, cand[:, :1]])
+    rad = radical(form)
+    vals, vecs = np.linalg.eigh(1j * form.gram)
+    cutoff = form.tol.abs_eps + form.tol.rel_eps * np.abs(vals).max(initial=0.0)
+    pairs = vecs[:, vals > cutoff]
+    if 2 * pairs.shape[1] != form.dim - rad.shape[1]:
+        raise StructureError("eigenvalue count does not match the radical")
+    return np.hstack([rad, math.sqrt(2.0) * pairs.real])
 
 
 @dataclass(frozen=True)
@@ -118,16 +114,22 @@ def hermitian_form(ctx: HermitianContext, x: np.ndarray, y: np.ndarray) -> compl
     return complex(re, im)
 
 
-def u_moment(ctx: HermitianContext, x: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """op @ x for every vector of a (..., dim) stack, as stacked matrix-vector products."""
+    return (op @ x[..., None])[..., 0]
+
+
+def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
     """Moment map of the compact action: -i[tau x, x], an element of u.
 
-    Vanishes exactly on points whose compact orbit is isotropic (x
-    commuting with tau x, i.e. normal matrices).
+    x is one point or a (..., dim) stack.  Vanishes exactly on points
+    whose compact orbit is isotropic (x commuting with tau x, i.e. normal
+    matrices).
     """
     cd = ctx.cd
     x = np.asarray(x, dtype=float)
-    m = -ctx.j @ cd.alg.bracket(cd.theta @ x, x)
-    if np.linalg.norm(cd.project_s(m)) > 1e-8 * (1 + np.linalg.norm(m)):
+    m = -_apply(ctx.j, cd.alg.bracket(_apply(cd.theta, x), x))
+    if (np.linalg.norm(cd.project_s(m), axis=-1) > 1e-8 * (1 + np.linalg.norm(m, axis=-1))).any():
         raise DomainError("moment value escaped the compact form")
     return m
 
@@ -142,34 +144,45 @@ def fiber_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
     return sd.coadjoint_fiber(cd, w)
 
 
+def _s_part(cd: CartanData, x: np.ndarray) -> np.ndarray:
+    """The s-component of every point of a (..., dim) stack: the semidirect base point."""
+    return _apply(cd.s_basis @ cd.s_basis.T, x)
+
+
 def orbit_tangent_basis(
-    ctx: HermitianContext, p: OrbitSample, kind: str | None = None
+    ctx: HermitianContext, x: np.ndarray, kind: str, r: float = 1.0
 ) -> np.ndarray:
-    """Orthonormal tangent basis at a tagged orbit sample.
+    """Orthonormal tangent bases at a (..., dim) stack of orbit points: (..., dim, rank).
 
     flag: spanned by [A, x], A in u;  semidirect: those plus the fiber
-    directions [w, s];  adjoint: the full ad(g).x;  deformed: ad_r(g).x
-    at the sample's own parameter r.
+    directions [w, s];  adjoint: the full ad(g).x;  deformed: ad_r(g).x.
+    An orbit has constant tangent rank, so a stack whose ranks differ
+    raises StructureError.
     """
     cd = ctx.cd
-    kind = kind or p.kind
-    x = p.point
+    x = np.asarray(x, dtype=float)
     if kind == "flag":
         cols = -cd.alg.ad(x) @ cd.k_basis
     elif kind == "semidirect":
-        w = cd.s_basis @ (cd.s_basis.T @ x)  # base point = s-component
-        cols = np.hstack([-cd.alg.ad(x) @ cd.k_basis, cd.alg.ad(w) @ cd.s_basis])
+        cols = np.concatenate(
+            [-cd.alg.ad(x) @ cd.k_basis, cd.alg.ad(_s_part(cd, x)) @ cd.s_basis], axis=-1
+        )
     elif kind == "adjoint":
         cols = -cd.alg.ad(x)
     elif kind == "deformed":
-        cols = -df.ad_r(df.make_context(cd, p.r), x)
+        cols = -df.ad_r(df.make_context(cd, r), x)
     else:
         raise RepresentationError(f"unknown orbit kind {kind!r}")
     return orthonormal_range(cols)
 
 
+def max_omega(ctx: HermitianContext, t: np.ndarray) -> np.ndarray:
+    """max |Omega| on the columns of a basis, or of each in a (..., dim, rank) stack."""
+    return np.abs(np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t).max(axis=(-2, -1), initial=0.0)
+
+
 def check_symplectic_on_orbit(
-    ctx: HermitianContext, samples: list[OrbitSample], kind: str | None = None
+    ctx: HermitianContext, batch: OrbitBatch, kind: str | None = None
 ) -> dict:
     """Certify non-degeneracy of Omega on the orbit and fiber isotropy.
 
@@ -178,29 +191,16 @@ def check_symplectic_on_orbit(
     fiber tangents are isotropic, and they are maximal isotropic
     (2 dim fiber = dim tangent).
     """
-    cd = ctx.cd
-    min_ratio = math.inf
-    max_fiber_omega = 0.0
-    maximal = True
-    dims = set()
-    for p in samples:
-        t = orbit_tangent_basis(ctx, p, kind)
-        gram = restrict_form(ctx.omega, t).gram
-        s = np.linalg.svd(gram, compute_uv=False)
-        min_ratio = min(min_ratio, float(s[-1] / s[0]))
-        w = cd.s_basis @ (cd.s_basis.T @ p.point)
-        fib = fiber_tangent_at(cd, w)
-        if fib.shape[1]:
-            max_fiber_omega = max(
-                max_fiber_omega, float(np.max(np.abs(fib.T @ ctx.omega.gram @ fib)))
-            )
-        maximal = maximal and (2 * fib.shape[1] == t.shape[1])
-        dims.add(t.shape[1])
+    t = orbit_tangent_basis(ctx, batch.points, kind or batch.kind, batch.r)
+    gram = np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t
+    s = np.linalg.svd(0.5 * (gram - np.swapaxes(gram, -1, -2)), compute_uv=False)
+    min_ratio = float((s[..., -1] / s[..., 0]).min())
+    fib = fiber_tangent_at(ctx.cd, _s_part(ctx.cd, batch.points))
     return {
         "min_sv_ratio": min_ratio,
-        "max_fiber_omega": max_fiber_omega,
-        "fiber_maximal_isotropic": maximal,
-        "tangent_dims": sorted(dims),
+        "max_fiber_omega": float(max_omega(ctx, fib).max()),
+        "fiber_maximal_isotropic": 2 * fib.shape[-1] == t.shape[-1],
+        "tangent_dims": [t.shape[-1]],
         "full_rank": min_ratio > 1e-8,
     }
 
@@ -326,7 +326,7 @@ def gradient_hamiltonian_residual(
 
 
 def pullback_check(
-    ctx: HermitianContext, r: float, samples: list[OrbitSample], fiber_dirs: np.ndarray
+    ctx: HermitianContext, r: float, batch: OrbitBatch, fiber_dirs: np.ndarray
 ) -> float:
     """max |Omega(d psi~_r v, d psi~_r w) - Omega(v, w)| over tangent pairs.
 
@@ -346,15 +346,16 @@ def pullback_check(
     cd = ctx.cd
     psi = df.make_context(cd, r).psi_r
     gram = ctx.omega.gram
-    no_base = np.zeros((cd.alg.dim, fiber_dirs.shape[1]))
-    worst = 0.0
-    for p in samples:
-        h = np.hstack([-cd.alg.ad(p.base_point) @ cd.k_basis, no_base])
-        x = np.hstack([-cd.alg.ad(p.k_op @ p.fiber) @ cd.k_basis, p.k_op @ fiber_dirs])
-        v, v_r = h + x, h + psi @ x
-        diff = v_r.T @ gram @ v_r - v.T @ gram @ v
-        worst = max(worst, float(np.max(np.abs(np.triu(diff, 1)))))
-    return worst
+    shape = batch.points.shape
+    k_ops = np.broadcast_to(batch.k_ops[:, None], (*shape, shape[-1]))
+    base = np.broadcast_to(batch.base_points[:, None], shape)
+    h = np.concatenate([-cd.alg.ad(base) @ cd.k_basis,
+                        np.zeros((*shape, fiber_dirs.shape[1]))], axis=-1)
+    x = np.concatenate([-cd.alg.ad(_apply(k_ops, batch.fibers)) @ cd.k_basis,
+                        k_ops @ fiber_dirs], axis=-1)
+    v, v_r = h + x, h + psi @ x
+    diff = np.swapaxes(v_r, -1, -2) @ gram @ v_r - np.swapaxes(v, -1, -2) @ gram @ v
+    return float(np.abs(np.triu(diff, 1)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +395,9 @@ def hamiltonian_q_check(
     return flow_resid, sym_resid
 
 
-def compact_isotropy_dim(ctx: HermitianContext, x: np.ndarray) -> int:
-    """dim of {A in u : [A, x] = 0}."""
-    return nullspace(-ctx.cd.alg.ad(x) @ ctx.cd.k_basis).shape[1]
+def compact_isotropy_dim(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
+    """dim of {A in u : [A, x] = 0}, at one point or at each of a (..., dim) stack."""
+    return ctx.cd.k_basis.shape[1] - rank(-ctx.cd.alg.ad(x) @ ctx.cd.k_basis)
 
 
 def unique_isotropic_orbit_check(
@@ -409,35 +410,24 @@ def unique_isotropic_orbit_check(
     lowers the compact isotropy dimension, so those orbits are too
     large to be isotropic; (c) their moment values are nonzero.
     """
-    from .algebra import flag_orbit_sample, h_subspaces
-
     cd = ctx.cd
     h = np.asarray(h, dtype=float)
     adj_cols = -cd.alg.ad(h)  # column i is [e_i, H]
     flag_dim = orthonormal_range(adj_cols @ cd.k_basis).shape[1]
-    adjoint_dim = adj_cols.shape[1] - nullspace(adj_cols).shape[1]
-    flag_samples = flag_orbit_sample(cd, h, seed, 25)
-    max_flag_omega = 0.0
-    for p in flag_samples:
-        tb = orbit_tangent_basis(ctx, p, "flag")
-        if tb.shape[1]:
-            max_flag_omega = max(
-                max_flag_omega, float(np.max(np.abs(tb.T @ ctx.omega.gram @ tb)))
-            )
+    adjoint_dim = int(rank(adj_cols))
+    flag = flag_orbit_sample(cd, h, seed, 25).base_points
+    max_flag_omega = float(max_omega(ctx, orbit_tangent_basis(ctx, flag, "flag")).max())
     n_plus, _, _ = h_subspaces(cd, h)
-    iso_h = compact_isotropy_dim(ctx, h)
-    rng = np.random.default_rng(seed)
-    drops, moments = [], []
-    for _ in range(n_random):
-        x = n_plus @ rng.standard_normal(n_plus.shape[1])
-        iso_hx = compact_isotropy_dim(ctx, h + x)
-        drops.append(iso_hx < iso_h)
-        moments.append(float(np.linalg.norm(u_moment(ctx, h + x))))
+    coeffs = np.random.default_rng(seed).standard_normal((n_random, n_plus.shape[1]))
+    moved = h + _apply(n_plus, coeffs)
+    moments = np.linalg.norm(u_moment(ctx, moved), axis=-1)
     return {
         "flag_dim": flag_dim,
         "adjoint_dim": adjoint_dim,
         "lagrangian": 2 * flag_dim == adjoint_dim,
         "max_flag_omega": max_flag_omega,
-        "isotropy_drops": all(drops),
-        "min_moment_norm": min(moments) if moments else 0.0,
+        "isotropy_drops": bool(
+            (compact_isotropy_dim(ctx, moved) < compact_isotropy_dim(ctx, h)).all()
+        ),
+        "min_moment_norm": float(moments.min()) if n_random else 0.0,
     }

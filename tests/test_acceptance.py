@@ -48,8 +48,9 @@ def test_criterion_01_cylinder(sl2r):
     _, cd = sl2r
     h = np.array([1.0, 0.0, 0.0])  # diag(1, -1)
     samples = sd.sample_semidirect_orbit(cd, h, SEED, n_base=100, n_fiber=10)
-    assert len(samples) == 1000
-    worst = max(abs(p.point[0] ** 2 + p.point[1] ** 2 - 1.0) for p in samples)
+    assert samples.points.shape == (100, 10, 3)
+    x, y = samples.points[..., 0], samples.points[..., 1]
+    worst = float(np.max(np.abs(x**2 + y**2 - 1.0)))
     _line("criterion 1 (cylinder x^2+y^2=1)", worst < 1e-9, f"max residual {worst:.3e} < 1e-9")
 
 
@@ -58,10 +59,9 @@ def test_criterion_02_hyperboloid(sl2r):
     h = np.array([1.0, 0.0, 0.0])
     ctx = df.make_context(cd, 1.0)
     samples = df.sample_deformed_orbit(ctx, h, SEED, n_base=100, n_fiber=10)
-    assert len(samples) == 1000
-    worst = max(
-        abs(p.point[0] ** 2 + p.point[1] ** 2 - p.point[2] ** 2 - 1.0) for p in samples
-    )
+    assert samples.points.shape == (100, 10, 3)
+    x, y, z = np.moveaxis(samples.points, -1, 0)
+    worst = float(np.max(np.abs(x**2 + y**2 - z**2 - 1.0)))
     _line("criterion 2 (hyperboloid x^2+y^2-z^2=1)", worst < 1e-8, f"max residual {worst:.3e} < 1e-8")
 
 
@@ -72,8 +72,8 @@ def test_criterion_03_deformed_invariance(sl2r):
     worst_k, worst_q = 0.0, 0.0
     for r in (0.1, 0.5, 2.0, 10.0, 100.0):
         ctx = df.make_context(cd, r)
-        for p in df.sample_deformed_orbit(ctx, h, SEED, n_base=20, n_fiber=5):
-            q = p.point
+        batch = df.sample_deformed_orbit(ctx, h, SEED, n_base=20, n_fiber=5)
+        for q in batch.points.reshape(-1, 3):
             worst_k = max(worst_k, abs(df.killing_r(ctx, q, q) - target) / (1 + q @ q))
             x, y, z = q
             worst_q = max(worst_q, abs(x * x + y * y - z * z / r**2 - 1.0))
@@ -87,7 +87,7 @@ def test_criterion_04_limit_convergence(sl2r):
     h = np.array([1.0, 0.0, 0.0])
     ctx1 = df.make_context(cd, 1.0)
     samples = df.sample_deformed_orbit(ctx1, h, SEED, n_base=10, n_fiber=4)
-    c_max = max(math.sqrt(2.0) * np.linalg.norm(p.fiber) for p in samples)
+    c_max = math.sqrt(2.0) * np.linalg.norm(samples.fibers, axis=-1).max()
     devs, within = [], True
     for r in (10.0, 100.0, 1000.0):
         dev = df.limit_deviation(df.make_context(cd, r), samples)
@@ -166,7 +166,7 @@ def test_criterion_07_symplectic_nondegeneracy(sl2c, sl3c):
     for cd, hc in (sl2c, sl3c):
         ctx = df.make_context(cd, math.inf)
         samples = df.sample_deformed_orbit(ctx, cd.chamber_H, SEED, n_base=25, n_fiber=4)
-        assert len(samples) == 100
+        assert samples.points.shape[:2] == (25, 4)
         report = sp.check_symplectic_on_orbit(hc, samples, "semidirect")
         ok = ok and report["full_rank"] and report["max_fiber_omega"] < 1e-10
         detail.append(
@@ -199,7 +199,7 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
     h = cd.chamber_H
     ctx1 = df.make_context(cd, 1.0)
     samples = df.sample_deformed_orbit(ctx1, h, SEED, n_base=25, n_fiber=2)
-    assert len(samples) == 50
+    assert samples.points.shape[:2] == (25, 2)
     n_plus, _, _ = al.h_subspaces(cd, h)
     step = 1e-5
     om = hc.omega.value
@@ -207,12 +207,13 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
         (matrix_exp(step * cd.alg.ad(a)), matrix_exp(-step * cd.alg.ad(a))) for a in cd.k_basis.T
     ]
 
-    def retag(p, k_op, coeffs):
+    def retag(k_op, coeffs):
         # the r = 1 sample with construction tags (k_op, n_plus @ coeffs), as a 1 x 1 batch
         base, fiber = k_op @ h, n_plus @ coeffs
         return al.OrbitBatch(
             points=(base + k_op @ fiber)[None, None], base_points=base[None], k_ops=k_op[None],
-            fibers=fiber[None, None], fiber_coeffs=coeffs[None, None], kind=p.kind, r=p.r,
+            fibers=fiber[None, None], fiber_coeffs=coeffs[None, None], kind=samples.kind,
+            r=samples.r,
         )
 
     worst, defect_err, defects = 0.0, 0.0, []
@@ -220,16 +221,17 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
         q = 1.0 if math.isinf(r) else (r - 1.0) / (r + 1.0)
         ctxr = df.make_context(cd, r)
         defect = 0.0
-        for p in samples:
-            c = p.fiber_coeffs
-            curves = [(fp @ p.k_op, c, fm @ p.k_op, c) for fp, fm in flows]
-            curves += [(p.k_op, c + step * e, p.k_op, c - step * e) for e in np.eye(len(c))]
+        for b, f in np.ndindex(samples.points.shape[:2]):
+            k_op, c = samples.k_ops[b], samples.fiber_coeffs[b, f]
+            curves = [(fp @ k_op, c, fm @ k_op, c) for fp, fm in flows]
+            curves += [(k_op, c + step * e, k_op, c - step * e) for e in np.eye(len(c))]
             tangents = []
             for k_p, c_p, k_m, c_m in curves:
-                plus, minus = retag(p, k_p, c_p), retag(p, k_m, c_m)
-                h_v = (plus[0].base_point - minus[0].base_point) / (2 * step)
-                x_v = (k_p @ plus[0].fiber - k_m @ minus[0].fiber) / (2 * step)
-                v_r = df.tilde_psi_r(ctxr, plus)[0].point - df.tilde_psi_r(ctxr, minus)[0].point
+                plus, minus = retag(k_p, c_p), retag(k_m, c_m)
+                h_v = (plus.base_points[0] - minus.base_points[0]) / (2 * step)
+                x_v = (k_p @ plus.fibers[0, 0] - k_m @ minus.fibers[0, 0]) / (2 * step)
+                v_r = (df.tilde_psi_r(ctxr, plus).points[0, 0]
+                       - df.tilde_psi_r(ctxr, minus).points[0, 0])
                 v_r /= 2 * step
                 tangents.append((h_v, x_v, v_r))
             for a, (h_v, x_v, v_r) in enumerate(tangents):
@@ -291,10 +293,11 @@ def test_criterion_12_cotangent_identification(sl2r, sl2c):
     # sl2c carries the canonical case: SO(3) rotating s = R^3 inside so(3,1)
     worst, ranks_ok = 0.0, True
     for cd in (sl2r[1], sl2c[0]):
-        for p in sd.sample_semidirect_orbit(cd, cd.chamber_H, SEED, n_base=20, n_fiber=5):
-            w, cov = sd.phi_cotangent(cd, p)
-            m = sd.cotangent_moment(cd, w, cov)
-            worst = max(worst, float(np.linalg.norm((m.k_part + m.s_part) - p.point)))
+        batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, SEED, n_base=20, n_fiber=5)
+        m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
+        roundtrip = np.linalg.norm((m.k_part + m.s_part) - batch.points, axis=-1)
+        worst = max(worst, float(roundtrip.max()))
+        for w in batch.base_points:
             tangent = sd.orbit_tangent_at(cd, w)
             f = np.stack(
                 [cd.alg.bracket(w, tangent[:, i]) for i in range(tangent.shape[1])], axis=1

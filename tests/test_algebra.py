@@ -196,16 +196,15 @@ def test_h_subspaces_rejects_outside_chamber(sl2r):
 
 def test_flag_samples_on_circle(sl2r):
     _, cd = sl2r
-    for p in al.flag_orbit_sample(cd, H, seed=7, count=100):
-        x, y, z = p.point
+    for x, y, z in al.flag_orbit_sample(cd, H, seed=7, count=100).points.reshape(-1, 3):
         assert abs(x * x + y * y - 1.0) < 1e-9
         assert abs(z) < 1e-12
 
 
 def test_flag_samples_zero_element(sl2r):
     _, cd = sl2r
-    for p in al.flag_orbit_sample(cd, np.zeros(3), seed=7, count=5):
-        assert np.linalg.norm(p.point) < 1e-12
+    for point in al.flag_orbit_sample(cd, np.zeros(3), seed=7, count=5).points.reshape(-1, 3):
+        assert np.linalg.norm(point) < 1e-12
 
 
 def test_flag_samples_norm_and_subspace():
@@ -215,17 +214,16 @@ def test_flag_samples_norm_and_subspace():
         cd = al.cartan_structure(alg)
         h = cd.chamber_H
         target = alg.killing_form(h, h)
-        for p in al.flag_orbit_sample(cd, h, seed=8, count=30):
-            assert abs(alg.killing_form(p.point, p.point) - target) < 1e-8
-            assert np.linalg.norm(cd.project_k(p.point)) < 1e-10
+        for point in al.flag_orbit_sample(cd, h, seed=8, count=30).points.reshape(-1, alg.dim):
+            assert abs(alg.killing_form(point, point) - target) < 1e-8
+            assert np.linalg.norm(cd.project_k(point)) < 1e-10
 
 
 def test_flag_sampling_deterministic(sl2r):
     _, cd = sl2r
     a = al.flag_orbit_sample(cd, H, seed=42, count=10)
     b = al.flag_orbit_sample(cd, H, seed=42, count=10)
-    for p, q in zip(a, b):
-        assert np.array_equal(p.point, q.point)
+    assert np.array_equal(a.points, b.points)
 
 
 def test_nullspace_of_ad_h_is_centralizer(sl2r):

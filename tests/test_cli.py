@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import orbitdeform
+from orbitdeform.algebra import DESCRIPTORS
 from orbitdeform.cli import _coord_rows, _fmt, main
 
 
@@ -25,6 +26,21 @@ def test_verify_sl2c_passes(tmp_path, capsys):
     for entry in report["checks"]:
         assert set(entry) >= {"name", "paper_anchor", "residual", "threshold", "pass"}
         assert entry["pass"]
+
+
+EXPECTED_CHECKS = Path(__file__).resolve().parent.parent / "perfbench" / "expected_checks.json"
+
+
+@pytest.mark.parametrize("algebra", sorted(DESCRIPTORS))
+def test_verify_held_out_seed_passes(algebra, tmp_path, capsys):
+    # every descriptor at a seed no other test uses: exit 0, every check passes, and
+    # every check name the benchmark expects is reported
+    expected = json.loads(EXPECTED_CHECKS.read_text())[algebra]
+    out = tmp_path / "report.json"
+    assert run(["verify", "--algebra", algebra, "--seed", "4242", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["all_pass"] and all(entry["pass"] for entry in report["checks"])
+    assert set(expected) <= {entry["name"] for entry in report["checks"]}
 
 
 def test_verify_bad_chamber_is_usage_error(capsys):

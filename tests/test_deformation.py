@@ -198,16 +198,16 @@ def test_exp_ad_a_rotates_h_s_plane(sl2r):
 def test_adjoint_orbit_is_hyperboloid(sl2r):
     _, cd = sl2r
     ctx = df.make_context(cd, 1.0)
-    for p in df.sample_deformed_orbit(ctx, H, seed=5, n_base=25, n_fiber=4):
-        x, y, z = p.point
+    batch = df.sample_deformed_orbit(ctx, H, seed=5, n_base=25, n_fiber=4)
+    for x, y, z in batch.points.reshape(-1, 3):
         assert abs(x * x + y * y - z * z - 1.0) < 1e-8
 
 
 def test_semidirect_limit_is_cylinder(sl2r):
     _, cd = sl2r
     ctx = df.make_context(cd, math.inf)
-    for p in df.sample_deformed_orbit(ctx, H, seed=5, n_base=25, n_fiber=4):
-        x, y, z = p.point
+    batch = df.sample_deformed_orbit(ctx, H, seed=5, n_base=25, n_fiber=4)
+    for x, y, z in batch.points.reshape(-1, 3):
         assert abs(x * x + y * y - 1.0) < 1e-9
 
 
@@ -220,8 +220,8 @@ def test_deformed_orbit_killing_invariance():
         target = alg.killing_form(h, h)
         for r in (0.1, 0.5, 2.0, 10.0, 100.0):
             ctx = df.make_context(cd, r)
-            for p in df.sample_deformed_orbit(ctx, h, seed=6, n_base=10, n_fiber=3):
-                q = p.point
+            batch = df.sample_deformed_orbit(ctx, h, seed=6, n_base=10, n_fiber=3)
+            for q in batch.points.reshape(-1, alg.dim):
                 assert abs(df.killing_r(ctx, q, q) - target) < 1e-6 * (1 + q @ q)
 
 
@@ -229,8 +229,8 @@ def test_deformed_quadric_sl2r(sl2r):
     _, cd = sl2r
     for r in (0.1, 0.5, 2.0, 10.0, 100.0):
         ctx = df.make_context(cd, r)
-        for p in df.sample_deformed_orbit(ctx, H, seed=6, n_base=10, n_fiber=3):
-            x, y, z = p.point
+        batch = df.sample_deformed_orbit(ctx, H, seed=6, n_base=10, n_fiber=3)
+        for x, y, z in batch.points.reshape(-1, 3):
             assert abs(x * x + y * y - z * z / r**2 - 1.0) < 1e-6
 
 
@@ -238,8 +238,7 @@ def test_tilde_psi_identity_at_r1(sl2r):
     _, cd = sl2r
     ctx1 = df.make_context(cd, 1.0)
     batch = df.sample_deformed_orbit(ctx1, H, seed=7, n_base=5, n_fiber=2)
-    for p, q in zip(batch, df.tilde_psi_r(ctx1, batch)):
-        assert np.allclose(q.point, p.point, atol=1e-14)
+    assert np.allclose(df.tilde_psi_r(ctx1, batch).points, batch.points, atol=1e-14)
 
 
 def test_tilde_psi_coordinates(sl2r):
@@ -252,10 +251,10 @@ def test_tilde_psi_coordinates(sl2r):
         fibers=(c * e12)[None, None], fiber_coeffs=np.array([[[c]]]), kind="adjoint", r=1.0,
     )
     for r in (2.0, 10.0):
-        out = df.tilde_psi_r(df.make_context(cd, r), base)[0]
-        assert np.allclose(out.point, [1.0, c / (r + 1), c * r / (r + 1)])
-    out = df.tilde_psi_r(df.make_context(cd, math.inf), base)[0]
-    assert np.allclose(out.point, [1.0, 0.0, c])
+        out = df.tilde_psi_r(df.make_context(cd, r), base).points[0, 0]
+        assert np.allclose(out, [1.0, c / (r + 1), c * r / (r + 1)])
+    out = df.tilde_psi_r(df.make_context(cd, math.inf), base).points[0, 0]
+    assert np.allclose(out, [1.0, 0.0, c])
 
 
 def test_tilde_psi_rejects_untagged(sl2r):
@@ -272,7 +271,7 @@ def test_limit_deviation_closed_form(sl2r):
     _, cd = sl2r
     ctx1 = df.make_context(cd, 1.0)
     samples = df.sample_deformed_orbit(ctx1, H, seed=8, n_base=10, n_fiber=4)
-    c_max = max(math.sqrt(2.0) * np.linalg.norm(p.fiber) for p in samples)
+    c_max = math.sqrt(2.0) * np.linalg.norm(samples.fibers, axis=-1).max()
     prev = math.inf
     for r in (10.0, 100.0, 1000.0):
         dev = df.limit_deviation(df.make_context(cd, r), samples)
@@ -287,8 +286,7 @@ def test_sampling_deterministic(sl2r):
     ctx = df.make_context(cd, 2.0)
     a = df.sample_deformed_orbit(ctx, H, seed=9, n_base=5, n_fiber=2)
     b = df.sample_deformed_orbit(ctx, H, seed=9, n_base=5, n_fiber=2)
-    for p, q in zip(a, b):
-        assert np.array_equal(p.point, q.point)
+    assert np.array_equal(a.points, b.points)
 
 
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
@@ -317,9 +315,9 @@ def _loop_deformed_orbit(ctx, h, seed, n_base, n_fiber):
         base = k_op @ np.asarray(h, dtype=float)
         for f_tag, c in enumerate(coeff_sets):
             x_c = n_plus @ c
-            samples.append(al.OrbitSample(
-                point=base + ctx.psi_r @ (k_op @ x_c), kind=ctx.kind, base_point=base,
-                k_op=k_op, fiber=x_c, fiber_coeffs=c, r=ctx.r, base_tag=b_tag, fiber_tag=f_tag,
+            samples.append(dict(
+                point=base + ctx.psi_r @ (k_op @ x_c), base_point=base, k_op=k_op, fiber=x_c,
+                fiber_coeffs=c, tags=(b_tag, f_tag),
             ))
     return samples
 
@@ -335,21 +333,26 @@ def test_deformed_batch_matches_per_sample_loop(descriptor):
         ctx = df.make_context(cd, r)
         batch = df.sample_deformed_orbit(ctx, cd.chamber_H, seed=13, n_base=6, n_fiber=4)
         reference = _loop_deformed_orbit(ctx, cd.chamber_H, seed=13, n_base=6, n_fiber=4)
-        assert batch.points.shape == (6, 4, cd.alg.dim) and len(batch) == len(reference)
-        for p, q in zip(batch, reference):
-            assert (p.base_tag, p.fiber_tag, p.kind, p.r) == (q.base_tag, q.fiber_tag, q.kind, q.r)
-            for field in ("point", "base_point", "k_op", "fiber", "fiber_coeffs"):
-                assert _close(getattr(p, field), getattr(q, field)), field
+        assert batch.points.shape == (6, 4, cd.alg.dim) and len(reference) == 24
+        assert (batch.kind, batch.r) == (ctx.kind, ctx.r)
+        for (b, f), q in zip(np.ndindex(6, 4), reference):
+            assert (b, f) == q["tags"]
+            p = dict(point=batch.points[b, f], base_point=batch.base_points[b],
+                     k_op=batch.k_ops[b], fiber=batch.fibers[b, f],
+                     fiber_coeffs=batch.fiber_coeffs[b, f])
+            for field, value in p.items():
+                assert _close(value, q[field]), field
 
 
 def _loop_limit_deviation(ctx, samples):
     # reference: the brute-force loop limit_deviation ran before its closed form
     inf_ctx = df.make_context(ctx.cd, math.inf)
     dev = 0.0
-    for p in samples:
-        a = p.base_point + ctx.psi_r @ (p.k_op @ p.fiber)
-        b = p.base_point + inf_ctx.psi_r @ (p.k_op @ p.fiber)
-        dev = max(dev, float(np.linalg.norm(a - b)))
+    for b, f in np.ndindex(samples.points.shape[:2]):
+        moved = samples.k_ops[b] @ samples.fibers[b, f]
+        at_r = samples.base_points[b] + ctx.psi_r @ moved
+        at_inf = samples.base_points[b] + inf_ctx.psi_r @ moved
+        dev = max(dev, float(np.linalg.norm(at_r - at_inf)))
     return dev
 
 
@@ -369,13 +372,14 @@ def test_limit_deviation_exact_law(descriptor):
     assert max(scaled) - min(scaled) <= 1e-12 * max(scaled)
 
 
-def test_orbit_batch_views(sl2r):
-    _, cd = sl2r
-    batch = df.sample_deformed_orbit(df.make_context(cd, 2.0), H, seed=3, n_base=3, n_fiber=2)
-    tags = [(p.base_tag, p.fiber_tag) for p in batch]
-    assert tags == [(b, f) for b in range(3) for f in range(2)]
-    assert batch[-1].base_tag == 2 and batch[-1].fiber_tag == 1
-    assert [p.fiber_tag for p in batch[1:4]] == [1, 0, 1]
-    assert np.array_equal(batch[3].point, batch.points[1, 1])
-    with pytest.raises(IndexError):
-        batch[6]
+@pytest.mark.parametrize("descriptor", ["sl2r", "sl3c"])
+def test_ad_r_stack_matches_single(descriptor):
+    cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
+    x = np.random.default_rng(14).standard_normal((3, 4, cd.alg.dim))
+    for r in (0.5, 2.0, 10.0):
+        ctx = df.make_context(cd, r)
+        stack = df.ad_r(ctx, x)
+        for b, f in np.ndindex(3, 4):
+            # reference: the single-vector form ad_r had before it took stacks
+            single = ctx.t_r @ cd.alg.ad(ctx.t_r_inv @ x[b, f]) @ ctx.t_r_inv
+            assert np.linalg.norm(stack[b, f] - single) <= 1e-14 * np.linalg.norm(single)

@@ -123,15 +123,15 @@ def test_coad_duality():
 
 def test_cylinder_samples(sl2r):
     _, cd = sl2r
-    for p in sd.sample_semidirect_orbit(cd, H, seed=2, n_base=20, n_fiber=5):
-        x, y, z = p.point
+    batch = sd.sample_semidirect_orbit(cd, H, seed=2, n_base=20, n_fiber=5)
+    for x, y, z in batch.points.reshape(-1, 3):
         assert abs(x * x + y * y - 1.0) < 1e-9
 
 
 def test_zero_element_orbit(sl2r):
     _, cd = sl2r
-    for p in sd.sample_semidirect_orbit(cd, np.zeros(3), seed=2, n_base=5, n_fiber=2):
-        assert np.linalg.norm(p.point) < 1e-12
+    batch = sd.sample_semidirect_orbit(cd, np.zeros(3), seed=2, n_base=5, n_fiber=2)
+    assert np.linalg.norm(batch.points, axis=-1).max() < 1e-12
 
 
 def test_fiber_dimension_over_h(sl2r):
@@ -158,10 +158,10 @@ def test_fiber_equals_psi_n_plus():
 def test_fiber_disjointness(sl2r):
     _, cd = sl2r
     samples = sd.sample_semidirect_orbit(cd, H, seed=3, n_base=10, n_fiber=3)
-    for i, p in enumerate(samples):
-        for q in samples[i + 1:]:
-            if np.linalg.norm(p.base_point - q.base_point) > 1e-6:
-                assert np.linalg.norm(cd.project_s(p.point) - cd.project_s(q.point)) > 1e-7
+    points, bases = samples.points.reshape(-1, 3), np.repeat(samples.base_points, 3, axis=0)
+    for i, j in zip(*np.triu_indices(len(points), 1)):
+        if np.linalg.norm(bases[i] - bases[j]) > 1e-6:
+            assert np.linalg.norm(cd.project_s(points[i]) - cd.project_s(points[j])) > 1e-7
 
 
 def test_semidirect_matches_deformed_at_infinity(sl2r):
@@ -169,18 +169,19 @@ def test_semidirect_matches_deformed_at_infinity(sl2r):
     ssd = sd.sample_semidirect_orbit(cd, H, seed=4, n_base=10, n_fiber=3)
     ctx = df.make_context(cd, math.inf)
     sdf = df.sample_deformed_orbit(ctx, H, seed=4, n_base=10, n_fiber=3)
-    for p, q in zip(ssd, sdf):
-        assert np.linalg.norm(p.base_point - q.base_point) < 1e-12
-        fib = sd.coadjoint_fiber(cd, p.base_point)
-        kq = cd.project_k(q.point)
+    for b, f in np.ndindex(10, 3):
+        assert np.linalg.norm(ssd.base_points[b] - sdf.base_points[b]) < 1e-12
+        fib = sd.coadjoint_fiber(cd, ssd.base_points[b])
+        kq = cd.project_k(sdf.points[b, f])
         assert np.linalg.norm(kq - fib @ (fib.T @ kq)) < 1e-8
 
 
 def test_phi_zero_fiber_gives_zero_covector(sl2r):
     _, cd = sl2r
-    p = al.OrbitSample(
-        point=H, kind="semidirect", base_point=H, k_op=np.eye(3),
-        fiber=np.zeros(3), fiber_coeffs=np.zeros(1), r=math.inf,
+    p = al.OrbitBatch(
+        points=H[None, None], base_points=H[None], k_ops=np.eye(3)[None],
+        fibers=np.zeros((1, 1, 3)), fiber_coeffs=np.zeros((1, 1, 1)), kind="semidirect",
+        r=math.inf,
     )
     w, cov = sd.phi_cotangent(cd, p)
     assert np.allclose(w, H) and np.allclose(cov, 0.0)
@@ -190,8 +191,8 @@ def test_phi_pairs_fiber_with_tangent(sl2r):
     # over H the fiber direction comes from S: B_theta(cov, S) != 0
     _, cd = sl2r
     samples = sd.sample_semidirect_orbit(cd, H, seed=5, n_base=1, n_fiber=5)
-    for p in samples:
-        w, cov = sd.phi_cotangent(cd, p)
+    _, covs = sd.phi_cotangent(cd, samples)
+    for cov in covs.reshape(-1, 3):
         if np.linalg.norm(cov) > 1e-9:
             assert abs(cov @ cd.b_theta @ S) > 1e-12
 
@@ -199,9 +200,10 @@ def test_phi_pairs_fiber_with_tangent(sl2r):
 def test_phi_fiber_map_is_isomorphism():
     for desc in ("sl2r", "sl2c", "sl3c"):
         cd = _cartan(desc)
-        for p in sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=6, n_base=10, n_fiber=2):
-            tangent = sd.orbit_tangent_at(cd, p.base_point)
-            cols = [cd.alg.bracket(p.base_point, tangent[:, i]) for i in range(tangent.shape[1])]
+        batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=6, n_base=10, n_fiber=2)
+        for w in batch.base_points:
+            tangent = sd.orbit_tangent_at(cd, w)
+            cols = [cd.alg.bracket(w, tangent[:, i]) for i in range(tangent.shape[1])]
             f = np.stack(cols, axis=1)
             assert np.linalg.matrix_rank(f) == tangent.shape[1]
 
@@ -209,10 +211,9 @@ def test_phi_fiber_map_is_isomorphism():
 def test_moment_inverts_phi():
     for desc in ("sl2r", "sl3r", "sl2c", "sl3c"):
         cd = _cartan(desc)
-        for p in sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=7, n_base=10, n_fiber=3):
-            w, cov = sd.phi_cotangent(cd, p)
-            m = sd.cotangent_moment(cd, w, cov)
-            assert np.linalg.norm((m.k_part + m.s_part) - p.point) < 1e-9
+        batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=7, n_base=10, n_fiber=3)
+        m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
+        assert np.linalg.norm((m.k_part + m.s_part) - batch.points, axis=-1).max() < 1e-9
 
 
 def test_moment_zero_covector(sl2r):
@@ -226,12 +227,13 @@ def test_moment_equivariance(sl2r):
     alg, cd = sl2r
     rng = np.random.default_rng(8)
     samples = sd.sample_semidirect_orbit(cd, H, seed=8, n_base=5, n_fiber=2)
-    for p in samples:
-        w, cov = sd.phi_cotangent(cd, p)
+    bases, covs = sd.phi_cotangent(cd, samples)
+    for b, f in np.ndindex(5, 2):
+        w, cov = bases[b, f], covs[b, f]
         a = cd.k_basis @ rng.standard_normal(1)
         ad_k = matrix_exp(alg.ad(a))
         m_pushed = sd.cotangent_moment(cd, ad_k @ w, ad_k @ cov)
-        pushed_point = ad_k @ p.point
+        pushed_point = ad_k @ samples.points[b, f]
         assert np.linalg.norm((m_pushed.k_part + m_pushed.s_part) - pushed_point) < 1e-8
 
 
@@ -258,21 +260,22 @@ def test_sl2c_orbit_roundtrip(sl2c):
     cd = sl2c
     for scale in (1.0, 2.0):
         h = scale * cd.chamber_H
-        for p in sd.sample_semidirect_orbit(cd, h, seed=11, n_base=15, n_fiber=4):
-            assert abs(np.linalg.norm(cd.s_basis.T @ p.base_point) - scale) < 1e-10  # sphere
-            base, cov = sd.phi_cotangent(cd, p)
-            m = sd.cotangent_moment(cd, base, cov)
-            assert np.linalg.norm(m.s_part - p.base_point) < 1e-12
-            assert np.linalg.norm((m.k_part + m.s_part) - p.point) < 1e-9
+        batch = sd.sample_semidirect_orbit(cd, h, seed=11, n_base=15, n_fiber=4)
+        sphere = np.linalg.norm(batch.base_points @ cd.s_basis, axis=-1)
+        assert np.abs(sphere - scale).max() < 1e-10
+        base, cov = sd.phi_cotangent(cd, batch)
+        m = sd.cotangent_moment(cd, base, cov)
+        assert np.linalg.norm(m.s_part - batch.base_points[:, None], axis=-1).max() < 1e-12
+        assert np.linalg.norm((m.k_part + m.s_part) - batch.points, axis=-1).max() < 1e-9
 
 
 def test_sl2c_fiber_map_isomorphism(sl2c):
     cd = sl2c
     for scale in (1.0, 2.0):
         h = scale * cd.chamber_H
-        for p in sd.sample_semidirect_orbit(cd, h, seed=12, n_base=10, n_fiber=2):
-            tangent = sd.orbit_tangent_at(cd, p.base_point)
-            f = np.stack([sd.moment_mu(cd, p.base_point, t) for t in tangent.T], axis=1)
+        for w in sd.sample_semidirect_orbit(cd, h, seed=12, n_base=10, n_fiber=2).base_points:
+            tangent = sd.orbit_tangent_at(cd, w)
+            f = np.stack([sd.moment_mu(cd, w, t) for t in tangent.T], axis=1)
             assert np.linalg.matrix_rank(f) == tangent.shape[1] == 2
 
 
@@ -287,10 +290,9 @@ def _loop_semidirect_orbit(cd, h, seed, n_base, n_fiber):
         for f_tag in range(n_fiber):
             v = cd.s_basis @ rng.standard_normal(dim_s)
             coeffs = tangent.T @ cd.b_theta @ v
-            samples.append(al.OrbitSample(
-                point=w + cd.alg.bracket(w, v), kind="semidirect", base_point=w, k_op=k_op,
-                fiber=tangent @ coeffs, fiber_coeffs=coeffs, r=np.inf,
-                base_tag=b_tag, fiber_tag=f_tag,
+            samples.append(dict(
+                point=w + cd.alg.bracket(w, v), base_point=w, k_op=k_op,
+                fiber=tangent @ coeffs, fiber_coeffs=coeffs, tags=(b_tag, f_tag),
             ))
     return samples
 
@@ -300,12 +302,15 @@ def test_semidirect_batch_matches_per_sample_loop(descriptor):
     cd = _cartan(descriptor)
     batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=14, n_base=6, n_fiber=4)
     reference = _loop_semidirect_orbit(cd, cd.chamber_H, seed=14, n_base=6, n_fiber=4)
-    assert len(batch) == len(reference) == 24
-    for p, q in zip(batch, reference):
-        assert (p.base_tag, p.fiber_tag, p.kind, p.r) == (q.base_tag, q.fiber_tag, q.kind, q.r)
-        for field in ("point", "base_point", "k_op", "fiber", "fiber_coeffs"):
-            a, b = getattr(p, field), getattr(q, field)
-            assert np.linalg.norm(a - b) <= 1e-14 * max(np.linalg.norm(b), 1e-300), field
+    assert batch.points.shape[:2] == (6, 4) and len(reference) == 24
+    assert (batch.kind, batch.r) == ("semidirect", np.inf)
+    for (b, f), q in zip(np.ndindex(6, 4), reference):
+        assert (b, f) == q["tags"]
+        p = dict(point=batch.points[b, f], base_point=batch.base_points[b], k_op=batch.k_ops[b],
+                 fiber=batch.fibers[b, f], fiber_coeffs=batch.fiber_coeffs[b, f])
+        for field, value in p.items():
+            ref = q[field]
+            assert np.linalg.norm(value - ref) <= 1e-14 * max(np.linalg.norm(ref), 1e-300), field
 
 
 def test_orbit_tangent_stack_matches_single():
@@ -315,3 +320,25 @@ def test_orbit_tangent_stack_matches_single():
     for w_i, t_i in zip(w, stack):
         single = sd.orbit_tangent_at(cd, w_i)
         assert np.linalg.norm(t_i - single) <= 1e-14 * np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("descriptor", ["sl2r", "sl2c", "sl3c"])
+def test_phi_cotangent_matches_per_sample_loop(descriptor):
+    cd = _cartan(descriptor)
+    batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=16, n_base=6, n_fiber=4)
+    bases, covs = sd.phi_cotangent(cd, batch)
+    assert bases.shape == covs.shape == batch.points.shape
+    for b, f in np.ndindex(6, 4):
+        # reference: the per-sample phi_cotangent that read one OrbitSample view
+        w = batch.base_points[b]
+        tangent = sd.orbit_tangent_at(cd, w)
+        v_t = tangent @ (tangent.T @ cd.b_theta @ batch.fibers[b, f])
+        assert np.array_equal(bases[b, f], w)
+        assert np.linalg.norm(covs[b, f] - v_t) <= 1e-14 * max(np.linalg.norm(v_t), 1e-300)
+
+
+def test_phi_cotangent_rejects_adjoint_batch(sl2r):
+    _, cd = sl2r
+    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), H, seed=17, n_base=2, n_fiber=2)
+    with pytest.raises(al.RepresentationError):
+        sd.phi_cotangent(cd, batch)

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitdeform import algebra as al
+from orbitdeform import checks
 from orbitdeform import deformation as df
 from orbitdeform import symplectic as sp
 from orbitdeform.checks import _proj_residual
-from orbitdeform.numerics import matrix_exp
+from orbitdeform.numerics import StructureError, matrix_exp, nullspace, orthonormal_range
 
 
 @pytest.fixture(scope="module")
@@ -96,20 +99,6 @@ def test_omega_ad_u_invariance(sl2c):
         assert np.max(np.abs(ad_k.T @ hc.omega.gram @ ad_k - hc.omega.gram)) < 1e-8
 
 
-def test_restrict_form_one_dim_is_zero(sl2c):
-    _, hc = sl2c
-    sub = np.zeros((6, 1))
-    sub[0, 0] = 1.0
-    assert np.allclose(sp.restrict_form(hc.omega, sub).gram, 0.0)
-
-
-def test_restrict_form_rejects_dependent_basis(sl2c):
-    _, hc = sl2c
-    sub = np.ones((6, 2))
-    with pytest.raises(Exception):
-        sp.restrict_form(hc.omega, sub)
-
-
 def test_radical_cases():
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     std4 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), j2]])
@@ -147,16 +136,11 @@ def test_orbit_tangent_dimensions(sl2c):
     cd, hc = sl2c
     h = cd.chamber_H
     flag = al.flag_orbit_sample(cd, h, seed=6, count=5)
-    for p in flag:
-        assert sp.orbit_tangent_basis(hc, p, "flag").shape[1] == 2
+    assert sp.orbit_tangent_basis(hc, flag.points, "flag").shape == (5, 1, 6, 2)
     ctx = df.make_context(cd, math.inf)
-    for p in df.sample_deformed_orbit(ctx, h, seed=6, n_base=5, n_fiber=2):
-        assert sp.orbit_tangent_basis(hc, p, "semidirect").shape[1] == 4
-    zero = al.OrbitSample(
-        point=np.zeros(6), kind="flag", base_point=np.zeros(6), k_op=np.eye(6),
-        fiber=np.zeros(6), fiber_coeffs=np.zeros(0),
-    )
-    assert sp.orbit_tangent_basis(hc, zero, "flag").shape[1] == 0
+    batch = df.sample_deformed_orbit(ctx, h, seed=6, n_base=5, n_fiber=2)
+    assert sp.orbit_tangent_basis(hc, batch.points, "semidirect").shape == (5, 2, 6, 4)
+    assert sp.orbit_tangent_basis(hc, np.zeros(6), "flag").shape[1] == 0
 
 
 def test_symplectic_certificate_sl2c(sl2c):
@@ -186,8 +170,7 @@ def test_gradient_field_consistency(sl2c):
     step = 1e-6
     from orbitdeform.numerics import matrix_exp
 
-    for p in flag:
-        x = p.point
+    for x in flag.points.reshape(-1, 6):
         y = sp.gradient_at(hc, x, h)
         for i in range(cd.k_basis.shape[1]):
             a = cd.k_basis[:, i]
@@ -205,7 +188,8 @@ def test_gradient_vanishes_at_poles(sl2c):
     assert np.linalg.norm(sp.gradient_at(hc, h, h)) < 1e-10
     assert np.linalg.norm(sp.gradient_at(hc, -h, h)) < 1e-10
     flag = al.flag_orbit_sample(cd, h, seed=9, count=20)
-    away = [p.point for p in flag if min(np.linalg.norm(p.point - h), np.linalg.norm(p.point + h)) > 0.3]
+    away = [x for x in flag.points.reshape(-1, 6)
+            if min(np.linalg.norm(x - h), np.linalg.norm(x + h)) > 0.3]
     assert any(np.linalg.norm(sp.gradient_at(hc, x, h)) > 1e-3 for x in away)
 
 
@@ -256,14 +240,15 @@ def _fd_pullback_check(hc, r, samples, fiber_dirs, step=1e-5):
     cd = hc.cd
     ctx1, ctxr = df.make_context(cd, 1.0), df.make_context(cd, r)
     worst = 0.0
-    for p in samples:
-        h_amb = np.linalg.solve(p.k_op, p.base_point)
+    for b, f in np.ndindex(samples.points.shape[:2]):
+        k_op, fiber = samples.k_ops[b], samples.fibers[b, f]
+        h_amb = np.linalg.solve(k_op, samples.base_points[b])
         curves = []
         for a in cd.k_basis.T:
             flow, flow_m = matrix_exp(step * cd.alg.ad(a)), matrix_exp(-step * cd.alg.ad(a))
-            curves.append((flow @ p.k_op, p.fiber, flow_m @ p.k_op, p.fiber))
+            curves.append((flow @ k_op, fiber, flow_m @ k_op, fiber))
         for d in fiber_dirs.T:
-            curves.append((p.k_op, p.fiber + step * d, p.k_op, p.fiber - step * d))
+            curves.append((k_op, fiber + step * d, k_op, fiber - step * d))
         vs, vrs = [], []
         for k_p, f_p, k_m, f_m in curves:
             for ctx, out in ((ctx1, vs), (ctxr, vrs)):
@@ -367,15 +352,226 @@ def test_adjoint_and_deformed_tangents(fixture, request):
     h = cd.chamber_H
     ctx1 = df.make_context(cd, 1.0)
     adjoint = df.sample_deformed_orbit(ctx1, h, seed=9, n_base=4, n_fiber=2)
-    adjoint_dim = sp.orbit_tangent_basis(hc, adjoint[0], "adjoint").shape[1]
+    t_adj = sp.orbit_tangent_basis(hc, adjoint.points, "adjoint")
+    t_def = sp.orbit_tangent_basis(hc, adjoint.points, "deformed", adjoint.r)  # r = 1
+    adjoint_dim = t_adj.shape[-1]
     assert adjoint_dim == cd.alg.dim - al.h_subspaces(cd, h)[2].shape[1]
-    for p in adjoint:
-        t_adj = sp.orbit_tangent_basis(hc, p, "adjoint")
-        t_def = sp.orbit_tangent_basis(hc, p, "deformed")  # at the sample's r = 1
-        assert t_adj.shape[1] == t_def.shape[1] == adjoint_dim
-        assert _proj_residual(t_adj, t_def) < 1e-9
+    assert t_def.shape == t_adj.shape
+    for b, f in np.ndindex(4, 2):
+        assert _proj_residual(t_adj[b, f], t_def[b, f]) < 1e-9
     for r in (2.0, 10.0):
         ctx = df.make_context(cd, r)
-        for p in df.sample_deformed_orbit(ctx, h, seed=9, n_base=4, n_fiber=2):
-            assert p.kind == "deformed"
-            assert sp.orbit_tangent_basis(hc, p).shape[1] == adjoint_dim
+        batch = df.sample_deformed_orbit(ctx, h, seed=9, n_base=4, n_fiber=2)
+        assert batch.kind == "deformed"
+        tangents = sp.orbit_tangent_basis(hc, batch.points, batch.kind, batch.r)
+        assert tangents.shape == (4, 2, cd.alg.dim, adjoint_dim)
+
+
+# ---- the stacked kernels against the per-sample loops they replaced --------
+
+
+def _loop_tangent_basis(hc, x, kind, r):
+    # reference: the per-point orbit_tangent_basis that read one OrbitSample view
+    cd = hc.cd
+    if kind == "flag":
+        cols = -cd.alg.ad(x) @ cd.k_basis
+    elif kind == "semidirect":
+        w = cd.s_basis @ (cd.s_basis.T @ x)
+        cols = np.hstack([-cd.alg.ad(x) @ cd.k_basis, cd.alg.ad(w) @ cd.s_basis])
+    elif kind == "adjoint":
+        cols = -cd.alg.ad(x)
+    else:
+        cols = -df.ad_r(df.make_context(cd, r), x)
+    return orthonormal_range(cols)
+
+
+def _batches(cd, seed):
+    # one batch per orbit kind, as (points, kind, r)
+    h = cd.chamber_H
+    flag = al.flag_orbit_sample(cd, h, seed, 6)
+    out = [(flag.points, "flag", flag.r)]
+    for r in (1.0, 2.0, math.inf):
+        batch = df.sample_deformed_orbit(df.make_context(cd, r), h, seed, 5, 3)
+        out.append((batch.points, batch.kind, batch.r))
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_orbit_tangent_basis_matches_per_point_loop(fixture, request):
+    cd, hc = request.getfixturevalue(fixture)
+    kinds = set()
+    for points, kind, r in _batches(cd, seed=18):
+        kinds.add(kind)
+        stack = sp.orbit_tangent_basis(hc, points, kind, r)
+        for b, f in np.ndindex(points.shape[:2]):
+            single = _loop_tangent_basis(hc, points[b, f], kind, r)
+            assert stack[b, f].shape == single.shape
+            proj, ref = stack[b, f] @ stack[b, f].T, single @ single.T
+            assert np.linalg.norm(proj - ref) <= 1e-14 * np.linalg.norm(ref), (kind, b, f)
+    assert kinds == {"flag", "adjoint", "deformed", "semidirect"}
+
+
+def test_orbit_tangent_basis_mixed_ranks_raise(sl2c):
+    cd, hc = sl2c
+    h = cd.chamber_H
+    with pytest.raises(StructureError):
+        sp.orbit_tangent_basis(hc, np.stack([h, np.zeros_like(h)]), "flag")
+
+
+def _loop_certificate(hc, samples, kind):
+    # reference: the per-sample check_symplectic_on_orbit with restrict_form's Gram matrix
+    cd = hc.cd
+    min_ratio, max_fiber_omega, maximal, dims = math.inf, 0.0, True, set()
+    for b, f in np.ndindex(samples.points.shape[:2]):
+        x = samples.points[b, f]
+        t = _loop_tangent_basis(hc, x, kind, samples.r)
+        gram = sp.make_skew_form(t.T @ hc.omega.gram @ t).gram
+        s = np.linalg.svd(gram, compute_uv=False)
+        min_ratio = min(min_ratio, float(s[-1] / s[0]))
+        fib = sp.fiber_tangent_at(cd, cd.s_basis @ (cd.s_basis.T @ x))
+        if fib.shape[1]:
+            max_fiber_omega = max(
+                max_fiber_omega, float(np.max(np.abs(fib.T @ hc.omega.gram @ fib)))
+            )
+        maximal = maximal and (2 * fib.shape[1] == t.shape[1])
+        dims.add(t.shape[1])
+    return {
+        "min_sv_ratio": min_ratio,
+        "max_fiber_omega": max_fiber_omega,
+        "fiber_maximal_isotropic": maximal,
+        "tangent_dims": sorted(dims),
+        "full_rank": min_ratio > 1e-8,
+    }
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+@pytest.mark.parametrize("seed", [1, 7, 4242])
+def test_symplectic_certificate_matches_per_sample_loop(fixture, seed, request):
+    cd, hc = request.getfixturevalue(fixture)
+    ctx = df.make_context(cd, math.inf)
+    samples = df.sample_deformed_orbit(ctx, cd.chamber_H, seed, n_base=25, n_fiber=3)
+    report = sp.check_symplectic_on_orbit(hc, samples, "semidirect")
+    assert report == _loop_certificate(hc, samples, "semidirect")
+
+
+def _loop_pullback_check(hc, r, samples, fiber_dirs):
+    # reference: the per-sample pullback_check
+    cd = hc.cd
+    psi = df.make_context(cd, r).psi_r
+    gram = hc.omega.gram
+    no_base = np.zeros((cd.alg.dim, fiber_dirs.shape[1]))
+    worst = 0.0
+    for b, f in np.ndindex(samples.points.shape[:2]):
+        k_op = samples.k_ops[b]
+        h = np.hstack([-cd.alg.ad(samples.base_points[b]) @ cd.k_basis, no_base])
+        x = np.hstack([-cd.alg.ad(k_op @ samples.fibers[b, f]) @ cd.k_basis, k_op @ fiber_dirs])
+        v, v_r = h + x, h + psi @ x
+        diff = v_r.T @ gram @ v_r - v.T @ gram @ v
+        worst = max(worst, float(np.max(np.abs(np.triu(diff, 1)))))
+    return worst
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_pullback_check_matches_per_sample_loop(fixture, request):
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    samples = df.sample_deformed_orbit(df.make_context(cd, 1.0), h, seed=19, n_base=6, n_fiber=3)
+    n_plus, _, _ = al.h_subspaces(cd, h)
+    for fiber_dirs, r in itertools.product((n_plus, 10 * n_plus), (2.0, 10.0, math.inf)):
+        stacked = sp.pullback_check(hc, r, samples, fiber_dirs)
+        reference = _loop_pullback_check(hc, r, samples, fiber_dirs)
+        assert abs(stacked - reference) <= 1e-14 * reference, (r, stacked, reference)
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_u_moment_stack_matches_single(fixture, request):
+    cd, hc = request.getfixturevalue(fixture)
+    x = np.random.default_rng(20).standard_normal((4, 3, cd.alg.dim))
+    stack = sp.u_moment(hc, x)
+    for b, f in np.ndindex(4, 3):
+        single = -hc.j @ cd.alg.bracket(cd.theta @ x[b, f], x[b, f])
+        assert np.linalg.norm(stack[b, f] - single) <= 1e-14 * np.linalg.norm(single)
+
+
+def test_u_moment_rejects_a_stack_with_one_bad_point(sl2c):
+    # without the factor -i the value [tau x, x] lies in s, so E12 escapes u and 0 does not
+    cd, hc = sl2c
+    no_i = sp.HermitianContext(cd=cd, b_tau=hc.b_tau, omega=hc.omega, j=-np.eye(6))
+    e12 = cd.alg.to_vector(np.array([[0, 1], [0, 0]], dtype=complex))
+    sp.u_moment(no_i, np.zeros((2, 6)))
+    with pytest.raises(al.DomainError):
+        sp.u_moment(no_i, np.stack([np.zeros(6), e12]))
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_isotropy_criterion_zero_sees_flag_points(fixture, request):
+    # mu = 0 on the flag points, so the zero half measures Omega on their compact orbits
+    cd, _ = request.getfixturevalue(fixture)
+    results = {c.name: c for c in checks.symplectic_suite(cd, seed=1)}
+    assert 0.0 < results["isotropy_criterion_zero"].residual < 1e-8
+    assert results["isotropy_criterion_nonzero"].passed
+
+
+def _greedy_max_isotropic(form):
+    # reference: the greedy extension the closed form replaced, two SVDs per added vector
+    w = sp.radical(form)
+    while True:
+        perp = nullspace(w.T @ form.gram, form.tol)
+        cand = orthonormal_range(perp - w @ (w.T @ perp), form.tol)
+        if cand.shape[1] == 0:
+            return w
+        w = np.hstack([w, cand[:, :1]])
+
+
+def _skew_forms(rng, count):
+    # random low-rank forms, forms with repeated eigenvalues, and zero forms
+    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for i in range(count):
+        d = int(rng.integers(2, 11))
+        if i % 3 == 0:
+            k = int(rng.integers(0, d + 1))
+            p = rng.standard_normal((d, k))
+            g = p @ rng.standard_normal((k, k)) @ p.T
+            yield sp.make_skew_form(g - g.T)
+        elif i % 3 == 1:
+            pairs = d // 2
+            blocks = np.kron(np.diag(rng.integers(0, 3, pairs).astype(float)), j2)
+            g = np.zeros((d, d))
+            g[: 2 * pairs, : 2 * pairs] = blocks
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            yield sp.make_skew_form(q @ g @ q.T)
+        else:
+            yield sp.make_skew_form(np.zeros((d, d)))
+
+
+def test_max_isotropic_matches_greedy_reference():
+    for form in _skew_forms(np.random.default_rng(21), 300):
+        w, rad = sp.max_isotropic(form), sp.radical(form)
+        assert w.shape[1] == _greedy_max_isotropic(form).shape[1]
+        scale = max(np.abs(form.gram).max(), 1.0)
+        assert np.abs(w.T @ form.gram @ w).max(initial=0.0) <= 1e-13 * scale
+        assert np.linalg.norm(w.T @ w - np.eye(w.shape[1])) <= 1e-12
+        assert np.linalg.norm(rad - w @ (w.T @ rad)) <= 1e-12
+
+
+@st.composite
+def _integer_skew_forms(draw):
+    d = draw(st.integers(1, 10))
+    upper = draw(st.lists(st.integers(-5, 5), min_size=d * (d - 1) // 2,
+                          max_size=d * (d - 1) // 2))
+    gram = np.zeros((d, d))
+    gram[np.triu_indices(d, 1)] = upper
+    return sp.make_skew_form(gram - gram.T)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(_integer_skew_forms())
+def test_max_isotropic_property(form):
+    d = form.dim
+    w, rad = sp.max_isotropic(form), sp.radical(form)
+    assert 2 * w.shape[1] == d + rad.shape[1]
+    scale = max(np.abs(form.gram).max(initial=0.0), 1.0)
+    assert np.abs(w.T @ form.gram @ w).max(initial=0.0) <= 1e-12 * scale
+    # W contains the radical: projecting R onto span(W) loses nothing
+    coeffs, *_ = np.linalg.lstsq(w, rad, rcond=None)
+    assert np.linalg.norm(w @ coeffs - rad) <= 1e-10
