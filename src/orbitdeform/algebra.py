@@ -29,6 +29,8 @@ from .numerics import (
     DimensionError,
     StructureError,
     Tolerance,
+    apply,
+    bilinear,
     matrix_exp,
     nullspace,
     simultaneous_eigenspaces,
@@ -107,8 +109,9 @@ class LieAlgebraData:
         """Matrix of ad(x) on basis coefficients; a (..., dim) stack gives (..., dim, dim)."""
         return np.einsum("...i,ijk->...kj", self._check_stack(x), self.structure)
 
-    def killing_form(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(self._check_vec(x) @ self.killing @ self._check_vec(y))
+    def killing_form(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        """<x, y> on basis coefficients; (..., dim) stacks broadcast and give (...) values."""
+        return bilinear(self._check_stack(x), self.killing, self._check_stack(y))
 
     def _check_stack(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
@@ -168,11 +171,11 @@ class CartanData:
 
     def project_k(self, v: np.ndarray) -> np.ndarray:
         """The k-part of a vector or of each vector of a (..., dim) stack."""
-        return 0.5 * (v + (self.theta @ v[..., None])[..., 0])
+        return 0.5 * (v + apply(self.theta, v))
 
     def project_s(self, v: np.ndarray) -> np.ndarray:
         """The s-part of a vector or of each vector of a (..., dim) stack."""
-        return 0.5 * (v - (self.theta @ v[..., None])[..., 0])
+        return 0.5 * (v - apply(self.theta, v))
 
 
 @dataclass(frozen=True)

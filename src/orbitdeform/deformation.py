@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import CartanData, DomainError, OrbitBatch, RepresentationError, h_subspaces, sample_k_operators
-from .numerics import Tolerance, matrix_exp
+from .numerics import Tolerance, apply, matrix_exp
 
 R_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 R_GRID_FULL = R_GRID + (math.inf,)
@@ -74,28 +74,31 @@ def make_context(cd: CartanData, r: float) -> DeformationContext:
 
 
 def bracket_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y]_r = T_r [T_r^{-1}x, T_r^{-1}y]."""
+    """[x, y]_r = T_r [T_r^{-1}x, T_r^{-1}y]; (..., dim) stacks broadcast against each other."""
     ctx._require_finite("the deformed bracket")
     alg = ctx.cd.alg
-    x, y = alg._check_vec(x), alg._check_vec(y)
-    return ctx.t_r @ alg.bracket(ctx.t_r_inv @ x, ctx.t_r_inv @ y)
+    x, y = alg._check_stack(x), alg._check_stack(y)
+    return apply(ctx.t_r, alg.bracket(apply(ctx.t_r_inv, x), apply(ctx.t_r_inv, y)))
 
 
 def ad_r(ctx: DeformationContext, x: np.ndarray) -> np.ndarray:
     """Coefficient matrix of ad_r(x) = T_r ad(T_r^{-1}x) T_r^{-1}; a (..., dim) stack
     gives (..., dim, dim)."""
     ctx._require_finite("ad_r")
-    x = (ctx.t_r_inv @ np.asarray(x, dtype=float)[..., None])[..., 0]
-    return ctx.t_r @ ctx.cd.alg.ad(x) @ ctx.t_r_inv
+    return ctx.t_r @ ctx.cd.alg.ad(apply(ctx.t_r_inv, x)) @ ctx.t_r_inv
 
 
-def killing_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> float:
+def killing_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """<x, y>_r = <T_r^{-1}x, T_r^{-1}y>; (..., dim) stacks give (...) values."""
     ctx._require_finite("the deformed Killing form")
-    return float((ctx.t_r_inv @ x) @ ctx.cd.alg.killing @ (ctx.t_r_inv @ y))
+    alg = ctx.cd.alg
+    x, y = alg._check_stack(x), alg._check_stack(y)
+    return alg.killing_form(apply(ctx.t_r_inv, x), apply(ctx.t_r_inv, y))
 
 
 def psi_r_map(ctx: DeformationContext, z: np.ndarray) -> np.ndarray:
-    return ctx.psi_r @ np.asarray(z, dtype=float)
+    """psi_r(z) for one vector or every vector of a (..., dim) stack."""
+    return apply(ctx.psi_r, ctx.cd.alg._check_stack(z))
 
 
 def ad_r_exp_orbit(
@@ -135,7 +138,7 @@ def sample_deformed_orbit(
     n_plus, _, _ = h_subspaces(cd, h)
     k_ops = sample_k_operators(cd, seed, n_base)
     coeffs = np.random.default_rng([seed, 0x5F1BE]).standard_normal((n_fiber, n_plus.shape[1]))
-    fibers = np.broadcast_to((n_plus @ coeffs[..., None])[..., 0], (n_base, n_fiber, cd.alg.dim))
+    fibers = np.broadcast_to(apply(n_plus, coeffs), (n_base, n_fiber, cd.alg.dim))
     base = k_ops @ np.asarray(h, dtype=float)
     return OrbitBatch(
         points=_deformed_points(ctx.psi_r, base, k_ops, fibers), base_points=base, k_ops=k_ops,

@@ -3,7 +3,8 @@
 Everything downstream (algebra construction, orbit sampling, form checks)
 goes through these routines so that rank / nullspace / eigenspace decisions
 are made with one consistent rule.  matrix_exp and orthonormal_range also
-take (..., n, m) stacks, one matrix per orbit sample.
+take (..., n, m) stacks, one matrix per orbit sample; apply and bilinear
+evaluate matrix-vector products and bilinear forms on (..., dim) stacks.
 """
 
 from __future__ import annotations
@@ -43,6 +44,24 @@ class Tolerance:
     def scale(self, *arrays) -> float:
         m = max((float(np.max(np.abs(a))) if np.asarray(a).size else 0.0) for a in arrays)
         return self.abs_eps + self.rel_eps * m
+
+
+def apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """op @ x for one vector or every vector of a (..., dim) stack.
+
+    Stacked matrix-vector products, which give the bits of the per-vector products.
+    """
+    return (op @ np.asarray(x, dtype=float)[..., None])[..., 0]
+
+
+def bilinear(x: np.ndarray, m: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """x^T M y: a float for two vectors, a (...) array for (..., dim) stacks.
+
+    Stacked vector-matrix-vector products, which give the bits of x @ M @ y.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    v = (x[..., None, :] @ m @ y[..., None])[..., 0, 0]
+    return float(v) if v.ndim == 0 else v
 
 
 def _require_square(a: np.ndarray, stack: bool = False) -> np.ndarray:

@@ -31,12 +31,12 @@ from .algebra import (
     _b_orthonormalize,
     sample_k_operators,
 )
-from .numerics import DimensionError, Tolerance, orthonormal_range
+from .numerics import DimensionError, Tolerance, apply, orthonormal_range
 
 
 @dataclass(frozen=True)
 class SemidirectElement:
-    """(X, v) with X in k and v in s, both as ambient coefficient vectors."""
+    """(X, v) with X in k and v in s, both as ambient coefficient vectors or (..., dim) stacks."""
 
     k_part: np.ndarray
     s_part: np.ndarray
@@ -58,7 +58,7 @@ def make_element(
 def semidirect_bracket(
     cd: CartanData, a: SemidirectElement, b: SemidirectElement
 ) -> SemidirectElement:
-    """([X,Y], [X,w] - [Y,v]) for a = (X,v), b = (Y,w)."""
+    """([X,Y], [X,w] - [Y,v]) for a = (X,v), b = (Y,w); stacked parts broadcast."""
     alg = cd.alg
     k = alg.bracket(a.k_part, b.k_part)
     s = alg.bracket(a.k_part, b.s_part) - alg.bracket(b.k_part, a.s_part)
@@ -86,25 +86,28 @@ def coad_star_matrix(cd: CartanData, e: SemidirectElement) -> np.ndarray:
     the adjoint action.
     """
     out, ad_y, nk = _diagonal_blocks(cd, e)
-    out[:nk, nk:] = -(cd.k_basis.T @ ad_y @ cd.s_basis)
+    out[..., :nk, nk:] = -(cd.k_basis.T @ ad_y @ cd.s_basis)
     return out
 
 
 def ad_rho_matrix(cd: CartanData, e: SemidirectElement) -> np.ndarray:
     """Adjoint action of (X,Y) on (k, s) coordinates, for duality checks."""
     out, ad_y, nk = _diagonal_blocks(cd, e)
-    out[nk:, :nk] = cd.s_basis.T @ ad_y @ cd.k_basis
+    out[..., nk:, :nk] = cd.s_basis.T @ ad_y @ cd.k_basis
     return out
 
 
 def _diagonal_blocks(cd: CartanData, e: SemidirectElement) -> tuple[np.ndarray, np.ndarray, int]:
-    """(the (k, s) matrix holding only the blocks ad(X)|k and ad(X)|s, ad(Y), dim k)."""
+    """(the (k, s) matrix holding only the blocks ad(X)|k and ad(X)|s, ad(Y), dim k).
+
+    An element whose parts are (..., dim) stacks of one shape gives (..., n, n) matrices.
+    """
     kb, sb = cd.k_basis, cd.s_basis
     ad_x = cd.alg.ad(e.k_part)
-    nk = kb.shape[1]
-    out = np.zeros((nk + sb.shape[1],) * 2)
-    out[:nk, :nk] = kb.T @ ad_x @ kb
-    out[nk:, nk:] = sb.T @ ad_x @ sb
+    nk, n = kb.shape[1], kb.shape[1] + sb.shape[1]
+    out = np.zeros((*ad_x.shape[:-2], n, n))
+    out[..., :nk, :nk] = kb.T @ ad_x @ kb
+    out[..., nk:, nk:] = sb.T @ ad_x @ sb
     return out, cd.alg.ad(e.s_part), nk
 
 
@@ -144,7 +147,7 @@ def sample_semidirect_orbit(
     coeffs = (np.swapaxes(tangent, -1, -2) @ cd.b_theta @ v[..., None])[..., 0]
     return OrbitBatch(
         points=w[:, None] + np.einsum("bi,bfj,ijk->bfk", w, v, cd.alg.structure),
-        base_points=w, k_ops=k_ops, fibers=(tangent @ coeffs[..., None])[..., 0],
+        base_points=w, k_ops=k_ops, fibers=apply(tangent, coeffs),
         fiber_coeffs=coeffs, kind="semidirect", r=math.inf,
     )
 

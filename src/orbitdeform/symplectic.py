@@ -38,30 +38,32 @@ from .algebra import (
     CartanData, DomainError, OrbitBatch, RepresentationError, flag_orbit_sample, h_subspaces,
 )
 from .numerics import (
-    DimensionError, StructureError, Tolerance, matrix_exp, nullspace, orthonormal_range, rank,
+    DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp, nullspace,
+    orthonormal_range, rank,
 )
 
 
 @dataclass(frozen=True)
 class SkewFormData:
-    """A skew-symmetric bilinear form given by its Gram matrix."""
+    """A skew-symmetric bilinear form given by its Gram matrix, or an (m, d, d) stack of forms."""
 
     gram: np.ndarray
     tol: Tolerance = Tolerance()
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
+        return self.gram.shape[-1]
 
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.asarray(x, dtype=float) @ self.gram @ np.asarray(y, dtype=float))
+    def value(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+        """x^T gram y; (..., dim) stacks broadcast and give (...) values."""
+        return bilinear(x, self.gram, y)
 
 
 def make_skew_form(gram: np.ndarray, tol: Tolerance = Tolerance()) -> SkewFormData:
     gram = np.asarray(gram, dtype=float)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise DimensionError("Gram matrix must be square")
-    return SkewFormData(gram=0.5 * (gram - gram.T), tol=tol)
+    if gram.ndim not in (2, 3) or gram.shape[-1] != gram.shape[-2]:
+        raise DimensionError("Gram matrix must be square, or a stack of square matrices")
+    return SkewFormData(gram=0.5 * (gram - np.swapaxes(gram, -1, -2)), tol=tol)
 
 
 def radical(form: SkewFormData) -> np.ndarray:
@@ -69,21 +71,29 @@ def radical(form: SkewFormData) -> np.ndarray:
     return nullspace(form.gram, form.tol)
 
 
-def max_isotropic(form: SkewFormData) -> np.ndarray:
+def max_isotropic(form: SkewFormData) -> np.ndarray | list[np.ndarray]:
     """Orthonormal basis of a maximal isotropic subspace W containing the radical.
 
     Linear Darboux normal form: i * gram is Hermitian, and for its
     eigenvectors u_j with eigenvalue above the radical's cutoff the
     vectors sqrt(2) Re u_j are orthonormal, isotropic and orthogonal to
     the radical.  So 2 dim W = dim V + dim radical.
+
+    An (m, d, d) stack of forms gives the list of its m bases, from one
+    stacked SVD (the radicals, with nullspace's cutoff) and one stacked eigh.
     """
-    rad = radical(form)
-    vals, vecs = np.linalg.eigh(1j * form.gram)
-    cutoff = form.tol.abs_eps + form.tol.rel_eps * np.abs(vals).max(initial=0.0)
-    pairs = vecs[:, vals > cutoff]
-    if 2 * pairs.shape[1] != form.dim - rad.shape[1]:
+    tol = form.tol
+    grams = form.gram if form.gram.ndim == 3 else form.gram[None]
+    _, s, vh = np.linalg.svd(grams)
+    ranks = (s > tol.abs_eps + tol.rel_eps * s[:, :1]).sum(axis=-1)
+    vals, vecs = np.linalg.eigh(1j * grams)
+    cutoff = tol.abs_eps + tol.rel_eps * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
+    paired = vals > cutoff
+    if (2 * paired.sum(axis=-1) != ranks).any():
         raise StructureError("eigenvalue count does not match the radical")
-    return np.hstack([rad, math.sqrt(2.0) * pairs.real])
+    bases = [np.hstack([v[r:].conj().T, math.sqrt(2.0) * u[:, p].real])
+             for v, r, u, p in zip(vh, ranks, vecs, paired)]
+    return bases if form.gram.ndim == 3 else bases[0]
 
 
 @dataclass(frozen=True)
@@ -114,11 +124,6 @@ def hermitian_form(ctx: HermitianContext, x: np.ndarray, y: np.ndarray) -> compl
     return complex(re, im)
 
 
-def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """op @ x for every vector of a (..., dim) stack, as stacked matrix-vector products."""
-    return (op @ x[..., None])[..., 0]
-
-
 def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
     """Moment map of the compact action: -i[tau x, x], an element of u.
 
@@ -128,7 +133,7 @@ def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
     """
     cd = ctx.cd
     x = np.asarray(x, dtype=float)
-    m = -_apply(ctx.j, cd.alg.bracket(_apply(cd.theta, x), x))
+    m = -apply(ctx.j, cd.alg.bracket(apply(cd.theta, x), x))
     if (np.linalg.norm(cd.project_s(m), axis=-1) > 1e-8 * (1 + np.linalg.norm(m, axis=-1))).any():
         raise DomainError("moment value escaped the compact form")
     return m
@@ -146,7 +151,7 @@ def fiber_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
 
 def _s_part(cd: CartanData, x: np.ndarray) -> np.ndarray:
     """The s-component of every point of a (..., dim) stack: the semidirect base point."""
-    return _apply(cd.s_basis @ cd.s_basis.T, x)
+    return apply(cd.s_basis @ cd.s_basis.T, x)
 
 
 def orbit_tangent_basis(
@@ -236,7 +241,7 @@ def _flow_images(cd: CartanData, x: np.ndarray, step: float) -> np.ndarray:
     points: a (2, dim k, n, dim) stack, the + flow first."""
     ads = cd.alg.ad(cd.k_basis.T)
     flows = matrix_exp(np.stack([step * ads, -step * ads]))
-    return (flows[:, :, None] @ x[..., None])[..., 0]
+    return apply(flows[:, :, None], x)
 
 
 def lagrangian_section(
@@ -295,7 +300,7 @@ def section_tangent_formula_residual(
     cd = ctx.cd
     x = flag_samples.base_points
     dy, fd = _section_differences(ctx, n_vec, x, t, step)
-    formula = (cd.alg.ad(cd.k_basis.T)[:, None] @ x[..., None])[..., 0] + t * (dy @ ctx.j.T)
+    formula = apply(cd.alg.ad(cd.k_basis.T)[:, None], x) + t * (dy @ ctx.j.T)
     return float(np.linalg.norm(fd - formula, axis=-1).max())
 
 
@@ -351,7 +356,7 @@ def pullback_check(
     base = np.broadcast_to(batch.base_points[:, None], shape)
     h = np.concatenate([-cd.alg.ad(base) @ cd.k_basis,
                         np.zeros((*shape, fiber_dirs.shape[1]))], axis=-1)
-    x = np.concatenate([-cd.alg.ad(_apply(k_ops, batch.fibers)) @ cd.k_basis,
+    x = np.concatenate([-cd.alg.ad(apply(k_ops, batch.fibers)) @ cd.k_basis,
                         k_ops @ fiber_dirs], axis=-1)
     v, v_r = h + x, h + psi @ x
     diff = np.swapaxes(v_r, -1, -2) @ gram @ v_r - np.swapaxes(v, -1, -2) @ gram @ v
@@ -379,20 +384,16 @@ def hamiltonian_q_check(
     ad_a = cd.alg.ad(a)
     beta = ctx.omega.gram @ ad_a
     sym_resid = float(np.max(np.abs(ad_a.T @ ctx.omega.gram.T - beta)))
-    rng = np.random.default_rng(seed)
-    flow_resid = 0.0
-    for _ in range(n):
-        x0 = rng.standard_normal(cd.alg.dim)
-        x1 = rng.standard_normal(cd.alg.dim)
+    # n rounds of (x0, x1), drawn as one array
+    x0, x1 = np.moveaxis(np.random.default_rng(seed).standard_normal((n, 2, cd.alg.dim)), 1, 0)
 
-        def q(t):
-            x = x0 + t * x1
-            return 0.5 * ctx.omega.value(ad_a @ x, x)
+    def q(t):
+        x = x0 + t * x1
+        return 0.5 * ctx.omega.value(apply(ad_a, x), x)
 
-        lhs = (q(step) - q(-step)) / (2 * step)
-        rhs = ctx.omega.value(ad_a @ x1, x0)
-        flow_resid = max(flow_resid, abs(lhs - rhs))
-    return flow_resid, sym_resid
+    lhs = (q(step) - q(-step)) / (2 * step)
+    rhs = ctx.omega.value(apply(ad_a, x1), x0)
+    return float(np.abs(lhs - rhs).max(initial=0.0)), sym_resid
 
 
 def compact_isotropy_dim(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
@@ -419,7 +420,7 @@ def unique_isotropic_orbit_check(
     max_flag_omega = float(max_omega(ctx, orbit_tangent_basis(ctx, flag, "flag")).max())
     n_plus, _, _ = h_subspaces(cd, h)
     coeffs = np.random.default_rng(seed).standard_normal((n_random, n_plus.shape[1]))
-    moved = h + _apply(n_plus, coeffs)
+    moved = h + apply(n_plus, coeffs)
     moments = np.linalg.norm(u_moment(ctx, moved), axis=-1)
     return {
         "flag_dim": flag_dim,

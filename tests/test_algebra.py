@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbitdeform import algebra as al
-from orbitdeform.numerics import nullspace
+from orbitdeform.numerics import DimensionError, nullspace
 
 # canonical sl(2,R) coordinates: (x, y, z) = x H + y S + z A
 H, S, A = np.eye(3)
@@ -265,3 +265,19 @@ def test_ad_columns_match_bracket_columns(descriptor):
                 ref[:, i] = alg.bracket(basis[:, i], x)
             assert np.allclose(-alg.ad(x) @ basis, ref, rtol=0.0,
                                atol=1e-12 * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_killing_form_stack_matches_single(descriptor):
+    alg = al.build_algebra(*al.parse_descriptor(descriptor))
+    x, y = np.random.default_rng(3).standard_normal((2, 4, 5, alg.dim))
+    got = alg.killing_form(x, y)
+    assert got.shape == (4, 5)
+    assert np.array_equal(got, [[alg.killing_form(a, b) for a, b in zip(xs, ys)]
+                                for xs, ys in zip(x, y)])
+    # a single vector broadcasts against a stack; two vectors give a float
+    assert np.array_equal(alg.killing_form(x[0, 0], y[0]),
+                          [alg.killing_form(x[0, 0], b) for b in y[0]])
+    assert isinstance(alg.killing_form(x[0, 0], y[0, 0]), float)
+    with pytest.raises(DimensionError):
+        alg.killing_form(x[..., :-1], y[..., :-1])

@@ -1,0 +1,301 @@
+"""The stacked verify checks against the per-sample loops they replaced.
+
+Each reference below is the loop a check ran before it drew its samples
+as one array.  It replays the suite's random stream in the old order, so
+its residual must equal the stacked residual bit for bit.  The call-count
+guard keeps such loops from coming back unnoticed.
+"""
+
+import collections
+import functools
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitdeform import algebra as al
+from orbitdeform import checks, cli, numerics
+from orbitdeform import deformation as df
+from orbitdeform import semidirect as sd
+from orbitdeform import symplectic as sp
+from orbitdeform.numerics import matrix_exp
+
+SEEDS = (1, 7, 4242)
+
+
+@functools.lru_cache(maxsize=None)
+def _cartan(descriptor):
+    return al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
+
+
+def _residuals(results):
+    return {r.name: r.residual for r in results}
+
+
+def _numerics_loops(seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        a = rng.standard_normal((n, n))
+        a *= min(1.0, 5.0 / np.linalg.norm(a))
+        worst = max(worst, float(np.linalg.norm(matrix_exp(a) @ matrix_exp(-a) - np.eye(n))))
+    return {"exp_inverse": worst}
+
+
+def _algebra_loops(cd, seed):
+    alg = cd.alg
+    rng = np.random.default_rng(seed)
+    out = {}
+    worst = 0.0
+    for _ in range(100):
+        x, y, z = (rng.standard_normal(alg.dim) for _ in range(3))
+        jac = alg.bracket(x, alg.bracket(y, z)) + alg.bracket(y, alg.bracket(z, x)) + alg.bracket(z, alg.bracket(x, y))
+        scale = np.linalg.norm(x) * np.linalg.norm(y) * np.linalg.norm(z)
+        worst = max(worst, float(np.linalg.norm(jac)) / scale)
+    out["jacobi"] = worst
+    worst = 0.0
+    for _ in range(100):
+        x, y, z = (rng.standard_normal(alg.dim) for _ in range(3))
+        worst = max(
+            worst,
+            abs(alg.killing_form(alg.bracket(x, y), z) + alg.killing_form(y, alg.bracket(x, z)))
+            / (np.linalg.norm(x) * np.linalg.norm(y) * np.linalg.norm(z)),
+        )
+    out["killing_ad_invariance"] = worst
+    return out
+
+
+def _deformation_loops(cd, seed):
+    alg = cd.alg
+    rng = np.random.default_rng(seed)
+    out = {}
+    worst = 0.0
+    for r in df.R_GRID:
+        ctx = df.make_context(cd, r)
+        for _ in range(100 // len(df.R_GRID) + 1):
+            x, y, z = (rng.standard_normal(alg.dim) for _ in range(3))
+            jac = (
+                df.bracket_r(ctx, x, df.bracket_r(ctx, y, z))
+                + df.bracket_r(ctx, y, df.bracket_r(ctx, z, x))
+                + df.bracket_r(ctx, z, df.bracket_r(ctx, x, y))
+            )
+            worst = max(worst, float(np.linalg.norm(jac)) / (np.linalg.norm(x) * np.linalg.norm(y) * np.linalg.norm(z)))
+    out["jacobi_r"] = worst
+    worst = 0.0
+    for r in df.R_GRID:
+        ctx = df.make_context(cd, r)
+        for _ in range(10):
+            x, y = rng.standard_normal(alg.dim), rng.standard_normal(alg.dim)
+            lhs = ctx.t_r @ alg.bracket(x, y)
+            rhs = df.bracket_r(ctx, ctx.t_r @ x, ctx.t_r @ y)
+            worst = max(worst, float(np.linalg.norm(lhs - rhs)) / max(1.0, np.linalg.norm(lhs)))
+    out["t_r_isomorphism"] = worst
+    worst = 0.0
+    for r in df.R_GRID:
+        ctx = df.make_context(cd, r)
+        for _ in range(10):
+            x, y = rng.standard_normal(alg.dim), rng.standard_normal(alg.dim)
+            lhs = df.killing_r(ctx, x, y)
+            rhs = float(np.trace(df.ad_r(ctx, x) @ df.ad_r(ctx, y)))
+            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    out["killing_r_consistency"] = worst
+    worst = 0.0
+    h = cd.chamber_H
+    vals = cd.root_values(h)
+    for r in df.R_GRID:
+        ctx = df.make_context(cd, r)
+        adr_h = df.ad_r(ctx, h)
+        for i, root in enumerate(cd.roots):
+            for c in range(root.space_basis.shape[1]):
+                v = df.psi_r_map(ctx, root.space_basis[:, c])
+                worst = max(worst, float(np.linalg.norm(adr_h @ v - vals[i] * v)))
+    out["psi_r_eigenvector"] = worst
+    worst = 0.0
+    dim_k = cd.k_basis.shape[1]
+    for r in df.R_GRID + (math.inf,):
+        ctx = df.make_context(cd, r)
+        for _ in range(5):
+            a = cd.k_basis @ rng.standard_normal(dim_k)
+            x = rng.standard_normal(alg.dim)
+            ad_k = matrix_exp(alg.ad(a))
+            worst = max(worst, float(np.linalg.norm(df.psi_r_map(ctx, ad_k @ x) - ad_k @ df.psi_r_map(ctx, x))))
+    out["psi_r_equivariance"] = worst
+    return out
+
+
+def _semidirect_loops(cd, seed):
+    rng = np.random.default_rng(seed)
+    dim_k, dim_s = cd.k_basis.shape[1], cd.s_basis.shape[1]
+
+    def rand_elem():
+        return sd.SemidirectElement(
+            cd.k_basis @ rng.standard_normal(dim_k), cd.s_basis @ rng.standard_normal(dim_s)
+        )
+
+    def norm(e):
+        return np.linalg.norm(e.k_part) + np.linalg.norm(e.s_part)
+
+    def br(x, y):
+        return sd.semidirect_bracket(cd, x, y)
+
+    out = {}
+    worst = 0.0
+    for _ in range(100):
+        a, b, c = rand_elem(), rand_elem(), rand_elem()
+        j1, j2, j3 = br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b))
+        resid = np.linalg.norm(j1.k_part + j2.k_part + j3.k_part) + np.linalg.norm(
+            j1.s_part + j2.s_part + j3.s_part
+        )
+        worst = max(worst, resid / (norm(a) * norm(b) * norm(c)))
+    out["jacobi_semidirect"] = worst
+    p_mat = np.hstack([cd.k_basis, cd.s_basis])
+    gram = p_mat.T @ cd.b_theta @ p_mat
+    worst = 0.0
+    for _ in range(20):
+        e = rand_elem()
+        m = sd.ad_rho_matrix(cd, e)
+        c = sd.coad_star_matrix(cd, e)
+        worst = max(worst, float(np.max(np.abs(m.T @ gram + gram @ c))))
+    out["coad_duality"] = worst
+    return out
+
+
+def _hamiltonian_q_loop(hc, a, seed, n=20, step=1e-5):
+    ad_a = hc.cd.alg.ad(a)
+    rng = np.random.default_rng(seed)
+    flow_resid = 0.0
+    for _ in range(n):
+        x0 = rng.standard_normal(hc.cd.alg.dim)
+        x1 = rng.standard_normal(hc.cd.alg.dim)
+
+        def q(t):
+            x = x0 + t * x1
+            return 0.5 * hc.omega.value(ad_a @ x, x)
+
+        lhs = (q(step) - q(-step)) / (2 * step)
+        rhs = hc.omega.value(ad_a @ x1, x0)
+        flow_resid = max(flow_resid, abs(lhs - rhs))
+    return flow_resid
+
+
+def _symplectic_loops(cd, seed):
+    rng = np.random.default_rng(seed)
+    hc = sp.make_hermitian_context(cd)
+    out = {}
+    worst = 0.0
+    for _ in range(50):
+        x = rng.standard_normal(cd.alg.dim)
+        worst = max(worst, abs(hc.omega.value(x, x)))
+    out["omega_alternating"] = worst
+    worst = 0.0
+    for _ in range(10):
+        a = cd.k_basis @ rng.standard_normal(cd.k_basis.shape[1])
+        ad_k = matrix_exp(cd.alg.ad(a))
+        worst = max(worst, float(np.max(np.abs(ad_k.T @ hc.omega.gram @ ad_k - hc.omega.gram))))
+    out["omega_invariance"] = worst
+    worst = 0.0
+    for _ in range(200):
+        d = int(rng.integers(2, 11))
+        k = int(rng.integers(0, d + 1))
+        pmat = rng.standard_normal((d, k))
+        g = pmat @ rng.standard_normal((k, k)) @ pmat.T
+        form = sp.make_skew_form(g - g.T)
+        rad = sp.radical(form)
+        w = sp.max_isotropic(form)
+        worst = max(worst, abs(2 * w.shape[1] - d - rad.shape[1]))
+        worst = max(worst, float(np.max(np.abs(w.T @ form.gram @ w))) if w.size else 0.0)
+    out["max_isotropic_dim"] = worst
+    a = cd.k_basis @ rng.standard_normal(cd.k_basis.shape[1])
+    out["hamiltonian_q"] = _hamiltonian_q_loop(hc, a, seed)
+    return out
+
+
+def _assert_bits(got, ref):
+    for name, value in ref.items():
+        assert got[name] == value, (name, got[name], value)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_numerics_checks_match_loops(seed):
+    _assert_bits(_residuals(checks.numerics_suite(seed)), _numerics_loops(seed))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_stacked_checks_match_loops(descriptor, seed):
+    # the suites verify runs on each descriptor, against their loops
+    cd = _cartan(descriptor)
+    _assert_bits(_residuals(checks.algebra_suite(cd, seed)), _algebra_loops(cd, seed))
+    if cd.roots:
+        _assert_bits(_residuals(checks.deformation_suite(cd, seed)), _deformation_loops(cd, seed))
+        _assert_bits(_residuals(checks.semidirect_suite(cd, seed)), _semidirect_loops(cd, seed))
+    if cd.alg.field_tag == "complex":
+        _assert_bits(_residuals(checks.symplectic_suite(cd, seed)), _symplectic_loops(cd, seed))
+
+
+@pytest.mark.parametrize("descriptor,smallest", [("sl2c", 15.999999999999973),
+                                                 ("sl3c", 13.181284850116587)])
+def test_isotropy_nonzero_reports_smallest_restriction(descriptor, smallest):
+    # 1e-8 / min over the points with mu != 0, no longer capped at 1e-8
+    result = _residuals(checks.symplectic_suite(_cartan(descriptor), seed=1))
+    assert result["isotropy_criterion_nonzero"] != 1e-8
+    assert result["isotropy_criterion_nonzero"] == pytest.approx(1e-8 / smallest, rel=1e-12)
+
+
+def test_isotropy_nonzero_fails_without_nonzero_moments(monkeypatch):
+    # with mu = 0 everywhere no point tests the criterion, and the check must not pass
+    monkeypatch.setattr(sp, "u_moment", lambda ctx, x: np.zeros_like(x))
+    results = {r.name: r for r in checks.symplectic_suite(_cartan("sl2c"), seed=1)}
+    assert not results["isotropy_criterion_nonzero"].passed
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(descriptor=st.sampled_from(sorted(al.DESCRIPTORS)), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 12), r=st.sampled_from(df.R_GRID))
+def test_stacked_laws_property(descriptor, seed, n, r):
+    cd = _cartan(descriptor)
+    alg, ctx = cd.alg, df.make_context(cd, r)
+    x, y, z = np.random.default_rng(seed).standard_normal((3, n, alg.dim))
+    # stacked calls give the bits of the per-vector calls
+    assert np.array_equal(alg.bracket(x, y), np.stack([alg.bracket(a, b) for a, b in zip(x, y)]))
+    assert np.array_equal(df.bracket_r(ctx, x, y),
+                          np.stack([df.bracket_r(ctx, a, b) for a, b in zip(x, y)]))
+    assert np.array_equal(alg.killing_form(x, y), [alg.killing_form(a, b) for a, b in zip(x, y)])
+    # and the laws hold on the stack within the check thresholds
+    scale = checks._norms(x) * checks._norms(y) * checks._norms(z)
+    jac = (alg.bracket(x, alg.bracket(y, z)) + alg.bracket(y, alg.bracket(z, x))
+           + alg.bracket(z, alg.bracket(x, y)))
+    assert (checks._norms(jac) / scale).max() < 1e-10
+    inv = alg.killing_form(alg.bracket(x, y), z) + alg.killing_form(y, alg.bracket(x, z))
+    assert (np.abs(inv) / scale).max() < 1e-9
+
+
+def test_verify_sl3c_call_counts(monkeypatch, tmp_path):
+    # one stacked call per check and parameter value, not one per random sample
+    counts = collections.Counter()
+
+    def counting(key, fn):
+        @functools.wraps(fn)
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for owner, name in ((al.LieAlgebraData, "bracket"), (df, "bracket_r"),
+                        (sd, "semidirect_bracket")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    exp = numerics.matrix_exp
+    for module in (numerics, al, df, sd, sp, checks):
+        if getattr(module, "matrix_exp", None) is exp:
+            monkeypatch.setattr(module, "matrix_exp", counting("matrix_exp", exp))
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--algebra", "sl3c", "--seed", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_pass"]
+    assert 0 < counts["bracket"] <= 100
+    assert 0 < counts["bracket_r"] <= 60
+    assert 0 < counts["semidirect_bracket"] <= 10
+    assert 0 < counts["matrix_exp"] <= 25

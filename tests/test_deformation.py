@@ -383,3 +383,24 @@ def test_ad_r_stack_matches_single(descriptor):
             # reference: the single-vector form ad_r had before it took stacks
             single = ctx.t_r @ cd.alg.ad(ctx.t_r_inv @ x[b, f]) @ ctx.t_r_inv
             assert np.linalg.norm(stack[b, f] - single) <= 1e-14 * np.linalg.norm(single)
+
+
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_deformed_maps_stack_matches_single(descriptor):
+    # bracket_r, killing_r and psi_r_map on (..., dim) stacks give the per-vector bits
+    alg = al.build_algebra(*al.parse_descriptor(descriptor))
+    cd = al.cartan_structure(alg)
+    x, y = np.random.default_rng(4).standard_normal((2, 3, 4, alg.dim))
+    for r in df.R_GRID_FULL:
+        ctx = df.make_context(cd, r)
+        psi = df.psi_r_map(ctx, x)
+        assert np.array_equal(psi, [[df.psi_r_map(ctx, v) for v in row] for row in x])
+        if not ctx.finite:
+            continue
+        br, kr = df.bracket_r(ctx, x, y), df.killing_r(ctx, x, y)
+        assert br.shape == x.shape and kr.shape == x.shape[:-1]
+        assert np.array_equal(br, [[df.bracket_r(ctx, a, b) for a, b in zip(xs, ys)]
+                                   for xs, ys in zip(x, y)])
+        assert np.array_equal(kr, [[df.killing_r(ctx, a, b) for a, b in zip(xs, ys)]
+                                   for xs, ys in zip(x, y)])
+        assert isinstance(df.killing_r(ctx, x[0, 0], y[0, 0]), float)

@@ -342,3 +342,19 @@ def test_phi_cotangent_rejects_adjoint_batch(sl2r):
     batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), H, seed=17, n_base=2, n_fiber=2)
     with pytest.raises(al.RepresentationError):
         sd.phi_cotangent(cd, batch)
+
+
+@pytest.mark.parametrize("desc", ["sl2r", "sl3r", "sl2c", "sl3c"])
+def test_block_matrices_stack_matches_single(desc):
+    # ad_rho_matrix and coad_star_matrix of a stacked element give the per-element bits
+    cd = _cartan(desc)
+    rng = np.random.default_rng(6)
+    k_part = rng.standard_normal((3, 4, cd.k_basis.shape[1])) @ cd.k_basis.T
+    s_part = rng.standard_normal((3, 4, cd.s_basis.shape[1])) @ cd.s_basis.T
+    e = sd.SemidirectElement(k_part, s_part)
+    for fn in (sd.ad_rho_matrix, sd.coad_star_matrix):
+        got = fn(cd, e)
+        assert got.shape == (3, 4, cd.alg.dim, cd.alg.dim)
+        ref = [[fn(cd, sd.SemidirectElement(k, s)) for k, s in zip(ks, ss)]
+               for ks, ss in zip(k_part, s_part)]
+        assert np.array_equal(got, ref)

@@ -575,3 +575,29 @@ def test_max_isotropic_property(form):
     # W contains the radical: projecting R onto span(W) loses nothing
     coeffs, *_ = np.linalg.lstsq(w, rad, rcond=None)
     assert np.linalg.norm(w @ coeffs - rad) <= 1e-10
+
+
+def test_skew_value_stack_matches_single(sl3c):
+    _, hc = sl3c
+    x, y = np.random.default_rng(8).standard_normal((2, 6, 5, hc.omega.dim))
+    got = hc.omega.value(x, y)
+    assert got.shape == (6, 5)
+    assert np.array_equal(got, [[hc.omega.value(a, b) for a, b in zip(xs, ys)]
+                                for xs, ys in zip(x, y)])
+    assert isinstance(hc.omega.value(x[0, 0], y[0, 0]), float)
+
+
+def test_max_isotropic_stack_matches_single_forms():
+    # random low-rank forms, forms with repeated eigenvalues and zero forms, stacked by size
+    by_size = {}
+    for form in _skew_forms(np.random.default_rng(22), 150):
+        by_size.setdefault(form.dim, []).append(form.gram)
+    assert all(len(grams) > 1 for grams in by_size.values())
+    for d, grams in by_size.items():
+        stack = sp.make_skew_form(np.stack(grams))
+        bases = sp.max_isotropic(stack)
+        assert isinstance(bases, list) and len(bases) == len(grams)
+        for w, gram in zip(bases, grams):
+            single = sp.max_isotropic(sp.make_skew_form(gram))
+            assert np.array_equal(w, single)
+            assert 2 * w.shape[1] == d + sp.radical(sp.make_skew_form(gram)).shape[1]
