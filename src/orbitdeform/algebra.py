@@ -14,8 +14,11 @@ Basis conventions (fixed, canonical order):
   so(n):    A_ij = E_ij - E_ji        (i < j).
 
 For sl(2,R) this gives exactly the basis {H, S, A} with coordinates
-(x, y, z) = xH + yS + zA.  The orbit samplers return an OrbitBatch:
-one set of arrays over (base, fiber), the only sample format.
+(x, y, z) = xH + yS + zA.  bracket and ad contract with the structure
+tensor through one kernel: stacked row-times-matrix products against its
+(dim, dim^2) view, which give a stack the bits of the per-vector calls.
+The orbit samplers return an OrbitBatch: one set of arrays over (base,
+fiber), the only sample format.
 """
 
 from __future__ import annotations
@@ -101,13 +104,30 @@ class LieAlgebraData:
         return self._expand_pinv @ flat
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """[x, y] on basis coefficients; (..., dim) stacks broadcast against each other."""
+        """[x, y] on basis coefficients; (..., dim) stacks broadcast against each other.
+
+        y's row times the ad rows of x, as stacked products: a stack gives
+        the bits of the per-vector calls.
+        """
         x, y = self._check_stack(x), self._check_stack(y)
-        return np.einsum("...i,...j,ijk->...k", x, y, self.structure)
+        return (y[..., None, :] @ self._ad_rows(x))[..., 0, :]
 
     def ad(self, x: np.ndarray) -> np.ndarray:
-        """Matrix of ad(x) on basis coefficients; a (..., dim) stack gives (..., dim, dim)."""
-        return np.einsum("...i,ijk->...kj", self._check_stack(x), self.structure)
+        """Matrix of ad(x) on basis coefficients; a (..., dim) stack gives (..., dim, dim).
+
+        The transpose of the ad rows of x: column j holds [x, e_j].
+        """
+        return np.swapaxes(self._ad_rows(self._check_stack(x)), -1, -2)
+
+    def _ad_rows(self, x: np.ndarray) -> np.ndarray:
+        """R(x)[..., j, k] = sum_i x_i c[i, j, k]: row j holds the coefficients of [x, e_j].
+
+        One stacked row-times-matrix product per vector against the
+        (dim, dim**2) view of the structure tensor, the only contraction
+        with it after build_algebra.
+        """
+        rows = (x[..., None, :] @ self.structure.reshape(self.dim, -1))[..., 0, :]
+        return rows.reshape(*x.shape[:-1], self.dim, self.dim)
 
     def killing_form(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         """<x, y> on basis coefficients; (..., dim) stacks broadcast and give (...) values."""

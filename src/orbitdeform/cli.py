@@ -140,6 +140,11 @@ def cmd_verify(args) -> int:
     for name, fn in suites.items():
         if args.suite in ("all", name):
             results += fn(cd)
+    if not results:
+        # an empty report would pass while certifying nothing
+        print(f"error: suite {args.suite} has no checks for algebra {args.algebra}",
+              file=sys.stderr)
+        return 2
     if args.abs_eps == 0.0 and args.rel_eps == 0.0:
         # forced-failure mode: every nonzero residual counts as a failure
         results = [

@@ -146,7 +146,7 @@ def sample_semidirect_orbit(
     tangent = orbit_tangent_at(cd, w)[:, None]
     coeffs = (np.swapaxes(tangent, -1, -2) @ cd.b_theta @ v[..., None])[..., 0]
     return OrbitBatch(
-        points=w[:, None] + np.einsum("bi,bfj,ijk->bfk", w, v, cd.alg.structure),
+        points=w[:, None] + cd.alg.bracket(w[:, None], v),
         base_points=w, k_ops=k_ops, fibers=apply(tangent, coeffs),
         fiber_coeffs=coeffs, kind="semidirect", r=math.inf,
     )

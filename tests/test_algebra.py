@@ -281,3 +281,50 @@ def test_killing_form_stack_matches_single(descriptor):
     assert isinstance(alg.killing_form(x[0, 0], y[0, 0]), float)
     with pytest.raises(DimensionError):
         alg.killing_form(x[..., :-1], y[..., :-1])
+
+
+def _moveaxis_stack(rng, n, k, dim):
+    # k stacks of n vectors as a non-contiguous view, as checks._draw draws them
+    return np.moveaxis(rng.standard_normal((n, k, dim)), 1, 0)
+
+
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_structure_kernel_stack_matches_single(descriptor):
+    # bracket and ad contract with the structure tensor as stacked row products,
+    # so every stacked and broadcast call gives the bits of the per-vector calls
+    alg = al.build_algebra(*al.parse_descriptor(descriptor))
+    rng = np.random.default_rng(5)
+    x, y = _moveaxis_stack(rng, 6, 2, alg.dim)
+    assert not x.flags.c_contiguous
+    got = alg.ad(x)
+    assert got.shape == (6, alg.dim, alg.dim)
+    assert np.array_equal(got, [alg.ad(v) for v in x])
+    grid = _moveaxis_stack(rng, 4, 3, alg.dim)
+    assert np.array_equal(alg.ad(grid), [[alg.ad(v) for v in row] for row in grid])
+
+    assert np.array_equal(alg.bracket(x, y), [alg.bracket(a, b) for a, b in zip(x, y)])
+    # a vector against a stack, in either order
+    assert np.array_equal(alg.bracket(x[0], y), [alg.bracket(x[0], b) for b in y])
+    assert np.array_equal(alg.bracket(y, x[0]), [alg.bracket(b, x[0]) for b in y])
+    # (b, 1, dim) against (b, f, dim), as the semidirect sampler calls it
+    w, v = x[:3], grid
+    got = alg.bracket(w[:, None], v)
+    assert got.shape == (3, 4, alg.dim)
+    assert np.array_equal(got, [[alg.bracket(a, b) for b in row] for a, row in zip(w, v)])
+    with pytest.raises(DimensionError):
+        alg.bracket(x[..., :-1], y[..., :-1])
+    with pytest.raises(DimensionError):
+        alg.ad(x[..., :-1])
+
+
+@pytest.mark.parametrize("family,n", [*sorted(al.DESCRIPTORS.values()), ("sl_complex", 6)])
+def test_structure_kernel_matches_einsum_reference(family, n):
+    # the three-operand einsums the kernel replaced, kept as the reference;
+    # the BLAS products sum in another order, so agreement is to roundoff
+    alg = al.build_algebra(family, n)
+    x, y = np.random.default_rng(9).standard_normal((2, 20, alg.dim))
+    ref_bracket = np.einsum("...i,...j,ijk->...k", x, y, alg.structure)
+    ref_ad = np.einsum("...i,ijk->...kj", x, alg.structure)
+    nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
+    assert np.all(np.abs(alg.bracket(x, y) - ref_bracket).max(axis=-1) <= 1e-13 * nx * ny)
+    assert np.all(np.abs(alg.ad(x) - ref_ad).max(axis=(-2, -1)) <= 1e-13 * nx)

@@ -64,6 +64,24 @@ def test_verify_single_suite(tmp_path, capsys):
     assert "omega_alternating" in names and "jacobi" not in names
 
 
+EMPTY_SUITES = [("sl2r", "symplectic"), ("sl3r", "symplectic")] + [
+    (algebra, suite) for algebra in ("so3", "so4")
+    for suite in ("deformation", "semidirect", "symplectic")
+]
+
+
+@pytest.mark.parametrize("algebra,suite", EMPTY_SUITES)
+def test_verify_empty_suite_is_usage_error(algebra, suite, tmp_path, capsys):
+    # a report with no checks certifies nothing, so it must not exit 0
+    assert run(["verify", "--algebra", algebra, "--suite", suite]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: suite {suite} has no checks for algebra {algebra}" in err
+    path = tmp_path / "r.json"
+    assert run(["verify", "--algebra", algebra, "--suite", suite, "--out", str(path)]) == 2
+    assert not path.exists()
+
+
 def _read_rows(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
