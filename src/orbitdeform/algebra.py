@@ -14,9 +14,15 @@ Basis conventions (fixed, canonical order):
   so(n):    A_ij = E_ij - E_ji        (i < j).
 
 For sl(2,R) this gives exactly the basis {H, S, A} with coordinates
-(x, y, z) = xH + yS + zA.  bracket and ad contract with the structure
-tensor through one kernel: stacked row-times-matrix products against its
-(dim, dim^2) view, which give a stack the bits of the per-vector calls.
+(x, y, z) = xH + yS + zA.  Coordinates are read off the matrix entries
+of an element of the algebra: H_i takes the cumulative sum of the
+diagonal, S_ij and A_ij take (m_ij +- m_ji)/2, so(n) reads A_ij = m_ij,
+and sl(n,C) reads its real part, then its imaginary part.  So the
+structure constants (in {0, +-1, +-2}), the Killing matrix and the
+involution theta (diagonal +-1) are exact.  bracket and ad contract
+with the structure tensor through one kernel: stacked row-times-matrix
+products against its (dim, dim^2) view, which give a stack the bits of
+the per-vector calls.
 The orbit samplers return an OrbitBatch: one set of arrays over (base,
 fiber), the only sample format.
 """
@@ -24,7 +30,7 @@ fiber), the only sample format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,15 +99,19 @@ class LieAlgebraData:
     structure: np.ndarray  # c[i,j,k]: [e_i, e_j] = sum_k c[i,j,k] e_k
     killing: np.ndarray  # (dim, dim), tr(ad e_i . ad e_j)
     j_op: np.ndarray | None  # (dim, dim) multiplication by i, complex case only
-    _expand_pinv: np.ndarray = field(repr=False, default=None)
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
         v = self._check_vec(v)
         return np.tensordot(v, self.basis, axes=(0, 0))
 
     def to_vector(self, m: np.ndarray) -> np.ndarray:
-        flat = np.concatenate([m.real.ravel(), m.imag.ravel()]).astype(float)
-        return self._expand_pinv @ flat
+        """Basis coefficients of a matrix, or of each in a (..., n, n) stack, read off its entries.
+
+        Precondition: m lies in the algebra.  Nothing checks it; what lies
+        outside (a trace, a symmetric part on so(n), an imaginary part on a
+        real family) is dropped.
+        """
+        return _coordinates(self.family, np.asarray(m))
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """[x, y] on basis coefficients; (..., dim) stacks broadcast against each other.
@@ -237,11 +247,27 @@ def parse_descriptor(name: str) -> tuple[str, int]:
     raise ConfigurationError(f"unknown algebra descriptor {name!r}")
 
 
+def _coordinates(family: str, m: np.ndarray) -> np.ndarray:
+    """Coordinates of each matrix of a (..., n, n) stack, i < j in row-major order."""
+    if family == "sl_complex":
+        return np.concatenate(
+            [_coordinates("sl_real", m.real), _coordinates("sl_real", m.imag)], axis=-1
+        )
+    m = m.real
+    rows, cols = np.triu_indices(m.shape[-1], 1)
+    upper, lower = m[..., rows, cols], m[..., cols, rows]
+    if family == "so":
+        return upper
+    diag = np.cumsum(np.diagonal(m, axis1=-2, axis2=-1)[..., :-1], axis=-1)
+    return np.concatenate([diag, 0.5 * (upper + lower), 0.5 * (upper - lower)], axis=-1)
+
+
 def build_algebra(family: str, n: int) -> LieAlgebraData:
     """Construct the algebra with structure tensor and Killing matrix.
 
-    The structure tensor comes from matrix commutators of the canonical
-    basis; the Killing matrix from tr(ad o ad) on that basis.
+    The structure tensor comes from the matrix commutators of all pairs
+    of basis elements, read back by entries; the Killing matrix from
+    tr(ad o ad) on that basis.  Both are exact integers.
     """
     if family not in _FAMILIES:
         raise ConfigurationError(f"unsupported family {family!r}")
@@ -260,22 +286,11 @@ def build_algebra(family: str, n: int) -> LieAlgebraData:
 
     dim = len(mats)
     basis = np.stack(mats)
-    flat = np.stack([np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats], axis=1)
-    expand_pinv = np.linalg.pinv(flat)
-
-    def vec(m):
-        return expand_pinv @ np.concatenate([m.real.ravel(), m.imag.ravel()])
-
-    structure = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            c = vec(mats[i] @ mats[j] - mats[j] @ mats[i])
-            structure[i, j] = c
-            structure[j, i] = -c
+    products = basis[:, None] @ basis[None]
+    structure = _coordinates(family, products - np.swapaxes(products, 0, 1))
 
     ads = np.einsum("ijk->ikj", structure)  # ads[i] = ad(e_i)
     killing = np.einsum("iab,jba->ij", ads, ads)
-    killing = 0.5 * (killing + killing.T)
 
     j_op = None
     if field_tag == "complex":
@@ -293,26 +308,12 @@ def build_algebra(family: str, n: int) -> LieAlgebraData:
         structure=structure,
         killing=killing,
         j_op=j_op,
-        _expand_pinv=expand_pinv,
     )
 
 
 def _theta_matrix(alg: LieAlgebraData) -> np.ndarray:
     """Coefficient matrix of theta(X) = -X^T (real) or tau(X) = -conj(X)^T."""
-    cols = []
-    for m in alg.basis:
-        cols.append(alg.to_vector(-np.conj(m).T))
-    return np.stack(cols, axis=1)
-
-
-def _eigen_basis_indices(theta: np.ndarray, sign: float) -> np.ndarray:
-    """Columns of the identity that are theta-eigenvectors with given sign."""
-    dim = theta.shape[0]
-    idx = [i for i in range(dim) if abs(theta[i, i] - sign) < 1e-12]
-    basis = np.zeros((dim, len(idx)))
-    for col, i in enumerate(idx):
-        basis[i, col] = 1.0
-    return basis
+    return alg.to_vector(-np.conj(np.swapaxes(alg.basis, -1, -2))).T
 
 
 def _b_orthonormalize(basis: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -333,14 +334,12 @@ def cartan_structure(alg: LieAlgebraData, tol: Tolerance = Tolerance()) -> Carta
     strictly upper-triangular root vectors positive.
     """
     theta = _theta_matrix(alg)
-    if np.linalg.norm(theta @ theta - np.eye(alg.dim)) > 1e-10:
-        raise StructureError("involution failed theta^2 = I")
-    k_basis = _eigen_basis_indices(theta, +1.0)
-    s_basis = _eigen_basis_indices(theta, -1.0)
-    if k_basis.shape[1] + s_basis.shape[1] != alg.dim:
-        raise StructureError("basis is not adapted to the involution")
+    signs = np.diag(theta)
+    if not (np.array_equal(theta, np.diag(signs)) and (np.abs(signs) == 1.0).all()):
+        raise StructureError("theta is not diagonal with entries +-1 on the basis")
+    eye = np.eye(alg.dim)
+    k_basis, s_basis = eye[:, signs == 1.0], eye[:, signs == -1.0]
     b_theta = -alg.killing @ theta
-    b_theta = 0.5 * (b_theta + b_theta.T)
 
     if alg.family in ("sl_real", "sl_complex"):
         a_basis = np.eye(alg.dim)[:, : alg.n - 1]

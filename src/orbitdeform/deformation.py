@@ -67,7 +67,7 @@ def make_context(cd: CartanData, r: float) -> DeformationContext:
     if math.isinf(r):
         return DeformationContext(cd=cd, r=r, t_r=None, t_r_inv=None, psi_r=psi)
     # theta is diagonal +/-1 on the adapted basis, so T_r is diagonal too
-    diag = np.where(np.abs(np.diag(cd.theta) - 1.0) < 1e-12, r, 1.0)
+    diag = np.where(np.diag(cd.theta) == 1.0, r, 1.0)
     t_r = np.diag(diag)
     t_r_inv = np.diag(1.0 / diag)
     return DeformationContext(cd=cd, r=r, t_r=t_r, t_r_inv=t_r_inv, psi_r=psi)

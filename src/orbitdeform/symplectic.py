@@ -149,11 +149,6 @@ def fiber_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
     return sd.coadjoint_fiber(cd, w)
 
 
-def _s_part(cd: CartanData, x: np.ndarray) -> np.ndarray:
-    """The s-component of every point of a (..., dim) stack: the semidirect base point."""
-    return apply(cd.s_basis @ cd.s_basis.T, x)
-
-
 def orbit_tangent_basis(
     ctx: HermitianContext, x: np.ndarray, kind: str, r: float = 1.0
 ) -> np.ndarray:
@@ -170,7 +165,7 @@ def orbit_tangent_basis(
         cols = -cd.alg.ad(x) @ cd.k_basis
     elif kind == "semidirect":
         cols = np.concatenate(
-            [-cd.alg.ad(x) @ cd.k_basis, cd.alg.ad(_s_part(cd, x)) @ cd.s_basis], axis=-1
+            [-cd.alg.ad(x) @ cd.k_basis, cd.alg.ad(cd.project_s(x)) @ cd.s_basis], axis=-1
         )
     elif kind == "adjoint":
         cols = -cd.alg.ad(x)
@@ -200,7 +195,7 @@ def check_symplectic_on_orbit(
     gram = np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t
     s = np.linalg.svd(0.5 * (gram - np.swapaxes(gram, -1, -2)), compute_uv=False)
     min_ratio = float((s[..., -1] / s[..., 0]).min())
-    fib = fiber_tangent_at(ctx.cd, _s_part(ctx.cd, batch.points))
+    fib = fiber_tangent_at(ctx.cd, ctx.cd.project_s(batch.points))
     return {
         "min_sv_ratio": min_ratio,
         "max_fiber_omega": float(max_omega(ctx, fib).max()),

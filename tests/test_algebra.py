@@ -1,10 +1,13 @@
+import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from orbitdeform import algebra as al
-from orbitdeform.numerics import DimensionError, nullspace
+from orbitdeform.numerics import DimensionError, StructureError, nullspace
 
 # canonical sl(2,R) coordinates: (x, y, z) = x H + y S + z A
 H, S, A = np.eye(3)
@@ -328,3 +331,67 @@ def test_structure_kernel_matches_einsum_reference(family, n):
     nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
     assert np.all(np.abs(alg.bracket(x, y) - ref_bracket).max(axis=-1) <= 1e-13 * nx * ny)
     assert np.all(np.abs(alg.ad(x) - ref_ad).max(axis=(-2, -1)) <= 1e-13 * nx)
+
+
+EXACT_CASES = [*sorted(al.DESCRIPTORS.values()), ("sl_real", 4), ("sl_complex", 6)]
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_cartan(family, n):
+    return al.cartan_structure(al.build_algebra(family, n))
+
+
+@pytest.mark.parametrize("family,n", EXACT_CASES)
+def test_structure_data_exact(family, n):
+    # coordinates are read off matrix entries, so the structure data are exact integers
+    cd = _exact_cartan(family, n)
+    alg = cd.alg
+    values = {0.0, 1.0, -1.0} if family == "so" else {0.0, 1.0, -1.0, 2.0, -2.0}
+    assert set(np.unique(alg.structure)) <= values
+    assert np.array_equal(alg.structure, -np.swapaxes(alg.structure, 0, 1))
+    # the per-pair commutator loop the stacked product replaced, as the reference
+    for i, j in itertools.combinations(range(alg.dim), 2):
+        mi, mj = alg.basis[i], alg.basis[j]
+        assert np.array_equal(alg.structure[i, j], alg.to_vector(mi @ mj - mj @ mi))
+    signs = np.diag(cd.theta)
+    assert np.array_equal(cd.theta, np.diag(signs))
+    assert set(signs) <= {1.0, -1.0}
+    assert np.array_equal(cd.theta @ cd.theta, np.eye(alg.dim))
+    assert np.array_equal(alg.killing, alg.killing.T)
+    assert np.array_equal(cd.b_theta, cd.b_theta.T)
+    assert np.array_equal(cd.k_basis @ cd.k_basis.T + cd.s_basis @ cd.s_basis.T,
+                          np.eye(alg.dim))
+
+
+@pytest.mark.parametrize("family,n", EXACT_CASES)
+def test_to_vector_reads_entries_exactly(family, n):
+    alg = _exact_cartan(family, n).alg
+    rng = np.random.default_rng(17)
+    ints = rng.integers(-5, 6, (8, alg.dim)).astype(float)
+    for v in ints:
+        assert np.array_equal(alg.to_vector(alg.to_matrix(v)), v)
+    # a stack of matrices gives the bits of the per-matrix calls
+    mats = np.stack([alg.to_matrix(v) for v in rng.standard_normal((6, alg.dim))])
+    mats = mats.reshape(2, 3, n, n)
+    got = alg.to_vector(mats)
+    assert got.shape == (2, 3, alg.dim)
+    assert np.array_equal(got, [[alg.to_vector(m) for m in row] for row in mats])
+
+
+@pytest.mark.parametrize("family,n", EXACT_CASES)
+def test_projections_exact(family, n):
+    cd = _exact_cartan(family, n)
+    x = np.random.default_rng(19).standard_normal((5, 4, cd.alg.dim))
+    s_part = cd.project_s(x)
+    assert np.array_equal(s_part + cd.project_k(x), x)
+    assert np.array_equal(cd.project_s(s_part), s_part)
+    assert np.array_equal(s_part, x @ cd.s_basis @ cd.s_basis.T)
+
+
+def test_cartan_rejects_basis_not_adapted_to_theta(sl2r):
+    # S + A = 2 E_12 is not a theta-eigenvector, so theta is not diagonal on this basis
+    alg, _ = sl2r
+    mixed = alg.basis.copy()
+    mixed[1] = alg.basis[1] + alg.basis[2]
+    with pytest.raises(StructureError):
+        al.cartan_structure(dataclasses.replace(alg, basis=mixed))

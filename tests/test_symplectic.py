@@ -504,12 +504,17 @@ def test_u_moment_rejects_a_stack_with_one_bad_point(sl2c):
 
 
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
-def test_isotropy_criterion_zero_sees_flag_points(fixture, request):
+def test_isotropy_criterion_zero_sees_flag_points(fixture, request, monkeypatch):
     # mu = 0 on the flag points, so the zero half measures Omega on their compact orbits
     cd, _ = request.getfixturevalue(fixture)
     results = {c.name: c for c in checks.symplectic_suite(cd, seed=1)}
-    assert 0.0 < results["isotropy_criterion_zero"].residual < 1e-8
+    assert results["isotropy_criterion_zero"].residual < 1e-8
     assert results["isotropy_criterion_nonzero"].passed
+    # the residual can be exactly 0, so show the flag points are read: a restriction
+    # of Omega that is 1 everywhere must fail the zero half
+    monkeypatch.setattr(sp, "max_omega", lambda ctx, t: np.ones(t.shape[:-2]))
+    results = {c.name: c for c in checks.symplectic_suite(cd, seed=1)}
+    assert not results["isotropy_criterion_zero"].passed
 
 
 def _greedy_max_isotropic(form):
