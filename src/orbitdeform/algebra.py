@@ -177,10 +177,11 @@ class CartanData:
     chamber_H: np.ndarray  # ambient coefficients of the default regular element
     zero_space: np.ndarray  # centralizer of a (joint zero eigenspace) columns
 
-    def a_coefficients(self, h: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+    def a_coefficients(self, h: np.ndarray) -> np.ndarray:
         """Express an ambient vector in a_basis coordinates; error if outside a."""
         h = np.asarray(h, dtype=float)
         coeffs, *_ = np.linalg.lstsq(self.a_basis, h, rcond=None)
+        tol = Tolerance()
         if np.linalg.norm(self.a_basis @ coeffs - h) > tol.scale(h) * 10 + tol.abs_eps:
             raise DomainError("element does not lie in the maximal abelian subalgebra")
         return coeffs
@@ -190,12 +191,12 @@ class CartanData:
         coeffs = self.a_coefficients(h)
         return np.array([r.functional @ coeffs for r in self.roots])
 
-    def check_chamber(self, h: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+    def check_chamber(self, h: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(h)):
             raise DomainError("chamber element must be finite")
         vals = self.root_values(h)
         for i in self.simple_set:
-            if vals[i] < -max(tol.abs_eps, 1e-9):
+            if vals[i] < -Tolerance().abs_eps:
                 raise DomainError("element lies outside the closed positive Weyl chamber")
         return vals
 
@@ -444,33 +445,34 @@ def chamber_element(
     diag(1,-1) for sl(2)); "wall:k" zeroes the k-th simple root value
     (0-based) and keeps the rest at 2.
     """
-    if not simple_set:
-        return np.zeros(a_basis.shape[0])
     targets = np.full(len(simple_set), 2.0)
     if spec.startswith("wall:"):
-        k = int(spec.split(":", 1)[1])
+        try:
+            k = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise DomainError(f"wall index of {spec!r} is not an integer") from None
         if not 0 <= k < len(simple_set):
             raise DomainError(f"wall index {k} out of range")
         targets[k] = 0.0
     elif spec != "regular":
         raise DomainError(f"unknown chamber preset {spec!r}")
+    if not simple_set:
+        return np.zeros(a_basis.shape[0])
     m = np.stack([roots[i].functional for i in simple_set])
     coeffs, *_ = np.linalg.lstsq(m, targets, rcond=None)
     return a_basis @ coeffs
 
 
-def h_subspaces(
-    cd: CartanData, h: np.ndarray, tol: Tolerance = Tolerance()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def h_subspaces(cd: CartanData, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n_H^+, n_H^-, z_H) bases for H in the closed positive chamber."""
-    vals = cd.check_chamber(h, tol)
-    eps = max(tol.abs_eps, 1e-9)
+    vals = cd.check_chamber(h)
+    eps = Tolerance().abs_eps
     plus_cols = [cd.roots[i].space_basis for i in range(len(cd.roots)) if vals[i] > eps]
     minus_cols = [cd.roots[i].space_basis for i in range(len(cd.roots)) if vals[i] < -eps]
     dim = cd.alg.dim
     n_plus = np.hstack(plus_cols) if plus_cols else np.zeros((dim, 0))
     n_minus = np.hstack(minus_cols) if minus_cols else np.zeros((dim, 0))
-    z_h = nullspace(cd.alg.ad(h), tol)
+    z_h = nullspace(cd.alg.ad(h))
     if n_plus.shape[1] + n_minus.shape[1] + z_h.shape[1] != dim:
         raise StructureError("dim g != dim z_H + dim n_H^+ + dim n_H^-")
     return n_plus, n_minus, z_h

@@ -231,10 +231,9 @@ def cmd_lagrangian_section(args) -> int:
     lines = ["t,base_tag," + ",".join(f"c{i+1}" for i in range(dim))]
     report = []
     for t in t_values:
-        sec = sp.lagrangian_section(hc, h, flag, t)
+        rows = _coord_rows(sp.lagrangian_section(hc, h, flag, t))
         t_text = _fmt(t)
-        lines += [f"{t_text},{tag},{coords}"
-                  for tag, coords in enumerate(_coord_rows(sec.section_points))]
+        lines += [f"{t_text},{tag},{coords}" for tag, coords in enumerate(rows)]
         resid = sp.section_omega_residual(hc, h, flag, t)
         report.append({"t": t, "max_omega_residual": resid})
         print(f"t={t}: max |Omega| over section tangent pairs = {resid:.3e}", file=sys.stderr)

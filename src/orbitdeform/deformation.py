@@ -101,13 +101,11 @@ def psi_r_map(ctx: DeformationContext, z: np.ndarray) -> np.ndarray:
     return apply(ctx.psi_r, ctx.cd.alg._check_stack(z))
 
 
-def ad_r_exp_orbit(
-    ctx: DeformationContext, a: np.ndarray, t: float, y: np.ndarray,
-    tol: Tolerance = Tolerance(),
-) -> np.ndarray:
+def ad_r_exp_orbit(ctx: DeformationContext, a: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
     """exp(t ad_r(A)).Y for A in k; equals exp((t/r) ad(A)).Y."""
     ctx._require_finite("ad_r exponentials")
     a = np.asarray(a, dtype=float)
+    tol = Tolerance()
     if np.linalg.norm(ctx.cd.project_s(a)) > tol.scale(a) * 10 + tol.abs_eps:
         raise DomainError("exponential direction must lie in the compact part k")
     return matrix_exp(t * ad_r(ctx, a)) @ np.asarray(y, dtype=float)

@@ -7,6 +7,11 @@ For n = 3 that is sl(2,C) = so(3,1): K = SU(2) rotates s = i su(2),
 and with s-coordinates (H, S, iA) read as R^3 and k-coordinates
 (A, iH, iS), [v, w] = 2 (c3, -c1, -c2) for c = v x w.
 
+The semidirect structure lives on g's own vector space.  An element
+X + v (X in k, v in s) is its ambient coefficient vector, or a
+(..., dim) stack of them, like every other element of the package; the
+k- and s-parts are cd.project_k and cd.project_s of it.
+
 Coadjoint orbits through a point x are affine bundles over the compact
 orbit of x: each point decomposes as w + [w, v] with w on the base
 orbit and the fiber part in the dual of the tangent space at w.  The
@@ -19,7 +24,6 @@ orbit_tangent_at call, and m works on the resulting stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,87 +38,46 @@ from .algebra import (
 from .numerics import DimensionError, Tolerance, apply, orthonormal_range
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
-    """(X, v) with X in k and v in s, both as ambient coefficient vectors or (..., dim) stacks."""
+def semidirect_bracket(cd: CartanData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[X + v, Y + w] = [X, Y] + [X, w] - [Y, v] for X, Y in k and v, w in s.
 
-    k_part: np.ndarray
-    s_part: np.ndarray
-
-
-def make_element(
-    cd: CartanData, k_part: np.ndarray, s_part: np.ndarray, tol: Tolerance = Tolerance()
-) -> SemidirectElement:
-    k_part = np.asarray(k_part, dtype=float)
-    s_part = np.asarray(s_part, dtype=float)
-    eps = max(tol.abs_eps, 1e-10)
-    if np.linalg.norm(cd.project_s(k_part)) > eps * (1 + np.linalg.norm(k_part)):
-        raise DomainError("k_part has a component outside k")
-    if np.linalg.norm(cd.project_k(s_part)) > eps * (1 + np.linalg.norm(s_part)):
-        raise DomainError("s_part has a component outside s")
-    return SemidirectElement(k_part=k_part, s_part=s_part)
+    x and y are ambient vectors or (..., dim) stacks, which broadcast.
+    """
+    return cd.alg.bracket(cd.project_k(x), y) - cd.alg.bracket(cd.project_k(y), cd.project_s(x))
 
 
-def semidirect_bracket(
-    cd: CartanData, a: SemidirectElement, b: SemidirectElement
-) -> SemidirectElement:
-    """([X,Y], [X,w] - [Y,v]) for a = (X,v), b = (Y,w); stacked parts broadcast."""
-    alg = cd.alg
-    k = alg.bracket(a.k_part, b.k_part)
-    s = alg.bracket(a.k_part, b.s_part) - alg.bracket(b.k_part, a.s_part)
-    return SemidirectElement(k_part=k, s_part=s)
-
-
-def moment_mu(
-    cd: CartanData, x: np.ndarray, y: np.ndarray, tol: Tolerance = Tolerance()
-) -> np.ndarray:
+def moment_mu(cd: CartanData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Moment map of ad: k -> gl(s) on a wedge: mu(x ^ y) = [x, y] in k."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    eps = max(tol.abs_eps, 1e-10)
+    eps = Tolerance().abs_eps
     for v in (x, y):
         if np.linalg.norm(cd.project_k(v)) > eps * (1 + np.linalg.norm(v)):
             raise DomainError("moment arguments must lie in s")
     return cd.alg.bracket(x, y)
 
 
-def coad_star_matrix(cd: CartanData, e: SemidirectElement) -> np.ndarray:
-    """Coadjoint matrix on the ordered (k-basis, s-basis) coordinates.
+def ad_rho_matrix(cd: CartanData, x: np.ndarray) -> np.ndarray:
+    """The adjoint action of X + v on g's coordinates: Y + w -> [X, Y] + [X, w] - [Y, v].
 
-    Blocks [[ad(X)|k, -A(Y)], [0, ad(X)|s]] with A(Y)W = [Y, W]; the
-    dual pairing is B_theta, under which this is minus the transpose of
-    the adjoint action.
+    A (..., dim) stack gives (..., dim, dim) matrices.
     """
-    out, ad_y, nk = _diagonal_blocks(cd, e)
-    out[..., :nk, nk:] = -(cd.k_basis.T @ ad_y @ cd.s_basis)
-    return out
+    return cd.alg.ad(cd.project_k(x)) + cd.alg.ad(cd.project_s(x)) @ (cd.k_basis @ cd.k_basis.T)
 
 
-def ad_rho_matrix(cd: CartanData, e: SemidirectElement) -> np.ndarray:
-    """Adjoint action of (X,Y) on (k, s) coordinates, for duality checks."""
-    out, ad_y, nk = _diagonal_blocks(cd, e)
-    out[..., nk:, :nk] = cd.s_basis.T @ ad_y @ cd.k_basis
-    return out
+def coad_star_matrix(cd: CartanData, x: np.ndarray) -> np.ndarray:
+    """The coadjoint action of X + v on g's coordinates, dual to ad_rho_matrix under B_theta.
 
-
-def _diagonal_blocks(cd: CartanData, e: SemidirectElement) -> tuple[np.ndarray, np.ndarray, int]:
-    """(the (k, s) matrix holding only the blocks ad(X)|k and ad(X)|s, ad(Y), dim k).
-
-    An element whose parts are (..., dim) stacks of one shape gives (..., n, n) matrices.
+    It is ad(X) - ad(v) on the s-part, so that m.T @ b_theta + b_theta @ c = 0
+    for m = ad_rho_matrix(cd, x) and c = coad_star_matrix(cd, x).
     """
-    kb, sb = cd.k_basis, cd.s_basis
-    ad_x = cd.alg.ad(e.k_part)
-    nk, n = kb.shape[1], kb.shape[1] + sb.shape[1]
-    out = np.zeros((*ad_x.shape[:-2], n, n))
-    out[..., :nk, :nk] = kb.T @ ad_x @ kb
-    out[..., nk:, nk:] = sb.T @ ad_x @ sb
-    return out, cd.alg.ad(e.s_part), nk
+    return cd.alg.ad(cd.project_k(x)) - cd.alg.ad(cd.project_s(x)) @ (cd.s_basis @ cd.s_basis.T)
 
 
-def coadjoint_fiber(cd: CartanData, w: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+def coadjoint_fiber(cd: CartanData, w: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the fiber direction [w, s] inside k over w."""
     w = np.asarray(w, dtype=float)
-    return orthonormal_range(cd.alg.ad(w) @ cd.s_basis, tol)
+    return orthonormal_range(cd.alg.ad(w) @ cd.s_basis)
 
 
 def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
@@ -167,14 +130,10 @@ def phi_cotangent(cd: CartanData, batch: OrbitBatch) -> tuple[np.ndarray, np.nda
     return np.broadcast_to(batch.base_points[:, None], v_t.shape), v_t
 
 
-def cotangent_moment(
-    cd: CartanData, base_point: np.ndarray, covector: np.ndarray
-) -> SemidirectElement:
+def cotangent_moment(cd: CartanData, base_point: np.ndarray, covector: np.ndarray) -> np.ndarray:
     """Moment application m(gamma_y) = mu(y ^ covector) + y, at one point or a (..., dim) stack."""
     base_point = np.asarray(base_point, dtype=float)
     covector = np.asarray(covector, dtype=float)
     if covector.shape != base_point.shape:
         raise DimensionError("covector must be an ambient tangent representative")
-    return SemidirectElement(
-        k_part=cd.alg.bracket(base_point, covector), s_part=base_point
-    )
+    return cd.alg.bracket(base_point, covector) + base_point

@@ -48,7 +48,6 @@ class SkewFormData:
     """A skew-symmetric bilinear form given by its Gram matrix, or an (m, d, d) stack of forms."""
 
     gram: np.ndarray
-    tol: Tolerance = Tolerance()
 
     @property
     def dim(self) -> int:
@@ -59,16 +58,16 @@ class SkewFormData:
         return bilinear(x, self.gram, y)
 
 
-def make_skew_form(gram: np.ndarray, tol: Tolerance = Tolerance()) -> SkewFormData:
+def make_skew_form(gram: np.ndarray) -> SkewFormData:
     gram = np.asarray(gram, dtype=float)
     if gram.ndim not in (2, 3) or gram.shape[-1] != gram.shape[-2]:
         raise DimensionError("Gram matrix must be square, or a stack of square matrices")
-    return SkewFormData(gram=0.5 * (gram - np.swapaxes(gram, -1, -2)), tol=tol)
+    return SkewFormData(gram=0.5 * (gram - np.swapaxes(gram, -1, -2)))
 
 
 def radical(form: SkewFormData) -> np.ndarray:
     """Orthonormal basis of {v : form(v, .) = 0}; empty iff non-degenerate."""
-    return nullspace(form.gram, form.tol)
+    return nullspace(form.gram)
 
 
 def max_isotropic(form: SkewFormData) -> np.ndarray | list[np.ndarray]:
@@ -82,7 +81,7 @@ def max_isotropic(form: SkewFormData) -> np.ndarray | list[np.ndarray]:
     An (m, d, d) stack of forms gives the list of its m bases, from one
     stacked SVD (the radicals, with nullspace's cutoff) and one stacked eigh.
     """
-    tol = form.tol
+    tol = Tolerance()
     grams = form.gram if form.gram.ndim == 3 else form.gram[None]
     _, s, vh = np.linalg.svd(grams)
     ranks = (s > tol.abs_eps + tol.rel_eps * s[:, :1]).sum(axis=-1)
@@ -106,12 +105,12 @@ class HermitianContext:
     j: np.ndarray
 
 
-def make_hermitian_context(cd: CartanData, tol: Tolerance = Tolerance()) -> HermitianContext:
+def make_hermitian_context(cd: CartanData) -> HermitianContext:
     if cd.alg.field_tag != "complex":
         raise DomainError("Hermitian structure requires a complex-family algebra")
     b_tau = cd.b_theta
     j = cd.alg.j_op
-    omega = make_skew_form(j.T @ b_tau, tol)
+    omega = make_skew_form(j.T @ b_tau)
     return HermitianContext(cd=cd, b_tau=b_tau, omega=omega, j=j)
 
 
@@ -177,13 +176,18 @@ def orbit_tangent_basis(
 
 
 def max_omega(ctx: HermitianContext, t: np.ndarray) -> np.ndarray:
-    """max |Omega| on the columns of a basis, or of each in a (..., dim, rank) stack."""
-    return np.abs(np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t).max(axis=(-2, -1), initial=0.0)
+    """max |Omega(u, v)| over unit vectors u, v of the span of an orthonormal basis.
+
+    That is the spectral norm of the restricted Gram matrix, so it does not
+    depend on the choice of basis.  A (..., dim, rank) stack gives (...)
+    values, 0 at rank 0.
+    """
+    if not t.shape[-1]:
+        return np.zeros(t.shape[:-2])
+    return np.linalg.svd(np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t, compute_uv=False)[..., 0]
 
 
-def check_symplectic_on_orbit(
-    ctx: HermitianContext, batch: OrbitBatch, kind: str | None = None
-) -> dict:
+def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
     """Certify non-degeneracy of Omega on the orbit and fiber isotropy.
 
     At every sample: the restriction of Omega to the orbit tangent
@@ -191,7 +195,7 @@ def check_symplectic_on_orbit(
     fiber tangents are isotropic, and they are maximal isotropic
     (2 dim fiber = dim tangent).
     """
-    t = orbit_tangent_basis(ctx, batch.points, kind or batch.kind, batch.r)
+    t = orbit_tangent_basis(ctx, batch.points, batch.kind, batch.r)
     gram = np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t
     s = np.linalg.svd(0.5 * (gram - np.swapaxes(gram, -1, -2)), compute_uv=False)
     min_ratio = float((s[..., -1] / s[..., 0]).min())
@@ -208,16 +212,6 @@ def check_symplectic_on_orbit(
 # ---------------------------------------------------------------------------
 # Height-function gradients and Lagrangian sections on the flag orbit
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SectionSample:
-    """(n, dim) arrays: flag points x, field values Y(x) and section points x + t i Y(x)."""
-
-    base_points: np.ndarray
-    field_values: np.ndarray
-    t: float
-    section_points: np.ndarray
 
 
 def gradient_at(ctx: HermitianContext, x: np.ndarray, n_vec: np.ndarray) -> np.ndarray:
@@ -241,11 +235,10 @@ def _flow_images(cd: CartanData, x: np.ndarray, step: float) -> np.ndarray:
 
 def lagrangian_section(
     ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float
-) -> SectionSample:
-    """The section sigma(x) = x + t i Y(x) over the flag, Y = grad f_N."""
+) -> np.ndarray:
+    """The (n, dim) section points sigma(x) = x + t i Y(x) over the flag points x, Y = grad f_N."""
     x = flag_samples.base_points
-    y = gradient_at(ctx, x, n_vec)
-    return SectionSample(base_points=x, field_values=y, t=t, section_points=x + t * (y @ ctx.j.T))
+    return x + t * (gradient_at(ctx, x, n_vec) @ ctx.j.T)
 
 
 def _section_differences(

@@ -132,12 +132,10 @@ def _semidirect_loops(cd, seed):
     dim_k, dim_s = cd.k_basis.shape[1], cd.s_basis.shape[1]
 
     def rand_elem():
-        return sd.SemidirectElement(
-            cd.k_basis @ rng.standard_normal(dim_k), cd.s_basis @ rng.standard_normal(dim_s)
-        )
+        return cd.k_basis @ rng.standard_normal(dim_k) + cd.s_basis @ rng.standard_normal(dim_s)
 
     def norm(e):
-        return np.linalg.norm(e.k_part) + np.linalg.norm(e.s_part)
+        return np.linalg.norm(cd.project_k(e)) + np.linalg.norm(cd.project_s(e))
 
     def br(x, y):
         return sd.semidirect_bracket(cd, x, y)
@@ -146,20 +144,15 @@ def _semidirect_loops(cd, seed):
     worst = 0.0
     for _ in range(100):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
-        j1, j2, j3 = br(a, br(b, c)), br(b, br(c, a)), br(c, br(a, b))
-        resid = np.linalg.norm(j1.k_part + j2.k_part + j3.k_part) + np.linalg.norm(
-            j1.s_part + j2.s_part + j3.s_part
-        )
-        worst = max(worst, resid / (norm(a) * norm(b) * norm(c)))
+        jac = br(a, br(b, c)) + br(b, br(c, a)) + br(c, br(a, b))
+        worst = max(worst, norm(jac) / (norm(a) * norm(b) * norm(c)))
     out["jacobi_semidirect"] = worst
-    p_mat = np.hstack([cd.k_basis, cd.s_basis])
-    gram = p_mat.T @ cd.b_theta @ p_mat
     worst = 0.0
     for _ in range(20):
         e = rand_elem()
         m = sd.ad_rho_matrix(cd, e)
         c = sd.coad_star_matrix(cd, e)
-        worst = max(worst, float(np.max(np.abs(m.T @ gram + gram @ c))))
+        worst = max(worst, float(np.max(np.abs(m.T @ cd.b_theta + cd.b_theta @ c))))
     out["coad_duality"] = worst
     return out
 
@@ -238,9 +231,10 @@ def test_stacked_checks_match_loops(descriptor, seed):
 
 
 @pytest.mark.parametrize("descriptor,smallest", [("sl2c", 15.999999999999973),
-                                                 ("sl3c", 13.359211959422778)])
+                                                 ("sl3c", 24.032618895865465)])
 def test_isotropy_nonzero_reports_smallest_restriction(descriptor, smallest):
-    # 1e-8 / min over the points with mu != 0, no longer capped at 1e-8
+    # 1e-8 / min over the points with mu != 0, no longer capped at 1e-8; the
+    # restriction is the spectral norm of Omega on the compact orbit's tangents
     result = _residuals(checks.symplectic_suite(_cartan(descriptor), seed=1))
     assert result["isotropy_criterion_nonzero"] != 1e-8
     assert result["isotropy_criterion_nonzero"] == pytest.approx(1e-8 / smallest, rel=1e-12)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -7,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orbitdeform
+from orbitdeform import algebra as al
 from orbitdeform.algebra import DESCRIPTORS
-from orbitdeform.cli import _coord_rows, _fmt, main
+from orbitdeform.cli import _coord_rows, _fmt, _parse_r_list, _resolve_h, main
 
 
 def run(args):
@@ -248,6 +252,45 @@ def test_verify_rejects_nan_chamber(capsys):
 def test_verify_rejects_ignored_chamber(capsys):
     # verify checks the regular element only, so any other --H is refused
     assert run(["verify", "--algebra", "sl2r", "--H", "5"]) == 2
+
+
+@pytest.mark.parametrize("algebra", ["so3", "so4"])
+@pytest.mark.parametrize("spec", ["wall:0", "wall:99", "wall:x"])
+def test_orbit_sample_rejects_wall_without_simple_roots(tmp_path, capsys, algebra, spec):
+    # so(n) has no simple roots, so no wall index is in range and none is ignored
+    assert run(["orbit-sample", "--algebra", algebra, "--H", spec,
+                "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+@functools.lru_cache(maxsize=None)
+def _cartan(descriptor):
+    return al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(descriptor=st.sampled_from(sorted(DESCRIPTORS)), k=st.integers(-3, 6))
+def test_resolve_h_wall_index_property(descriptor, k):
+    # "wall:k" is refused exactly when k is not the index of a simple root
+    cd = _cartan(descriptor)
+    if 0 <= k < len(cd.simple_set):
+        h = _resolve_h(cd, f"wall:{k}")
+        assert abs(cd.root_values(h)[cd.simple_set[k]]) < 1e-12
+    else:
+        with pytest.raises(al.DomainError):
+            _resolve_h(cd, f"wall:{k}")
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=5))
+def test_parse_r_list_property(values):
+    # the list is refused exactly when some value is not > 0; otherwise each value is kept once
+    text = ",".join(repr(v) for v in values)
+    if all(v > 0 for v in values):
+        assert _parse_r_list(text) == list(dict.fromkeys(values))
+    else:
+        with pytest.raises(ValueError):
+            _parse_r_list(text)
 
 
 def test_orbit_sample_rejects_negative_count(tmp_path, capsys):
