@@ -1,6 +1,8 @@
 """Command-line surface: verification suites, orbit sampling, r-sweeps
 and Lagrangian sections.  All outputs are deterministic given a seed;
-files are written atomically (temp + rename).
+files are written atomically (temp + rename), and each CSV is streamed in
+blocks of _BLOCK_ROWS rows, so a command holds one block of text at a
+time, not the file.
 
 Exit codes: 0 all checks pass / output written, 1 check failure,
 2 usage or configuration error.
@@ -14,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -63,12 +66,24 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _atomic_write(path: str, text: str):
+_BLOCK_ROWS = 256  # CSV rows formatted into one string before it is written
+
+
+def _atomic_write(path: str, chunks: Iterable[str]):
+    """Write the str chunks in order to a temp file beside path, then rename it to path.
+
+    Any error, one raised by a chunk generator partway through included,
+    removes the temp file and leaves path untouched.
+    """
+    if isinstance(chunks, str):
+        # iterating a str would write it one character at a time
+        raise TypeError("_atomic_write takes an iterable of str chunks, not a str")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -87,13 +102,36 @@ def _coord_rows(points: np.ndarray) -> list[str]:
     return [row % tuple(p) for p in flat.tolist()]
 
 
-def _sample_csv(batch: al.OrbitBatch, r: float) -> str:
+def _row_blocks(points: np.ndarray) -> Iterator[tuple[int, list[str]]]:
+    """(start, rows): the _coord_rows of the (..., dim) points, _BLOCK_ROWS at a time."""
+    flat = points.reshape(-1, points.shape[-1])
+    for start in range(0, flat.shape[0], _BLOCK_ROWS):
+        yield start, _coord_rows(flat[start:start + _BLOCK_ROWS])
+
+
+def _header(tags: str, dim: int) -> str:
+    return tags + "," + ",".join(f"c{i+1}" for i in range(dim)) + "\n"
+
+
+def _sample_csv(batch: al.OrbitBatch, r: float) -> Iterator[str]:
+    """The CSV text of a batch at r: the header line, then one string per block of rows."""
     n_fiber, dim = batch.points.shape[1:]
-    header = "r,base_tag,fiber_tag," + ",".join(f"c{i+1}" for i in range(dim))
+    yield _header("r,base_tag,fiber_tag", dim)
     r_text = _fmt(r)
-    rows = [f"{r_text},{i // n_fiber},{i % n_fiber},{coords}"
-            for i, coords in enumerate(_coord_rows(batch.points))]
-    return "\n".join([header, *rows]) + "\n"
+    for start, rows in _row_blocks(batch.points):
+        yield "".join([f"{r_text},{i // n_fiber},{i % n_fiber},{coords}\n"
+                       for i, coords in enumerate(rows, start)])
+
+
+def _section_csv(t_values: list[float], sections: np.ndarray) -> Iterator[str]:
+    """The CSV text of the (n_t, n, dim) section points: the header line, then
+    one string per block of rows, t by t."""
+    yield _header("t,base_tag", sections.shape[-1])
+    for t, points in zip(t_values, sections):
+        t_text = _fmt(t)
+        for start, rows in _row_blocks(points):
+            yield "".join([f"{t_text},{tag},{coords}\n"
+                           for tag, coords in enumerate(rows, start)])
 
 
 def _parse_r_list(text: str, ascending: bool = False) -> list[float]:
@@ -158,7 +196,7 @@ def cmd_verify(args) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, [text])
     else:
         sys.stdout.write(text)
     for r in results:
@@ -212,7 +250,7 @@ def cmd_deform_sweep(args) -> int:
             entry["limit_deviation"] = df.limit_deviation(ctx, base)
         summary.append(entry)
     spath = os.path.join(args.out, f"sweep_{args.algebra}_summary.json")
-    _atomic_write(spath, json.dumps(summary, indent=2) + "\n")
+    _atomic_write(spath, [json.dumps(summary, indent=2) + "\n"])
     print(spath)
     return 0
 
@@ -227,21 +265,23 @@ def cmd_lagrangian_section(args) -> int:
         return 2
     hc = sp.make_hermitian_context(cd)
     flag = al.flag_orbit_sample(cd, h, args.seed, args.n_base)
-    dim = cd.alg.dim
-    lines = ["t,base_tag," + ",".join(f"c{i+1}" for i in range(dim))]
+    t_array = np.array(t_values)
+    # a finite t can still be too large for the section's coordinates
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            sections = sp.lagrangian_section(hc, h, flag, t_array)
+            residuals = sp.section_omega_residual(hc, h, flag, t_array)
+        except FloatingPointError as exc:
+            raise DomainError(f"--t values too large: the section overflows ({exc})") from exc
     report = []
-    for t in t_values:
-        rows = _coord_rows(sp.lagrangian_section(hc, h, flag, t))
-        t_text = _fmt(t)
-        lines += [f"{t_text},{tag},{coords}" for tag, coords in enumerate(rows)]
-        resid = sp.section_omega_residual(hc, h, flag, t)
+    for t, resid in zip(t_values, residuals.tolist()):
         report.append({"t": t, "max_omega_residual": resid})
         print(f"t={t}: max |Omega| over section tangent pairs = {resid:.3e}", file=sys.stderr)
     path = os.path.join(args.out, f"section_{args.algebra}.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, _section_csv(t_values, sections))
     _atomic_write(
         os.path.join(args.out, f"section_{args.algebra}_report.json"),
-        json.dumps(report, indent=2) + "\n",
+        [json.dumps(report, indent=2) + "\n"],
     )
     print(path)
     return 0

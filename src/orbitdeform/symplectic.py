@@ -234,42 +234,51 @@ def _flow_images(cd: CartanData, x: np.ndarray, step: float) -> np.ndarray:
 
 
 def lagrangian_section(
-    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float
+    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float | np.ndarray
 ) -> np.ndarray:
-    """The (n, dim) section points sigma(x) = x + t i Y(x) over the flag points x, Y = grad f_N."""
+    """The section points sigma_t(x) = x + t i Y(x) over the (n, dim) flag points x, Y = grad f_N.
+
+    A scalar t gives (n, dim); a (n_t,) array gives (n_t, n, dim), t axis
+    first, with Y computed once.
+    """
     x = flag_samples.base_points
+    t = np.asarray(t, dtype=float)[..., None, None]
     return x + t * (gradient_at(ctx, x, n_vec) @ ctx.j.T)
 
 
 def _section_differences(
-    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float, step: float
+    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray, step: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences (D_A Y, D_A sigma) at the points x along each
-    compact flow: two (dim k, n, dim) stacks.  Y does not depend on t, so
-    it is computed once, at every flow image in one stacked call."""
+    """Central differences (D_A Y, D_A sigma_t) at the points x along each
+    compact flow: a (dim k, n, dim) stack and, for a scalar t or a (n_t,)
+    array, a (dim k, n, dim) or (n_t, dim k, n, dim) stack.  Y does not
+    depend on t, so it is computed once, at every flow image in one
+    stacked call, whatever the number of t."""
     xs = _flow_images(ctx.cd, x, step)
     ys = gradient_at(ctx, xs, n_vec)
-    sig = xs + t * (ys @ ctx.j.T)
-    return (ys[0] - ys[1]) / (2 * step), (sig[0] - sig[1]) / (2 * step)
+    sig = xs + np.asarray(t, dtype=float)[..., None, None, None, None] * (ys @ ctx.j.T)
+    d_sig = (sig[..., 0, :, :, :] - sig[..., 1, :, :, :]) / (2 * step)
+    return (ys[0] - ys[1]) / (2 * step), d_sig
 
 
 def section_omega_residual(
     ctx: HermitianContext,
     n_vec: np.ndarray,
     flag_samples: OrbitBatch,
-    t: float,
+    t: float | np.ndarray,
     step: float = 1e-5,
-) -> float:
+) -> float | np.ndarray:
     """max |Omega(v, w)| over finite-difference tangent pairs of the section.
 
-    Tangents are central differences of sigma along the flag curves
-    x(h) = exp(h ad(A)) x for A ranging over the compact basis.
+    Tangents are central differences of sigma_t along the flag curves
+    x(h) = exp(h ad(A)) x for A ranging over the compact basis.  A scalar
+    t gives a float, a (n_t,) array one value per t.
     """
     _, d_sig = _section_differences(ctx, n_vec, flag_samples.base_points, t, step)
-    tb = orthonormal_range(np.moveaxis(d_sig, 0, -1))
-    if not tb.shape[-1]:
-        return 0.0
-    return float(np.max(np.abs(np.swapaxes(tb, -1, -2) @ ctx.omega.gram @ tb)))
+    tb = orthonormal_range(np.moveaxis(d_sig, -3, -1))
+    gram = np.swapaxes(tb, -1, -2) @ ctx.omega.gram @ tb
+    resid = np.abs(gram).max(axis=(-3, -2, -1), initial=0.0)
+    return float(resid) if resid.ndim == 0 else resid
 
 
 def section_tangent_formula_residual(

@@ -4,17 +4,30 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbitdeform
 from orbitdeform import algebra as al
+from orbitdeform import deformation as df
 from orbitdeform.algebra import DESCRIPTORS
-from orbitdeform.cli import _coord_rows, _fmt, _parse_r_list, _resolve_h, main
+from orbitdeform.cli import (
+    _BLOCK_ROWS,
+    _atomic_write,
+    _coord_rows,
+    _fmt,
+    _parse_r_list,
+    _resolve_h,
+    _sample_csv,
+    _section_csv,
+    main,
+)
 
 
 def run(args):
@@ -177,6 +190,88 @@ def test_coord_rows_match_fmt():
     assert _coord_rows(rows.reshape(3, 1, 6)) == expected
 
 
+def _grid(n_rows):
+    """(n_base, n_fiber) with n_base * n_fiber = n_rows and, where a divisor allows,
+    n_fiber not dividing _BLOCK_ROWS, so a base point's rows straddle two blocks."""
+    n_fiber = next(f for f in (3, 5, 7, n_rows) if n_rows % f == 0)
+    return n_rows // n_fiber, n_fiber
+
+
+def _batch(points):
+    return al.OrbitBatch(points=points, base_points=points[:, 0], k_ops=np.empty(0),
+                         fibers=points, fiber_coeffs=points, kind="adjoint", r=2.0)
+
+
+@pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                    2 * _BLOCK_ROWS + 3])
+def test_sample_csv_blocks_join_to_reference(n_rows):
+    # the streamed chunks are the header and one string per block, and joined
+    # they are the one-string file: "%.17g" fields, tags, \n line ends
+    n_base, n_fiber = _grid(n_rows)
+    rng = np.random.default_rng(n_rows)
+    points = rng.standard_normal((n_base, n_fiber, 6)) * 10.0 ** rng.integers(-300, 300, 6)
+    chunks = list(_sample_csv(_batch(points), 2.0))
+    lines = ["r,base_tag,fiber_tag,c1,c2,c3,c4,c5,c6"] + [
+        ",".join([_fmt(2.0), str(b), str(f), *(_fmt(float(v)) for v in points[b, f])])
+        for b in range(n_base) for f in range(n_fiber)
+    ]
+    assert "".join(chunks) == "\n".join(lines) + "\n"
+    assert len(chunks) == 1 + -(-n_rows // _BLOCK_ROWS)
+    assert all(chunk.count("\n") <= _BLOCK_ROWS for chunk in chunks)
+
+
+def test_section_csv_blocks_join_to_reference():
+    n = 2 * _BLOCK_ROWS + 3
+    t_values = [-0.0, 0.5, 1e-300]
+    sections = np.random.default_rng(2).standard_normal((len(t_values), n, 6))
+    chunks = list(_section_csv(t_values, sections))
+    lines = ["t,base_tag,c1,c2,c3,c4,c5,c6"] + [
+        ",".join([_fmt(t), str(tag), *(_fmt(float(v)) for v in sections[i, tag])])
+        for i, t in enumerate(t_values) for tag in range(n)
+    ]
+    assert "".join(chunks) == "\n".join(lines) + "\n"
+    assert len(chunks) == 1 + len(t_values) * -(-n // _BLOCK_ROWS)
+
+
+def _failing_chunks():
+    yield "a,b\n"
+    yield "1,2\n"
+    raise RuntimeError("generator failed")
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_atomic_write_failing_generator_keeps_target(tmp_path, existing):
+    target = tmp_path / "out.csv"
+    if existing:
+        target.write_text("old\n")
+    with pytest.raises(RuntimeError, match="generator failed"):
+        _atomic_write(str(target), _failing_chunks())
+    assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
+    if existing:
+        assert target.read_text() == "old\n"
+
+
+def test_atomic_write_rejects_bare_str(tmp_path):
+    # a str is an iterable of characters; it is refused, not written char by char
+    with pytest.raises(TypeError):
+        _atomic_write(str(tmp_path / "out.json"), "{}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_export_memory_bounded_by_block(tmp_path):
+    # writing a 2e4-row sl2c CSV holds one block of text, not the file's 9 MB
+    cd = _cartan("sl2c")
+    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, 1, 1000, 20)
+    tracemalloc.start()
+    try:
+        _atomic_write(str(tmp_path / "sweep.csv"), _sample_csv(batch, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 1 + 20000
+    assert peak < 1_000_000, peak
+
+
 def test_lagrangian_section(tmp_path, capsys):
     code = run(["lagrangian-section", "--algebra", "sl2c", "--n-base", "5",
                 "--t", "0,1", "--out", str(tmp_path)])
@@ -301,9 +396,50 @@ def test_orbit_sample_rejects_negative_count(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(command=st.sampled_from(["orbit-sample", "deform-sweep"]),
+       flag=st.sampled_from(["--n-base", "--n-fiber"]), value=st.integers(max_value=4))
+def test_count_validator_property(command, flag, value):
+    # a count is refused, with nothing written, exactly when it is < 1
+    with tempfile.TemporaryDirectory() as out:
+        code = run([command, "--algebra", "sl2r", f"{flag}={value}", "--out", out])
+        assert (code, bool(os.listdir(out))) == ((2, False) if value < 1 else (0, True))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=25)
+@given(t_values=st.lists(
+    st.sampled_from([math.nan, math.inf, -math.inf, sys.float_info.max]) | st.floats(),
+    min_size=1, max_size=3))
+@example(t_values=[1e307, 0.5])
+@example(t_values=[-sys.float_info.max])
+def test_section_t_validator_property(t_values):
+    # a non-finite t is refused with nothing written; moderate finite t are
+    # accepted; a finite t so large that the section overflows is refused too,
+    # never a crash, and nothing is written
+    with tempfile.TemporaryDirectory() as out:
+        code = run(["lagrangian-section", "--algebra", "sl2c", "--n-base", "2",
+                    "--t=" + ",".join(repr(t) for t in t_values), "--out", out])
+        written = sorted(os.listdir(out))
+    if not all(math.isfinite(t) for t in t_values):
+        assert (code, written) == (2, [])
+    elif all(abs(t) <= 1e300 for t in t_values):
+        assert (code, written) == (0, ["section_sl2c.csv", "section_sl2c_report.json"])
+    else:
+        assert (code, written) in ((0, ["section_sl2c.csv", "section_sl2c_report.json"]),
+                                   (2, []))
+
+
 def test_lagrangian_section_rejects_non_finite_t(tmp_path, capsys):
     assert run(["lagrangian-section", "--algebra", "sl2c", "--t", "0,nan",
                 "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_lagrangian_section_rejects_overflowing_t(tmp_path, capsys):
+    # finite, but the section's coordinates overflow: a usage error, not a crash
+    assert run(["lagrangian-section", "--algebra", "sl2c", "--n-base", "2",
+                f"--t=0,{sys.float_info.max!r}", "--out", str(tmp_path)]) == 2
+    assert "--t values too large" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -212,6 +212,22 @@ def test_lagrangian_sections(sl2c):
         assert sp.section_omega_residual(hc, h, flag, t) < 1e-6
 
 
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_section_t_array_matches_scalar_calls(fixture, request):
+    # a t array is the scalar calls stacked, t axis first, bit for bit
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    flag = al.flag_orbit_sample(cd, h, seed=10, count=7)
+    t_values = [0.0, 0.5, -1.25, 2.0]
+    points = sp.lagrangian_section(hc, h, flag, np.array(t_values))
+    resids = sp.section_omega_residual(hc, h, flag, np.array(t_values))
+    assert points.shape == (4, 7, cd.alg.dim) and resids.shape == (4,)
+    for t, p_t, r_t in zip(t_values, points, resids):
+        assert np.array_equal(p_t, sp.lagrangian_section(hc, h, flag, t))
+        single = sp.section_omega_residual(hc, h, flag, t)
+        assert isinstance(single, float) and r_t == single
+
+
 def test_section_tangent_formula_crosscheck(sl2c):
     cd, hc = sl2c
     h = cd.chamber_H
