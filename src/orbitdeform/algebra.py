@@ -19,16 +19,20 @@ of an element of the algebra: H_i takes the cumulative sum of the
 diagonal, S_ij and A_ij take (m_ij +- m_ji)/2, so(n) reads A_ij = m_ij,
 and sl(n,C) reads its real part, then its imaginary part.  So the
 structure constants (in {0, +-1, +-2}), the Killing matrix and the
-involution theta (diagonal +-1) are exact.  bracket and ad contract
-with the structure tensor through one kernel: stacked row-times-matrix
-products against its (dim, dim^2) view, which give a stack the bits of
-the per-vector calls.
+involution theta (diagonal +-1) are exact; the Killing matrix is the
+trace form c Re tr(e_i e_j).  bracket and ad contract with the structure
+tensor through one kernel: stacked row-times-matrix products against its
+(dim, dim^2) view, which give a stack the bits of the per-vector calls.
+The compact group acts through n x n matrices: Ad(k) operators are read
+off the conjugates k e_j k^-1 of the basis, never exponentiated as
+(dim, dim) ad matrices.
 The orbit samplers return an OrbitBatch: one set of arrays over (base,
 fiber), the only sample format.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,12 +101,12 @@ class LieAlgebraData:
     dim: int  # real dimension
     basis: np.ndarray  # (dim, n, n), complex dtype for complex families
     structure: np.ndarray  # c[i,j,k]: [e_i, e_j] = sum_k c[i,j,k] e_k
-    killing: np.ndarray  # (dim, dim), tr(ad e_i . ad e_j)
+    killing: np.ndarray  # (dim, dim), tr(ad e_i . ad e_j) = c Re tr(e_i e_j)
     j_op: np.ndarray | None  # (dim, dim) multiplication by i, complex case only
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
-        v = self._check_vec(v)
-        return np.tensordot(v, self.basis, axes=(0, 0))
+        """The matrix of a coefficient vector, or of each in a (..., dim) stack: (..., n, n)."""
+        return np.tensordot(self._check_stack(v), self.basis, axes=(-1, 0))
 
     def to_vector(self, m: np.ndarray) -> np.ndarray:
         """Basis coefficients of a matrix, or of each in a (..., n, n) stack, read off its entries.
@@ -147,12 +151,6 @@ class LieAlgebraData:
         v = np.asarray(v, dtype=float)
         if v.shape[-1:] != (self.dim,):
             raise DimensionError(f"expected coefficient vectors of length {self.dim}")
-        return v
-
-    def _check_vec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise DimensionError(f"expected coefficient vector of length {self.dim}")
         return v
 
 
@@ -263,12 +261,27 @@ def _coordinates(family: str, m: np.ndarray) -> np.ndarray:
     return np.concatenate([diag, 0.5 * (upper + lower), 0.5 * (upper - lower)], axis=-1)
 
 
+@functools.lru_cache(maxsize=None)
+def _entry_readout(family: str, n: int) -> np.ndarray:
+    """R (dim, n*n) with to_vector(M) = Re(R vec(M)), vec row-major; read-only, built once.
+
+    to_vector is real-linear, so column ab of R holds the coordinates of
+    the unit matrix E_ab minus i times those of i E_ab.  Real on the real
+    families, where the imaginary part of M is never read.
+    """
+    units = np.eye(n * n).reshape(n * n, n, n)
+    real, imag = _coordinates(family, np.stack([units, 1j * units]))
+    readout = (real - 1j * imag).T if family == "sl_complex" else real.T
+    readout.flags.writeable = False
+    return readout
+
+
 def build_algebra(family: str, n: int) -> LieAlgebraData:
     """Construct the algebra with structure tensor and Killing matrix.
 
     The structure tensor comes from the matrix commutators of all pairs
-    of basis elements, read back by entries; the Killing matrix from
-    tr(ad o ad) on that basis.  Both are exact integers.
+    of basis elements, read back by entries; the Killing matrix from the
+    trace form c Re tr(e_i e_j) on that basis.  Both are exact integers.
     """
     if family not in _FAMILIES:
         raise ConfigurationError(f"unsupported family {family!r}")
@@ -290,8 +303,11 @@ def build_algebra(family: str, n: int) -> LieAlgebraData:
     products = basis[:, None] @ basis[None]
     structure = _coordinates(family, products - np.swapaxes(products, 0, 1))
 
-    ads = np.einsum("ijk->ikj", structure)  # ads[i] = ad(e_i)
-    killing = np.einsum("iab,jba->ij", ads, ads)
+    # tr(ad X ad Y) = c Re tr(XY): 2n on sl(n,R), 4n on sl(n,C) as a real algebra
+    # (twice the real part of its complex form 2n tr(XY)), n - 2 on so(n)
+    scale = {"sl_real": 2 * n, "sl_complex": 4 * n, "so": n - 2}[family]
+    # tr(e_i e_j) = sum_ab (e_i)_ab (e_j)_ba, one product of the flattened bases
+    killing = scale * (basis.reshape(dim, -1) @ np.swapaxes(basis, 1, 2).reshape(dim, -1).T).real
 
     j_op = None
     if field_tag == "complex":
@@ -479,10 +495,22 @@ def h_subspaces(cd: CartanData, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def sample_k_operators(cd: CartanData, seed: int, count: int) -> np.ndarray:
-    """Seeded Ad(K) operators (count, dim, dim): products of 3 exponentials of random k-elements."""
+    """Seeded Ad(K) operators (count, dim, dim): Ad(exp(A3) exp(A2) exp(A1)), A_i random in k.
+
+    The group element g is a product of n x n exponentials, and
+    exp(ad A) = Ad(exp A), so column j of Ad(g) is to_vector(g e_j g^-1).
+    k is the -X^H-fixed part of g on every family (K = SO(n) or SU(n)),
+    so g^-1 = g^H.  All columns come from one product per sample: the
+    readout of to_vector times g kron conj(g) times the flattened basis.
+    """
+    alg, n = cd.alg, cd.alg.n
     coeffs = np.random.default_rng(seed).standard_normal((count, 3, cd.k_basis.shape[1]))
-    exps = matrix_exp(cd.alg.ad(coeffs @ cd.k_basis.T))
-    return exps[:, 2] @ (exps[:, 1] @ exps[:, 0])
+    exps = matrix_exp(alg.to_matrix(coeffs @ cd.k_basis.T))
+    g = exps[:, 2] @ (exps[:, 1] @ exps[:, 0])
+    # row-major vec(g X g^H) = (g kron conj(g)) vec(X), and to_vector(M) = Re(R vec(M))
+    kron = (g[:, :, None, :, None] * np.conj(g)[:, None, :, None, :]).reshape(count, n * n, n * n)
+    ops = _entry_readout(alg.family, n) @ kron @ alg.basis.reshape(alg.dim, n * n).T
+    return np.ascontiguousarray(ops.real)
 
 
 def flag_orbit_sample(cd: CartanData, h: np.ndarray, seed: int, count: int) -> OrbitBatch:

@@ -28,6 +28,7 @@ stacked call, never a loop over samples.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,12 +226,11 @@ def gradient_at(ctx: HermitianContext, x: np.ndarray, n_vec: np.ndarray) -> np.n
     return (t @ np.linalg.solve(t_b @ t, rhs[..., None]))[..., 0]
 
 
-def _flow_images(cd: CartanData, x: np.ndarray, step: float) -> np.ndarray:
-    """exp(+-step ad A) x for A over the compact basis and x over the (n, dim)
-    points: a (2, dim k, n, dim) stack, the + flow first."""
+def _compact_flows(cd: CartanData, step: float) -> np.ndarray:
+    """exp(+-step ad A) for A over the compact basis: a (2, dim k, 1, dim, dim)
+    stack, the + flow first, that applies to (n, dim) points as a (2, dim k, n, dim) stack."""
     ads = cd.alg.ad(cd.k_basis.T)
-    flows = matrix_exp(np.stack([step * ads, -step * ads]))
-    return apply(flows[:, :, None], x)
+    return matrix_exp(np.stack([step * ads, -step * ads]))[:, :, None]
 
 
 def lagrangian_section(
@@ -246,19 +246,30 @@ def lagrangian_section(
     return x + t * (gradient_at(ctx, x, n_vec) @ ctx.j.T)
 
 
+_SECTION_BLOCK = 256  # base points whose flow images are differentiated in one stacked call
+
+
 def _section_differences(
     ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences (D_A Y, D_A sigma_t) at the points x along each
-    compact flow: a (dim k, n, dim) stack and, for a scalar t or a (n_t,)
-    array, a (dim k, n, dim) or (n_t, dim k, n, dim) stack.  Y does not
-    depend on t, so it is computed once, at every flow image in one
-    stacked call, whatever the number of t."""
-    xs = _flow_images(ctx.cd, x, step)
-    ys = gradient_at(ctx, xs, n_vec)
-    sig = xs + np.asarray(t, dtype=float)[..., None, None, None, None] * (ys @ ctx.j.T)
-    d_sig = (sig[..., 0, :, :, :] - sig[..., 1, :, :, :]) / (2 * step)
-    return (ys[0] - ys[1]) / (2 * step), d_sig
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Central differences along each compact flow, _SECTION_BLOCK points of x at a time.
+
+    Yields (x_b, D_A Y, D_A sigma_t) for each block x_b of the (n, dim)
+    points: a (dim k, b, dim) stack and, for a scalar t or a (n_t,) array,
+    a (dim k, b, dim) or (n_t, dim k, b, dim) stack.  Y does not depend
+    on t, so it is computed once, at every flow image of the block in one
+    stacked call, whatever the number of t.  Each point's values have the
+    bits of an unblocked call, and memory is bounded by the block.
+    """
+    t = np.asarray(t, dtype=float)[..., None, None, None, None]
+    flows = _compact_flows(ctx.cd, step)
+    for start in range(0, x.shape[0], _SECTION_BLOCK):
+        x_b = x[start:start + _SECTION_BLOCK]
+        xs = apply(flows, x_b)
+        ys = gradient_at(ctx, xs, n_vec)
+        sig = xs + t * (ys @ ctx.j.T)
+        d_sig = (sig[..., 0, :, :, :] - sig[..., 1, :, :, :]) / (2 * step)
+        yield x_b, (ys[0] - ys[1]) / (2 * step), d_sig
 
 
 def section_omega_residual(
@@ -272,12 +283,15 @@ def section_omega_residual(
 
     Tangents are central differences of sigma_t along the flag curves
     x(h) = exp(h ad(A)) x for A ranging over the compact basis.  A scalar
-    t gives a float, a (n_t,) array one value per t.
+    t gives a float, a (n_t,) array one value per t.  The maximum is
+    taken block by block over the base points, so memory does not grow
+    with their number.
     """
-    _, d_sig = _section_differences(ctx, n_vec, flag_samples.base_points, t, step)
-    tb = orthonormal_range(np.moveaxis(d_sig, -3, -1))
-    gram = np.swapaxes(tb, -1, -2) @ ctx.omega.gram @ tb
-    resid = np.abs(gram).max(axis=(-3, -2, -1), initial=0.0)
+    resid = np.zeros(np.shape(t))
+    for _, _, d_sig in _section_differences(ctx, n_vec, flag_samples.base_points, t, step):
+        tb = orthonormal_range(np.moveaxis(d_sig, -3, -1))
+        gram = np.swapaxes(tb, -1, -2) @ ctx.omega.gram @ tb
+        resid = np.maximum(resid, np.abs(gram).max(axis=(-3, -2, -1), initial=0.0))
     return float(resid) if resid.ndim == 0 else resid
 
 
@@ -294,11 +308,12 @@ def section_tangent_formula_residual(
     t i (D_A Y)(x), with the field derivative D_A Y estimated by finite
     differences of Y along the flow of A.
     """
-    cd = ctx.cd
-    x = flag_samples.base_points
-    dy, fd = _section_differences(ctx, n_vec, x, t, step)
-    formula = apply(cd.alg.ad(cd.k_basis.T)[:, None], x) + t * (dy @ ctx.j.T)
-    return float(np.linalg.norm(fd - formula, axis=-1).max())
+    ads = ctx.cd.alg.ad(ctx.cd.k_basis.T)[:, None]
+    resid = 0.0
+    for x, dy, fd in _section_differences(ctx, n_vec, flag_samples.base_points, t, step):
+        formula = apply(ads, x) + t * (dy @ ctx.j.T)
+        resid = max(resid, float(np.linalg.norm(fd - formula, axis=-1).max()))
+    return resid
 
 
 def gradient_hamiltonian_residual(
@@ -314,7 +329,7 @@ def gradient_hamiltonian_residual(
     """
     x = flag_samples.base_points
     # (1, dim) rows: stacked vector-matrix products keep the per-point bits
-    xs = _flow_images(ctx.cd, x, step)[..., None, :]
+    xs = apply(_compact_flows(ctx.cd, step), x)[..., None, :]
     w = (xs[0] - xs[1]) / (2 * step)
     f = xs @ ctx.b_tau @ np.asarray(n_vec, dtype=float)
     d_f = (f[0] - f[1]) / (2 * step)

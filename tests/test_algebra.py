@@ -2,12 +2,13 @@ import dataclasses
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from orbitdeform import algebra as al
-from orbitdeform.numerics import DimensionError, StructureError, nullspace
+from orbitdeform.numerics import DimensionError, StructureError, matrix_exp, nullspace
 
 # canonical sl(2,R) coordinates: (x, y, z) = x H + y S + z A
 H, S, A = np.eye(3)
@@ -358,6 +359,9 @@ def test_structure_data_exact(family, n):
     assert set(signs) <= {1.0, -1.0}
     assert np.array_equal(cd.theta @ cd.theta, np.eye(alg.dim))
     assert np.array_equal(alg.killing, alg.killing.T)
+    # the trace form c Re tr(e_i e_j) against tr(ad e_i ad e_j) from the structure tensor
+    ads = np.swapaxes(alg.structure, 1, 2)
+    assert np.array_equal(alg.killing, np.einsum("iab,jba->ij", ads, ads))
     assert np.array_equal(cd.b_theta, cd.b_theta.T)
     assert np.array_equal(cd.k_basis @ cd.k_basis.T + cd.s_basis @ cd.s_basis.T,
                           np.eye(alg.dim))
@@ -376,6 +380,57 @@ def test_to_vector_reads_entries_exactly(family, n):
     got = alg.to_vector(mats)
     assert got.shape == (2, 3, alg.dim)
     assert np.array_equal(got, [[alg.to_vector(m) for m in row] for row in mats])
+    # to_vector is real-linear: Re(R vec(m)) with the readout R, exactly on integer entries
+    readout = al._entry_readout(family, n)
+    flat = np.stack([alg.to_matrix(v) for v in ints]).reshape(len(ints), n * n)
+    assert np.array_equal((flat @ readout.T).real, ints)
+    # and to_matrix of a (..., dim) stack the bits of the per-vector calls
+    vecs = rng.standard_normal((2, 3, alg.dim))
+    assert np.array_equal(alg.to_matrix(vecs), [[alg.to_matrix(v) for v in row] for row in vecs])
+    with pytest.raises(DimensionError):
+        alg.to_matrix(vecs[..., :-1])
+
+
+def _k_operators_by_ad(cd, seed, count):
+    # the exp(ad) route the group sampler replaced, kept as the reference:
+    # the same draws, exponentiated as (dim, dim) ad matrices
+    coeffs = np.random.default_rng(seed).standard_normal((count, 3, cd.k_basis.shape[1]))
+    exps = matrix_exp(cd.alg.ad(coeffs @ cd.k_basis.T))
+    return exps[:, 2] @ (exps[:, 1] @ exps[:, 0])
+
+
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_k_operators_match_ad_exponentials(descriptor):
+    cd = _exact_cartan(*al.DESCRIPTORS[descriptor])
+    for seed, count in ((1, 50), (4242, 200)):
+        got = al.sample_k_operators(cd, seed, count)
+        ref = _k_operators_by_ad(cd, seed, count)
+        assert got.shape == (count, cd.alg.dim, cd.alg.dim)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_k_operators_preserve_killing_and_theta(descriptor):
+    # Ad(k) is an automorphism of g that commutes with theta, for k in K
+    cd = _exact_cartan(*al.DESCRIPTORS[descriptor])
+    ops = al.sample_k_operators(cd, 3, 100)
+    killing = cd.alg.killing
+    gram = np.swapaxes(ops, -1, -2) @ killing @ ops
+    assert np.abs(gram - killing).max() <= 1e-13 * np.abs(killing).max()
+    assert np.abs(ops @ cd.theta - cd.theta @ ops).max() <= 1e-13 * np.abs(ops).max()
+
+
+def test_k_operators_memory():
+    # n x n group elements, not 3 * count (dim, dim) Pade stacks: the
+    # exp(ad) route peaked at about 106 MiB here
+    cd = _exact_cartan("sl_complex", 3)
+    tracemalloc.start()
+    try:
+        al.sample_k_operators(cd, seed=1, count=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
 
 
 @pytest.mark.parametrize("family,n", EXACT_CASES)

@@ -228,6 +228,31 @@ def test_section_t_array_matches_scalar_calls(fixture, request):
         assert isinstance(single, float) and r_t == single
 
 
+@pytest.mark.parametrize("fixture,block", [("sl2c", 3), ("sl3c", 4), ("sl2c", None)])
+def test_section_blocks_match_one_block(fixture, block, request, monkeypatch):
+    # blocks of base points give the bits of one unblocked call; n spans at
+    # least two blocks, the last one partial (None: the module's own block)
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    block = block or sp._SECTION_BLOCK
+    flag = al.flag_orbit_sample(cd, h, seed=12, count=2 * block + 1)
+    t_values = np.array([0.0, 0.5, 1.0, 2.0])
+
+    def run():
+        diffs = list(sp._section_differences(hc, h, flag.base_points, t_values, 1e-5))
+        return (diffs, sp.section_omega_residual(hc, h, flag, t_values),
+                sp.section_tangent_formula_residual(hc, h, flag, 1.0))
+
+    monkeypatch.setattr(sp, "_SECTION_BLOCK", block)
+    blocks, resids, formula = run()
+    monkeypatch.setattr(sp, "_SECTION_BLOCK", flag.base_points.shape[0])
+    (whole,), ref_resids, ref_formula = run()
+    assert len(blocks) == 3
+    for got, ref, axis in zip(zip(*blocks), whole, (0, 1, 2)):
+        assert np.array_equal(np.concatenate(got, axis=axis), ref)
+    assert np.array_equal(resids, ref_resids) and formula == ref_formula
+
+
 def test_section_tangent_formula_crosscheck(sl2c):
     cd, hc = sl2c
     h = cd.chamber_H
