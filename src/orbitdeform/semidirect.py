@@ -16,9 +16,11 @@ Coadjoint orbits through a point x are affine bundles over the compact
 orbit of x: each point decomposes as w + [w, v] with w on the base
 orbit and the fiber part in the dual of the tangent space at w.  The
 map phi sends a fiber point to the covector it induces via B_theta; the
-moment application m inverts it.  The sampler returns an OrbitBatch;
-the sampler and phi each take their tangents from one stacked
-orbit_tangent_at call, and m works on the resulting stacks.
+moment application m inverts it.  Each compact-orbit object is formed
+here, once: tangent_columns ([A, x] for A in k), orbit_tangent_at (a
+B_theta-orthonormal basis t of their span) and coadjoint_fiber ([w, s]).
+The sampler's OrbitBatch stores the B_theta-tangential part t t^T B_theta v
+of each fiber coordinate; phi reads it, and m works on the stacks.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ import numpy as np
 
 from .algebra import (
     CartanData,
-    DomainError,
     OrbitBatch,
     RepresentationError,
     _b_orthonormalize,
     sample_k_operators,
 )
-from .numerics import DimensionError, Tolerance, apply, orthonormal_range
+from .numerics import DimensionError, apply, orthonormal_range
 
 
 def semidirect_bracket(cd: CartanData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -44,17 +45,6 @@ def semidirect_bracket(cd: CartanData, x: np.ndarray, y: np.ndarray) -> np.ndarr
     x and y are ambient vectors or (..., dim) stacks, which broadcast.
     """
     return cd.alg.bracket(cd.project_k(x), y) - cd.alg.bracket(cd.project_k(y), cd.project_s(x))
-
-
-def moment_mu(cd: CartanData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Moment map of ad: k -> gl(s) on a wedge: mu(x ^ y) = [x, y] in k."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    eps = Tolerance().abs_eps
-    for v in (x, y):
-        if np.linalg.norm(cd.project_k(v)) > eps * (1 + np.linalg.norm(v)):
-            raise DomainError("moment arguments must lie in s")
-    return cd.alg.bracket(x, y)
 
 
 def ad_rho_matrix(cd: CartanData, x: np.ndarray) -> np.ndarray:
@@ -76,19 +66,26 @@ def coad_star_matrix(cd: CartanData, x: np.ndarray) -> np.ndarray:
 
 def coadjoint_fiber(cd: CartanData, w: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the fiber direction [w, s] inside k over w."""
-    w = np.asarray(w, dtype=float)
     return orthonormal_range(cd.alg.ad(w) @ cd.s_basis)
 
 
+def tangent_columns(cd: CartanData, x: np.ndarray) -> np.ndarray:
+    """The columns [A, x] for A over k_basis, which span T_x(Ad(K).x).
+
+    A (..., dim) stack of points gives a (..., dim, dim k) stack.
+    """
+    return -cd.alg.ad(x) @ cd.k_basis
+
+
 def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
-    """B_theta-orthonormal basis of T_w(Ad(K).w) = {[A, w] : A in k}.
+    """B_theta-orthonormal basis of T_w(Ad(K).w), the span of tangent_columns.
 
     A (..., dim) stack of points gives a (..., dim, rank) stack, from one
     batched SVD and one batched Cholesky step.  B_theta-orthonormality
     makes tangential projection (the complement being the centralizer
-    directions) a plain coefficient contraction.
+    directions) a plain coefficient contraction: t t^T B_theta v.
     """
-    return _b_orthonormalize(orthonormal_range(-cd.alg.ad(w) @ cd.k_basis), cd.b_theta)
+    return _b_orthonormalize(orthonormal_range(tangent_columns(cd, w)), cd.b_theta)
 
 
 def sample_semidirect_orbit(
@@ -120,14 +117,11 @@ def phi_cotangent(cd: CartanData, batch: OrbitBatch) -> tuple[np.ndarray, np.nda
 
     Both are (n_base, n_fiber, dim) stacks.  The covector f_v is stored
     as its B_theta-dual tangent vector: the tangential component of the
-    fiber coordinate v at w.
+    fiber coordinate v at w, which is the batch's stored fiber.
     """
     if batch.kind != "semidirect" or batch.fibers is None:
         raise RepresentationError("need a tagged semidirect orbit batch")
-    tangent = orbit_tangent_at(cd, batch.base_points)[:, None]
-    coeffs = np.swapaxes(tangent, -1, -2) @ cd.b_theta @ batch.fibers[..., None]
-    v_t = (tangent @ coeffs)[..., 0]
-    return np.broadcast_to(batch.base_points[:, None], v_t.shape), v_t
+    return np.broadcast_to(batch.base_points[:, None], batch.fibers.shape), batch.fibers
 
 
 def cotangent_moment(cd: CartanData, base_point: np.ndarray, covector: np.ndarray) -> np.ndarray:

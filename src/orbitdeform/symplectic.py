@@ -12,7 +12,8 @@ a single fixed normalization of the imaginary part.  The compact real
 form u and the fibers [w, s] of the semidirect orbit are Lagrangian /
 isotropic for Omega; the restriction of Omega to the semidirect orbit
 over a chamber element H is symplectic, which is certified at every
-sample by rank.  The module also provides height-function gradients and
+sample by rank.  The module also provides height-function gradients (the
+B_theta-projection of N through semidirect.orbit_tangent_at) and
 Lagrangian sections on the flag orbit, checked by central differences
 along the compact flows exp(h ad A); the defect by which the
 deformation maps fail to preserve Omega, from exact tangents (psi~_r is
@@ -22,7 +23,8 @@ moment map of the compact-group action; and a generic skew-form toolkit
 
 Samples are OrbitBatch arrays or (..., dim) stacks of points: tangent
 bases, the certificate, gradients, pullbacks and moments each take one
-stacked call, never a loop over samples.
+stacked call, never a loop over samples.  The compact-orbit tangent
+columns [A, x] and the fibers [w, s] come from semidirect.py.
 """
 
 from __future__ import annotations
@@ -132,7 +134,6 @@ def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
     matrices).
     """
     cd = ctx.cd
-    x = np.asarray(x, dtype=float)
     m = -apply(ctx.j, cd.alg.bracket(apply(cd.theta, x), x))
     if (np.linalg.norm(cd.project_s(m), axis=-1) > 1e-8 * (1 + np.linalg.norm(m, axis=-1))).any():
         raise DomainError("moment value escaped the compact form")
@@ -160,13 +161,10 @@ def orbit_tangent_basis(
     raises StructureError.
     """
     cd = ctx.cd
-    x = np.asarray(x, dtype=float)
+    if kind == "semidirect":
+        return _semidirect_tangent(cd, x, fiber_tangent_at(cd, cd.project_s(x)))
     if kind == "flag":
-        cols = -cd.alg.ad(x) @ cd.k_basis
-    elif kind == "semidirect":
-        cols = np.concatenate(
-            [-cd.alg.ad(x) @ cd.k_basis, cd.alg.ad(cd.project_s(x)) @ cd.s_basis], axis=-1
-        )
+        cols = sd.tangent_columns(cd, x)
     elif kind == "adjoint":
         cols = -cd.alg.ad(x)
     elif kind == "deformed":
@@ -174,6 +172,11 @@ def orbit_tangent_basis(
     else:
         raise RepresentationError(f"unknown orbit kind {kind!r}")
     return orthonormal_range(cols)
+
+
+def _semidirect_tangent(cd: CartanData, x: np.ndarray, fib: np.ndarray) -> np.ndarray:
+    """The semidirect orbit_tangent_basis at x, given the fiber bases over its s-part."""
+    return orthonormal_range(np.concatenate([sd.tangent_columns(cd, x), fib], axis=-1))
 
 
 def max_omega(ctx: HermitianContext, t: np.ndarray) -> np.ndarray:
@@ -189,18 +192,20 @@ def max_omega(ctx: HermitianContext, t: np.ndarray) -> np.ndarray:
 
 
 def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
-    """Certify non-degeneracy of Omega on the orbit and fiber isotropy.
+    """Certify non-degeneracy of Omega on the semidirect orbit and fiber isotropy.
 
     At every sample: the restriction of Omega to the orbit tangent
     space has full rank (smallest singular value > 1e-8 * largest), the
     fiber tangents are isotropic, and they are maximal isotropic
     (2 dim fiber = dim tangent).
     """
-    t = orbit_tangent_basis(ctx, batch.points, batch.kind, batch.r)
+    if batch.kind != "semidirect":
+        raise RepresentationError("need a semidirect orbit batch")
+    fib = fiber_tangent_at(ctx.cd, ctx.cd.project_s(batch.points))
+    t = _semidirect_tangent(ctx.cd, batch.points, fib)
     gram = np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t
     s = np.linalg.svd(0.5 * (gram - np.swapaxes(gram, -1, -2)), compute_uv=False)
     min_ratio = float((s[..., -1] / s[..., 0]).min())
-    fib = fiber_tangent_at(ctx.cd, ctx.cd.project_s(batch.points))
     return {
         "min_sv_ratio": min_ratio,
         "max_fiber_omega": float(max_omega(ctx, fib).max()),
@@ -218,12 +223,12 @@ def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
 def gradient_at(ctx: HermitianContext, x: np.ndarray, n_vec: np.ndarray) -> np.ndarray:
     """B_tau-gradient of the height function f(x) = B_tau(x, N) on the flag.
 
-    x is one point or a (..., dim) stack of flag points; the result has its shape.
+    It is the B_tau-orthogonal projection t t^T B_tau N of N onto the
+    tangent space, with t = orbit_tangent_at (B_tau = B_theta).  x is one
+    point or a (..., dim) stack of flag points; the result has its shape.
     """
-    t = orthonormal_range(-ctx.cd.alg.ad(x) @ ctx.cd.k_basis)
-    t_b = np.swapaxes(t, -1, -2) @ ctx.b_tau
-    rhs = t_b @ np.asarray(n_vec, dtype=float)
-    return (t @ np.linalg.solve(t_b @ t, rhs[..., None]))[..., 0]
+    t = sd.orbit_tangent_at(ctx.cd, x)
+    return apply(t, apply(np.swapaxes(t, -1, -2) @ ctx.b_tau, n_vec))
 
 
 def _compact_flows(cd: CartanData, step: float) -> np.ndarray:
@@ -308,10 +313,9 @@ def section_tangent_formula_residual(
     t i (D_A Y)(x), with the field derivative D_A Y estimated by finite
     differences of Y along the flow of A.
     """
-    ads = ctx.cd.alg.ad(ctx.cd.k_basis.T)[:, None]
     resid = 0.0
     for x, dy, fd in _section_differences(ctx, n_vec, flag_samples.base_points, t, step):
-        formula = apply(ads, x) + t * (dy @ ctx.j.T)
+        formula = np.moveaxis(sd.tangent_columns(ctx.cd, x), -1, 0) + t * (dy @ ctx.j.T)
         resid = max(resid, float(np.linalg.norm(fd - formula, axis=-1).max()))
     return resid
 
@@ -366,9 +370,9 @@ def pullback_check(
     shape = batch.points.shape
     k_ops = np.broadcast_to(batch.k_ops[:, None], (*shape, shape[-1]))
     base = np.broadcast_to(batch.base_points[:, None], shape)
-    h = np.concatenate([-cd.alg.ad(base) @ cd.k_basis,
+    h = np.concatenate([sd.tangent_columns(cd, base),
                         np.zeros((*shape, fiber_dirs.shape[1]))], axis=-1)
-    x = np.concatenate([-cd.alg.ad(apply(k_ops, batch.fibers)) @ cd.k_basis,
+    x = np.concatenate([sd.tangent_columns(cd, apply(k_ops, batch.fibers)),
                         k_ops @ fiber_dirs], axis=-1)
     v, v_r = h + x, h + psi @ x
     diff = np.swapaxes(v_r, -1, -2) @ gram @ v_r - np.swapaxes(v, -1, -2) @ gram @ v
@@ -410,7 +414,7 @@ def hamiltonian_q_check(
 
 def compact_isotropy_dim(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
     """dim of {A in u : [A, x] = 0}, at one point or at each of a (..., dim) stack."""
-    return ctx.cd.k_basis.shape[1] - rank(-ctx.cd.alg.ad(x) @ ctx.cd.k_basis)
+    return ctx.cd.k_basis.shape[1] - rank(sd.tangent_columns(ctx.cd, x))
 
 
 def unique_isotropic_orbit_check(
@@ -423,11 +427,12 @@ def unique_isotropic_orbit_check(
     lowers the compact isotropy dimension, so those orbits are too
     large to be isotropic; (c) their moment values are nonzero.
     """
+    if n_random < 1:
+        raise DomainError("n_random must be at least 1")
     cd = ctx.cd
     h = np.asarray(h, dtype=float)
-    adj_cols = -cd.alg.ad(h)  # column i is [e_i, H]
-    flag_dim = orthonormal_range(adj_cols @ cd.k_basis).shape[1]
-    adjoint_dim = int(rank(adj_cols))
+    flag_dim = int(rank(sd.tangent_columns(cd, h)))
+    adjoint_dim = int(rank(cd.alg.ad(h)))
     flag = flag_orbit_sample(cd, h, seed, 25).base_points
     max_flag_omega = float(max_omega(ctx, orbit_tangent_basis(ctx, flag, "flag")).max())
     n_plus, _, _ = h_subspaces(cd, h)
@@ -442,5 +447,5 @@ def unique_isotropic_orbit_check(
         "isotropy_drops": bool(
             (compact_isotropy_dim(ctx, moved) < compact_isotropy_dim(ctx, h)).all()
         ),
-        "min_moment_norm": float(moments.min()) if n_random else 0.0,
+        "min_moment_norm": float(moments.min()),
     }

@@ -154,6 +154,16 @@ def test_symplectic_certificate_sl2c(sl2c):
     assert report["tangent_dims"] == [4]
 
 
+def test_symplectic_certificate_rejects_other_kinds(sl2c):
+    # the fiber [w, s] of the certificate belongs to the semidirect orbit only
+    cd, hc = sl2c
+    flag = al.flag_orbit_sample(cd, cd.chamber_H, seed=7, count=3)
+    adjoint = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, 7, 3, 2)
+    for batch in (flag, adjoint):
+        with pytest.raises(al.RepresentationError):
+            sp.check_symplectic_on_orbit(hc, batch)
+
+
 def test_symplectic_certificate_sl3c(sl3c):
     cd, hc = sl3c
     ctx = df.make_context(cd, math.inf)
@@ -191,6 +201,23 @@ def test_gradient_vanishes_at_poles(sl2c):
     away = [x for x in flag.points.reshape(-1, 6)
             if min(np.linalg.norm(x - h), np.linalg.norm(x + h)) > 0.3]
     assert any(np.linalg.norm(sp.gradient_at(hc, x, h)) > 1e-3 for x in away)
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_gradient_is_b_tau_projection(fixture, request):
+    # reference: the B_tau-orthogonal projection C pinv(C^T B C) C^T B N of N onto
+    # the span of the raw columns C = [A, x], A over the compact basis; errors are
+    # relative to |N|, since the gradient vanishes at the poles
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    x = np.vstack([h, -h, al.flag_orbit_sample(cd, h, seed=20, count=8).base_points])
+    grads = sp.gradient_at(hc, x, h)
+    for x_i, y_i in zip(x, grads):
+        c = np.stack([cd.alg.bracket(a, x_i) for a in cd.k_basis.T], axis=1)
+        g = c.T @ hc.b_tau @ c
+        ref = c @ np.linalg.pinv(g, rtol=1e-10, hermitian=True) @ c.T @ hc.b_tau @ h
+        assert np.linalg.norm(y_i - ref) <= 1e-12 * np.linalg.norm(h)
+    assert np.abs(grads[:2]).max() <= 1e-12 * np.linalg.norm(h)  # the poles +-H
 
 
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
@@ -379,6 +406,14 @@ def test_unique_isotropic_orbit_sl2c(sl2c):
     assert report["min_moment_norm"] > 1e-2
 
 
+def test_unique_isotropic_orbit_needs_a_moved_point(sl2c):
+    # with no point moved into the fiber, neither the drop nor the moment is shown
+    cd, hc = sl2c
+    for n_random in (0, -1):
+        with pytest.raises(al.DomainError):
+            sp.unique_isotropic_orbit_check(hc, cd.chamber_H, 1, n_random=n_random)
+
+
 def test_unique_isotropic_orbit_sl3c(sl3c):
     cd, hc = sl3c
     report = sp.unique_isotropic_orbit_check(hc, cd.chamber_H, seed=16)
@@ -418,7 +453,7 @@ def _loop_tangent_basis(hc, x, kind, r):
         cols = -cd.alg.ad(x) @ cd.k_basis
     elif kind == "semidirect":
         w = cd.s_basis @ (cd.s_basis.T @ x)
-        cols = np.hstack([-cd.alg.ad(x) @ cd.k_basis, cd.alg.ad(w) @ cd.s_basis])
+        cols = np.hstack([-cd.alg.ad(x) @ cd.k_basis, sp.fiber_tangent_at(cd, w)])
     elif kind == "adjoint":
         cols = -cd.alg.ad(x)
     else:
