@@ -41,7 +41,7 @@ import numpy as np
 from .numerics import (
     DimensionError,
     StructureError,
-    Tolerance,
+    TOL,
     apply,
     bilinear,
     matrix_exp,
@@ -73,12 +73,7 @@ def _sl_real_basis(n: int) -> list[np.ndarray]:
             s = np.zeros((n, n))
             s[i, j] = s[j, i] = 1.0
             basis.append(s)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = np.zeros((n, n))
-            a[i, j], a[j, i] = 1.0, -1.0
-            basis.append(a)
-    return basis
+    return basis + _so_basis(n)
 
 
 def _so_basis(n: int) -> list[np.ndarray]:
@@ -179,8 +174,7 @@ class CartanData:
         """Express an ambient vector in a_basis coordinates; error if outside a."""
         h = np.asarray(h, dtype=float)
         coeffs, *_ = np.linalg.lstsq(self.a_basis, h, rcond=None)
-        tol = Tolerance()
-        if np.linalg.norm(self.a_basis @ coeffs - h) > tol.scale(h) * 10 + tol.abs_eps:
+        if np.linalg.norm(self.a_basis @ coeffs - h) > TOL.scale(h) * 10 + TOL.abs_eps:
             raise DomainError("element does not lie in the maximal abelian subalgebra")
         return coeffs
 
@@ -194,7 +188,7 @@ class CartanData:
             raise DomainError("chamber element must be finite")
         vals = self.root_values(h)
         for i in self.simple_set:
-            if vals[i] < -Tolerance().abs_eps:
+            if vals[i] < -TOL.abs_eps:
                 raise DomainError("element lies outside the closed positive Weyl chamber")
         return vals
 
@@ -214,9 +208,10 @@ class OrbitBatch:
     points, fibers and fiber_coeffs are (n_base, n_fiber, ...) arrays,
     base_points is (n_base, dim) and k_ops (n_base, dim, dim); consumers
     read them in stacked calls.  The fiber is stored before any
-    deformation map: an element of n_H^+ for adjoint/deformed samples,
-    the tangential fiber coordinate v (point = w + [w, v]) for
-    semidirect samples.
+    deformation map, in the format that kind names: an element of n_H^+
+    for "adjoint" and "deformed" batches (r = inf included), the
+    tangential fiber coordinate v (point = w + [w, v]) for "semidirect"
+    batches, which only sample_semidirect_orbit makes.
     """
 
     points: np.ndarray
@@ -342,13 +337,14 @@ def _b_orthonormalize(basis: np.ndarray, b: np.ndarray) -> np.ndarray:
     return basis @ np.swapaxes(np.linalg.inv(chol), -1, -2)
 
 
-def cartan_structure(alg: LieAlgebraData, tol: Tolerance = Tolerance()) -> CartanData:
+def cartan_structure(alg: LieAlgebraData) -> CartanData:
     """Cartan decomposition, maximal abelian subalgebra and restricted roots.
 
     theta(X) = -X^T for real families, tau(X) = -conj(X)^T for complex
     ones.  The maximal abelian a is the span of the real diagonal basis
     elements; positivity is the lexicographic choice that makes the
-    strictly upper-triangular root vectors positive.
+    strictly upper-triangular root vectors positive.  ad(a) is exact, so
+    fixed cutoffs serve: eigenvalues within 1e-9 are one root, |alpha| <= 1e-8 is zero.
     """
     theta = _theta_matrix(alg)
     signs = np.diag(theta)
@@ -379,12 +375,12 @@ def cartan_structure(alg: LieAlgebraData, tol: Tolerance = Tolerance()) -> Carta
         )
 
     ops = [alg.ad(a_basis[:, i]) for i in range(a_basis.shape[1])]
-    blocks = simultaneous_eigenspaces(ops, tol)
+    blocks = simultaneous_eigenspaces(ops)
 
     roots: list[RootDatum] = []
     zero_space = None
     for vals, basis in blocks:
-        if np.max(np.abs(vals)) <= max(tol.abs_eps, 1e-8):
+        if np.max(np.abs(vals)) <= 1e-8:
             zero_space = basis
             continue
         roots.append(
@@ -482,7 +478,7 @@ def chamber_element(
 def h_subspaces(cd: CartanData, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n_H^+, n_H^-, z_H) bases for H in the closed positive chamber."""
     vals = cd.check_chamber(h)
-    eps = Tolerance().abs_eps
+    eps = TOL.abs_eps
     plus_cols = [cd.roots[i].space_basis for i in range(len(cd.roots)) if vals[i] > eps]
     minus_cols = [cd.roots[i].space_basis for i in range(len(cd.roots)) if vals[i] < -eps]
     dim = cd.alg.dim

@@ -25,7 +25,7 @@ from . import algebra as al
 from . import deformation as df
 from . import semidirect as sd
 from . import symplectic as sp
-from .numerics import Tolerance, apply, matrix_exp, nullspace, rank, simultaneous_eigenspaces
+from .numerics import TOL, apply, matrix_exp, nullspace, rank, simultaneous_eigenspaces
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,13 @@ def numerics_suite(seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("exp_inverse", "exp(A)exp(-A)=I", worst, 1e-10))
 
     worst_null, worst_orth = 0.0, 0.0
-    tol = Tolerance()
     for _ in range(20):
         m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         k = int(rng.integers(0, min(m, n) + 1))
         a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-        ns = nullspace(a, tol)
+        ns = nullspace(a)
         if ns.shape[1]:
-            worst_null = max(worst_null, float(np.linalg.norm(a @ ns)) / (10 * tol.scale(a)))
+            worst_null = max(worst_null, float(np.linalg.norm(a @ ns)) / (10 * TOL.scale(a)))
             worst_orth = max(
                 worst_orth, float(np.linalg.norm(ns.T @ ns - np.eye(ns.shape[1])))
             )
@@ -287,7 +286,7 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
             CheckResult("semidirect_matches_r_inf", "K_ad.H = Ad_inf(G).H", worst, 1e-8)
         )
 
-    m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
+    m = sd.cotangent_moment(cd, *sd.phi_cotangent(batch))
     worst = float(_norms(m - batch.points).max())
     out.append(CheckResult("moment_inverts_phi", "m(phi(p)) = p", worst, 1e-9))
     return out

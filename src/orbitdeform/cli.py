@@ -150,15 +150,13 @@ def _r_tag(r: float) -> str:
     return "inf" if math.isinf(r) else _fmt(r)
 
 
-def _build(args) -> tuple[al.LieAlgebraData, al.CartanData, np.ndarray]:
+def _build(args) -> tuple[al.CartanData, np.ndarray]:
+    """The Cartan data and chamber element of an export command, after its counts are checked."""
     for key in ("n_base", "n_fiber"):
         if vars(args).get(key, 1) < 1:
             raise DomainError(f"--{key.replace('_', '-')} must be at least 1")
-    family, n = al.parse_descriptor(args.algebra)
-    alg = al.build_algebra(family, n)
-    cd = al.cartan_structure(alg, Tolerance(args.abs_eps, args.rel_eps))
-    h = _resolve_h(cd, args.H)
-    return alg, cd, h
+    cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(args.algebra)))
+    return cd, _resolve_h(cd, args.H)
 
 
 def cmd_verify(args) -> int:
@@ -169,11 +167,9 @@ def cmd_verify(args) -> int:
         "semidirect": lambda cd: checks.semidirect_suite(cd, args.seed) if cd.roots else [],
         "symplectic": lambda cd: checks.symplectic_suite(cd, args.seed),
     }
-    if args.H != "regular":
-        print("verify checks the regular chamber element only; --H must be 'regular'",
-              file=sys.stderr)
-        return 2
-    _, cd, _ = _build(args)
+    # the tolerance only selects the forced-failure mode; it must still be valid
+    tol = Tolerance(args.abs_eps, args.rel_eps)
+    cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(args.algebra)))
     results = []
     for name, fn in suites.items():
         if args.suite in ("all", name):
@@ -183,7 +179,7 @@ def cmd_verify(args) -> int:
         print(f"error: suite {args.suite} has no checks for algebra {args.algebra}",
               file=sys.stderr)
         return 2
-    if args.abs_eps == 0.0 and args.rel_eps == 0.0:
+    if tol == Tolerance(0.0, 0.0):
         # forced-failure mode: every nonzero residual counts as a failure
         results = [
             checks.CheckResult(r.name, r.paper_anchor, r.residual, 0.0) for r in results
@@ -207,7 +203,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_orbit_sample(args) -> int:
-    _, cd, h = _build(args)
+    cd, h = _build(args)
     r_values = _parse_r_list(args.r if args.r is not None
                              else ("inf" if args.kind == "semidirect" else "1"))
     if args.kind == "semidirect" and r_values != [math.inf]:
@@ -234,7 +230,7 @@ def cmd_orbit_sample(args) -> int:
 
 
 def cmd_deform_sweep(args) -> int:
-    _, cd, h = _build(args)
+    cd, h = _build(args)
     r_values = _parse_r_list(args.r, ascending=True)
     # one sampling at r = 1, pushed to each r by psi~_r; the limit deviation
     # is read off the same batch
@@ -259,7 +255,7 @@ def cmd_lagrangian_section(args) -> int:
     t_values = [float(x) for x in args.t.split(",")]
     if not all(math.isfinite(t) for t in t_values):
         raise DomainError("section parameters --t must be finite")
-    _, cd, h = _build(args)
+    cd, h = _build(args)
     if cd.alg.field_tag != "complex":
         print("Lagrangian sections require a complex-family algebra", file=sys.stderr)
         return 2
@@ -291,14 +287,13 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file; flags override it")
     p.add_argument("--algebra", default="sl2r",
                    help="algebra descriptor: " + ", ".join(al.DESCRIPTORS))
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_sampling(p: argparse.ArgumentParser, fiber: bool = True):
+    """The chamber element and the sample counts, which only the export commands read."""
     p.add_argument("--H", default="regular",
                    help='chamber element: "regular", "wall:k", or comma-separated coefficients')
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--abs-eps", type=float, default=1e-9)
-    p.add_argument("--rel-eps", type=float, default=1e-7)
-
-
-def _add_counts(p: argparse.ArgumentParser, fiber: bool = True):
     p.add_argument("--n-base", type=int, default=10, help="base points on the compact orbit")
     if fiber:
         p.add_argument("--n-fiber", type=int, default=5, help="fiber points per base point")
@@ -316,6 +311,8 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the identity verification suites",
                        exit_on_error=exit_on_error)
     _add_common(p)
+    p.add_argument("--abs-eps", type=float, default=1e-9)
+    p.add_argument("--rel-eps", type=float, default=1e-7)
     p.add_argument("--suite", default="all",
                    choices=["all", "numerics", "algebra", "deformation", "semidirect", "symplectic"])
     p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -324,7 +321,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("orbit-sample", help="emit orbit sample CSVs",
                        exit_on_error=exit_on_error)
     _add_common(p)
-    _add_counts(p)
+    _add_sampling(p)
     p.add_argument("--kind", default="adjoint", choices=["semidirect", "adjoint", "deformed"])
     p.add_argument("--r", help='comma-separated r values; "inf" allowed '
                                "(default 1; --kind semidirect is at inf only)")
@@ -334,7 +331,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("deform-sweep", help="sample the orbit across an r grid",
                        exit_on_error=exit_on_error)
     _add_common(p)
-    _add_counts(p)
+    _add_sampling(p)
     p.add_argument("--r", default="1,10,100", help="ascending comma-separated r values")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_deform_sweep)
@@ -342,7 +339,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     p = sub.add_parser("lagrangian-section", help="emit Lagrangian section samples",
                        exit_on_error=exit_on_error)
     _add_common(p)
-    _add_counts(p, fiber=False)
+    _add_sampling(p, fiber=False)
     p.add_argument("--t", default="0,0.5,1,2", help="comma-separated section parameters")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_lagrangian_section)

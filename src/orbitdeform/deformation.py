@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import CartanData, DomainError, OrbitBatch, RepresentationError, h_subspaces, sample_k_operators
-from .numerics import Tolerance, apply, matrix_exp
+from .numerics import TOL, apply, matrix_exp
 
 R_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 R_GRID_FULL = R_GRID + (math.inf,)
@@ -48,9 +48,7 @@ class DeformationContext:
 
     @property
     def kind(self) -> str:
-        """The orbit kind sampled at this parameter."""
-        if not self.finite:
-            return "semidirect"
+        """The kind of the batches sampled here: "deformed" at r = inf too (n_H^+ fibers)."""
         return "adjoint" if self.r == 1.0 else "deformed"
 
     def _require_finite(self, op: str):
@@ -105,8 +103,7 @@ def ad_r_exp_orbit(ctx: DeformationContext, a: np.ndarray, t: float, y: np.ndarr
     """exp(t ad_r(A)).Y for A in k; equals exp((t/r) ad(A)).Y."""
     ctx._require_finite("ad_r exponentials")
     a = np.asarray(a, dtype=float)
-    tol = Tolerance()
-    if np.linalg.norm(ctx.cd.project_s(a)) > tol.scale(a) * 10 + tol.abs_eps:
+    if np.linalg.norm(ctx.cd.project_s(a)) > TOL.scale(a) * 10 + TOL.abs_eps:
         raise DomainError("exponential direction must lie in the compact part k")
     return matrix_exp(t * ad_r(ctx, a)) @ np.asarray(y, dtype=float)
 
@@ -148,6 +145,8 @@ def sample_deformed_orbit(
 def _require_tags(batch: OrbitBatch):
     if batch.k_ops is None or batch.fibers is None or batch.k_ops.size == 0:
         raise RepresentationError("samples carry no construction tags")
+    if batch.kind == "semidirect":
+        raise RepresentationError("a semidirect batch stores a tangential fiber, not X in n_H^+")
 
 
 def tilde_psi_r(ctx: DeformationContext, batch: OrbitBatch) -> OrbitBatch:

@@ -1,8 +1,10 @@
-"""Deterministic dense linear-algebra substrate with an explicit tolerance policy.
+"""Deterministic dense linear-algebra substrate with fixed tolerances.
 
 Everything downstream (algebra construction, orbit sampling, form checks)
 goes through these routines so that rank / nullspace / eigenspace decisions
-are made with one consistent rule.  matrix_exp and orthonormal_range also
+are made with one consistent rule, TOL: a singular value sigma is zero when
+sigma <= 1e-9 + 1e-7 sigma_max.  Only simultaneous_eigenspaces passes
+nullspace another cutoff.  matrix_exp and orthonormal_range also
 take (..., n, m) stacks, one matrix per orbit sample; apply and bilinear
 evaluate matrix-vector products and bilinear forms on (..., dim) stacks.
 """
@@ -44,6 +46,9 @@ class Tolerance:
     def scale(self, *arrays) -> float:
         m = max((float(np.max(np.abs(a))) if np.asarray(a).size else 0.0) for a in arrays)
         return self.abs_eps + self.rel_eps * m
+
+
+TOL = Tolerance()  # the package's one rule; rank and orthonormal_range use no other
 
 
 def apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -117,7 +122,7 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def nullspace(a: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+def nullspace(a: np.ndarray, tol: Tolerance = TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of A.
 
     A singular value sigma is treated as zero when
@@ -137,16 +142,16 @@ def nullspace(a: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def rank(a: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Numerical rank of A, or of each A in a (..., rows, cols) stack, with nullspace's cutoff."""
+def rank(a: np.ndarray) -> np.ndarray:
+    """Numerical rank of A, or of each A in a (..., rows, cols) stack, with the TOL cutoff."""
     a = np.asarray(a)
     if a.size == 0:
         return np.zeros(a.shape[:-2], dtype=int)
     s = np.linalg.svd(a, compute_uv=False)
-    return (s > tol.abs_eps + tol.rel_eps * s[..., :1]).sum(axis=-1)
+    return (s > TOL.abs_eps + TOL.rel_eps * s[..., :1]).sum(axis=-1)
 
 
-def orthonormal_range(a: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray:
+def orthonormal_range(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) for the span of A, or of each A in a (..., rows, cols) stack.
 
     Each matrix gets its own cutoff abs_eps + rel_eps * sigma_max.  The
@@ -158,7 +163,7 @@ def orthonormal_range(a: np.ndarray, tol: Tolerance = Tolerance()) -> np.ndarray
         return a.reshape(*a.shape[:-1], 0)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     # s is sorted, so each row of keep is a prefix: equal rows, equal ranks
-    keep = (s > tol.abs_eps + tol.rel_eps * s[..., :1]).reshape(-1, s.shape[-1])
+    keep = (s > TOL.abs_eps + TOL.rel_eps * s[..., :1]).reshape(-1, s.shape[-1])
     if keep.shape[0] > 1 and (keep != keep[0]).any():
         ranks = sorted(set(keep.sum(axis=1).tolist()))
         raise StructureError(f"matrices in the stack have ranks {ranks}")
@@ -177,14 +182,12 @@ def _cluster(values: np.ndarray, eps: float) -> list[np.ndarray]:
     return [np.array(g) for g in groups]
 
 
-def simultaneous_eigenspaces(
-    ops: list[np.ndarray], tol: Tolerance = Tolerance()
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def simultaneous_eigenspaces(ops: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Joint eigenspace decomposition of a commuting, real-diagonalizable family.
 
     Returns a list of (eigenvalue_vector, orthonormal_basis) pairs; the
     eigenvalue vector collects one eigenvalue per operator.  Nearby
-    eigenvalues (within abs_eps) are merged into a single cluster.
+    eigenvalues (within 1e-9) are merged into a single cluster.
     Raises StructureError when the operators fail to commute.
     """
     ops = [_require_square(op) for op in ops]
@@ -196,7 +199,7 @@ def simultaneous_eigenspaces(
         if a.shape[0] != n:
             raise DimensionError("operators act on different spaces")
         for b in ops[i + 1 :]:
-            if np.linalg.norm(a @ b - b @ a) > tol.scale(a, b) * scale * 10:
+            if np.linalg.norm(a @ b - b @ a) > TOL.scale(a, b) * scale * 10:
                 raise StructureError("operators do not commute within tolerance")
 
     blocks: list[tuple[tuple[float, ...], np.ndarray]] = [((), np.eye(n))]
@@ -208,11 +211,11 @@ def simultaneous_eigenspaces(
             if np.max(np.abs(eigvals.imag)) > 1e-6 * scale:
                 raise StructureError("operator is not real-diagonalizable on a joint block")
             eigvals = eigvals.real
-            for group in _cluster(eigvals, max(tol.abs_eps, 1e-10)):
+            for group in _cluster(eigvals, 1e-9):
                 lam = float(np.mean(eigvals[group]))
                 sub = nullspace(
                     restricted - lam * np.eye(restricted.shape[0]),
-                    Tolerance(abs_eps=max(tol.abs_eps, 1e-8) * max(1.0, scale), rel_eps=0.0),
+                    Tolerance(abs_eps=1e-8 * max(1.0, scale), rel_eps=0.0),
                 )
                 if sub.shape[1] != len(group):
                     raise StructureError(

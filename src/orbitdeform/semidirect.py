@@ -112,15 +112,16 @@ def sample_semidirect_orbit(
     )
 
 
-def phi_cotangent(cd: CartanData, batch: OrbitBatch) -> tuple[np.ndarray, np.ndarray]:
+def phi_cotangent(batch: OrbitBatch) -> tuple[np.ndarray, np.ndarray]:
     """Cotangent identification: (base w, covector on T_w(Ad(K).H)) at every sample.
 
     Both are (n_base, n_fiber, dim) stacks.  The covector f_v is stored
     as its B_theta-dual tangent vector: the tangential component of the
-    fiber coordinate v at w, which is the batch's stored fiber.
+    fiber coordinate v at w, the stored fiber of sample_semidirect_orbit
+    only.  Other batches, the deformed sampler's at r = inf too, raise.
     """
     if batch.kind != "semidirect" or batch.fibers is None:
-        raise RepresentationError("need a tagged semidirect orbit batch")
+        raise RepresentationError("need a tagged batch of sample_semidirect_orbit")
     return np.broadcast_to(batch.base_points[:, None], batch.fibers.shape), batch.fibers
 
 

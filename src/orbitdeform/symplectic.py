@@ -41,7 +41,7 @@ from .algebra import (
     CartanData, DomainError, OrbitBatch, RepresentationError, flag_orbit_sample, h_subspaces,
 )
 from .numerics import (
-    DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp, nullspace,
+    TOL, DimensionError, StructureError, apply, bilinear, matrix_exp, nullspace,
     orthonormal_range, rank,
 )
 
@@ -84,12 +84,11 @@ def max_isotropic(form: SkewFormData) -> np.ndarray | list[np.ndarray]:
     An (m, d, d) stack of forms gives the list of its m bases, from one
     stacked SVD (the radicals, with nullspace's cutoff) and one stacked eigh.
     """
-    tol = Tolerance()
     grams = form.gram if form.gram.ndim == 3 else form.gram[None]
     _, s, vh = np.linalg.svd(grams)
-    ranks = (s > tol.abs_eps + tol.rel_eps * s[:, :1]).sum(axis=-1)
+    ranks = (s > TOL.abs_eps + TOL.rel_eps * s[:, :1]).sum(axis=-1)
     vals, vecs = np.linalg.eigh(1j * grams)
-    cutoff = tol.abs_eps + tol.rel_eps * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
+    cutoff = TOL.abs_eps + TOL.rel_eps * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
     paired = vals > cutoff
     if (2 * paired.sum(axis=-1) != ranks).any():
         raise StructureError("eigenvalue count does not match the radical")
@@ -197,10 +196,11 @@ def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
     At every sample: the restriction of Omega to the orbit tangent
     space has full rank (smallest singular value > 1e-8 * largest), the
     fiber tangents are isotropic, and they are maximal isotropic
-    (2 dim fiber = dim tangent).
+    (2 dim fiber = dim tangent).  The batch may come from either r = inf
+    sampler; only its points are read.
     """
-    if batch.kind != "semidirect":
-        raise RepresentationError("need a semidirect orbit batch")
+    if batch.kind == "flag" or math.isfinite(batch.r):
+        raise RepresentationError("need a batch of the semidirect orbit (r = inf)")
     fib = fiber_tangent_at(ctx.cd, ctx.cd.project_s(batch.points))
     t = _semidirect_tangent(ctx.cd, batch.points, fib)
     gram = np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t
@@ -231,11 +231,14 @@ def gradient_at(ctx: HermitianContext, x: np.ndarray, n_vec: np.ndarray) -> np.n
     return apply(t, apply(np.swapaxes(t, -1, -2) @ ctx.b_tau, n_vec))
 
 
-def _compact_flows(cd: CartanData, step: float) -> np.ndarray:
-    """exp(+-step ad A) for A over the compact basis: a (2, dim k, 1, dim, dim)
+_FD_STEP = 1e-5  # the step h of every central difference (f(+h) - f(-h)) / 2h
+
+
+def _compact_flows(cd: CartanData) -> np.ndarray:
+    """exp(+-h ad A) for A over the compact basis, h = _FD_STEP: a (2, dim k, 1, dim, dim)
     stack, the + flow first, that applies to (n, dim) points as a (2, dim k, n, dim) stack."""
     ads = cd.alg.ad(cd.k_basis.T)
-    return matrix_exp(np.stack([step * ads, -step * ads]))[:, :, None]
+    return matrix_exp(np.stack([_FD_STEP * ads, -_FD_STEP * ads]))[:, :, None]
 
 
 def lagrangian_section(
@@ -255,34 +258,28 @@ _SECTION_BLOCK = 256  # base points whose flow images are differentiated in one 
 
 
 def _section_differences(
-    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray, step: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Central differences along each compact flow, _SECTION_BLOCK points of x at a time.
+    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Central differences of sigma_t along each compact flow, _SECTION_BLOCK points of x at a time.
 
-    Yields (x_b, D_A Y, D_A sigma_t) for each block x_b of the (n, dim)
-    points: a (dim k, b, dim) stack and, for a scalar t or a (n_t,) array,
-    a (dim k, b, dim) or (n_t, dim k, b, dim) stack.  Y does not depend
-    on t, so it is computed once, at every flow image of the block in one
-    stacked call, whatever the number of t.  Each point's values have the
-    bits of an unblocked call, and memory is bounded by the block.
+    Yields (x_b, D_A sigma_t) for each block x_b of the (n, dim) points:
+    for a scalar t or a (n_t,) array, a (dim k, b, dim) or
+    (n_t, dim k, b, dim) stack.  Y does not depend on t, so it is
+    computed once, at every flow image of the block in one stacked call,
+    whatever the number of t.  Each point's values have the bits of an
+    unblocked call, and memory is bounded by the block.
     """
     t = np.asarray(t, dtype=float)[..., None, None, None, None]
-    flows = _compact_flows(ctx.cd, step)
+    flows = _compact_flows(ctx.cd)
     for start in range(0, x.shape[0], _SECTION_BLOCK):
         x_b = x[start:start + _SECTION_BLOCK]
         xs = apply(flows, x_b)
-        ys = gradient_at(ctx, xs, n_vec)
-        sig = xs + t * (ys @ ctx.j.T)
-        d_sig = (sig[..., 0, :, :, :] - sig[..., 1, :, :, :]) / (2 * step)
-        yield x_b, (ys[0] - ys[1]) / (2 * step), d_sig
+        sig = xs + t * (gradient_at(ctx, xs, n_vec) @ ctx.j.T)
+        yield x_b, (sig[..., 0, :, :, :] - sig[..., 1, :, :, :]) / (2 * _FD_STEP)
 
 
 def section_omega_residual(
-    ctx: HermitianContext,
-    n_vec: np.ndarray,
-    flag_samples: OrbitBatch,
-    t: float | np.ndarray,
-    step: float = 1e-5,
+    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float | np.ndarray
 ) -> float | np.ndarray:
     """max |Omega(v, w)| over finite-difference tangent pairs of the section.
 
@@ -293,7 +290,7 @@ def section_omega_residual(
     with their number.
     """
     resid = np.zeros(np.shape(t))
-    for _, _, d_sig in _section_differences(ctx, n_vec, flag_samples.base_points, t, step):
+    for _, d_sig in _section_differences(ctx, n_vec, flag_samples.base_points, t):
         tb = orthonormal_range(np.moveaxis(d_sig, -3, -1))
         gram = np.swapaxes(tb, -1, -2) @ ctx.omega.gram @ tb
         resid = np.maximum(resid, np.abs(gram).max(axis=(-3, -2, -1), initial=0.0))
@@ -301,28 +298,29 @@ def section_omega_residual(
 
 
 def section_tangent_formula_residual(
-    ctx: HermitianContext,
-    n_vec: np.ndarray,
-    flag_samples: OrbitBatch,
-    t: float,
-    step: float = 1e-5,
+    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float
 ) -> float:
-    """Cross-check of the section tangents against the bracket formula.
+    """max |finite-difference tangent - exact tangent| of the section sigma_t along each A in k.
 
-    The tangent to the section along A is [A, x] + t i [A, Y(x)] +
-    t i (D_A Y)(x), with the field derivative D_A Y estimated by finite
-    differences of Y along the flow of A.
+    The exact tangent along A is [A, x] + t i D_A Y, with the exact field
+    derivative D_A Y = [A, Y] - P_x [A, N]: Y = P_x N, where P_x = t_x
+    t_x^T B_tau (t_x = orbit_tangent_at) is the projection onto T_x, and
+    K-equivariance P_{Ad(k)x} = Ad(k) P_x Ad(k)^-1 differentiates to it.
+    So a Y that is not the projected gradient fails the check.
     """
-    resid = 0.0
-    for x, dy, fd in _section_differences(ctx, n_vec, flag_samples.base_points, t, step):
-        formula = np.moveaxis(sd.tangent_columns(ctx.cd, x), -1, 0) + t * (dy @ ctx.j.T)
-        resid = max(resid, float(np.linalg.norm(fd - formula, axis=-1).max()))
+    cd, resid = ctx.cd, 0.0
+    a_n = sd.tangent_columns(cd, n_vec)  # the columns [A, N]
+    for x, fd in _section_differences(ctx, n_vec, flag_samples.base_points, t):
+        t_x = sd.orbit_tangent_at(cd, x)
+        d_y = sd.tangent_columns(cd, gradient_at(ctx, x, n_vec)) - t_x @ (
+            np.swapaxes(t_x, -1, -2) @ ctx.b_tau @ a_n)
+        exact = np.moveaxis(sd.tangent_columns(cd, x) + t * (ctx.j @ d_y), -1, 0)
+        resid = max(resid, float(np.linalg.norm(fd - exact, axis=-1).max()))
     return resid
 
 
 def gradient_hamiltonian_residual(
-    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch,
-    step: float = 1e-5,
+    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch
 ) -> float:
     """|dF(w) - Omega(w, iY)| over flag tangent directions w.
 
@@ -333,10 +331,10 @@ def gradient_hamiltonian_residual(
     """
     x = flag_samples.base_points
     # (1, dim) rows: stacked vector-matrix products keep the per-point bits
-    xs = apply(_compact_flows(ctx.cd, step), x)[..., None, :]
-    w = (xs[0] - xs[1]) / (2 * step)
+    xs = apply(_compact_flows(ctx.cd), x)[..., None, :]
+    w = (xs[0] - xs[1]) / (2 * _FD_STEP)
     f = xs @ ctx.b_tau @ np.asarray(n_vec, dtype=float)
-    d_f = (f[0] - f[1]) / (2 * step)
+    d_f = (f[0] - f[1]) / (2 * _FD_STEP)
     i_y = (gradient_at(ctx, x, n_vec) @ ctx.j.T)[..., None]
     return float(np.max(np.abs(d_f - (w @ ctx.omega.gram @ i_y)[..., 0])))
 
@@ -385,7 +383,7 @@ def pullback_check(
 
 
 def hamiltonian_q_check(
-    ctx: HermitianContext, a: np.ndarray, seed: int, n: int = 20, step: float = 1e-5
+    ctx: HermitianContext, a: np.ndarray, seed: int, n: int = 20
 ) -> tuple[float, float]:
     """(flow residual, symmetry residual) for Q(x) = Omega(ad(A)x, x).
 
@@ -407,7 +405,7 @@ def hamiltonian_q_check(
         x = x0 + t * x1
         return 0.5 * ctx.omega.value(apply(ad_a, x), x)
 
-    lhs = (q(step) - q(-step)) / (2 * step)
+    lhs = (q(_FD_STEP) - q(-_FD_STEP)) / (2 * _FD_STEP)
     rhs = ctx.omega.value(apply(ad_a, x1), x0)
     return float(np.abs(lhs - rhs).max(initial=0.0)), sym_resid
 

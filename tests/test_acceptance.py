@@ -289,7 +289,7 @@ def test_criterion_12_cotangent_identification(sl2r, sl2c):
     worst, ranks_ok = 0.0, True
     for cd in (sl2r[1], sl2c[0]):
         batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, SEED, n_base=20, n_fiber=5)
-        m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
+        m = sd.cotangent_moment(cd, *sd.phi_cotangent(batch))
         roundtrip = np.linalg.norm(m - batch.points, axis=-1)
         worst = max(worst, float(roundtrip.max()))
         for w in batch.base_points:

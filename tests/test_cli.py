@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import math
@@ -26,6 +27,7 @@ from orbitdeform.cli import (
     _resolve_h,
     _sample_csv,
     _section_csv,
+    build_parser,
     main,
 )
 
@@ -59,10 +61,6 @@ def test_verify_held_out_seed_passes(algebra, tmp_path, capsys):
         report = json.loads(out.read_text())
         assert report["all_pass"] and all(entry["pass"] for entry in report["checks"])
         assert set(expected) <= {entry["name"] for entry in report["checks"]}
-
-
-def test_verify_bad_chamber_is_usage_error(capsys):
-    assert run(["verify", "--algebra", "sl2r", "--H", "-1"]) == 2
 
 
 def test_verify_unknown_algebra_is_usage_error(capsys):
@@ -311,7 +309,8 @@ def test_config_abbreviated_flag_override(tmp_path, capsys, flag):
     assert len(rows) == 1
 
 
-@pytest.mark.parametrize("line", ["n_bse = 3", "fn = x", "command = x", "n-base = abc", "kind = foo"])
+@pytest.mark.parametrize("line", ["n_bse = 3", "fn = x", "command = x", "n-base = abc",
+                                  "kind = foo", "abs_eps = 0.1"])
 def test_config_rejects_bad_key_or_value(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"algebra=sl2r\n{line}\n")
@@ -324,12 +323,9 @@ def test_config_rejects_bad_key_or_value(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("args", [
     ["verify", "--algebra", "sl2r", "--rel-eps", "inf"],
-    ["orbit-sample", "--algebra", "sl2r", "--rel-eps", "inf"],
-    ["orbit-sample", "--algebra", "sl2r", "--abs-eps", "nan"],
 ])
 def test_non_finite_tolerance_is_usage_error(tmp_path, capsys, args):
-    out = tmp_path / "report.json" if args[0] == "verify" else tmp_path
-    assert run(args + ["--out", str(out)]) == 2
+    assert run(args + ["--out", str(tmp_path / "report.json")]) == 2
     assert "finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -338,15 +334,6 @@ def test_orbit_sample_rejects_nan_chamber(tmp_path, capsys):
     assert run(["orbit-sample", "--algebra", "sl2r", "--H", "nan",
                 "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
-
-
-def test_verify_rejects_nan_chamber(capsys):
-    assert run(["verify", "--algebra", "sl2r", "--H", "nan"]) == 2
-
-
-def test_verify_rejects_ignored_chamber(capsys):
-    # verify checks the regular element only, so any other --H is refused
-    assert run(["verify", "--algebra", "sl2r", "--H", "5"]) == 2
 
 
 @pytest.mark.parametrize("algebra", ["so3", "so4"])
@@ -459,9 +446,19 @@ def test_orbit_sample_semidirect_rejects_r_list(tmp_path, capsys):
     ["verify", "--algebra", "sl2r", "--n-base", "50"],
     ["verify", "--algebra", "sl2r", "--n-fiber", "7"],
     ["lagrangian-section", "--algebra", "sl2c", "--n-fiber", "99"],
+    ["orbit-sample", "--algebra", "sl2r", "--rel-eps", "inf"],
+    ["orbit-sample", "--algebra", "sl2r", "--abs-eps", "nan"],
+    ["deform-sweep", "--algebra", "sl2r", "--abs-eps", "0"],
+    ["lagrangian-section", "--algebra", "sl2c", "--rel-eps", "0"],
+    ["verify", "--algebra", "sl2r", "--H", "-1"],
+    ["verify", "--algebra", "sl2r", "--H", "nan"],
+    ["verify", "--algebra", "sl2r", "--H", "5"],
+    ["verify", "--algebra", "sl2r", "--H", "regular"],
 ])
 def test_unread_count_flag_is_usage_error(tmp_path, capsys, args):
-    # verify reads neither count and lagrangian-section reads no fiber count
+    # a flag is an option only where its value is read: verify reads neither
+    # count nor a chamber element, lagrangian-section reads no fiber count, and
+    # only verify reads the tolerances (its forced-failure mode)
     with pytest.raises(SystemExit) as exc:
         run(args + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
@@ -475,6 +472,32 @@ def test_verify_config_rejects_count_key(tmp_path, capsys):
     assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_config_rejects_chamber_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algebra=sl2r\nH = regular\n")
+    assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def _option_sets():
+    # each subcommand's options as build_parser builds them, by destination
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.dest for a in p._actions} - {"help"} for name, p in sub.choices.items()}
+
+
+def test_subcommand_option_sets():
+    # a flag is offered only where its value is read; the tolerances select
+    # verify's forced-failure mode and are nowhere else
+    common = {"config", "algebra", "seed", "out"}
+    assert _option_sets() == {
+        "verify": common | {"abs_eps", "rel_eps", "suite"},
+        "orbit-sample": common | {"H", "n_base", "n_fiber", "kind", "r"},
+        "deform-sweep": common | {"H", "n_base", "n_fiber", "r"},
+        "lagrangian-section": common | {"H", "n_base", "t"},
+    }
 
 
 @pytest.mark.parametrize("r", ["5", "1"])

@@ -5,6 +5,7 @@ import pytest
 
 from orbitdeform import algebra as al
 from orbitdeform import deformation as df
+from orbitdeform import semidirect as sd
 from orbitdeform.numerics import matrix_exp, simultaneous_eigenspaces
 
 H, S, A = np.eye(3)
@@ -265,6 +266,22 @@ def test_tilde_psi_rejects_untagged(sl2r):
     )
     with pytest.raises(al.RepresentationError):
         df.tilde_psi_r(df.make_context(cd, 2.0), p)
+
+
+def test_tilde_psi_rejects_semidirect_batch(sl2r):
+    # sample_semidirect_orbit stores a tangential fiber, not X in n_H^+: pushed as one
+    # to r = inf, where they already lie, sl2c points at seed 1 moved by up to 6.7
+    _, cd = sl2r
+    batch = sd.sample_semidirect_orbit(cd, H, seed=1, n_base=4, n_fiber=2)
+    with pytest.raises(al.RepresentationError):
+        df.tilde_psi_r(df.make_context(cd, math.inf), batch)
+
+
+def test_limit_deviation_rejects_semidirect_batch(sl2r):
+    _, cd = sl2r
+    batch = sd.sample_semidirect_orbit(cd, H, seed=1, n_base=4, n_fiber=2)
+    with pytest.raises(al.RepresentationError):
+        df.limit_deviation(df.make_context(cd, 2.0), batch)
 
 
 def test_limit_deviation_closed_form(sl2r):

@@ -266,7 +266,7 @@ def test_section_blocks_match_one_block(fixture, block, request, monkeypatch):
     t_values = np.array([0.0, 0.5, 1.0, 2.0])
 
     def run():
-        diffs = list(sp._section_differences(hc, h, flag.base_points, t_values, 1e-5))
+        diffs = list(sp._section_differences(hc, h, flag.base_points, t_values))
         return (diffs, sp.section_omega_residual(hc, h, flag, t_values),
                 sp.section_tangent_formula_residual(hc, h, flag, 1.0))
 
@@ -275,7 +275,7 @@ def test_section_blocks_match_one_block(fixture, block, request, monkeypatch):
     monkeypatch.setattr(sp, "_SECTION_BLOCK", flag.base_points.shape[0])
     (whole,), ref_resids, ref_formula = run()
     assert len(blocks) == 3
-    for got, ref, axis in zip(zip(*blocks), whole, (0, 1, 2)):
+    for got, ref, axis in zip(zip(*blocks), whole, (0, 2)):
         assert np.array_equal(np.concatenate(got, axis=axis), ref)
     assert np.array_equal(resids, ref_resids) and formula == ref_formula
 
@@ -285,6 +285,18 @@ def test_section_tangent_formula_crosscheck(sl2c):
     h = cd.chamber_H
     flag = al.flag_orbit_sample(cd, h, seed=10, count=5)
     assert sp.section_tangent_formula_residual(hc, h, flag, 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkeypatch):
+    # a smooth field that is not the projected gradient must fail the check
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    flag = al.flag_orbit_sample(cd, h, seed=1, count=10)
+    assert sp.section_tangent_formula_residual(hc, h, flag, 1.0) < 1e-6
+    m = np.random.default_rng(1).standard_normal((cd.alg.dim, cd.alg.dim))
+    monkeypatch.setattr(sp, "gradient_at", lambda ctx, x, n_vec: x @ m.T)
+    assert sp.section_tangent_formula_residual(hc, h, flag, 1.0) > 1e-2
 
 
 def test_gradient_hamiltonian_residual(sl2c):
@@ -468,7 +480,9 @@ def _batches(cd, seed):
     out = [(flag.points, "flag", flag.r)]
     for r in (1.0, 2.0, math.inf):
         batch = df.sample_deformed_orbit(df.make_context(cd, r), h, seed, 5, 3)
-        out.append((batch.points, batch.kind, batch.r))
+        # at r = inf the batch is labelled by its n_H^+ fibers; its points are on the
+        # semidirect orbit
+        out.append((batch.points, "semidirect" if math.isinf(r) else batch.kind, batch.r))
     return out
 
 
@@ -599,7 +613,7 @@ def _greedy_max_isotropic(form):
     w = sp.radical(form)
     while True:
         perp = nullspace(w.T @ form.gram, Tolerance())
-        cand = orthonormal_range(perp - w @ (w.T @ perp), Tolerance())
+        cand = orthonormal_range(perp - w @ (w.T @ perp))
         if cand.shape[1] == 0:
             return w
         w = np.hstack([w, cand[:, :1]])
