@@ -268,14 +268,13 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
 
     if cd.roots:
         n_plus, _, _ = al.h_subspaces(cd, h)
-        psi_inf = np.eye(alg.dim) + cd.theta
-        img = np.linalg.qr(psi_inf @ n_plus)[0]
+        ctx_inf = df.make_context(cd, math.inf)
+        img = np.linalg.qr(ctx_inf.psi_r @ n_plus)[0]
         fib = sd.coadjoint_fiber(cd, h)
         out.append(
             CheckResult("fiber_is_psi_n_plus", "[H,s] = psi(n+_H)", _proj_residual(img, fib), 1e-9)
         )
 
-        ctx_inf = df.make_context(cd, math.inf)
         dbatch = df.sample_deformed_orbit(ctx_inf, h, seed, 10, 3)
         fib = sd.coadjoint_fiber(cd, batch.base_points)[:, None]
         kq = cd.project_k(dbatch.points)[..., None]

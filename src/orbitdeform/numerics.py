@@ -27,7 +27,7 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Comparison rule: |a - b| <= abs_eps + rel_eps * max(|a|, |b|)."""
+    """Zero rule: v counts as zero when |v| <= abs_eps + rel_eps * m, m the largest magnitude."""
 
     abs_eps: float = 1e-9
     rel_eps: float = 1e-7
@@ -35,13 +35,6 @@ class Tolerance:
     def __post_init__(self):
         if not (0 <= self.abs_eps < math.inf and 0 <= self.rel_eps < math.inf):
             raise ValueError("tolerances must be finite and nonnegative")
-
-    def close(self, a, b) -> bool:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return bool(
-            np.all(np.abs(a - b) <= self.abs_eps + self.rel_eps * np.maximum(np.abs(a), np.abs(b)))
-        )
 
     def scale(self, *arrays) -> float:
         m = max((float(np.max(np.abs(a))) if np.asarray(a).size else 0.0) for a in arrays)

@@ -14,12 +14,14 @@ isotropic for Omega; the restriction of Omega to the semidirect orbit
 over a chamber element H is symplectic, which is certified at every
 sample by rank.  The module also provides height-function gradients (the
 B_theta-projection of N through semidirect.orbit_tangent_at) and
-Lagrangian sections on the flag orbit, checked by central differences
-along the compact flows exp(h ad A); the defect by which the
-deformation maps fail to preserve Omega, from exact tangents (psi~_r is
-a diffeomorphism, not a symplectomorphism; see pullback_check); the
-moment map of the compact-group action; and a generic skew-form toolkit
-(radical / maximal isotropic subspaces in the linear Darboux form).
+Lagrangian sections on the flag orbit, checked on their exact tangents
+along the compact flows; the defect by which the deformation maps fail
+to preserve Omega, from exact tangents too (psi~_r is a diffeomorphism,
+not a symplectomorphism; see pullback_check); the moment map of the
+compact-group action; and a generic skew-form toolkit (radical /
+maximal isotropic subspaces in the linear Darboux form).
+gradient_hamiltonian_residual and hamiltonian_q_check take central
+differences, as evidence independent of the bracket formulas.
 
 Samples are OrbitBatch arrays or (..., dim) stacks of points: tangent
 bases, the certificate, gradients, pullbacks and moments each take one
@@ -30,7 +32,6 @@ columns [A, x] and the fibers [w, s] come from semidirect.py.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,7 +237,9 @@ _FD_STEP = 1e-5  # the step h of every central difference (f(+h) - f(-h)) / 2h
 
 def _compact_flows(cd: CartanData) -> np.ndarray:
     """exp(+-h ad A) for A over the compact basis, h = _FD_STEP: a (2, dim k, 1, dim, dim)
-    stack, the + flow first, that applies to (n, dim) points as a (2, dim k, n, dim) stack."""
+    stack, the + flow first, that applies to (n, dim) points as a (2, dim k, n, dim) stack.
+
+    In the package only gradient_hamiltonian_residual differentiates along it."""
     ads = cd.alg.ad(cd.k_basis.T)
     return matrix_exp(np.stack([_FD_STEP * ads, -_FD_STEP * ads]))[:, :, None]
 
@@ -254,69 +257,46 @@ def lagrangian_section(
     return x + t * (gradient_at(ctx, x, n_vec) @ ctx.j.T)
 
 
-_SECTION_BLOCK = 256  # base points whose flow images are differentiated in one stacked call
+_SECTION_BLOCK = 256  # base points whose section tangents are formed in one stacked call
 
 
-def _section_differences(
+def _section_tangents(
     ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Central differences of sigma_t along each compact flow, _SECTION_BLOCK points of x at a time.
+) -> np.ndarray:
+    """Exact tangents of sigma_t at the (b, dim) flag points x, a column per compact basis A.
 
-    Yields (x_b, D_A sigma_t) for each block x_b of the (n, dim) points:
-    for a scalar t or a (n_t,) array, a (dim k, b, dim) or
-    (n_t, dim k, b, dim) stack.  Y does not depend on t, so it is
-    computed once, at every flow image of the block in one stacked call,
-    whatever the number of t.  Each point's values have the bits of an
-    unblocked call, and memory is bounded by the block.
+    Along A the tangent is [A, x] + t i D_A Y with Y = gradient_at(x) and
+    D_A Y = [A, Y] - P_x [A, N]: Y = P_x N, where P_x = t_x t_x^T B_tau
+    (t_x = orbit_tangent_at) is the projection onto T_x, and
+    K-equivariance P_{Ad(k)x} = Ad(k) P_x Ad(k)^-1 differentiates to it.
+    A scalar t gives (b, dim, dim k), a (n_t,) array (n_t, b, dim, dim k).
     """
-    t = np.asarray(t, dtype=float)[..., None, None, None, None]
-    flows = _compact_flows(ctx.cd)
-    for start in range(0, x.shape[0], _SECTION_BLOCK):
-        x_b = x[start:start + _SECTION_BLOCK]
-        xs = apply(flows, x_b)
-        sig = xs + t * (gradient_at(ctx, xs, n_vec) @ ctx.j.T)
-        yield x_b, (sig[..., 0, :, :, :] - sig[..., 1, :, :, :]) / (2 * _FD_STEP)
+    cd = ctx.cd
+    t_x = sd.orbit_tangent_at(cd, x)
+    d_y = sd.tangent_columns(cd, gradient_at(ctx, x, n_vec)) - t_x @ (
+        np.swapaxes(t_x, -1, -2) @ ctx.b_tau @ sd.tangent_columns(cd, n_vec))
+    t = np.asarray(t, dtype=float)[..., None, None, None]
+    return sd.tangent_columns(cd, x) + t * (ctx.j @ d_y)
 
 
 def section_omega_residual(
     ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float | np.ndarray
 ) -> float | np.ndarray:
-    """max |Omega(v, w)| over finite-difference tangent pairs of the section.
+    """max |Omega(v, w)| over pairs of an orthonormal basis of the tangent space of sigma_t.
 
-    Tangents are central differences of sigma_t along the flag curves
-    x(h) = exp(h ad(A)) x for A ranging over the compact basis.  A scalar
-    t gives a float, a (n_t,) array one value per t.  The maximum is
-    taken block by block over the base points, so memory does not grow
-    with their number.
+    The tangents are exact, along the flag curves exp(s ad(A)) x for A
+    ranging over the compact basis (_section_tangents).  A scalar t gives
+    a float, a (n_t,) array one value per t.  The maximum is taken block
+    by block over the base points, so memory does not grow with their
+    number.
     """
+    x = flag_samples.base_points
     resid = np.zeros(np.shape(t))
-    for _, d_sig in _section_differences(ctx, n_vec, flag_samples.base_points, t):
-        tb = orthonormal_range(np.moveaxis(d_sig, -3, -1))
+    for start in range(0, x.shape[0], _SECTION_BLOCK):
+        tb = orthonormal_range(_section_tangents(ctx, n_vec, x[start:start + _SECTION_BLOCK], t))
         gram = np.swapaxes(tb, -1, -2) @ ctx.omega.gram @ tb
         resid = np.maximum(resid, np.abs(gram).max(axis=(-3, -2, -1), initial=0.0))
     return float(resid) if resid.ndim == 0 else resid
-
-
-def section_tangent_formula_residual(
-    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float
-) -> float:
-    """max |finite-difference tangent - exact tangent| of the section sigma_t along each A in k.
-
-    The exact tangent along A is [A, x] + t i D_A Y, with the exact field
-    derivative D_A Y = [A, Y] - P_x [A, N]: Y = P_x N, where P_x = t_x
-    t_x^T B_tau (t_x = orbit_tangent_at) is the projection onto T_x, and
-    K-equivariance P_{Ad(k)x} = Ad(k) P_x Ad(k)^-1 differentiates to it.
-    So a Y that is not the projected gradient fails the check.
-    """
-    cd, resid = ctx.cd, 0.0
-    a_n = sd.tangent_columns(cd, n_vec)  # the columns [A, N]
-    for x, fd in _section_differences(ctx, n_vec, flag_samples.base_points, t):
-        t_x = sd.orbit_tangent_at(cd, x)
-        d_y = sd.tangent_columns(cd, gradient_at(ctx, x, n_vec)) - t_x @ (
-            np.swapaxes(t_x, -1, -2) @ ctx.b_tau @ a_n)
-        exact = np.moveaxis(sd.tangent_columns(cd, x) + t * (ctx.j @ d_y), -1, 0)
-        resid = max(resid, float(np.linalg.norm(fd - exact, axis=-1).max()))
-    return resid
 
 
 def gradient_hamiltonian_residual(
@@ -382,12 +362,13 @@ def pullback_check(
 # ---------------------------------------------------------------------------
 
 
-def hamiltonian_q_check(
-    ctx: HermitianContext, a: np.ndarray, seed: int, n: int = 20
-) -> tuple[float, float]:
+_Q_CURVES = 20  # random linear curves of hamiltonian_q_check
+
+
+def hamiltonian_q_check(ctx: HermitianContext, a: np.ndarray, seed: int) -> tuple[float, float]:
     """(flow residual, symmetry residual) for Q(x) = Omega(ad(A)x, x).
 
-    Along random linear curves alpha(t), d/dt (Q/2) must match
+    Along _Q_CURVES random linear curves alpha(t), d/dt (Q/2) must match
     Omega(ad(A) alpha', alpha); beta_A(X,Y) = Omega(ad(A)X, Y) must be
     symmetric.
     """
@@ -398,8 +379,9 @@ def hamiltonian_q_check(
     ad_a = cd.alg.ad(a)
     beta = ctx.omega.gram @ ad_a
     sym_resid = float(np.max(np.abs(ad_a.T @ ctx.omega.gram.T - beta)))
-    # n rounds of (x0, x1), drawn as one array
-    x0, x1 = np.moveaxis(np.random.default_rng(seed).standard_normal((n, 2, cd.alg.dim)), 1, 0)
+    # _Q_CURVES rounds of (x0, x1), drawn as one array
+    x0, x1 = np.moveaxis(
+        np.random.default_rng(seed).standard_normal((_Q_CURVES, 2, cd.alg.dim)), 1, 0)
 
     def q(t):
         x = x0 + t * x1

@@ -11,7 +11,9 @@ from orbitdeform import checks
 from orbitdeform import deformation as df
 from orbitdeform import symplectic as sp
 from orbitdeform.checks import _proj_residual
-from orbitdeform.numerics import StructureError, Tolerance, matrix_exp, nullspace, orthonormal_range
+from orbitdeform.numerics import (
+    StructureError, Tolerance, apply, matrix_exp, nullspace, orthonormal_range,
+)
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +257,41 @@ def test_section_t_array_matches_scalar_calls(fixture, request):
         assert isinstance(single, float) and r_t == single
 
 
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_section_omega_residual_at_roundoff(fixture, seed, request):
+    # exact tangents: the section is Lagrangian up to the roundoff of the tangents
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    flag = al.flag_orbit_sample(cd, h, seed=seed, count=50)
+    resids = sp.section_omega_residual(hc, h, flag, np.array([0.0, 0.5, 1.0, 2.0]))
+    assert resids.max() < 1e-12
+
+
+def _section_differences(hc, n_vec, x, t):
+    """Central differences of sigma_t along the compact flows exp(+-h ad A), h = _FD_STEP.
+
+    The reference for the exact section tangents: a scalar t or a (n_t,)
+    array gives a (b, dim, dim k) or (n_t, b, dim, dim k) stack, columns
+    ordered like the compact basis.
+    """
+    xs = apply(sp._compact_flows(hc.cd), x)  # (2, dim k, b, dim)
+    t = np.asarray(t, dtype=float)[..., None, None, None, None]
+    sig = xs + t * (sp.gradient_at(hc, xs, n_vec) @ hc.j.T)
+    return np.moveaxis((sig[..., 0, :, :, :] - sig[..., 1, :, :, :]) / (2 * sp._FD_STEP), -3, -1)
+
+
+@pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
+def test_section_tangents_match_finite_differences(fixture, request):
+    cd, hc = request.getfixturevalue(fixture)
+    h = cd.chamber_H
+    x = al.flag_orbit_sample(cd, h, seed=10, count=5).base_points
+    t_values = np.array([0.0, 0.5, 1.0, 2.0])
+    exact = sp._section_tangents(hc, h, x, t_values)
+    assert exact.shape == (4, 5, cd.alg.dim, cd.k_basis.shape[1])
+    assert np.abs(exact - _section_differences(hc, h, x, t_values)).max() < 1e-6
+
+
 @pytest.mark.parametrize("fixture,block", [("sl2c", 3), ("sl3c", 4), ("sl2c", None)])
 def test_section_blocks_match_one_block(fixture, block, request, monkeypatch):
     # blocks of base points give the bits of one unblocked call; n spans at
@@ -263,40 +300,35 @@ def test_section_blocks_match_one_block(fixture, block, request, monkeypatch):
     h = cd.chamber_H
     block = block or sp._SECTION_BLOCK
     flag = al.flag_orbit_sample(cd, h, seed=12, count=2 * block + 1)
+    x = flag.base_points
     t_values = np.array([0.0, 0.5, 1.0, 2.0])
-
-    def run():
-        diffs = list(sp._section_differences(hc, h, flag.base_points, t_values))
-        return (diffs, sp.section_omega_residual(hc, h, flag, t_values),
-                sp.section_tangent_formula_residual(hc, h, flag, 1.0))
-
-    monkeypatch.setattr(sp, "_SECTION_BLOCK", block)
-    blocks, resids, formula = run()
-    monkeypatch.setattr(sp, "_SECTION_BLOCK", flag.base_points.shape[0])
-    (whole,), ref_resids, ref_formula = run()
+    starts = range(0, x.shape[0], block)
+    blocks = [sp._section_tangents(hc, h, x[s:s + block], t_values) for s in starts]
     assert len(blocks) == 3
-    for got, ref, axis in zip(zip(*blocks), whole, (0, 2)):
-        assert np.array_equal(np.concatenate(got, axis=axis), ref)
-    assert np.array_equal(resids, ref_resids) and formula == ref_formula
-
-
-def test_section_tangent_formula_crosscheck(sl2c):
-    cd, hc = sl2c
-    h = cd.chamber_H
-    flag = al.flag_orbit_sample(cd, h, seed=10, count=5)
-    assert sp.section_tangent_formula_residual(hc, h, flag, 1.0) < 1e-6
+    assert np.array_equal(np.concatenate(blocks, axis=1), sp._section_tangents(hc, h, x, t_values))
+    monkeypatch.setattr(sp, "_SECTION_BLOCK", block)
+    resids = sp.section_omega_residual(hc, h, flag, t_values)
+    monkeypatch.setattr(sp, "_SECTION_BLOCK", x.shape[0])
+    assert np.array_equal(resids, sp.section_omega_residual(hc, h, flag, t_values))
 
 
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkeypatch):
-    # a smooth field that is not the projected gradient must fail the check
+    # a smooth field that is not the projected gradient breaks the tangent
+    # formula, and section_omega_residual, which reads the formula, shows it
     cd, hc = request.getfixturevalue(fixture)
     h = cd.chamber_H
     flag = al.flag_orbit_sample(cd, h, seed=1, count=10)
-    assert sp.section_tangent_formula_residual(hc, h, flag, 1.0) < 1e-6
+    x = flag.base_points
+
+    def gap():
+        return np.abs(sp._section_tangents(hc, h, x, 1.0) - _section_differences(hc, h, x, 1.0)).max()
+
+    assert gap() < 1e-6
     m = np.random.default_rng(1).standard_normal((cd.alg.dim, cd.alg.dim))
     monkeypatch.setattr(sp, "gradient_at", lambda ctx, x, n_vec: x @ m.T)
-    assert sp.section_tangent_formula_residual(hc, h, flag, 1.0) > 1e-2
+    assert gap() > 1e-2
+    assert sp.section_omega_residual(hc, h, flag, 1.0) > 1e-2
 
 
 def test_gradient_hamiltonian_residual(sl2c):
