@@ -26,14 +26,13 @@ tensor through one kernel: stacked row-times-matrix products against its
 The compact group acts through n x n matrices: Ad(k) operators are read
 off the conjugates k e_j k^-1 of the basis, never exponentiated as
 (dim, dim) ad matrices.
-The orbit samplers return an OrbitBatch: one set of arrays over (base,
-fiber), the only sample format.
+The bundle samplers return an OrbitBatch, one set of arrays over (base,
+fiber); the flag sampler returns its base points as a plain array.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,20 +204,19 @@ class CartanData:
 class OrbitBatch:
     """n_base x n_fiber tagged orbit samples as arrays; the tags are the indices.
 
-    points, fibers and fiber_coeffs are (n_base, n_fiber, ...) arrays,
-    base_points is (n_base, dim) and k_ops (n_base, dim, dim); consumers
-    read them in stacked calls.  The fiber is stored before any
-    deformation map, in the format that kind names: an element of n_H^+
-    for "adjoint" and "deformed" batches (r = inf included), the
-    tangential fiber coordinate v (point = w + [w, v]) for "semidirect"
-    batches, which only sample_semidirect_orbit makes.
+    points and fibers are (n_base, n_fiber, dim) arrays, base_points is
+    (n_base, dim) and k_ops (n_base, dim, dim); consumers read them in
+    stacked calls.  The fiber is stored before any deformation map, in
+    the format that kind names: an element of n_H^+ for "deformed"
+    batches (r = 1, the adjoint orbit, and r = inf included), the
+    tangential part of the fiber coordinate v (point = w + [w, v]) for
+    "semidirect" batches, which only sample_semidirect_orbit makes.
     """
 
     points: np.ndarray
     base_points: np.ndarray
     k_ops: np.ndarray
     fibers: np.ndarray
-    fiber_coeffs: np.ndarray
     kind: str
     r: float
 
@@ -342,8 +340,9 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
 
     theta(X) = -X^T for real families, tau(X) = -conj(X)^T for complex
     ones.  The maximal abelian a is the span of the real diagonal basis
-    elements; positivity is the lexicographic choice that makes the
-    strictly upper-triangular root vectors positive.  ad(a) is exact, so
+    elements, zero on so(n), which then has no roots; positivity is the
+    lexicographic choice that makes the strictly upper-triangular root
+    vectors positive.  ad(a) is exact, so
     fixed cutoffs serve: eigenvalues within 1e-9 are one root, |alpha| <= 1e-8 is zero.
     """
     theta = _theta_matrix(alg)
@@ -354,33 +353,15 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     k_basis, s_basis = eye[:, signs == 1.0], eye[:, signs == -1.0]
     b_theta = -alg.killing @ theta
 
-    if alg.family in ("sl_real", "sl_complex"):
-        a_basis = np.eye(alg.dim)[:, : alg.n - 1]
-    else:
-        a_basis = np.zeros((alg.dim, 0))
-
-    if a_basis.shape[1] == 0:
-        return CartanData(
-            alg=alg,
-            theta=theta,
-            k_basis=k_basis,
-            s_basis=s_basis,
-            b_theta=b_theta,
-            a_basis=a_basis,
-            roots=(),
-            positive_set=(),
-            simple_set=(),
-            chamber_H=np.zeros(alg.dim),
-            zero_space=np.eye(alg.dim),
-        )
+    a_basis = eye[:, : 0 if alg.family == "so" else alg.n - 1]
 
     ops = [alg.ad(a_basis[:, i]) for i in range(a_basis.shape[1])]
-    blocks = simultaneous_eigenspaces(ops)
+    blocks = simultaneous_eigenspaces(ops) if ops else [(np.zeros(0), eye)]
 
     roots: list[RootDatum] = []
     zero_space = None
     for vals, basis in blocks:
-        if np.max(np.abs(vals)) <= 1e-8:
+        if np.abs(vals).max(initial=0.0) <= 1e-8:
             zero_space = basis
             continue
         roots.append(
@@ -509,13 +490,11 @@ def sample_k_operators(cd: CartanData, seed: int, count: int) -> np.ndarray:
     return np.ascontiguousarray(ops.real)
 
 
-def flag_orbit_sample(cd: CartanData, h: np.ndarray, seed: int, count: int) -> OrbitBatch:
-    """Samples of the compact orbit Ad(K).H (the flag manifold through H), one fiber point each."""
+def flag_orbit_sample(cd: CartanData, h: np.ndarray, seed: int, count: int) -> np.ndarray:
+    """Samples Ad(k).H of the compact orbit Ad(K).H (the flag manifold through H): (count, dim).
+
+    The k are sample_k_operators(cd, seed, count), the draw of the bundle
+    samplers' base points at the same seed.
+    """
     cd.check_chamber(h)
-    k_ops = sample_k_operators(cd, seed, count)
-    base = k_ops @ np.asarray(h, dtype=float)
-    return OrbitBatch(
-        points=base[:, None], base_points=base, k_ops=k_ops,
-        fibers=np.zeros((count, 1, cd.alg.dim)), fiber_coeffs=np.zeros((count, 1, 0)),
-        kind="flag", r=math.inf,
-    )
+    return sample_k_operators(cd, seed, count) @ np.asarray(h, dtype=float)

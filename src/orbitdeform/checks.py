@@ -136,7 +136,7 @@ def algebra_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("h_subspace_dims", "dim g = dim z_H + dim n+ + dim n-", float(mismatch), 0.5))
 
     h_norm = alg.killing_form(cd.chamber_H, cd.chamber_H)
-    x = al.flag_orbit_sample(cd, cd.chamber_H, seed, 50).points
+    x = al.flag_orbit_sample(cd, cd.chamber_H, seed, 50)
     norm_err = np.abs((x[..., None, :] @ alg.killing @ x[..., None]) - h_norm)
     worst = float(max(norm_err.max(), _norms(cd.project_k(x)).max()))
     out.append(CheckResult("flag_norm_preservation", "<Ad(k)H,Ad(k)H>=<H,H>, Ad(k)H in s", worst, 1e-8))

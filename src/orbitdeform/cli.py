@@ -38,6 +38,13 @@ def _parse_r(text: str) -> float:
     return r
 
 
+def _parse_t(text: str) -> float:
+    t = float(text)
+    if not math.isfinite(t):
+        raise DomainError("section parameters --t must be finite")
+    return t
+
+
 def _resolve_h(cd: al.CartanData, h_spec: str) -> np.ndarray:
     if h_spec == "regular" or h_spec.startswith("wall:"):
         h = al.chamber_element(cd.a_basis, cd.roots, cd.simple_set, h_spec)
@@ -134,15 +141,15 @@ def _section_csv(t_values: list[float], sections: np.ndarray) -> Iterator[str]:
                            for tag, coords in enumerate(rows, start)])
 
 
-def _parse_r_list(text: str, ascending: bool = False) -> list[float]:
-    """The comma-separated r values, each once: a repeat is dropped with a warning."""
-    values = [_parse_r(x) for x in text.split(",")]
+def _parse_list(text: str, name: str, ascending: bool = False) -> list[float]:
+    """The comma-separated values of --r or --t, each once: a repeat is dropped with a warning."""
+    values = [{"r": _parse_r, "t": _parse_t}[name](x) for x in text.split(",")]
     if ascending and values != sorted(values):
-        raise DomainError("r list must be sorted ascending, inf last")
+        raise DomainError(f"{name} list must be sorted ascending, inf last")
     unique = list(dict.fromkeys(values))
-    for r in unique:
-        if values.count(r) > 1:
-            print(f"warning: duplicate r={r} dropped", file=sys.stderr)
+    for v in unique:
+        if values.count(v) > 1:
+            print(f"warning: duplicate {name}={v} dropped", file=sys.stderr)
     return unique
 
 
@@ -204,8 +211,8 @@ def cmd_verify(args) -> int:
 
 def cmd_orbit_sample(args) -> int:
     cd, h = _build(args)
-    r_values = _parse_r_list(args.r if args.r is not None
-                             else ("inf" if args.kind == "semidirect" else "1"))
+    r_values = _parse_list(args.r if args.r is not None
+                           else ("inf" if args.kind == "semidirect" else "1"), "r")
     if args.kind == "semidirect" and r_values != [math.inf]:
         print("semidirect sampling is at r = inf; --r must be inf", file=sys.stderr)
         return 2
@@ -231,7 +238,7 @@ def cmd_orbit_sample(args) -> int:
 
 def cmd_deform_sweep(args) -> int:
     cd, h = _build(args)
-    r_values = _parse_r_list(args.r, ascending=True)
+    r_values = _parse_list(args.r, "r", ascending=True)
     # one sampling at r = 1, pushed to each r by psi~_r; the limit deviation
     # is read off the same batch
     base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
@@ -252,9 +259,7 @@ def cmd_deform_sweep(args) -> int:
 
 
 def cmd_lagrangian_section(args) -> int:
-    t_values = [float(x) for x in args.t.split(",")]
-    if not all(math.isfinite(t) for t in t_values):
-        raise DomainError("section parameters --t must be finite")
+    t_values = _parse_list(args.t, "t")
     cd, h = _build(args)
     if cd.alg.field_tag != "complex":
         print("Lagrangian sections require a complex-family algebra", file=sys.stderr)

@@ -15,9 +15,11 @@ r = infinity is a first-class context value; operations that only make
 sense at finite r (the deformed bracket, Killing form and ad) reject it
 explicitly instead of approximating with a large parameter.
 
-Samples are OrbitBatch arrays.  psi~_r(Ad(k)(H + X)) = Ad(k)H +
-psi_r Ad(k)X carries one r = 1 batch onto every deformed orbit, so an
-r-sweep samples once; its distance to r = inf is (2/(r+1)) ||theta Ad(k)X||.
+Samples are "deformed" OrbitBatch arrays at every r, the adjoint orbit
+(r = 1) and r = inf included: one fiber format, X in n_H^+.
+psi~_r(Ad(k)(H + X)) = Ad(k)H + psi_r Ad(k)X carries one r = 1 batch
+onto every deformed orbit, so an r-sweep samples once; its distance to
+r = inf is (2/(r+1)) ||theta Ad(k)X||.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ class DeformationContext:
     @property
     def finite(self) -> bool:
         return math.isfinite(self.r)
-
-    @property
-    def kind(self) -> str:
-        """The kind of the batches sampled here: "deformed" at r = inf too (n_H^+ fibers)."""
-        return "adjoint" if self.r == 1.0 else "deformed"
 
     def _require_finite(self, op: str):
         if not self.finite:
@@ -125,8 +122,8 @@ def sample_deformed_orbit(
     """Tagged samples Ad(k).H + psi_r(Ad(k).X_c), X_c random in n_H^+.
 
     At r = 1 this samples the adjoint orbit; at r = infinity the
-    semidirect orbit over the flag Ad(K).H.  The n_fiber fibers X_c are
-    shared by every base point.
+    semidirect orbit over the flag Ad(K).H.  The batch is "deformed" at
+    every r.  The n_fiber fibers X_c are shared by every base point.
     """
     cd = ctx.cd
     cd.check_chamber(h)
@@ -137,8 +134,7 @@ def sample_deformed_orbit(
     base = k_ops @ np.asarray(h, dtype=float)
     return OrbitBatch(
         points=_deformed_points(ctx.psi_r, base, k_ops, fibers), base_points=base, k_ops=k_ops,
-        fibers=fibers, fiber_coeffs=np.broadcast_to(coeffs, (n_base, *coeffs.shape)),
-        kind=ctx.kind, r=ctx.r,
+        fibers=fibers, kind="deformed", r=ctx.r,
     )
 
 
@@ -164,7 +160,7 @@ def tilde_psi_r(ctx: DeformationContext, batch: OrbitBatch) -> OrbitBatch:
     """
     _require_tags(batch)
     points = _deformed_points(ctx.psi_r, batch.base_points, batch.k_ops, batch.fibers)
-    return replace(batch, points=points, kind=ctx.kind, r=ctx.r)
+    return replace(batch, points=points, kind="deformed", r=ctx.r)
 
 
 def limit_deviation(ctx: DeformationContext, batch: OrbitBatch) -> float:

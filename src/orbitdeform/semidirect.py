@@ -19,8 +19,9 @@ map phi sends a fiber point to the covector it induces via B_theta; the
 moment application m inverts it.  Each compact-orbit object is formed
 here, once: tangent_columns ([A, x] for A in k), orbit_tangent_at (a
 B_theta-orthonormal basis t of their span) and coadjoint_fiber ([w, s]).
-The sampler's OrbitBatch stores the B_theta-tangential part t t^T B_theta v
-of each fiber coordinate; phi reads it, and m works on the stacks.
+The sampler's points are w + [w, v] with the raw fiber coordinate v;
+its OrbitBatch stores the B_theta-tangential part t t^T B_theta v, which
+phi reads, and m works on the stacks.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def sample_semidirect_orbit(
     """Tagged points Ad(k).H + [Ad(k).H, v] with v random in s.
 
     The stored fiber is the tangential component of v at the base
-    point, which determines the k-part uniquely; fiber_coeffs are its
-    coordinates in the orbit_tangent_at basis.
+    point, which determines the k-part uniquely; the points read the
+    raw v.
     """
     cd.check_chamber(h)
     k_ops = sample_k_operators(cd, seed, n_base)
@@ -108,7 +109,7 @@ def sample_semidirect_orbit(
     return OrbitBatch(
         points=w[:, None] + cd.alg.bracket(w[:, None], v),
         base_points=w, k_ops=k_ops, fibers=apply(tangent, coeffs),
-        fiber_coeffs=coeffs, kind="semidirect", r=math.inf,
+        kind="semidirect", r=math.inf,
     )
 
 

@@ -23,10 +23,11 @@ maximal isotropic subspaces in the linear Darboux form).
 gradient_hamiltonian_residual and hamiltonian_q_check take central
 differences, as evidence independent of the bracket formulas.
 
-Samples are OrbitBatch arrays or (..., dim) stacks of points: tangent
-bases, the certificate, gradients, pullbacks and moments each take one
-stacked call, never a loop over samples.  The compact-orbit tangent
-columns [A, x] and the fibers [w, s] come from semidirect.py.
+Samples are OrbitBatch arrays (the certificate, pullbacks) or (..., dim)
+stacks of points (tangent bases, gradients, moments, and the flag points
+of flag_orbit_sample that the sections and their residuals read): each
+takes one stacked call, never a loop over samples.  The compact-orbit
+tangent columns [A, x] and the fibers [w, s] come from semidirect.py.
 """
 
 from __future__ import annotations
@@ -156,17 +157,15 @@ def orbit_tangent_basis(
     """Orthonormal tangent bases at a (..., dim) stack of orbit points: (..., dim, rank).
 
     flag: spanned by [A, x], A in u;  semidirect: those plus the fiber
-    directions [w, s];  adjoint: the full ad(g).x;  deformed: ad_r(g).x.
-    An orbit has constant tangent rank, so a stack whose ranks differ
-    raises StructureError.
+    directions [w, s];  deformed: ad_r(g).x at finite r, the adjoint
+    orbit's ad(g).x at r = 1.  An orbit has constant tangent rank, so a
+    stack whose ranks differ raises StructureError.
     """
     cd = ctx.cd
     if kind == "semidirect":
         return _semidirect_tangent(cd, x, fiber_tangent_at(cd, cd.project_s(x)))
     if kind == "flag":
         cols = sd.tangent_columns(cd, x)
-    elif kind == "adjoint":
-        cols = -cd.alg.ad(x)
     elif kind == "deformed":
         cols = -df.ad_r(df.make_context(cd, r), x)
     else:
@@ -198,9 +197,9 @@ def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
     space has full rank (smallest singular value > 1e-8 * largest), the
     fiber tangents are isotropic, and they are maximal isotropic
     (2 dim fiber = dim tangent).  The batch may come from either r = inf
-    sampler; only its points are read.
+    sampler; only its points are read, and a batch at finite r raises.
     """
-    if batch.kind == "flag" or math.isfinite(batch.r):
+    if math.isfinite(batch.r):
         raise RepresentationError("need a batch of the semidirect orbit (r = inf)")
     fib = fiber_tangent_at(ctx.cd, ctx.cd.project_s(batch.points))
     t = _semidirect_tangent(ctx.cd, batch.points, fib)
@@ -245,14 +244,13 @@ def _compact_flows(cd: CartanData) -> np.ndarray:
 
 
 def lagrangian_section(
-    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float | np.ndarray
+    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray
 ) -> np.ndarray:
     """The section points sigma_t(x) = x + t i Y(x) over the (n, dim) flag points x, Y = grad f_N.
 
-    A scalar t gives (n, dim); a (n_t,) array gives (n_t, n, dim), t axis
-    first, with Y computed once.
+    x is what flag_orbit_sample returns.  A scalar t gives (n, dim); a
+    (n_t,) array gives (n_t, n, dim), t axis first, with Y computed once.
     """
-    x = flag_samples.base_points
     t = np.asarray(t, dtype=float)[..., None, None]
     return x + t * (gradient_at(ctx, x, n_vec) @ ctx.j.T)
 
@@ -280,17 +278,16 @@ def _section_tangents(
 
 
 def section_omega_residual(
-    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch, t: float | np.ndarray
+    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray
 ) -> float | np.ndarray:
     """max |Omega(v, w)| over pairs of an orthonormal basis of the tangent space of sigma_t.
 
-    The tangents are exact, along the flag curves exp(s ad(A)) x for A
-    ranging over the compact basis (_section_tangents).  A scalar t gives
-    a float, a (n_t,) array one value per t.  The maximum is taken block
-    by block over the base points, so memory does not grow with their
-    number.
+    The section is over the (n, dim) flag points x.  The tangents are
+    exact, along the flag curves exp(s ad(A)) x for A ranging over the
+    compact basis (_section_tangents).  A scalar t gives a float, a
+    (n_t,) array one value per t.  The maximum is taken block by block
+    over the base points, so memory does not grow with their number.
     """
-    x = flag_samples.base_points
     resid = np.zeros(np.shape(t))
     for start in range(0, x.shape[0], _SECTION_BLOCK):
         tb = orthonormal_range(_section_tangents(ctx, n_vec, x[start:start + _SECTION_BLOCK], t))
@@ -299,17 +296,14 @@ def section_omega_residual(
     return float(resid) if resid.ndim == 0 else resid
 
 
-def gradient_hamiltonian_residual(
-    ctx: HermitianContext, n_vec: np.ndarray, flag_samples: OrbitBatch
-) -> float:
-    """|dF(w) - Omega(w, iY)| over flag tangent directions w.
+def gradient_hamiltonian_residual(ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray) -> float:
+    """|dF(w) - Omega(w, iY)| over flag tangent directions w at the (n, dim) flag points x.
 
     F is the height function lifted to the orbit; iY is its Hamiltonian
     field for Omega restricted to the symplectic orbit through the
     flag.  Under the fixed convention Omega(X,Y) = B_tau(iX,Y) the
     pairing slot matters: Omega(w, iY) = B_tau(w, Y) = dF(w).
     """
-    x = flag_samples.base_points
     # (1, dim) rows: stacked vector-matrix products keep the per-point bits
     xs = apply(_compact_flows(ctx.cd), x)[..., None, :]
     w = (xs[0] - xs[1]) / (2 * _FD_STEP)
@@ -413,7 +407,7 @@ def unique_isotropic_orbit_check(
     h = np.asarray(h, dtype=float)
     flag_dim = int(rank(sd.tangent_columns(cd, h)))
     adjoint_dim = int(rank(cd.alg.ad(h)))
-    flag = flag_orbit_sample(cd, h, seed, 25).base_points
+    flag = flag_orbit_sample(cd, h, seed, 25)
     max_flag_omega = float(max_omega(ctx, orbit_tangent_basis(ctx, flag, "flag")).max())
     n_plus, _, _ = h_subspaces(cd, h)
     coeffs = np.random.default_rng(seed).standard_normal((n_random, n_plus.shape[1]))

@@ -196,6 +196,8 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
     samples = df.sample_deformed_orbit(ctx1, h, SEED, n_base=25, n_fiber=2)
     assert samples.points.shape[:2] == (25, 2)
     n_plus, _, _ = al.h_subspaces(cd, h)
+    # the fiber coefficients of the batch: the sampler's own seeded draw
+    coeffs = np.random.default_rng([SEED, 0x5F1BE]).standard_normal((2, n_plus.shape[1]))
     step = 1e-5
     om = hc.omega.value
     flows = [
@@ -207,8 +209,7 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
         base, fiber = k_op @ h, n_plus @ coeffs
         return al.OrbitBatch(
             points=(base + k_op @ fiber)[None, None], base_points=base[None], k_ops=k_op[None],
-            fibers=fiber[None, None], fiber_coeffs=coeffs[None, None], kind=samples.kind,
-            r=samples.r,
+            fibers=fiber[None, None], kind=samples.kind, r=samples.r,
         )
 
     worst, defect_err, defects = 0.0, 0.0, []
@@ -217,7 +218,7 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
         ctxr = df.make_context(cd, r)
         defect = 0.0
         for b, f in np.ndindex(samples.points.shape[:2]):
-            k_op, c = samples.k_ops[b], samples.fiber_coeffs[b, f]
+            k_op, c = samples.k_ops[b], coeffs[f]
             curves = [(fp @ k_op, c, fm @ k_op, c) for fp, fm in flows]
             curves += [(k_op, c + step * e, k_op, c - step * e) for e in np.eye(len(c))]
             tangents = []

@@ -200,14 +200,14 @@ def test_h_subspaces_rejects_outside_chamber(sl2r):
 
 def test_flag_samples_on_circle(sl2r):
     _, cd = sl2r
-    for x, y, z in al.flag_orbit_sample(cd, H, seed=7, count=100).points.reshape(-1, 3):
+    for x, y, z in al.flag_orbit_sample(cd, H, seed=7, count=100):
         assert abs(x * x + y * y - 1.0) < 1e-9
         assert abs(z) < 1e-12
 
 
 def test_flag_samples_zero_element(sl2r):
     _, cd = sl2r
-    for point in al.flag_orbit_sample(cd, np.zeros(3), seed=7, count=5).points.reshape(-1, 3):
+    for point in al.flag_orbit_sample(cd, np.zeros(3), seed=7, count=5):
         assert np.linalg.norm(point) < 1e-12
 
 
@@ -218,7 +218,7 @@ def test_flag_samples_norm_and_subspace():
         cd = al.cartan_structure(alg)
         h = cd.chamber_H
         target = alg.killing_form(h, h)
-        for point in al.flag_orbit_sample(cd, h, seed=8, count=30).points.reshape(-1, alg.dim):
+        for point in al.flag_orbit_sample(cd, h, seed=8, count=30):
             assert abs(alg.killing_form(point, point) - target) < 1e-8
             assert np.linalg.norm(cd.project_k(point)) < 1e-10
 
@@ -227,7 +227,17 @@ def test_flag_sampling_deterministic(sl2r):
     _, cd = sl2r
     a = al.flag_orbit_sample(cd, H, seed=42, count=10)
     b = al.flag_orbit_sample(cd, H, seed=42, count=10)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("descriptor", ["sl2r", "sl3c", "so4"])
+def test_flag_samples_are_k_operators_times_h(descriptor):
+    # the flag points are the (count, dim) array Ad(k).H of the samplers' k draw
+    cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
+    h = cd.chamber_H
+    x = al.flag_orbit_sample(cd, h, seed=5, count=7)
+    assert x.shape == (7, cd.alg.dim)
+    assert np.array_equal(x, al.sample_k_operators(cd, 5, 7) @ h)
 
 
 def test_nullspace_of_ad_h_is_centralizer(sl2r):

@@ -23,7 +23,7 @@ from orbitdeform.cli import (
     _atomic_write,
     _coord_rows,
     _fmt,
-    _parse_r_list,
+    _parse_list,
     _resolve_h,
     _sample_csv,
     _section_csv,
@@ -197,7 +197,7 @@ def _grid(n_rows):
 
 def _batch(points):
     return al.OrbitBatch(points=points, base_points=points[:, 0], k_ops=np.empty(0),
-                         fibers=points, fiber_coeffs=points, kind="adjoint", r=2.0)
+                         fibers=points, kind="deformed", r=2.0)
 
 
 @pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
@@ -276,6 +276,19 @@ def test_lagrangian_section(tmp_path, capsys):
     assert code == 0
     report = json.loads((tmp_path / "section_sl2c_report.json").read_text())
     assert all(e["max_omega_residual"] < 1e-6 for e in report)
+
+
+def test_lagrangian_section_drops_repeated_t(tmp_path, capsys):
+    # a repeated t is written and reported once, like a repeated r
+    assert run(["lagrangian-section", "--algebra", "sl2c", "--n-base", "2",
+                "--t", "0,0,1", "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "warning: duplicate t=0.0 dropped"
+    assert sum(line.startswith("t=0.0:") for line in err) == 1
+    rows = (tmp_path / "section_sl2c.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
+    report = json.loads((tmp_path / "section_sl2c_report.json").read_text())
+    assert [e["t"] for e in report] == [0.0, 1.0]
 
 
 def test_lagrangian_section_requires_complex(tmp_path, capsys):
@@ -369,10 +382,10 @@ def test_parse_r_list_property(values):
     # the list is refused exactly when some value is not > 0; otherwise each value is kept once
     text = ",".join(repr(v) for v in values)
     if all(v > 0 for v in values):
-        assert _parse_r_list(text) == list(dict.fromkeys(values))
+        assert _parse_list(text, "r") == list(dict.fromkeys(values))
     else:
         with pytest.raises(ValueError):
-            _parse_r_list(text)
+            _parse_list(text, "r")
 
 
 def test_orbit_sample_rejects_negative_count(tmp_path, capsys):

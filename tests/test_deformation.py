@@ -249,7 +249,7 @@ def test_tilde_psi_coordinates(sl2r):
     e12 = (S + A) / 2
     base = al.OrbitBatch(
         points=(H + c * e12)[None, None], base_points=H[None], k_ops=np.eye(3)[None],
-        fibers=(c * e12)[None, None], fiber_coeffs=np.array([[[c]]]), kind="adjoint", r=1.0,
+        fibers=(c * e12)[None, None], kind="deformed", r=1.0,
     )
     for r in (2.0, 10.0):
         out = df.tilde_psi_r(df.make_context(cd, r), base).points[0, 0]
@@ -262,7 +262,7 @@ def test_tilde_psi_rejects_untagged(sl2r):
     _, cd = sl2r
     p = al.OrbitBatch(
         points=H[None, None], base_points=H[None], k_ops=np.zeros((1, 0, 0)),
-        fibers=None, fiber_coeffs=None, kind="adjoint", r=1.0,
+        fibers=None, kind="deformed", r=1.0,
     )
     with pytest.raises(al.RepresentationError):
         df.tilde_psi_r(df.make_context(cd, 2.0), p)
@@ -334,7 +334,7 @@ def _loop_deformed_orbit(ctx, h, seed, n_base, n_fiber):
             x_c = n_plus @ c
             samples.append(dict(
                 point=base + ctx.psi_r @ (k_op @ x_c), base_point=base, k_op=k_op, fiber=x_c,
-                fiber_coeffs=c, tags=(b_tag, f_tag),
+                tags=(b_tag, f_tag),
             ))
     return samples
 
@@ -351,12 +351,11 @@ def test_deformed_batch_matches_per_sample_loop(descriptor):
         batch = df.sample_deformed_orbit(ctx, cd.chamber_H, seed=13, n_base=6, n_fiber=4)
         reference = _loop_deformed_orbit(ctx, cd.chamber_H, seed=13, n_base=6, n_fiber=4)
         assert batch.points.shape == (6, 4, cd.alg.dim) and len(reference) == 24
-        assert (batch.kind, batch.r) == (ctx.kind, ctx.r)
+        assert (batch.kind, batch.r) == ("deformed", ctx.r)
         for (b, f), q in zip(np.ndindex(6, 4), reference):
             assert (b, f) == q["tags"]
             p = dict(point=batch.points[b, f], base_point=batch.base_points[b],
-                     k_op=batch.k_ops[b], fiber=batch.fibers[b, f],
-                     fiber_coeffs=batch.fiber_coeffs[b, f])
+                     k_op=batch.k_ops[b], fiber=batch.fibers[b, f])
             for field, value in p.items():
                 assert _close(value, q[field]), field
 

@@ -155,8 +155,7 @@ def test_phi_zero_fiber_gives_zero_covector(sl2r):
     _, cd = sl2r
     p = al.OrbitBatch(
         points=H[None, None], base_points=H[None], k_ops=np.eye(3)[None],
-        fibers=np.zeros((1, 1, 3)), fiber_coeffs=np.zeros((1, 1, 1)), kind="semidirect",
-        r=math.inf,
+        fibers=np.zeros((1, 1, 3)), kind="semidirect", r=math.inf,
     )
     w, cov = sd.phi_cotangent(p)
     assert np.allclose(w, H) and np.allclose(cov, 0.0)
@@ -267,7 +266,7 @@ def _loop_semidirect_orbit(cd, h, seed, n_base, n_fiber):
             coeffs = tangent.T @ cd.b_theta @ v
             samples.append(dict(
                 point=w + cd.alg.bracket(w, v), base_point=w, k_op=k_op,
-                fiber=tangent @ coeffs, fiber_coeffs=coeffs, tags=(b_tag, f_tag),
+                fiber=tangent @ coeffs, tags=(b_tag, f_tag),
             ))
     return samples
 
@@ -282,7 +281,7 @@ def test_semidirect_batch_matches_per_sample_loop(descriptor):
     for (b, f), q in zip(np.ndindex(6, 4), reference):
         assert (b, f) == q["tags"]
         p = dict(point=batch.points[b, f], base_point=batch.base_points[b], k_op=batch.k_ops[b],
-                 fiber=batch.fibers[b, f], fiber_coeffs=batch.fiber_coeffs[b, f])
+                 fiber=batch.fibers[b, f])
         for field, value in p.items():
             ref = q[field]
             assert np.linalg.norm(value - ref) <= 1e-14 * max(np.linalg.norm(ref), 1e-300), field
@@ -290,7 +289,7 @@ def test_semidirect_batch_matches_per_sample_loop(descriptor):
 
 def test_orbit_tangent_stack_matches_single():
     cd = _cartan("sl3c")
-    w = al.flag_orbit_sample(cd, cd.chamber_H, seed=15, count=5).base_points
+    w = al.flag_orbit_sample(cd, cd.chamber_H, seed=15, count=5)
     stack = sd.orbit_tangent_at(cd, w)
     for w_i, t_i in zip(w, stack):
         single = sd.orbit_tangent_at(cd, w_i)

@@ -10,7 +10,6 @@ from orbitdeform import algebra as al
 from orbitdeform import checks
 from orbitdeform import deformation as df
 from orbitdeform import symplectic as sp
-from orbitdeform.checks import _proj_residual
 from orbitdeform.numerics import (
     StructureError, Tolerance, apply, matrix_exp, nullspace, orthonormal_range,
 )
@@ -138,7 +137,7 @@ def test_orbit_tangent_dimensions(sl2c):
     cd, hc = sl2c
     h = cd.chamber_H
     flag = al.flag_orbit_sample(cd, h, seed=6, count=5)
-    assert sp.orbit_tangent_basis(hc, flag.points, "flag").shape == (5, 1, 6, 2)
+    assert sp.orbit_tangent_basis(hc, flag, "flag").shape == (5, 6, 2)
     ctx = df.make_context(cd, math.inf)
     batch = df.sample_deformed_orbit(ctx, h, seed=6, n_base=5, n_fiber=2)
     assert sp.orbit_tangent_basis(hc, batch.points, "semidirect").shape == (5, 2, 6, 4)
@@ -157,11 +156,11 @@ def test_symplectic_certificate_sl2c(sl2c):
 
 
 def test_symplectic_certificate_rejects_other_kinds(sl2c):
-    # the fiber [w, s] of the certificate belongs to the semidirect orbit only
+    # the fiber [w, s] of the certificate belongs to the semidirect orbit only:
+    # a batch at finite r, the adjoint orbit at r = 1 included, raises
     cd, hc = sl2c
-    flag = al.flag_orbit_sample(cd, cd.chamber_H, seed=7, count=3)
-    adjoint = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, 7, 3, 2)
-    for batch in (flag, adjoint):
+    for r in (1.0, 2.0):
+        batch = df.sample_deformed_orbit(df.make_context(cd, r), cd.chamber_H, 7, 3, 2)
         with pytest.raises(al.RepresentationError):
             sp.check_symplectic_on_orbit(hc, batch)
 
@@ -182,7 +181,7 @@ def test_gradient_field_consistency(sl2c):
     step = 1e-6
     from orbitdeform.numerics import matrix_exp
 
-    for x in flag.points.reshape(-1, 6):
+    for x in flag:
         y = sp.gradient_at(hc, x, h)
         for i in range(cd.k_basis.shape[1]):
             a = cd.k_basis[:, i]
@@ -200,8 +199,7 @@ def test_gradient_vanishes_at_poles(sl2c):
     assert np.linalg.norm(sp.gradient_at(hc, h, h)) < 1e-10
     assert np.linalg.norm(sp.gradient_at(hc, -h, h)) < 1e-10
     flag = al.flag_orbit_sample(cd, h, seed=9, count=20)
-    away = [x for x in flag.points.reshape(-1, 6)
-            if min(np.linalg.norm(x - h), np.linalg.norm(x + h)) > 0.3]
+    away = [x for x in flag if min(np.linalg.norm(x - h), np.linalg.norm(x + h)) > 0.3]
     assert any(np.linalg.norm(sp.gradient_at(hc, x, h)) > 1e-3 for x in away)
 
 
@@ -212,7 +210,7 @@ def test_gradient_is_b_tau_projection(fixture, request):
     # relative to |N|, since the gradient vanishes at the poles
     cd, hc = request.getfixturevalue(fixture)
     h = cd.chamber_H
-    x = np.vstack([h, -h, al.flag_orbit_sample(cd, h, seed=20, count=8).base_points])
+    x = np.vstack([h, -h, al.flag_orbit_sample(cd, h, seed=20, count=8)])
     grads = sp.gradient_at(hc, x, h)
     for x_i, y_i in zip(x, grads):
         c = np.stack([cd.alg.bracket(a, x_i) for a in cd.k_basis.T], axis=1)
@@ -226,7 +224,7 @@ def test_gradient_is_b_tau_projection(fixture, request):
 def test_gradient_stack_matches_single(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
     h = cd.chamber_H
-    x = al.flag_orbit_sample(cd, h, seed=16, count=6).base_points
+    x = al.flag_orbit_sample(cd, h, seed=16, count=6)
     stack = sp.gradient_at(hc, x.reshape(2, 3, -1), h).reshape(6, -1)
     for x_i, y_i in zip(x, stack):
         single = sp.gradient_at(hc, x_i, h)
@@ -285,7 +283,7 @@ def _section_differences(hc, n_vec, x, t):
 def test_section_tangents_match_finite_differences(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
     h = cd.chamber_H
-    x = al.flag_orbit_sample(cd, h, seed=10, count=5).base_points
+    x = al.flag_orbit_sample(cd, h, seed=10, count=5)
     t_values = np.array([0.0, 0.5, 1.0, 2.0])
     exact = sp._section_tangents(hc, h, x, t_values)
     assert exact.shape == (4, 5, cd.alg.dim, cd.k_basis.shape[1])
@@ -299,17 +297,16 @@ def test_section_blocks_match_one_block(fixture, block, request, monkeypatch):
     cd, hc = request.getfixturevalue(fixture)
     h = cd.chamber_H
     block = block or sp._SECTION_BLOCK
-    flag = al.flag_orbit_sample(cd, h, seed=12, count=2 * block + 1)
-    x = flag.base_points
+    x = al.flag_orbit_sample(cd, h, seed=12, count=2 * block + 1)
     t_values = np.array([0.0, 0.5, 1.0, 2.0])
     starts = range(0, x.shape[0], block)
     blocks = [sp._section_tangents(hc, h, x[s:s + block], t_values) for s in starts]
     assert len(blocks) == 3
     assert np.array_equal(np.concatenate(blocks, axis=1), sp._section_tangents(hc, h, x, t_values))
     monkeypatch.setattr(sp, "_SECTION_BLOCK", block)
-    resids = sp.section_omega_residual(hc, h, flag, t_values)
+    resids = sp.section_omega_residual(hc, h, x, t_values)
     monkeypatch.setattr(sp, "_SECTION_BLOCK", x.shape[0])
-    assert np.array_equal(resids, sp.section_omega_residual(hc, h, flag, t_values))
+    assert np.array_equal(resids, sp.section_omega_residual(hc, h, x, t_values))
 
 
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
@@ -318,8 +315,7 @@ def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkey
     # formula, and section_omega_residual, which reads the formula, shows it
     cd, hc = request.getfixturevalue(fixture)
     h = cd.chamber_H
-    flag = al.flag_orbit_sample(cd, h, seed=1, count=10)
-    x = flag.base_points
+    x = al.flag_orbit_sample(cd, h, seed=1, count=10)
 
     def gap():
         return np.abs(sp._section_tangents(hc, h, x, 1.0) - _section_differences(hc, h, x, 1.0)).max()
@@ -328,7 +324,7 @@ def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkey
     m = np.random.default_rng(1).standard_normal((cd.alg.dim, cd.alg.dim))
     monkeypatch.setattr(sp, "gradient_at", lambda ctx, x, n_vec: x @ m.T)
     assert gap() > 1e-2
-    assert sp.section_omega_residual(hc, h, flag, 1.0) > 1e-2
+    assert sp.section_omega_residual(hc, h, x, 1.0) > 1e-2
 
 
 def test_gradient_hamiltonian_residual(sl2c):
@@ -472,13 +468,12 @@ def test_adjoint_and_deformed_tangents(fixture, request):
     h = cd.chamber_H
     ctx1 = df.make_context(cd, 1.0)
     adjoint = df.sample_deformed_orbit(ctx1, h, seed=9, n_base=4, n_fiber=2)
-    t_adj = sp.orbit_tangent_basis(hc, adjoint.points, "adjoint")
-    t_def = sp.orbit_tangent_basis(hc, adjoint.points, "deformed", adjoint.r)  # r = 1
+    assert (adjoint.kind, adjoint.r) == ("deformed", 1.0)
+    t_adj = sp.orbit_tangent_basis(hc, adjoint.points, adjoint.kind, adjoint.r)
+    # at r = 1 the deformed tangents are the adjoint orbit's ad(g).x, bit for bit
+    assert np.array_equal(t_adj, orthonormal_range(-cd.alg.ad(adjoint.points)))
     adjoint_dim = t_adj.shape[-1]
     assert adjoint_dim == cd.alg.dim - al.h_subspaces(cd, h)[2].shape[1]
-    assert t_def.shape == t_adj.shape
-    for b, f in np.ndindex(4, 2):
-        assert _proj_residual(t_adj[b, f], t_def[b, f]) < 1e-9
     for r in (2.0, 10.0):
         ctx = df.make_context(cd, r)
         batch = df.sample_deformed_orbit(ctx, h, seed=9, n_base=4, n_fiber=2)
@@ -498,8 +493,6 @@ def _loop_tangent_basis(hc, x, kind, r):
     elif kind == "semidirect":
         w = cd.s_basis @ (cd.s_basis.T @ x)
         cols = np.hstack([-cd.alg.ad(x) @ cd.k_basis, sp.fiber_tangent_at(cd, w)])
-    elif kind == "adjoint":
-        cols = -cd.alg.ad(x)
     else:
         cols = -df.ad_r(df.make_context(cd, r), x)
     return orthonormal_range(cols)
@@ -508,8 +501,8 @@ def _loop_tangent_basis(hc, x, kind, r):
 def _batches(cd, seed):
     # one batch per orbit kind, as (points, kind, r)
     h = cd.chamber_H
-    flag = al.flag_orbit_sample(cd, h, seed, 6)
-    out = [(flag.points, "flag", flag.r)]
+    # the flag points as a (6, 1, dim) batch of one fiber each
+    out = [(al.flag_orbit_sample(cd, h, seed, 6)[:, None], "flag", math.inf)]
     for r in (1.0, 2.0, math.inf):
         batch = df.sample_deformed_orbit(df.make_context(cd, r), h, seed, 5, 3)
         # at r = inf the batch is labelled by its n_H^+ fibers; its points are on the
@@ -530,7 +523,7 @@ def test_orbit_tangent_basis_matches_per_point_loop(fixture, request):
             assert stack[b, f].shape == single.shape
             proj, ref = stack[b, f] @ stack[b, f].T, single @ single.T
             assert np.linalg.norm(proj - ref) <= 1e-14 * np.linalg.norm(ref), (kind, b, f)
-    assert kinds == {"flag", "adjoint", "deformed", "semidirect"}
+    assert kinds == {"flag", "deformed", "semidirect"}
 
 
 def test_orbit_tangent_basis_mixed_ranks_raise(sl2c):
