@@ -23,16 +23,15 @@ involution theta (diagonal +-1) are exact; the Killing matrix is the
 trace form c Re tr(e_i e_j).  bracket and ad contract with the structure
 tensor through one kernel: stacked row-times-matrix products against its
 (dim, dim^2) view, which give a stack the bits of the per-vector calls.
-The compact group acts through n x n matrices: Ad(k) operators are read
-off the conjugates k e_j k^-1 of the basis, never exponentiated as
-(dim, dim) ad matrices.
+The compact group is sampled as n x n matrices g, never as (dim, dim)
+Ad(g) operators: LieAlgebraData.conjugate, to_vector(g X g^H), is the
+one place where Ad(g) acts.
 The bundle samplers return an OrbitBatch, one set of arrays over (base,
 fiber); the flag sampler returns its base points as a plain array.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +109,13 @@ class LieAlgebraData:
         real family) is dropped.
         """
         return _coordinates(self.family, np.asarray(m))
+
+    def conjugate(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Ad(g)x = to_vector(g X g^H) for g in K; (..., n, n) and (..., dim) stacks broadcast.
+
+        K is SO(n) or SU(n), so g^H = g^-1.
+        """
+        return self.to_vector(g @ self.to_matrix(x) @ np.conj(np.swapaxes(g, -1, -2)))
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """[x, y] on basis coefficients; (..., dim) stacks broadcast against each other.
@@ -205,17 +211,18 @@ class OrbitBatch:
     """n_base x n_fiber tagged orbit samples as arrays; the tags are the indices.
 
     points and fibers are (n_base, n_fiber, dim) arrays, base_points is
-    (n_base, dim) and k_ops (n_base, dim, dim); consumers read them in
-    stacked calls.  The fiber is stored before any deformation map, in
-    the format that kind names: an element of n_H^+ for "deformed"
-    batches (r = 1, the adjoint orbit, and r = inf included), the
-    tangential part of the fiber coordinate v (point = w + [w, v]) for
+    (n_base, dim) and k the (n_base, n, n) group elements of
+    sample_k_operators, which act through LieAlgebraData.conjugate;
+    consumers read them in stacked calls.  The fiber is stored before any
+    deformation map, in the format that kind names: an element X of
+    n_H^+ for "deformed" batches (r = 1, the adjoint orbit, and r = inf
+    included), the raw fiber coordinate v in s (point = w + [w, v]) for
     "semidirect" batches, which only sample_semidirect_orbit makes.
     """
 
     points: np.ndarray
     base_points: np.ndarray
-    k_ops: np.ndarray
+    k: np.ndarray
     fibers: np.ndarray
     kind: str
     r: float
@@ -252,21 +259,6 @@ def _coordinates(family: str, m: np.ndarray) -> np.ndarray:
         return upper
     diag = np.cumsum(np.diagonal(m, axis1=-2, axis2=-1)[..., :-1], axis=-1)
     return np.concatenate([diag, 0.5 * (upper + lower), 0.5 * (upper - lower)], axis=-1)
-
-
-@functools.lru_cache(maxsize=None)
-def _entry_readout(family: str, n: int) -> np.ndarray:
-    """R (dim, n*n) with to_vector(M) = Re(R vec(M)), vec row-major; read-only, built once.
-
-    to_vector is real-linear, so column ab of R holds the coordinates of
-    the unit matrix E_ab minus i times those of i E_ab.  Real on the real
-    families, where the imaginary part of M is never read.
-    """
-    units = np.eye(n * n).reshape(n * n, n, n)
-    real, imag = _coordinates(family, np.stack([units, 1j * units]))
-    readout = (real - 1j * imag).T if family == "sl_complex" else real.T
-    readout.flags.writeable = False
-    return readout
 
 
 def build_algebra(family: str, n: int) -> LieAlgebraData:
@@ -335,6 +327,14 @@ def _b_orthonormalize(basis: np.ndarray, b: np.ndarray) -> np.ndarray:
     return basis @ np.swapaxes(np.linalg.inv(chol), -1, -2)
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.allclose(a, b, atol=1e-8) along the last axis of broadcasting stacks.
+
+    Its rule, |a - b| <= 1e-8 + 1e-5 |b| in every entry, on every pair at once.
+    """
+    return (np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)).all(axis=-1)
+
+
 def cartan_structure(alg: LieAlgebraData) -> CartanData:
     """Cartan decomposition, maximal abelian subalgebra and restricted roots.
 
@@ -378,13 +378,13 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
         raise StructureError("root decomposition does not close")
 
     # pair alpha with -alpha and check theta(g_alpha) = g_{-alpha}
+    funcs = np.array([r.functional for r in roots]).reshape(len(roots), a_basis.shape[1])
+    opposite = _close(funcs[None], -funcs[:, None])  # [i, j]: root j is -(root i)
+    if not opposite.any(axis=1).all():
+        raise StructureError("a root has no opposite root")
     paired = []
-    for i, r in enumerate(roots):
-        j = next(
-            k
-            for k, other in enumerate(roots)
-            if np.allclose(other.functional, -r.functional, atol=1e-8)
-        )
+    for r, row in zip(roots, opposite):
+        j = int(row.argmax())  # the first opposite, as a search in root order finds it
         img = theta @ r.space_basis
         resid = img - roots[j].space_basis @ (roots[j].space_basis.T @ b_theta @ img)
         if np.linalg.norm(resid) > 1e-9:
@@ -397,20 +397,13 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     probe_diag = np.diag([nn - 1 - 2 * i for i in range(nn)]).astype(complex)
     probe = alg.to_vector(probe_diag)
     probe_coeffs, *_ = np.linalg.lstsq(a_basis, probe, rcond=None)
-    positive = tuple(
-        i for i, r in enumerate(roots) if float(r.functional @ probe_coeffs) > 1e-8
-    )
-    pos_funcs = [roots[i].functional for i in positive]
-    simple = []
-    for i in positive:
-        f = roots[i].functional
-        is_sum = any(
-            np.allclose(f, fa + fb, atol=1e-8) for fa in pos_funcs for fb in pos_funcs
-        )
-        if not is_sum:
-            simple.append(i)
+    positive = tuple(np.flatnonzero(funcs @ probe_coeffs > 1e-8).tolist())
+    # simple: the positive roots that are no sum of two positive roots
+    pos = funcs[list(positive)]
+    is_sum = _close(pos[:, None, None], pos[:, None] + pos[None]).any(axis=(1, 2))
+    simple = tuple(i for i, summed in zip(positive, is_sum) if not summed)
 
-    chamber_H = chamber_element(a_basis, roots, tuple(simple), "regular")
+    chamber_H = chamber_element(a_basis, roots, simple, "regular")
     return CartanData(
         alg=alg,
         theta=theta,
@@ -420,7 +413,7 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
         a_basis=a_basis,
         roots=tuple(roots),
         positive_set=positive,
-        simple_set=tuple(simple),
+        simple_set=simple,
         chamber_H=chamber_H,
         zero_space=zero_space,
     )
@@ -472,22 +465,17 @@ def h_subspaces(cd: CartanData, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def sample_k_operators(cd: CartanData, seed: int, count: int) -> np.ndarray:
-    """Seeded Ad(K) operators (count, dim, dim): Ad(exp(A3) exp(A2) exp(A1)), A_i random in k.
+    """Seeded elements g = exp(A3) exp(A2) exp(A1) of K, A_i random in k: (count, n, n).
 
-    The group element g is a product of n x n exponentials, and
-    exp(ad A) = Ad(exp A), so column j of Ad(g) is to_vector(g e_j g^-1).
-    k is the -X^H-fixed part of g on every family (K = SO(n) or SU(n)),
-    so g^-1 = g^H.  All columns come from one product per sample: the
-    readout of to_vector times g kron conj(g) times the flattened basis.
+    Each factor is an n x n exponential.  k is the -X^H-fixed part of g
+    on every family (K = SO(n) or SU(n)), so g^-1 = g^H, and Ad(g) acts
+    through LieAlgebraData.conjugate; exp(ad A) = Ad(exp A) makes it the
+    product of the exp(ad A_i).
     """
-    alg, n = cd.alg, cd.alg.n
+    alg = cd.alg
     coeffs = np.random.default_rng(seed).standard_normal((count, 3, cd.k_basis.shape[1]))
     exps = matrix_exp(alg.to_matrix(coeffs @ cd.k_basis.T))
-    g = exps[:, 2] @ (exps[:, 1] @ exps[:, 0])
-    # row-major vec(g X g^H) = (g kron conj(g)) vec(X), and to_vector(M) = Re(R vec(M))
-    kron = (g[:, :, None, :, None] * np.conj(g)[:, None, :, None, :]).reshape(count, n * n, n * n)
-    ops = _entry_readout(alg.family, n) @ kron @ alg.basis.reshape(alg.dim, n * n).T
-    return np.ascontiguousarray(ops.real)
+    return exps[:, 2] @ (exps[:, 1] @ exps[:, 0])
 
 
 def flag_orbit_sample(cd: CartanData, h: np.ndarray, seed: int, count: int) -> np.ndarray:
@@ -497,4 +485,4 @@ def flag_orbit_sample(cd: CartanData, h: np.ndarray, seed: int, count: int) -> n
     samplers' base points at the same seed.
     """
     cd.check_chamber(h)
-    return sample_k_operators(cd, seed, count) @ np.asarray(h, dtype=float)
+    return cd.alg.conjugate(sample_k_operators(cd, seed, count), h)

@@ -285,7 +285,7 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
             CheckResult("semidirect_matches_r_inf", "K_ad.H = Ad_inf(G).H", worst, 1e-8)
         )
 
-    m = sd.cotangent_moment(cd, *sd.phi_cotangent(batch))
+    m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
     worst = float(_norms(m - batch.points).max())
     out.append(CheckResult("moment_inverts_phi", "m(phi(p)) = p", worst, 1e-9))
     return out

@@ -106,14 +106,14 @@ def ad_r_exp_orbit(ctx: DeformationContext, a: np.ndarray, t: float, y: np.ndarr
 
 
 def _deformed_points(
-    psi: np.ndarray, base: np.ndarray, k_ops: np.ndarray, fibers: np.ndarray
+    ctx: DeformationContext, base: np.ndarray, k: np.ndarray, fibers: np.ndarray
 ) -> np.ndarray:
-    """Ad(k).H + psi(Ad(k).X) for every (base, fiber) pair: (n_base, n_fiber, dim).
+    """Ad(k).H + psi_r(Ad(k).X) for every (base, fiber) pair: (n_base, n_fiber, dim).
 
-    Stacked matrix-vector products, which give the bits of the
-    per-sample products psi @ (k_op @ fiber).
+    k holds the (n_base, n, n) group elements; Ad(k).X is one stacked
+    conjugate over every pair, and psi_r one stacked matrix-vector product.
     """
-    return base[:, None] + (psi @ (k_ops[:, None] @ fibers[..., None]))[..., 0]
+    return base[:, None] + apply(ctx.psi_r, ctx.cd.alg.conjugate(k[:, None], fibers))
 
 
 def sample_deformed_orbit(
@@ -128,21 +128,21 @@ def sample_deformed_orbit(
     cd = ctx.cd
     cd.check_chamber(h)
     n_plus, _, _ = h_subspaces(cd, h)
-    k_ops = sample_k_operators(cd, seed, n_base)
+    k = sample_k_operators(cd, seed, n_base)
     coeffs = np.random.default_rng([seed, 0x5F1BE]).standard_normal((n_fiber, n_plus.shape[1]))
     fibers = np.broadcast_to(apply(n_plus, coeffs), (n_base, n_fiber, cd.alg.dim))
-    base = k_ops @ np.asarray(h, dtype=float)
+    base = cd.alg.conjugate(k, h)
     return OrbitBatch(
-        points=_deformed_points(ctx.psi_r, base, k_ops, fibers), base_points=base, k_ops=k_ops,
+        points=_deformed_points(ctx, base, k, fibers), base_points=base, k=k,
         fibers=fibers, kind="deformed", r=ctx.r,
     )
 
 
 def _require_tags(batch: OrbitBatch):
-    if batch.k_ops is None or batch.fibers is None or batch.k_ops.size == 0:
+    if batch.k is None or batch.fibers is None or batch.k.size == 0:
         raise RepresentationError("samples carry no construction tags")
     if batch.kind == "semidirect":
-        raise RepresentationError("a semidirect batch stores a tangential fiber, not X in n_H^+")
+        raise RepresentationError("a semidirect batch stores v in s, not X in n_H^+")
 
 
 def tilde_psi_r(ctx: DeformationContext, batch: OrbitBatch) -> OrbitBatch:
@@ -159,7 +159,7 @@ def tilde_psi_r(ctx: DeformationContext, batch: OrbitBatch) -> OrbitBatch:
     gives the law on mixed base/fiber tangent pairs.
     """
     _require_tags(batch)
-    points = _deformed_points(ctx.psi_r, batch.base_points, batch.k_ops, batch.fibers)
+    points = _deformed_points(ctx, batch.base_points, batch.k, batch.fibers)
     return replace(batch, points=points, kind="deformed", r=ctx.r)
 
 
@@ -171,5 +171,5 @@ def limit_deviation(ctx: DeformationContext, batch: OrbitBatch) -> float:
     """
     ctx._require_finite("the limit deviation")
     _require_tags(batch)
-    moved = ctx.cd.theta @ (batch.k_ops[:, None] @ batch.fibers[..., None])
-    return 2.0 / (ctx.r + 1.0) * float(np.linalg.norm(moved[..., 0], axis=-1).max())
+    moved = apply(ctx.cd.theta, ctx.cd.alg.conjugate(batch.k[:, None], batch.fibers))
+    return 2.0 / (ctx.r + 1.0) * float(np.linalg.norm(moved, axis=-1).max())

@@ -19,9 +19,9 @@ map phi sends a fiber point to the covector it induces via B_theta; the
 moment application m inverts it.  Each compact-orbit object is formed
 here, once: tangent_columns ([A, x] for A in k), orbit_tangent_at (a
 B_theta-orthonormal basis t of their span) and coadjoint_fiber ([w, s]).
-The sampler's points are w + [w, v] with the raw fiber coordinate v;
-its OrbitBatch stores the B_theta-tangential part t t^T B_theta v, which
-phi reads, and m works on the stacks.
+The sampler's points are w + [w, v] with the raw fiber coordinate v,
+which its OrbitBatch stores; phi takes the B_theta-tangential part
+t t^T B_theta v where it is read, and m works on the stacks.
 """
 
 from __future__ import annotations
@@ -94,36 +94,35 @@ def sample_semidirect_orbit(
 ) -> OrbitBatch:
     """Tagged points Ad(k).H + [Ad(k).H, v] with v random in s.
 
-    The stored fiber is the tangential component of v at the base
-    point, which determines the k-part uniquely; the points read the
-    raw v.
+    The stored fiber is the raw v; its tangential component at the base
+    point, which determines the k-part uniquely, is phi_cotangent's.
     """
     cd.check_chamber(h)
-    k_ops = sample_k_operators(cd, seed, n_base)
-    w = k_ops @ np.asarray(h, dtype=float)
+    k = sample_k_operators(cd, seed, n_base)
+    w = cd.alg.conjugate(k, h)
     rng = np.random.default_rng([seed, 0x5D1E])
     v = rng.standard_normal((n_base, n_fiber, cd.s_basis.shape[1])) @ cd.s_basis.T
-    # stacked matrix-vector products keep the bits of the per-sample ones
-    tangent = orbit_tangent_at(cd, w)[:, None]
-    coeffs = (np.swapaxes(tangent, -1, -2) @ cd.b_theta @ v[..., None])[..., 0]
     return OrbitBatch(
         points=w[:, None] + cd.alg.bracket(w[:, None], v),
-        base_points=w, k_ops=k_ops, fibers=apply(tangent, coeffs),
-        kind="semidirect", r=math.inf,
+        base_points=w, k=k, fibers=v, kind="semidirect", r=math.inf,
     )
 
 
-def phi_cotangent(batch: OrbitBatch) -> tuple[np.ndarray, np.ndarray]:
+def phi_cotangent(cd: CartanData, batch: OrbitBatch) -> tuple[np.ndarray, np.ndarray]:
     """Cotangent identification: (base w, covector on T_w(Ad(K).H)) at every sample.
 
-    Both are (n_base, n_fiber, dim) stacks.  The covector f_v is stored
-    as its B_theta-dual tangent vector: the tangential component of the
-    fiber coordinate v at w, the stored fiber of sample_semidirect_orbit
-    only.  Other batches, the deformed sampler's at r = inf too, raise.
+    Both are (n_base, n_fiber, dim) stacks.  The covector f_v is returned
+    as its B_theta-dual tangent vector, the tangential component
+    t t^T B_theta v (t = orbit_tangent_at(w)) of the fiber coordinate v
+    that sample_semidirect_orbit stores.  Other batches, the deformed
+    sampler's at r = inf too, raise.
     """
     if batch.kind != "semidirect" or batch.fibers is None:
         raise RepresentationError("need a tagged batch of sample_semidirect_orbit")
-    return np.broadcast_to(batch.base_points[:, None], batch.fibers.shape), batch.fibers
+    # stacked matrix-vector products keep the bits of the per-sample ones
+    tangent = orbit_tangent_at(cd, batch.base_points)[:, None]
+    coeffs = (np.swapaxes(tangent, -1, -2) @ cd.b_theta @ batch.fibers[..., None])[..., 0]
+    return np.broadcast_to(batch.base_points[:, None], batch.fibers.shape), apply(tangent, coeffs)
 
 
 def cotangent_moment(cd: CartanData, base_point: np.ndarray, covector: np.ndarray) -> np.ndarray:

@@ -18,8 +18,8 @@ Lagrangian sections on the flag orbit, checked on their exact tangents
 along the compact flows; the defect by which the deformation maps fail
 to preserve Omega, from exact tangents too (psi~_r is a diffeomorphism,
 not a symplectomorphism; see pullback_check); the moment map of the
-compact-group action; and a generic skew-form toolkit (radical /
-maximal isotropic subspaces in the linear Darboux form).
+compact-group action; and a generic skew-form toolkit (maximal
+isotropic subspaces in the linear Darboux form).
 gradient_hamiltonian_residual and hamiltonian_q_check take central
 differences, as evidence independent of the bracket formulas.
 
@@ -43,8 +43,7 @@ from .algebra import (
     CartanData, DomainError, OrbitBatch, RepresentationError, flag_orbit_sample, h_subspaces,
 )
 from .numerics import (
-    TOL, DimensionError, StructureError, apply, bilinear, matrix_exp, nullspace,
-    orthonormal_range, rank,
+    TOL, DimensionError, StructureError, apply, bilinear, matrix_exp, orthonormal_range, rank,
 )
 
 
@@ -68,11 +67,6 @@ def make_skew_form(gram: np.ndarray) -> SkewFormData:
     if gram.ndim not in (2, 3) or gram.shape[-1] != gram.shape[-2]:
         raise DimensionError("Gram matrix must be square, or a stack of square matrices")
     return SkewFormData(gram=0.5 * (gram - np.swapaxes(gram, -1, -2)))
-
-
-def radical(form: SkewFormData) -> np.ndarray:
-    """Orthonormal basis of {v : form(v, .) = 0}; empty iff non-degenerate."""
-    return nullspace(form.gram)
 
 
 def max_isotropic(form: SkewFormData) -> np.ndarray | list[np.ndarray]:
@@ -116,15 +110,6 @@ def make_hermitian_context(cd: CartanData) -> HermitianContext:
     j = cd.alg.j_op
     omega = make_skew_form(j.T @ b_tau)
     return HermitianContext(cd=cd, b_tau=b_tau, omega=omega, j=j)
-
-
-def hermitian_form(ctx: HermitianContext, x: np.ndarray, y: np.ndarray) -> complex:
-    """H_tau(X,Y) = -<X, tau Y>, sesquilinear with Re H_tau = B_tau / 2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    re = 0.5 * float(x @ ctx.b_tau @ y)
-    im = -0.5 * float((ctx.j @ x) @ ctx.b_tau @ y)
-    return complex(re, im)
 
 
 def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
@@ -339,13 +324,13 @@ def pullback_check(
     cd = ctx.cd
     psi = df.make_context(cd, r).psi_r
     gram = ctx.omega.gram
-    shape = batch.points.shape
-    k_ops = np.broadcast_to(batch.k_ops[:, None], (*shape, shape[-1]))
+    shape, n_dirs = batch.points.shape, fiber_dirs.shape[1]
     base = np.broadcast_to(batch.base_points[:, None], shape)
-    h = np.concatenate([sd.tangent_columns(cd, base),
-                        np.zeros((*shape, fiber_dirs.shape[1]))], axis=-1)
-    x = np.concatenate([sd.tangent_columns(cd, apply(k_ops, batch.fibers)),
-                        k_ops @ fiber_dirs], axis=-1)
+    h = np.concatenate([sd.tangent_columns(cd, base), np.zeros((*shape, n_dirs))], axis=-1)
+    # Ad(k) of the fiber points, and of the fiber directions as (n_base, n_dirs) rows
+    dirs = np.swapaxes(cd.alg.conjugate(batch.k[:, None], fiber_dirs.T), -1, -2)
+    x = np.concatenate([sd.tangent_columns(cd, cd.alg.conjugate(batch.k[:, None], batch.fibers)),
+                        np.broadcast_to(dirs[:, None], (*shape, n_dirs))], axis=-1)
     v, v_r = h + x, h + psi @ x
     diff = np.swapaxes(v_r, -1, -2) @ gram @ v_r - np.swapaxes(v, -1, -2) @ gram @ v
     return float(np.abs(np.triu(diff, 1)).max())

@@ -237,7 +237,7 @@ def test_flag_samples_are_k_operators_times_h(descriptor):
     h = cd.chamber_H
     x = al.flag_orbit_sample(cd, h, seed=5, count=7)
     assert x.shape == (7, cd.alg.dim)
-    assert np.array_equal(x, al.sample_k_operators(cd, 5, 7) @ h)
+    assert np.array_equal(x, cd.alg.conjugate(al.sample_k_operators(cd, 5, 7), h))
 
 
 def test_nullspace_of_ad_h_is_centralizer(sl2r):
@@ -390,10 +390,6 @@ def test_to_vector_reads_entries_exactly(family, n):
     got = alg.to_vector(mats)
     assert got.shape == (2, 3, alg.dim)
     assert np.array_equal(got, [[alg.to_vector(m) for m in row] for row in mats])
-    # to_vector is real-linear: Re(R vec(m)) with the readout R, exactly on integer entries
-    readout = al._entry_readout(family, n)
-    flat = np.stack([alg.to_matrix(v) for v in ints]).reshape(len(ints), n * n)
-    assert np.array_equal((flat @ readout.T).real, ints)
     # and to_matrix of a (..., dim) stack the bits of the per-vector calls
     vecs = rng.standard_normal((2, 3, alg.dim))
     assert np.array_equal(alg.to_matrix(vecs), [[alg.to_matrix(v) for v in row] for row in vecs])
@@ -411,23 +407,67 @@ def _k_operators_by_ad(cd, seed, count):
 
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
 def test_k_operators_match_ad_exponentials(descriptor):
+    # Ad(g) through conjugate, on random vectors and on the identity columns
     cd = _exact_cartan(*al.DESCRIPTORS[descriptor])
+    alg = cd.alg
     for seed, count in ((1, 50), (4242, 200)):
-        got = al.sample_k_operators(cd, seed, count)
+        g = al.sample_k_operators(cd, seed, count)
         ref = _k_operators_by_ad(cd, seed, count)
-        assert got.shape == (count, cd.alg.dim, cd.alg.dim)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert g.shape == (count, alg.n, alg.n)
+        cols = np.swapaxes(alg.conjugate(g[:, None], np.eye(alg.dim)), -1, -2)
+        assert np.abs(cols - ref).max() <= 1e-13 * np.abs(ref).max()
+        x = np.random.default_rng(seed).standard_normal((count, alg.dim))
+        want = (ref @ x[..., None])[..., 0]
+        assert np.abs(alg.conjugate(g, x) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
 def test_k_operators_preserve_killing_and_theta(descriptor):
     # Ad(k) is an automorphism of g that commutes with theta, for k in K
     cd = _exact_cartan(*al.DESCRIPTORS[descriptor])
-    ops = al.sample_k_operators(cd, 3, 100)
-    killing = cd.alg.killing
+    alg = cd.alg
+    g = al.sample_k_operators(cd, 3, 100)
+    ops = np.swapaxes(alg.conjugate(g[:, None], np.eye(alg.dim)), -1, -2)
+    killing = alg.killing
     gram = np.swapaxes(ops, -1, -2) @ killing @ ops
     assert np.abs(gram - killing).max() <= 1e-13 * np.abs(killing).max()
     assert np.abs(ops @ cd.theta - cd.theta @ ops).max() <= 1e-13 * np.abs(ops).max()
+    # g is in K: g^H g = 1
+    assert np.abs(np.conj(np.swapaxes(g, -1, -2)) @ g - np.eye(alg.n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("family,n", EXACT_CASES)
+def test_root_pairing_and_simple_roots_match_loops(family, n):
+    # the per-pair np.allclose searches that the broadcast rule replaced
+    cd = _exact_cartan(family, n)
+    funcs = [r.functional for r in cd.roots]
+    for r in cd.roots:
+        assert r.theta_image_index == next(
+            j for j, f in enumerate(funcs) if np.allclose(f, -r.functional, atol=1e-8))
+    nn = cd.alg.n
+    probe = cd.alg.to_vector(np.diag([nn - 1 - 2 * i for i in range(nn)]).astype(complex))
+    probe_coeffs, *_ = np.linalg.lstsq(cd.a_basis, probe, rcond=None)
+    positive = tuple(i for i, f in enumerate(funcs) if float(f @ probe_coeffs) > 1e-8)
+    assert cd.positive_set == positive
+    sums = [funcs[a] + funcs[b] for a in positive for b in positive]
+    simple = tuple(i for i in positive
+                   if not any(np.allclose(funcs[i], s, atol=1e-8) for s in sums))
+    assert cd.simple_set == simple
+
+
+def test_cartan_rejects_root_without_opposite(sl2r, monkeypatch):
+    # one root functional scaled off its negative's: StructureError, not StopIteration
+    alg, _ = sl2r
+    eigenspaces = al.simultaneous_eigenspaces
+
+    def skewed(ops):
+        blocks = eigenspaces(ops)
+        vals = next(v for v, _ in blocks if np.abs(v).max() > 1e-8)
+        return [(1.5 * v, b) if v is vals else (v, b) for v, b in blocks]
+
+    monkeypatch.setattr(al, "simultaneous_eigenspaces", skewed)
+    with pytest.raises(StructureError, match="no opposite"):
+        al.cartan_structure(alg)
 
 
 def test_k_operators_memory():

@@ -196,7 +196,7 @@ def _grid(n_rows):
 
 
 def _batch(points):
-    return al.OrbitBatch(points=points, base_points=points[:, 0], k_ops=np.empty(0),
+    return al.OrbitBatch(points=points, base_points=points[:, 0], k=np.empty(0),
                          fibers=points, kind="deformed", r=2.0)
 
 

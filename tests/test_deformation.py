@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def test_tilde_psi_coordinates(sl2r):
     c = 1.7
     e12 = (S + A) / 2
     base = al.OrbitBatch(
-        points=(H + c * e12)[None, None], base_points=H[None], k_ops=np.eye(3)[None],
+        points=(H + c * e12)[None, None], base_points=H[None], k=np.eye(2)[None],
         fibers=(c * e12)[None, None], kind="deformed", r=1.0,
     )
     for r in (2.0, 10.0):
@@ -261,7 +262,7 @@ def test_tilde_psi_coordinates(sl2r):
 def test_tilde_psi_rejects_untagged(sl2r):
     _, cd = sl2r
     p = al.OrbitBatch(
-        points=H[None, None], base_points=H[None], k_ops=np.zeros((1, 0, 0)),
+        points=H[None, None], base_points=H[None], k=np.zeros((1, 0, 0)),
         fibers=None, kind="deformed", r=1.0,
     )
     with pytest.raises(al.RepresentationError):
@@ -269,7 +270,7 @@ def test_tilde_psi_rejects_untagged(sl2r):
 
 
 def test_tilde_psi_rejects_semidirect_batch(sl2r):
-    # sample_semidirect_orbit stores a tangential fiber, not X in n_H^+: pushed as one
+    # sample_semidirect_orbit stores v in s, not X in n_H^+: pushed as one
     # to r = inf, where they already lie, sl2c points at seed 1 moved by up to 6.7
     _, cd = sl2r
     batch = sd.sample_semidirect_orbit(cd, H, seed=1, n_base=4, n_fiber=2)
@@ -328,13 +329,13 @@ def _loop_deformed_orbit(ctx, h, seed, n_base, n_fiber):
     fiber_rng = np.random.default_rng([seed, 0x5F1BE])
     coeff_sets = [fiber_rng.standard_normal(n_plus.shape[1]) for _ in range(n_fiber)]
     samples = []
-    for b_tag, k_op in enumerate(al.sample_k_operators(cd, seed, n_base)):
-        base = k_op @ np.asarray(h, dtype=float)
+    for b_tag, k in enumerate(al.sample_k_operators(cd, seed, n_base)):
+        base = cd.alg.conjugate(k, h)
         for f_tag, c in enumerate(coeff_sets):
             x_c = n_plus @ c
             samples.append(dict(
-                point=base + ctx.psi_r @ (k_op @ x_c), base_point=base, k_op=k_op, fiber=x_c,
-                tags=(b_tag, f_tag),
+                point=base + ctx.psi_r @ cd.alg.conjugate(k, x_c), base_point=base, k=k,
+                fiber=x_c, tags=(b_tag, f_tag),
             ))
     return samples
 
@@ -355,9 +356,24 @@ def test_deformed_batch_matches_per_sample_loop(descriptor):
         for (b, f), q in zip(np.ndindex(6, 4), reference):
             assert (b, f) == q["tags"]
             p = dict(point=batch.points[b, f], base_point=batch.base_points[b],
-                     k_op=batch.k_ops[b], fiber=batch.fibers[b, f])
+                     k=batch.k[b], fiber=batch.fibers[b, f])
             for field, value in p.items():
                 assert _close(value, q[field]), field
+
+
+def test_deformed_sampler_memory_at_rank():
+    # the batch holds n x n group elements, and Ad(k) acts by conjugation: with
+    # (n_base, dim, dim) Ad(k) matrices from a Kronecker readout the peak was 273 MiB
+    cd = al.cartan_structure(al.build_algebra("sl_complex", 6))
+    ctx = df.make_context(cd, 1.0)
+    tracemalloc.start()
+    try:
+        batch = df.sample_deformed_orbit(ctx, cd.chamber_H, seed=1, n_base=2000, n_fiber=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batch.k.shape == (2000, 6, 6)
+    assert peak < 64 * 2**20, peak
 
 
 def _loop_limit_deviation(ctx, samples):
@@ -365,7 +381,7 @@ def _loop_limit_deviation(ctx, samples):
     inf_ctx = df.make_context(ctx.cd, math.inf)
     dev = 0.0
     for b, f in np.ndindex(samples.points.shape[:2]):
-        moved = samples.k_ops[b] @ samples.fibers[b, f]
+        moved = ctx.cd.alg.conjugate(samples.k[b], samples.fibers[b, f])
         at_r = samples.base_points[b] + ctx.psi_r @ moved
         at_inf = samples.base_points[b] + inf_ctx.psi_r @ moved
         dev = max(dev, float(np.linalg.norm(at_r - at_inf)))

@@ -154,10 +154,10 @@ def test_semidirect_matches_deformed_at_infinity(sl2r):
 def test_phi_zero_fiber_gives_zero_covector(sl2r):
     _, cd = sl2r
     p = al.OrbitBatch(
-        points=H[None, None], base_points=H[None], k_ops=np.eye(3)[None],
+        points=H[None, None], base_points=H[None], k=np.eye(2)[None],
         fibers=np.zeros((1, 1, 3)), kind="semidirect", r=math.inf,
     )
-    w, cov = sd.phi_cotangent(p)
+    w, cov = sd.phi_cotangent(cd, p)
     assert np.allclose(w, H) and np.allclose(cov, 0.0)
 
 
@@ -165,7 +165,7 @@ def test_phi_pairs_fiber_with_tangent(sl2r):
     # over H the fiber direction comes from S: B_theta(cov, S) != 0
     _, cd = sl2r
     samples = sd.sample_semidirect_orbit(cd, H, seed=5, n_base=1, n_fiber=5)
-    _, covs = sd.phi_cotangent(samples)
+    _, covs = sd.phi_cotangent(cd, samples)
     for cov in covs.reshape(-1, 3):
         if np.linalg.norm(cov) > 1e-9:
             assert abs(cov @ cd.b_theta @ S) > 1e-12
@@ -186,7 +186,7 @@ def test_moment_inverts_phi():
     for desc in ("sl2r", "sl3r", "sl2c", "sl3c"):
         cd = _cartan(desc)
         batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=7, n_base=10, n_fiber=3)
-        m = sd.cotangent_moment(cd, *sd.phi_cotangent(batch))
+        m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
         assert np.linalg.norm(m - batch.points, axis=-1).max() < 1e-9
 
 
@@ -201,7 +201,7 @@ def test_moment_equivariance(sl2r):
     alg, cd = sl2r
     rng = np.random.default_rng(8)
     samples = sd.sample_semidirect_orbit(cd, H, seed=8, n_base=5, n_fiber=2)
-    bases, covs = sd.phi_cotangent(samples)
+    bases, covs = sd.phi_cotangent(cd, samples)
     for b, f in np.ndindex(5, 2):
         w, cov = bases[b, f], covs[b, f]
         a = cd.k_basis @ rng.standard_normal(1)
@@ -237,7 +237,7 @@ def test_sl2c_orbit_roundtrip(sl2c):
         batch = sd.sample_semidirect_orbit(cd, h, seed=11, n_base=15, n_fiber=4)
         sphere = np.linalg.norm(batch.base_points @ cd.s_basis, axis=-1)
         assert np.abs(sphere - scale).max() < 1e-10
-        base, cov = sd.phi_cotangent(batch)
+        base, cov = sd.phi_cotangent(cd, batch)
         m = sd.cotangent_moment(cd, base, cov)
         assert np.linalg.norm(cd.project_s(m) - batch.base_points[:, None], axis=-1).max() < 1e-12
         assert np.linalg.norm(m - batch.points, axis=-1).max() < 1e-9
@@ -258,15 +258,12 @@ def _loop_semidirect_orbit(cd, h, seed, n_base, n_fiber):
     rng = np.random.default_rng([seed, 0x5D1E])
     dim_s = cd.s_basis.shape[1]
     samples = []
-    for b_tag, k_op in enumerate(al.sample_k_operators(cd, seed, n_base)):
-        w = k_op @ np.asarray(h, dtype=float)
-        tangent = sd.orbit_tangent_at(cd, w)
+    for b_tag, k in enumerate(al.sample_k_operators(cd, seed, n_base)):
+        w = cd.alg.conjugate(k, h)
         for f_tag in range(n_fiber):
             v = cd.s_basis @ rng.standard_normal(dim_s)
-            coeffs = tangent.T @ cd.b_theta @ v
             samples.append(dict(
-                point=w + cd.alg.bracket(w, v), base_point=w, k_op=k_op,
-                fiber=tangent @ coeffs, tags=(b_tag, f_tag),
+                point=w + cd.alg.bracket(w, v), base_point=w, k=k, fiber=v, tags=(b_tag, f_tag),
             ))
     return samples
 
@@ -280,7 +277,7 @@ def test_semidirect_batch_matches_per_sample_loop(descriptor):
     assert (batch.kind, batch.r) == ("semidirect", np.inf)
     for (b, f), q in zip(np.ndindex(6, 4), reference):
         assert (b, f) == q["tags"]
-        p = dict(point=batch.points[b, f], base_point=batch.base_points[b], k_op=batch.k_ops[b],
+        p = dict(point=batch.points[b, f], base_point=batch.base_points[b], k=batch.k[b],
                  fiber=batch.fibers[b, f])
         for field, value in p.items():
             ref = q[field]
@@ -300,7 +297,7 @@ def test_orbit_tangent_stack_matches_single():
 def test_phi_cotangent_matches_per_sample_loop(descriptor):
     cd = _cartan(descriptor)
     batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=16, n_base=6, n_fiber=4)
-    bases, covs = sd.phi_cotangent(batch)
+    bases, covs = sd.phi_cotangent(cd, batch)
     assert bases.shape == covs.shape == batch.points.shape
     for b, f in np.ndindex(6, 4):
         # reference: the per-sample phi_cotangent that read one OrbitSample view
@@ -315,7 +312,7 @@ def test_phi_cotangent_rejects_adjoint_batch(sl2r):
     _, cd = sl2r
     batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), H, seed=17, n_base=2, n_fiber=2)
     with pytest.raises(al.RepresentationError):
-        sd.phi_cotangent(batch)
+        sd.phi_cotangent(cd, batch)
 
 
 def test_phi_cotangent_rejects_deformed_batch_at_r_inf():
@@ -324,7 +321,7 @@ def test_phi_cotangent_rejects_deformed_batch_at_r_inf():
     cd = _cartan("sl2c")
     batch = df.sample_deformed_orbit(df.make_context(cd, math.inf), cd.chamber_H, 1, 4, 2)
     with pytest.raises(al.RepresentationError):
-        sd.phi_cotangent(batch)
+        sd.phi_cotangent(cd, batch)
 
 
 @pytest.mark.parametrize("desc", ["sl2r", "sl3r", "sl2c", "sl3c"])
@@ -386,7 +383,7 @@ def test_ambient_formulas_match_pair_formulas(desc):
         assert np.array_equal(p.T @ fn(cd, x + v) @ p, _pair_matrix(cd, x, v, coadjoint))
     if cd.roots:
         batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=10, n_base=10, n_fiber=5)
-        base, cov = sd.phi_cotangent(batch)
+        base, cov = sd.phi_cotangent(cd, batch)
         # reference: the pair (mu(y ^ covector), y), summed
         ref = cd.alg.bracket(base, cov) + base
         assert np.array_equal(sd.cotangent_moment(cd, base, cov), ref)

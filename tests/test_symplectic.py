@@ -35,11 +35,18 @@ def test_hermitian_context_rejects_real_family():
         sp.make_hermitian_context(cd)
 
 
+def _hermitian_form(hc, x, y):
+    # H_tau(X,Y) = -<X, tau Y>, sesquilinear with Re H_tau = B_tau / 2, from B_tau and J
+    re = 0.5 * float(x @ hc.b_tau @ y)
+    im = -0.5 * float((hc.j @ x) @ hc.b_tau @ y)
+    return complex(re, im)
+
+
 def test_hermitian_form_h_value(sl2c):
     cd, hc = sl2c
     h = cd.chamber_H
     # complex Killing of sl(2,C) is 4 tr(XY); H = diag(1,-1) gives 8
-    val = sp.hermitian_form(hc, h, h)
+    val = _hermitian_form(hc, h, h)
     assert abs(val - 8.0) < 1e-10
 
 
@@ -48,10 +55,10 @@ def test_hermitian_form_positive_and_sesquilinear(sl2c):
     rng = np.random.default_rng(0)
     for _ in range(50):
         x, y = rng.standard_normal(6), rng.standard_normal(6)
-        hxx = sp.hermitian_form(hc, x, x)
+        hxx = _hermitian_form(hc, x, x)
         assert abs(hxx.imag) < 1e-10 and hxx.real > 0
-        assert abs(sp.hermitian_form(hc, hc.j @ x, y) - 1j * sp.hermitian_form(hc, x, y)) < 1e-10
-        assert abs(sp.hermitian_form(hc, x, hc.j @ y) + 1j * sp.hermitian_form(hc, x, y)) < 1e-10
+        assert abs(_hermitian_form(hc, hc.j @ x, y) - 1j * _hermitian_form(hc, x, y)) < 1e-10
+        assert abs(_hermitian_form(hc, x, hc.j @ y) + 1j * _hermitian_form(hc, x, y)) < 1e-10
 
 
 def test_b_tau_identities(sl2c):
@@ -60,7 +67,7 @@ def test_b_tau_identities(sl2c):
     for _ in range(20):
         x, y = rng.standard_normal(6), rng.standard_normal(6)
         # B_tau = 2 Re H_tau and is J-invariant
-        assert abs(x @ hc.b_tau @ y - 2 * sp.hermitian_form(hc, x, y).real) < 1e-10
+        assert abs(x @ hc.b_tau @ y - 2 * _hermitian_form(hc, x, y).real) < 1e-10
         assert abs((hc.j @ x) @ hc.b_tau @ (hc.j @ y) - x @ hc.b_tau @ y) < 1e-10
 
 
@@ -74,7 +81,7 @@ def test_restriction_to_s_is_killing(sl2c):
         y = sb @ rng.standard_normal(3)
         mx, my = cd.alg.to_matrix(x), cd.alg.to_matrix(y)
         killing_c = 4.0 * np.trace(mx @ my)  # 2n tr at n = 2
-        assert abs(sp.hermitian_form(hc, x, y) - killing_c) < 1e-9
+        assert abs(_hermitian_form(hc, x, y) - killing_c) < 1e-9
 
 
 def test_omega_alternating_and_u_isotropic(sl2c):
@@ -103,10 +110,10 @@ def test_omega_ad_u_invariance(sl2c):
 def test_radical_cases():
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     std4 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), j2]])
-    assert sp.radical(sp.make_skew_form(std4)).shape[1] == 0
-    assert sp.radical(sp.make_skew_form(np.zeros((4, 4)))).shape[1] == 4
+    assert nullspace(sp.make_skew_form(std4).gram).shape[1] == 0
+    assert nullspace(sp.make_skew_form(np.zeros((4, 4))).gram).shape[1] == 4
     rank2 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 2))]])
-    assert sp.radical(sp.make_skew_form(rank2)).shape[1] == 2
+    assert nullspace(sp.make_skew_form(rank2).gram).shape[1] == 2
 
 
 def test_max_isotropic_dimensions():
@@ -126,7 +133,7 @@ def test_max_isotropic_formula_random_forms():
         p = rng.standard_normal((d, k))
         g = p @ rng.standard_normal((k, k)) @ p.T
         form = sp.make_skew_form(g - g.T)
-        rad = sp.radical(form)
+        rad = nullspace(form.gram)
         w = sp.max_isotropic(form)
         assert 2 * w.shape[1] == d + rad.shape[1]
         if w.size:
@@ -348,20 +355,22 @@ def _fd_pullback_check(hc, r, samples, fiber_dirs, step=1e-5):
     cd = hc.cd
     ctx1, ctxr = df.make_context(cd, 1.0), df.make_context(cd, r)
     worst = 0.0
+    conjugate = cd.alg.conjugate
     for b, f in np.ndindex(samples.points.shape[:2]):
-        k_op, fiber = samples.k_ops[b], samples.fibers[b, f]
-        h_amb = np.linalg.solve(k_op, samples.base_points[b])
+        k, fiber = samples.k[b], samples.fibers[b, f]
+        h_amb = conjugate(k.conj().T, samples.base_points[b])
         curves = []
         for a in cd.k_basis.T:
-            flow, flow_m = matrix_exp(step * cd.alg.ad(a)), matrix_exp(-step * cd.alg.ad(a))
-            curves.append((flow @ k_op, fiber, flow_m @ k_op, fiber))
+            m = cd.alg.to_matrix(a)
+            flow, flow_m = matrix_exp(step * m), matrix_exp(-step * m)
+            curves.append((flow @ k, fiber, flow_m @ k, fiber))
         for d in fiber_dirs.T:
-            curves.append((k_op, fiber + step * d, k_op, fiber - step * d))
+            curves.append((k, fiber + step * d, k, fiber - step * d))
         vs, vrs = [], []
         for k_p, f_p, k_m, f_m in curves:
             for ctx, out in ((ctx1, vs), (ctxr, vrs)):
-                pt_p = k_p @ h_amb + ctx.psi_r @ (k_p @ f_p)
-                pt_m = k_m @ h_amb + ctx.psi_r @ (k_m @ f_m)
+                pt_p = conjugate(k_p, h_amb) + ctx.psi_r @ conjugate(k_p, f_p)
+                pt_m = conjugate(k_m, h_amb) + ctx.psi_r @ conjugate(k_m, f_m)
                 out.append((pt_p - pt_m) / (2 * step))
         for a in range(len(vs)):
             for b in range(a + 1, len(vs)):
@@ -578,9 +587,10 @@ def _loop_pullback_check(hc, r, samples, fiber_dirs):
     no_base = np.zeros((cd.alg.dim, fiber_dirs.shape[1]))
     worst = 0.0
     for b, f in np.ndindex(samples.points.shape[:2]):
-        k_op = samples.k_ops[b]
+        k = samples.k[b]
         h = np.hstack([-cd.alg.ad(samples.base_points[b]) @ cd.k_basis, no_base])
-        x = np.hstack([-cd.alg.ad(k_op @ samples.fibers[b, f]) @ cd.k_basis, k_op @ fiber_dirs])
+        moved = cd.alg.conjugate(k, samples.fibers[b, f])
+        x = np.hstack([-cd.alg.ad(moved) @ cd.k_basis, cd.alg.conjugate(k, fiber_dirs.T).T])
         v, v_r = h + x, h + psi @ x
         diff = v_r.T @ gram @ v_r - v.T @ gram @ v
         worst = max(worst, float(np.max(np.abs(np.triu(diff, 1)))))
@@ -635,7 +645,7 @@ def test_isotropy_criterion_zero_sees_flag_points(fixture, request, monkeypatch)
 
 def _greedy_max_isotropic(form):
     # reference: the greedy extension the closed form replaced, two SVDs per added vector
-    w = sp.radical(form)
+    w = nullspace(form.gram)
     while True:
         perp = nullspace(w.T @ form.gram, Tolerance())
         cand = orthonormal_range(perp - w @ (w.T @ perp))
@@ -667,7 +677,7 @@ def _skew_forms(rng, count):
 
 def test_max_isotropic_matches_greedy_reference():
     for form in _skew_forms(np.random.default_rng(21), 300):
-        w, rad = sp.max_isotropic(form), sp.radical(form)
+        w, rad = sp.max_isotropic(form), nullspace(form.gram)
         assert w.shape[1] == _greedy_max_isotropic(form).shape[1]
         scale = max(np.abs(form.gram).max(), 1.0)
         assert np.abs(w.T @ form.gram @ w).max(initial=0.0) <= 1e-13 * scale
@@ -689,7 +699,7 @@ def _integer_skew_forms(draw):
 @given(_integer_skew_forms())
 def test_max_isotropic_property(form):
     d = form.dim
-    w, rad = sp.max_isotropic(form), sp.radical(form)
+    w, rad = sp.max_isotropic(form), nullspace(form.gram)
     assert 2 * w.shape[1] == d + rad.shape[1]
     scale = max(np.abs(form.gram).max(initial=0.0), 1.0)
     assert np.abs(w.T @ form.gram @ w).max(initial=0.0) <= 1e-12 * scale
@@ -721,4 +731,4 @@ def test_max_isotropic_stack_matches_single_forms():
         for w, gram in zip(bases, grams):
             single = sp.max_isotropic(sp.make_skew_form(gram))
             assert np.array_equal(w, single)
-            assert 2 * w.shape[1] == d + sp.radical(sp.make_skew_form(gram)).shape[1]
+            assert 2 * w.shape[1] == d + nullspace(sp.make_skew_form(gram).gram).shape[1]
