@@ -214,10 +214,10 @@ class OrbitBatch:
     (n_base, dim) and k the (n_base, n, n) group elements of
     sample_k_operators, which act through LieAlgebraData.conjugate;
     consumers read them in stacked calls.  The fiber is stored before any
-    deformation map, in the format that kind names: an element X of
-    n_H^+ for "deformed" batches (r = 1, the adjoint orbit, and r = inf
-    included), the raw fiber coordinate v in s (point = w + [w, v]) for
-    "semidirect" batches, which only sample_semidirect_orbit makes.
+    deformation map, in the format that kind names: Ad(k)X with X in
+    n_H^+ (point = base + psi_r fiber) for "deformed" batches (r = 1 and
+    r = inf included), the raw fiber coordinate v in s (point = w + [w, v])
+    for "semidirect" batches, which only sample_semidirect_orbit makes.
     """
 
     points: np.ndarray

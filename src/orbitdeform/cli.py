@@ -45,6 +45,15 @@ def _parse_t(text: str) -> float:
     return t
 
 
+def _parse_seed(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
+_H_MAX = 1e300  # largest |--H coefficient|: [w, v] overflows at 5e307, the root values at 1e308
+
+
 def _resolve_h(cd: al.CartanData, h_spec: str) -> np.ndarray:
     if h_spec == "regular" or h_spec.startswith("wall:"):
         h = al.chamber_element(cd.a_basis, cd.roots, cd.simple_set, h_spec)
@@ -54,6 +63,9 @@ def _resolve_h(cd: al.CartanData, h_spec: str) -> np.ndarray:
             raise DomainError(
                 f"expected {cd.a_basis.shape[1]} chamber coefficients, got {coeffs.shape[0]}"
             )
+        # before any product: inf times a zero entry of a_basis is nan
+        if not np.all(np.abs(coeffs) <= _H_MAX):
+            raise DomainError(f"--H coefficients must be finite and at most {_H_MAX:g} in size")
         h = cd.a_basis @ coeffs
     cd.check_chamber(h)
     return h
@@ -239,8 +251,7 @@ def cmd_orbit_sample(args) -> int:
 def cmd_deform_sweep(args) -> int:
     cd, h = _build(args)
     r_values = _parse_list(args.r, "r", ascending=True)
-    # one sampling at r = 1, pushed to each r by psi~_r; the limit deviation
-    # is read off the same batch
+    # one sampling at r = 1, pushed to each r by psi~_r and read by limit_deviation
     base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
                                     args.seed, args.n_base, args.n_fiber)
     summary = []
@@ -292,7 +303,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="flat key=value config file; flags override it")
     p.add_argument("--algebra", default="sl2r",
                    help="algebra descriptor: " + ", ".join(al.DESCRIPTORS))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
 
 
 def _add_sampling(p: argparse.ArgumentParser, fiber: bool = True):

@@ -16,10 +16,10 @@ sense at finite r (the deformed bracket, Killing form and ad) reject it
 explicitly instead of approximating with a large parameter.
 
 Samples are "deformed" OrbitBatch arrays at every r, the adjoint orbit
-(r = 1) and r = inf included: one fiber format, X in n_H^+.
-psi~_r(Ad(k)(H + X)) = Ad(k)H + psi_r Ad(k)X carries one r = 1 batch
-onto every deformed orbit, so an r-sweep samples once; its distance to
-r = inf is (2/(r+1)) ||theta Ad(k)X||.
+(r = 1) and r = inf included: one fiber format, Ad(k)X with X in n_H^+,
+conjugated once by the sampler.  psi~_r(Ad(k)(H + X)) = Ad(k)H + psi_r
+Ad(k)X carries one r = 1 batch onto every deformed orbit, so an r-sweep
+samples once; its distance to r = inf is (2/(r+1)) ||Ad(k)X||.
 """
 
 from __future__ import annotations
@@ -105,17 +105,6 @@ def ad_r_exp_orbit(ctx: DeformationContext, a: np.ndarray, t: float, y: np.ndarr
     return matrix_exp(t * ad_r(ctx, a)) @ np.asarray(y, dtype=float)
 
 
-def _deformed_points(
-    ctx: DeformationContext, base: np.ndarray, k: np.ndarray, fibers: np.ndarray
-) -> np.ndarray:
-    """Ad(k).H + psi_r(Ad(k).X) for every (base, fiber) pair: (n_base, n_fiber, dim).
-
-    k holds the (n_base, n, n) group elements; Ad(k).X is one stacked
-    conjugate over every pair, and psi_r one stacked matrix-vector product.
-    """
-    return base[:, None] + apply(ctx.psi_r, ctx.cd.alg.conjugate(k[:, None], fibers))
-
-
 def sample_deformed_orbit(
     ctx: DeformationContext, h: np.ndarray, seed: int, n_base: int, n_fiber: int
 ) -> OrbitBatch:
@@ -123,17 +112,18 @@ def sample_deformed_orbit(
 
     At r = 1 this samples the adjoint orbit; at r = infinity the
     semidirect orbit over the flag Ad(K).H.  The batch is "deformed" at
-    every r.  The n_fiber fibers X_c are shared by every base point.
+    every r.  The n_fiber draws X_c are shared by every base point; the
+    batch stores their images Ad(k).X_c, each pair conjugated once.
     """
     cd = ctx.cd
     cd.check_chamber(h)
     n_plus, _, _ = h_subspaces(cd, h)
     k = sample_k_operators(cd, seed, n_base)
     coeffs = np.random.default_rng([seed, 0x5F1BE]).standard_normal((n_fiber, n_plus.shape[1]))
-    fibers = np.broadcast_to(apply(n_plus, coeffs), (n_base, n_fiber, cd.alg.dim))
+    fibers = cd.alg.conjugate(k[:, None], apply(n_plus, coeffs))
     base = cd.alg.conjugate(k, h)
     return OrbitBatch(
-        points=_deformed_points(ctx, base, k, fibers), base_points=base, k=k,
+        points=base[:, None] + apply(ctx.psi_r, fibers), base_points=base, k=k,
         fibers=fibers, kind="deformed", r=ctx.r,
     )
 
@@ -142,15 +132,14 @@ def _require_tags(batch: OrbitBatch):
     if batch.k is None or batch.fibers is None or batch.k.size == 0:
         raise RepresentationError("samples carry no construction tags")
     if batch.kind == "semidirect":
-        raise RepresentationError("a semidirect batch stores v in s, not X in n_H^+")
+        raise RepresentationError("a semidirect batch stores v in s, not Ad(k)X with X in n_H^+")
 
 
 def tilde_psi_r(ctx: DeformationContext, batch: OrbitBatch) -> OrbitBatch:
     """Push a tagged orbit batch to the deformation parameter of ctx.
 
-    The base points are kept and the fiber coordinates are re-emitted
-    through psi_r, following the bundle trivialization (k, X) ->
-    Ad(k).H + psi_r(Ad(k).X).
+    The base points Ad(k).H and the stored fibers Ad(k).X are kept, and
+    the points become Ad(k).H + psi_r(Ad(k).X).
 
     The map is a diffeomorphism of the r = 1 orbit onto the deformed
     orbit, but not an Omega-symplectomorphism.  On the complex families
@@ -159,17 +148,16 @@ def tilde_psi_r(ctx: DeformationContext, batch: OrbitBatch) -> OrbitBatch:
     gives the law on mixed base/fiber tangent pairs.
     """
     _require_tags(batch)
-    points = _deformed_points(ctx, batch.base_points, batch.k, batch.fibers)
-    return replace(batch, points=points, kind="deformed", r=ctx.r)
+    points = batch.base_points[:, None] + apply(ctx.psi_r, batch.fibers)
+    return replace(batch, points=points, r=ctx.r)
 
 
 def limit_deviation(ctx: DeformationContext, batch: OrbitBatch) -> float:
     """max_p ||tilde_psi_r(p) - tilde_psi_inf(p)|| over a tagged batch, in closed form.
 
-    The two images differ by (q - 1) theta(Ad(k).X) with q = (r-1)/(r+1),
-    so the maximum is (2/(r+1)) max ||theta(Ad(k).X)||.
+    The two images differ by (q - 1) theta(Ad(k).X), q = (r-1)/(r+1), and
+    theta is a +/-1 diagonal, so the maximum is (2/(r+1)) max ||Ad(k).X||.
     """
     ctx._require_finite("the limit deviation")
     _require_tags(batch)
-    moved = apply(ctx.cd.theta, ctx.cd.alg.conjugate(batch.k[:, None], batch.fibers))
-    return 2.0 / (ctx.r + 1.0) * float(np.linalg.norm(moved, axis=-1).max())
+    return 2.0 / (ctx.r + 1.0) * float(np.linalg.norm(batch.fibers, axis=-1).max())

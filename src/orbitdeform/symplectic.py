@@ -327,9 +327,9 @@ def pullback_check(
     shape, n_dirs = batch.points.shape, fiber_dirs.shape[1]
     base = np.broadcast_to(batch.base_points[:, None], shape)
     h = np.concatenate([sd.tangent_columns(cd, base), np.zeros((*shape, n_dirs))], axis=-1)
-    # Ad(k) of the fiber points, and of the fiber directions as (n_base, n_dirs) rows
+    # the batch stores Ad(k)X; Ad(k) of the fiber directions as (n_base, n_dirs) rows
     dirs = np.swapaxes(cd.alg.conjugate(batch.k[:, None], fiber_dirs.T), -1, -2)
-    x = np.concatenate([sd.tangent_columns(cd, cd.alg.conjugate(batch.k[:, None], batch.fibers)),
+    x = np.concatenate([sd.tangent_columns(cd, batch.fibers),
                         np.broadcast_to(dirs[:, None], (*shape, n_dirs))], axis=-1)
     v, v_r = h + x, h + psi @ x
     diff = np.swapaxes(v_r, -1, -2) @ gram @ v_r - np.swapaxes(v, -1, -2) @ gram @ v

@@ -87,7 +87,10 @@ def test_criterion_04_limit_convergence(sl2r):
     h = np.array([1.0, 0.0, 0.0])
     ctx1 = df.make_context(cd, 1.0)
     samples = df.sample_deformed_orbit(ctx1, h, SEED, n_base=10, n_fiber=4)
-    c_max = math.sqrt(2.0) * np.linalg.norm(samples.fibers, axis=-1).max()
+    # c of the fibers c E12, from the sampler's seeded draw in n_H^+ (|E12| = 1/sqrt 2)
+    n_plus, _, _ = al.h_subspaces(cd, h)
+    coeffs = np.random.default_rng([SEED, 0x5F1BE]).standard_normal((4, n_plus.shape[1]))
+    c_max = math.sqrt(2.0) * np.linalg.norm(coeffs @ n_plus.T, axis=-1).max()
     devs, within = [], True
     for r in (10.0, 100.0, 1000.0):
         dev = df.limit_deviation(df.make_context(cd, r), samples)
@@ -208,10 +211,10 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
     conjugate = cd.alg.conjugate
 
     def retag(k, coeffs):
-        # the r = 1 sample with construction tags (k, n_plus @ coeffs), as a 1 x 1 batch
-        base, fiber = conjugate(k, h), n_plus @ coeffs
+        # the r = 1 sample with construction tags (k, Ad(k) n_plus @ coeffs), as a 1 x 1 batch
+        base, fiber = conjugate(k, h), conjugate(k, n_plus @ coeffs)
         return al.OrbitBatch(
-            points=(base + conjugate(k, fiber))[None, None], base_points=base[None], k=k[None],
+            points=(base + fiber)[None, None], base_points=base[None], k=k[None],
             fibers=fiber[None, None], kind=samples.kind, r=samples.r,
         )
 
@@ -228,7 +231,7 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
             for k_p, c_p, k_m, c_m in curves:
                 plus, minus = retag(k_p, c_p), retag(k_m, c_m)
                 h_v = (plus.base_points[0] - minus.base_points[0]) / (2 * step)
-                x_v = conjugate(k_p, plus.fibers[0, 0]) - conjugate(k_m, minus.fibers[0, 0])
+                x_v = conjugate(k_p, n_plus @ c_p) - conjugate(k_m, n_plus @ c_m)
                 x_v /= 2 * step
                 v_r = (df.tilde_psi_r(ctxr, plus).points[0, 0]
                        - df.tilde_psi_r(ctxr, minus).points[0, 0])

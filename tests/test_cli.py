@@ -156,6 +156,40 @@ def test_deform_sweep(tmp_path, capsys):
     assert len(devs) == 3
 
 
+@pytest.mark.parametrize("r_list", ["1", "1,2,10,100,inf"])
+def test_deform_sweep_conjugates_once_per_sample(tmp_path, capsys, monkeypatch, r_list):
+    # sample_deformed_orbit conjugates H and the fibers, one stacked call each;
+    # psi~_r and the limit deviation read the stored Ad(k)X at every r
+    calls = []
+    conjugate = al.LieAlgebraData.conjugate
+
+    def counted(self, g, x):
+        calls.append(g.shape)
+        return conjugate(self, g, x)
+
+    monkeypatch.setattr(al.LieAlgebraData, "conjugate", counted)
+    assert run(["deform-sweep", "--algebra", "sl3c", "--r", r_list, "--n-base", "4",
+                "--n-fiber", "3", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2, calls
+
+
+@pytest.mark.parametrize("algebra", ["sl3r", "sl2c"])
+def test_deform_sweep_files_match_orbit_sample(tmp_path, capsys, algebra):
+    # one r = 1 sampling pushed by psi~_r: the sweep's CSVs at r = 1, 2 and inf
+    # are the adjoint and deformed orbit-sample files at the same seed and counts
+    counts = ["--algebra", algebra, "--seed", "4242", "--n-base", "7", "--n-fiber", "3"]
+    sweep, sample = tmp_path / "sweep", tmp_path / "sample"
+    sweep.mkdir()
+    sample.mkdir()
+    assert run(["deform-sweep", *counts, "--r", "1,2,10,100,inf", "--out", str(sweep)]) == 0
+    assert run(["orbit-sample", *counts, "--kind", "adjoint", "--out", str(sample)]) == 0
+    assert run(["orbit-sample", *counts, "--kind", "deformed", "--r", "2,inf",
+                "--out", str(sample)]) == 0
+    for r_tag, kind in (("1", "adjoint"), ("2", "deformed"), ("inf", "deformed")):
+        swept = (sweep / f"sweep_{algebra}_r{r_tag}.csv").read_bytes()
+        assert swept == (sample / f"orbit_{algebra}_{kind}_r{r_tag}.csv").read_bytes(), r_tag
+
+
 def test_deform_sweep_rejects_unsorted(tmp_path, capsys):
     assert run(["deform-sweep", "--algebra", "sl2r", "--r", "10,1",
                 "--out", str(tmp_path)]) == 2
@@ -347,6 +381,31 @@ def test_orbit_sample_rejects_nan_chamber(tmp_path, capsys):
     assert run(["orbit-sample", "--algebra", "sl2r", "--H", "nan",
                 "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "1e308"])
+@pytest.mark.parametrize("command", [["orbit-sample"], ["deform-sweep"],
+                                     ["lagrangian-section", "--algebra", "sl2c"]])
+def test_non_finite_or_overflowing_chamber_is_usage_error(tmp_path, capsys, command, value):
+    # refused before any product: inf times a zero entry of a_basis was nan, and
+    # 1e308 overflowed in the root values and the ad rows, each a RuntimeWarning
+    assert run([*command, f"--H={value}", "--out", str(tmp_path)]) == 2
+    assert "--H" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["orbit-sample", "--algebra", "sl2r", "--seed", "-1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("algebra=sl2r\nseed=-1\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(["orbit-sample", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: argument --seed" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
 @pytest.mark.parametrize("algebra", ["so3", "so4"])

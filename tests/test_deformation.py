@@ -270,7 +270,7 @@ def test_tilde_psi_rejects_untagged(sl2r):
 
 
 def test_tilde_psi_rejects_semidirect_batch(sl2r):
-    # sample_semidirect_orbit stores v in s, not X in n_H^+: pushed as one
+    # sample_semidirect_orbit stores v in s, not Ad(k)X with X in n_H^+: pushed as one
     # to r = inf, where they already lie, sl2c points at seed 1 moved by up to 6.7
     _, cd = sl2r
     batch = sd.sample_semidirect_orbit(cd, H, seed=1, n_base=4, n_fiber=2)
@@ -289,7 +289,7 @@ def test_limit_deviation_closed_form(sl2r):
     _, cd = sl2r
     ctx1 = df.make_context(cd, 1.0)
     samples = df.sample_deformed_orbit(ctx1, H, seed=8, n_base=10, n_fiber=4)
-    c_max = math.sqrt(2.0) * np.linalg.norm(samples.fibers, axis=-1).max()
+    c_max = math.sqrt(2.0) * np.linalg.norm(_fiber_draws(cd, H, seed=8, n_fiber=4), axis=-1).max()
     prev = math.inf
     for r in (10.0, 100.0, 1000.0):
         dev = df.limit_deviation(df.make_context(cd, r), samples)
@@ -322,20 +322,26 @@ def test_bracket_r_matches_deformed_structure_tensor(descriptor):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def _loop_deformed_orbit(ctx, h, seed, n_base, n_fiber):
-    # reference: the per-sample loop sample_deformed_orbit ran before it returned a batch
-    cd = ctx.cd
+def _fiber_draws(cd, h, seed, n_fiber):
+    # the sampler's seeded fiber elements X_c in n_H^+, before any Ad(k)
     n_plus, _, _ = al.h_subspaces(cd, h)
-    fiber_rng = np.random.default_rng([seed, 0x5F1BE])
-    coeff_sets = [fiber_rng.standard_normal(n_plus.shape[1]) for _ in range(n_fiber)]
+    coeffs = np.random.default_rng([seed, 0x5F1BE]).standard_normal((n_fiber, n_plus.shape[1]))
+    return coeffs @ n_plus.T
+
+
+def _loop_deformed_orbit(ctx, h, seed, n_base, n_fiber):
+    # reference: the per-sample loop sample_deformed_orbit ran before it returned a batch;
+    # the stored fiber is Ad(k)X_c, the fiber at its base point
+    cd = ctx.cd
+    draws = _fiber_draws(cd, h, seed, n_fiber)
     samples = []
     for b_tag, k in enumerate(al.sample_k_operators(cd, seed, n_base)):
         base = cd.alg.conjugate(k, h)
-        for f_tag, c in enumerate(coeff_sets):
-            x_c = n_plus @ c
+        for f_tag, x_c in enumerate(draws):
+            moved = cd.alg.conjugate(k, x_c)
             samples.append(dict(
-                point=base + ctx.psi_r @ cd.alg.conjugate(k, x_c), base_point=base, k=k,
-                fiber=x_c, tags=(b_tag, f_tag),
+                point=base + ctx.psi_r @ moved, base_point=base, k=k,
+                fiber=moved, tags=(b_tag, f_tag),
             ))
     return samples
 
@@ -361,10 +367,15 @@ def test_deformed_batch_matches_per_sample_loop(descriptor):
                 assert _close(value, q[field]), field
 
 
-def test_deformed_sampler_memory_at_rank():
+@pytest.fixture(scope="module")
+def sl6c():
+    return al.cartan_structure(al.build_algebra("sl_complex", 6))
+
+
+def test_deformed_sampler_memory_at_rank(sl6c):
     # the batch holds n x n group elements, and Ad(k) acts by conjugation: with
     # (n_base, dim, dim) Ad(k) matrices from a Kronecker readout the peak was 273 MiB
-    cd = al.cartan_structure(al.build_algebra("sl_complex", 6))
+    cd = sl6c
     ctx = df.make_context(cd, 1.0)
     tracemalloc.start()
     try:
@@ -376,12 +387,30 @@ def test_deformed_sampler_memory_at_rank():
     assert peak < 64 * 2**20, peak
 
 
-def _loop_limit_deviation(ctx, samples):
-    # reference: the brute-force loop limit_deviation ran before its closed form
+def test_tilde_psi_memory_at_rank(sl6c):
+    # the batch stores Ad(k)X, so psi~_r forms psi_r Ad(k)X and the sum with the
+    # base points: two arrays the size of the points.  Conjugating the fibers
+    # again at each r peaked near 4x
+    batch = df.sample_deformed_orbit(df.make_context(sl6c, 1.0), sl6c.chamber_H, seed=1,
+                                     n_base=2000, n_fiber=5)
+    ctx = df.make_context(sl6c, 2.0)
+    tracemalloc.start()
+    try:
+        pushed = df.tilde_psi_r(ctx, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pushed.points.shape == (2000, 5, sl6c.alg.dim)
+    assert peak < 3 * pushed.points.nbytes, (peak, pushed.points.nbytes)
+
+
+def _loop_limit_deviation(ctx, samples, draws):
+    # reference: the brute-force loop limit_deviation ran before its closed form,
+    # conjugating the fiber draws X_c itself
     inf_ctx = df.make_context(ctx.cd, math.inf)
     dev = 0.0
     for b, f in np.ndindex(samples.points.shape[:2]):
-        moved = ctx.cd.alg.conjugate(samples.k[b], samples.fibers[b, f])
+        moved = ctx.cd.alg.conjugate(samples.k[b], draws[f])
         at_r = samples.base_points[b] + ctx.psi_r @ moved
         at_inf = samples.base_points[b] + inf_ctx.psi_r @ moved
         dev = max(dev, float(np.linalg.norm(at_r - at_inf)))
@@ -395,11 +424,12 @@ def test_limit_deviation_exact_law(descriptor):
     cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
     batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, seed=8,
                                      n_base=10, n_fiber=4)
+    draws = _fiber_draws(cd, cd.chamber_H, seed=8, n_fiber=4)
     scaled = []
     for r in (1.0, 2.0, 10.0, 100.0):
         ctx = df.make_context(cd, r)
         dev = df.limit_deviation(ctx, batch)
-        assert abs(dev - _loop_limit_deviation(ctx, batch)) <= 1e-12 * dev
+        assert abs(dev - _loop_limit_deviation(ctx, batch, draws)) <= 1e-12 * dev
         scaled.append(dev * (r + 1) / 2)
     assert max(scaled) - min(scaled) <= 1e-12 * max(scaled)
 

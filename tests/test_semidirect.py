@@ -317,7 +317,8 @@ def test_phi_cotangent_rejects_adjoint_batch(sl2r):
 
 def test_phi_cotangent_rejects_deformed_batch_at_r_inf():
     # the deformed sampler's r = inf batch lies on the same orbit, but its fibers are
-    # in n_H^+, not tangential: read as covectors, m(phi(p)) missed p by 0.79 on sl2c
+    # Ad(k)X with X in n_H^+, not v in s: their k-part reaches 0.18 on sl2c at seed 1,
+    # and read as v the point w + [w, v] misses p by 0.33
     cd = _cartan("sl2c")
     batch = df.sample_deformed_orbit(df.make_context(cd, math.inf), cd.chamber_H, 1, 4, 2)
     with pytest.raises(al.RepresentationError):

@@ -350,14 +350,22 @@ def test_pullback_identity_at_r1(sl2c):
     assert sp.pullback_check(hc, 1.0, samples, n_plus) < 1e-12
 
 
-def _fd_pullback_check(hc, r, samples, fiber_dirs, step=1e-5):
-    # reference: the finite-difference pullback_check the exact tangents replaced
+def _fiber_draws(cd, h, seed, n_fiber):
+    # the sampler's seeded fiber elements X_c in n_H^+, before any Ad(k)
+    n_plus, _, _ = al.h_subspaces(cd, h)
+    coeffs = np.random.default_rng([seed, 0x5F1BE]).standard_normal((n_fiber, n_plus.shape[1]))
+    return coeffs @ n_plus.T
+
+
+def _fd_pullback_check(hc, r, samples, fiber_dirs, draws, step=1e-5):
+    # reference: the finite-difference pullback_check the exact tangents replaced;
+    # it conjugates the fiber draws X_c itself, not the batch's stored Ad(k)X_c
     cd = hc.cd
     ctx1, ctxr = df.make_context(cd, 1.0), df.make_context(cd, r)
     worst = 0.0
     conjugate = cd.alg.conjugate
     for b, f in np.ndindex(samples.points.shape[:2]):
-        k, fiber = samples.k[b], samples.fibers[b, f]
+        k, fiber = samples.k[b], draws[f]
         h_amb = conjugate(k.conj().T, samples.base_points[b])
         curves = []
         for a in cd.k_basis.T:
@@ -385,11 +393,12 @@ def test_pullback_exact_tangents_match_finite_differences(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
     h = cd.chamber_H
     samples = df.sample_deformed_orbit(df.make_context(cd, 1.0), h, seed=17, n_base=4, n_fiber=2)
+    draws = _fiber_draws(cd, h, seed=17, n_fiber=2)
     n_plus, _, _ = al.h_subspaces(cd, h)
     # with 10 n_plus the pairs involving a fiber direction carry the maximum
     for fiber_dirs, r in itertools.product((n_plus, 10 * n_plus), (1.0, 2.0, 10.0, math.inf)):
         exact = sp.pullback_check(hc, r, samples, fiber_dirs)
-        reference = _fd_pullback_check(hc, r, samples, fiber_dirs)
+        reference = _fd_pullback_check(hc, r, samples, fiber_dirs, draws)
         if r == 1.0:
             assert exact < 1e-12 and reference < 1e-12
         else:
@@ -514,8 +523,8 @@ def _batches(cd, seed):
     out = [(al.flag_orbit_sample(cd, h, seed, 6)[:, None], "flag", math.inf)]
     for r in (1.0, 2.0, math.inf):
         batch = df.sample_deformed_orbit(df.make_context(cd, r), h, seed, 5, 3)
-        # at r = inf the batch is labelled by its n_H^+ fibers; its points are on the
-        # semidirect orbit
+        # at r = inf the batch is "deformed", the label of its fiber format Ad(k)X;
+        # its points are on the semidirect orbit
         out.append((batch.points, "semidirect" if math.isinf(r) else batch.kind, batch.r))
     return out
 
@@ -579,8 +588,8 @@ def test_symplectic_certificate_matches_per_sample_loop(fixture, seed, request):
     assert report == _loop_certificate(hc, samples, "semidirect")
 
 
-def _loop_pullback_check(hc, r, samples, fiber_dirs):
-    # reference: the per-sample pullback_check
+def _loop_pullback_check(hc, r, samples, fiber_dirs, draws):
+    # reference: the per-sample pullback_check, conjugating the fiber draws X_c itself
     cd = hc.cd
     psi = df.make_context(cd, r).psi_r
     gram = hc.omega.gram
@@ -589,7 +598,7 @@ def _loop_pullback_check(hc, r, samples, fiber_dirs):
     for b, f in np.ndindex(samples.points.shape[:2]):
         k = samples.k[b]
         h = np.hstack([-cd.alg.ad(samples.base_points[b]) @ cd.k_basis, no_base])
-        moved = cd.alg.conjugate(k, samples.fibers[b, f])
+        moved = cd.alg.conjugate(k, draws[f])
         x = np.hstack([-cd.alg.ad(moved) @ cd.k_basis, cd.alg.conjugate(k, fiber_dirs.T).T])
         v, v_r = h + x, h + psi @ x
         diff = v_r.T @ gram @ v_r - v.T @ gram @ v
@@ -602,10 +611,11 @@ def test_pullback_check_matches_per_sample_loop(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
     h = cd.chamber_H
     samples = df.sample_deformed_orbit(df.make_context(cd, 1.0), h, seed=19, n_base=6, n_fiber=3)
+    draws = _fiber_draws(cd, h, seed=19, n_fiber=3)
     n_plus, _, _ = al.h_subspaces(cd, h)
     for fiber_dirs, r in itertools.product((n_plus, 10 * n_plus), (2.0, 10.0, math.inf)):
         stacked = sp.pullback_check(hc, r, samples, fiber_dirs)
-        reference = _loop_pullback_check(hc, r, samples, fiber_dirs)
+        reference = _loop_pullback_check(hc, r, samples, fiber_dirs, draws)
         assert abs(stacked - reference) <= 1e-14 * reference, (r, stacked, reference)
 
 
