@@ -173,7 +173,6 @@ class CartanData:
     positive_set: tuple[int, ...]
     simple_set: tuple[int, ...]
     chamber_H: np.ndarray  # ambient coefficients of the default regular element
-    zero_space: np.ndarray  # centralizer of a (joint zero eigenspace) columns
 
     def a_coefficients(self, h: np.ndarray) -> np.ndarray:
         """Express an ambient vector in a_basis coordinates; error if outside a."""
@@ -415,7 +414,6 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
         positive_set=positive,
         simple_set=simple,
         chamber_H=chamber_H,
-        zero_space=zero_space,
     )
 
 

@@ -18,10 +18,12 @@ orbit and the fiber part in the dual of the tangent space at w.  The
 map phi sends a fiber point to the covector it induces via B_theta; the
 moment application m inverts it.  Each compact-orbit object is formed
 here, once: tangent_columns ([A, x] for A in k), orbit_tangent_at (a
-B_theta-orthonormal basis t of their span) and coadjoint_fiber ([w, s]).
-The sampler's points are w + [w, v] with the raw fiber coordinate v,
-which its OrbitBatch stores; phi takes the B_theta-tangential part
-t t^T B_theta v where it is read, and m works on the stacks.
+B_theta-orthonormal basis t of their span), tangent_projection (the
+B_theta-orthogonal projection t t^T B_theta v onto that span, which phi
+and the height-function gradients of symplectic.py read) and
+coadjoint_fiber ([w, s]).  The sampler's points are w + [w, v] with the
+raw fiber coordinate v, which its OrbitBatch stores; phi projects v
+where it is read, and m works on the stacks.
 """
 
 from __future__ import annotations
@@ -84,9 +86,21 @@ def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
     A (..., dim) stack of points gives a (..., dim, rank) stack, from one
     batched SVD and one batched Cholesky step.  B_theta-orthonormality
     makes tangential projection (the complement being the centralizer
-    directions) a plain coefficient contraction: t t^T B_theta v.
+    directions) a plain coefficient contraction, tangent_projection.
     """
     return _b_orthonormalize(orthonormal_range(tangent_columns(cd, w)), cd.b_theta)
+
+
+def tangent_projection(cd: CartanData, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The B_theta-orthogonal projection t t^T B_theta v of v onto T_w(Ad(K).w).
+
+    t = orbit_tangent_at(w), formed once per point of w: one point or a
+    (..., dim) stack.  v is a (..., dim) stack that broadcasts against w;
+    the result has the broadcast shape.  Stacked matrix-vector products,
+    so each projected vector has the bits of its own per-point product.
+    """
+    t = orbit_tangent_at(cd, w)
+    return apply(t, apply(np.swapaxes(t, -1, -2) @ cd.b_theta, v))
 
 
 def sample_semidirect_orbit(
@@ -112,17 +126,14 @@ def phi_cotangent(cd: CartanData, batch: OrbitBatch) -> tuple[np.ndarray, np.nda
     """Cotangent identification: (base w, covector on T_w(Ad(K).H)) at every sample.
 
     Both are (n_base, n_fiber, dim) stacks.  The covector f_v is returned
-    as its B_theta-dual tangent vector, the tangential component
-    t t^T B_theta v (t = orbit_tangent_at(w)) of the fiber coordinate v
-    that sample_semidirect_orbit stores.  Other batches, the deformed
-    sampler's at r = inf too, raise.
+    as its B_theta-dual tangent vector, the tangent_projection at w of the
+    fiber coordinate v that sample_semidirect_orbit stores.  Other
+    batches, the deformed sampler's at r = inf too, raise.
     """
     if batch.kind != "semidirect" or batch.fibers is None:
         raise RepresentationError("need a tagged batch of sample_semidirect_orbit")
-    # stacked matrix-vector products keep the bits of the per-sample ones
-    tangent = orbit_tangent_at(cd, batch.base_points)[:, None]
-    coeffs = (np.swapaxes(tangent, -1, -2) @ cd.b_theta @ batch.fibers[..., None])[..., 0]
-    return np.broadcast_to(batch.base_points[:, None], batch.fibers.shape), apply(tangent, coeffs)
+    w = batch.base_points[:, None]
+    return np.broadcast_to(w, batch.fibers.shape), tangent_projection(cd, w, batch.fibers)
 
 
 def cotangent_moment(cd: CartanData, base_point: np.ndarray, covector: np.ndarray) -> np.ndarray:

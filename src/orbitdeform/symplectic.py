@@ -13,10 +13,10 @@ form u and the fibers [w, s] of the semidirect orbit are Lagrangian /
 isotropic for Omega; the restriction of Omega to the semidirect orbit
 over a chamber element H is symplectic, which is certified at every
 sample by rank.  The module also provides height-function gradients (the
-B_theta-projection of N through semidirect.orbit_tangent_at) and
-Lagrangian sections on the flag orbit, checked on their exact tangents
-along the compact flows; the defect by which the deformation maps fail
-to preserve Omega, from exact tangents too (psi~_r is a diffeomorphism,
+B_theta-projection of N, semidirect.tangent_projection) and Lagrangian
+sections on the flag orbit, checked on their exact tangents along the
+compact flows; the defect by which the deformation maps fail to
+preserve Omega, from exact tangents too (psi~_r is a diffeomorphism,
 not a symplectomorphism; see pullback_check); the moment map of the
 compact-group action; and a generic skew-form toolkit (maximal
 isotropic subspaces in the linear Darboux form).
@@ -27,7 +27,8 @@ Samples are OrbitBatch arrays (the certificate, pullbacks) or (..., dim)
 stacks of points (tangent bases, gradients, moments, and the flag points
 of flag_orbit_sample that the sections and their residuals read): each
 takes one stacked call, never a loop over samples.  The compact-orbit
-tangent columns [A, x] and the fibers [w, s] come from semidirect.py.
+tangent columns [A, x], the projection onto their span and the fibers
+[w, s] come from semidirect.py.
 """
 
 from __future__ import annotations
@@ -39,11 +40,9 @@ import numpy as np
 
 from . import deformation as df
 from . import semidirect as sd
-from .algebra import (
-    CartanData, DomainError, OrbitBatch, RepresentationError, flag_orbit_sample, h_subspaces,
-)
+from .algebra import CartanData, DomainError, OrbitBatch, RepresentationError
 from .numerics import (
-    TOL, DimensionError, StructureError, apply, bilinear, matrix_exp, orthonormal_range, rank,
+    TOL, DimensionError, StructureError, apply, bilinear, matrix_exp, orthonormal_range,
 )
 
 
@@ -208,12 +207,12 @@ def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
 def gradient_at(ctx: HermitianContext, x: np.ndarray, n_vec: np.ndarray) -> np.ndarray:
     """B_tau-gradient of the height function f(x) = B_tau(x, N) on the flag.
 
-    It is the B_tau-orthogonal projection t t^T B_tau N of N onto the
-    tangent space, with t = orbit_tangent_at (B_tau = B_theta).  x is one
-    point or a (..., dim) stack of flag points; the result has its shape.
+    It is the B_tau-orthogonal projection of N onto the tangent space,
+    semidirect.tangent_projection (B_tau = B_theta).  x is one point or a
+    (..., dim) stack of flag points, n_vec one N or a (..., dim) stack that
+    broadcasts against x; the result has the broadcast shape.
     """
-    t = sd.orbit_tangent_at(ctx.cd, x)
-    return apply(t, apply(np.swapaxes(t, -1, -2) @ ctx.b_tau, n_vec))
+    return sd.tangent_projection(ctx.cd, x, n_vec)
 
 
 _FD_STEP = 1e-5  # the step h of every central difference (f(+h) - f(-h)) / 2h
@@ -249,15 +248,17 @@ def _section_tangents(
     """Exact tangents of sigma_t at the (b, dim) flag points x, a column per compact basis A.
 
     Along A the tangent is [A, x] + t i D_A Y with Y = gradient_at(x) and
-    D_A Y = [A, Y] - P_x [A, N]: Y = P_x N, where P_x = t_x t_x^T B_tau
-    (t_x = orbit_tangent_at) is the projection onto T_x, and
-    K-equivariance P_{Ad(k)x} = Ad(k) P_x Ad(k)^-1 differentiates to it.
-    A scalar t gives (b, dim, dim k), a (n_t,) array (n_t, b, dim, dim k).
+    D_A Y = [A, Y] - P_x [A, N]: Y = P_x N, where P_x is the projection
+    onto T_x that gradient_at applies, and K-equivariance
+    P_{Ad(k)x} = Ad(k) P_x Ad(k)^-1 differentiates to it.  Y and every
+    P_x [A, N] come from one gradient_at call on the (1 + dim k, dim)
+    stack of N and the [A, N], so each point's tangent basis is formed
+    once.  A scalar t gives (b, dim, dim k), a (n_t,) array
+    (n_t, b, dim, dim k).
     """
     cd = ctx.cd
-    t_x = sd.orbit_tangent_at(cd, x)
-    d_y = sd.tangent_columns(cd, gradient_at(ctx, x, n_vec)) - t_x @ (
-        np.swapaxes(t_x, -1, -2) @ ctx.b_tau @ sd.tangent_columns(cd, n_vec))
+    grads = gradient_at(ctx, x[:, None], np.vstack([n_vec, sd.tangent_columns(cd, n_vec).T]))
+    d_y = sd.tangent_columns(cd, grads[:, 0]) - np.swapaxes(grads[:, 1:], -1, -2)
     t = np.asarray(t, dtype=float)[..., None, None, None]
     return sd.tangent_columns(cd, x) + t * (ctx.j @ d_y)
 
@@ -337,7 +338,7 @@ def pullback_check(
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian fields of the compact action and the isotropy classification
+# Hamiltonian fields of the compact action
 # ---------------------------------------------------------------------------
 
 
@@ -369,42 +370,3 @@ def hamiltonian_q_check(ctx: HermitianContext, a: np.ndarray, seed: int) -> tupl
     lhs = (q(_FD_STEP) - q(-_FD_STEP)) / (2 * _FD_STEP)
     rhs = ctx.omega.value(apply(ad_a, x1), x0)
     return float(np.abs(lhs - rhs).max(initial=0.0)), sym_resid
-
-
-def compact_isotropy_dim(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
-    """dim of {A in u : [A, x] = 0}, at one point or at each of a (..., dim) stack."""
-    return ctx.cd.k_basis.shape[1] - rank(sd.tangent_columns(ctx.cd, x))
-
-
-def unique_isotropic_orbit_check(
-    ctx: HermitianContext, h: np.ndarray, seed: int, n_random: int = 20
-) -> dict:
-    """Certify that the flag is the only isotropic compact orbit.
-
-    (a) the flag through H is Lagrangian: half the adjoint-orbit
-    dimension with vanishing Omega; (b) moving into the fiber strictly
-    lowers the compact isotropy dimension, so those orbits are too
-    large to be isotropic; (c) their moment values are nonzero.
-    """
-    if n_random < 1:
-        raise DomainError("n_random must be at least 1")
-    cd = ctx.cd
-    h = np.asarray(h, dtype=float)
-    flag_dim = int(rank(sd.tangent_columns(cd, h)))
-    adjoint_dim = int(rank(cd.alg.ad(h)))
-    flag = flag_orbit_sample(cd, h, seed, 25)
-    max_flag_omega = float(max_omega(ctx, orbit_tangent_basis(ctx, flag, "flag")).max())
-    n_plus, _, _ = h_subspaces(cd, h)
-    coeffs = np.random.default_rng(seed).standard_normal((n_random, n_plus.shape[1]))
-    moved = h + apply(n_plus, coeffs)
-    moments = np.linalg.norm(u_moment(ctx, moved), axis=-1)
-    return {
-        "flag_dim": flag_dim,
-        "adjoint_dim": adjoint_dim,
-        "lagrangian": 2 * flag_dim == adjoint_dim,
-        "max_flag_omega": max_flag_omega,
-        "isotropy_drops": bool(
-            (compact_isotropy_dim(ctx, moved) < compact_isotropy_dim(ctx, h)).all()
-        ),
-        "min_moment_norm": float(moments.min()),
-    }

@@ -145,7 +145,8 @@ def test_sl3r_root_count():
     cd = al.cartan_structure(al.build_algebra("sl_real", 3))
     assert len(cd.roots) == 6
     assert cd.a_basis.shape[1] == 2
-    assert cd.zero_space.shape[1] == 2
+    # the centralizer of a, the joint kernel of ad(a_1), ad(a_2), is a itself (m = 0)
+    assert nullspace(cd.alg.ad(cd.a_basis.T).reshape(-1, cd.alg.dim)).shape[1] == 2
     assert len(cd.positive_set) == 3
     assert len(cd.simple_set) == 2
 

@@ -268,17 +268,19 @@ def test_stacked_laws_property(descriptor, seed, n, r):
     assert (np.abs(inv) / scale).max() < 1e-9
 
 
+def _counting(counts, key, fn):
+    """fn, counting each call in counts[key]."""
+    @functools.wraps(fn)
+    def wrapped(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_verify_sl3c_call_counts(monkeypatch, tmp_path):
     # one stacked call per check and parameter value, not one per random sample
     counts = collections.Counter()
-
-    def counting(key, fn):
-        @functools.wraps(fn)
-        def wrapped(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
+    counting = functools.partial(_counting, counts)
     for owner, name in ((al.LieAlgebraData, "bracket"), (df, "bracket_r"),
                         (sd, "semidirect_bracket")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
@@ -293,3 +295,17 @@ def test_verify_sl3c_call_counts(monkeypatch, tmp_path):
     assert 0 < counts["bracket_r"] <= 60
     assert 0 < counts["semidirect_bracket"] <= 10
     assert 0 < counts["matrix_exp"] <= 25
+
+
+@pytest.mark.parametrize("descriptor", ["sl2c", "sl3c"])
+def test_section_residual_forms_one_tangent_basis_per_block(descriptor, monkeypatch):
+    # Y = P_x N and the P_x [A, N] share each block's orbit_tangent_at call;
+    # three blocks of 4, 4 and 2 base points
+    cd = _cartan(descriptor)
+    hc = sp.make_hermitian_context(cd)
+    x = al.flag_orbit_sample(cd, cd.chamber_H, 1, 10)
+    counts = collections.Counter()
+    monkeypatch.setattr(sd, "orbit_tangent_at", _counting(counts, "basis", sd.orbit_tangent_at))
+    monkeypatch.setattr(sp, "_SECTION_BLOCK", 4)
+    sp.section_omega_residual(hc, cd.chamber_H, x, np.array([0.0, 1.0]))
+    assert counts["basis"] == 3
