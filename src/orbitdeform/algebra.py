@@ -462,18 +462,25 @@ def h_subspaces(cd: CartanData, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return n_plus, n_minus, z_h
 
 
+_K_BLOCK = 256  # samples whose three exponentials are formed in one stacked call
+
+
 def sample_k_operators(cd: CartanData, seed: int, count: int) -> np.ndarray:
     """Seeded elements g = exp(A3) exp(A2) exp(A1) of K, A_i random in k: (count, n, n).
 
     Each factor is an n x n exponential.  k is the -X^H-fixed part of g
     on every family (K = SO(n) or SU(n)), so g^-1 = g^H, and Ad(g) acts
     through LieAlgebraData.conjugate; exp(ad A) = Ad(exp A) makes it the
-    product of the exp(ad A_i).
+    product of the exp(ad A_i).  The A_i are one draw, exponentiated
+    _K_BLOCK samples at a time, so the temporaries do not grow with count.
     """
     alg = cd.alg
     coeffs = np.random.default_rng(seed).standard_normal((count, 3, cd.k_basis.shape[1]))
-    exps = matrix_exp(alg.to_matrix(coeffs @ cd.k_basis.T))
-    return exps[:, 2] @ (exps[:, 1] @ exps[:, 0])
+    out = np.empty((count, alg.n, alg.n), dtype=np.result_type(alg.basis, float))
+    for start in range(0, count, _K_BLOCK):
+        exps = matrix_exp(alg.to_matrix(coeffs[start:start + _K_BLOCK] @ cd.k_basis.T))
+        out[start:start + _K_BLOCK] = exps[:, 2] @ (exps[:, 1] @ exps[:, 0])
+    return out
 
 
 def flag_orbit_sample(cd: CartanData, h: np.ndarray, seed: int, count: int) -> np.ndarray:

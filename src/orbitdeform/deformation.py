@@ -54,9 +54,11 @@ class DeformationContext:
 
 
 def make_context(cd: CartanData, r: float) -> DeformationContext:
-    """Build the deformation data for a parameter r > 0 or infinity."""
+    """Build the deformation data for a parameter r > 0 or infinity; T_r^-1 needs a finite 1/r."""
     if not (r > 0):
         raise DomainError("deformation parameter must satisfy r > 0")
+    if not math.isfinite(1.0 / float(r)):
+        raise DomainError(f"deformation parameter r = {float(r)!r} is too small: 1/r overflows")
     q = 1.0 if math.isinf(r) else (r - 1.0) / (r + 1.0)
     psi = np.eye(cd.alg.dim) + q * cd.theta
     if math.isinf(r):

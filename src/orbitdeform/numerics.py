@@ -2,11 +2,11 @@
 
 Everything downstream (algebra construction, orbit sampling, form checks)
 goes through these routines so that rank / nullspace / eigenspace decisions
-are made with one consistent rule, TOL: a singular value sigma is zero when
-sigma <= 1e-9 + 1e-7 sigma_max.  Only simultaneous_eigenspaces passes
-nullspace another cutoff.  matrix_exp and orthonormal_range also
-take (..., n, m) stacks, one matrix per orbit sample; apply and bilinear
-evaluate matrix-vector products and bilinear forms on (..., dim) stacks.
+are made with one rule, TOL.cutoff: sigma is zero when sigma <= 1e-9 + 1e-7
+sigma_max.  Only simultaneous_eigenspaces passes nullspace another
+tolerance.  matrix_exp and orthonormal_range also take (..., n, m) stacks,
+one matrix per orbit sample; apply and bilinear evaluate matrix-vector
+products and bilinear forms on (..., dim) stacks.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Zero rule: v counts as zero when |v| <= abs_eps + rel_eps * m, m the largest magnitude."""
+    """Zero rule: v counts as zero when |v| <= cutoff(m), m the largest magnitude."""
 
     abs_eps: float = 1e-9
     rel_eps: float = 1e-7
@@ -36,9 +36,13 @@ class Tolerance:
         if not (0 <= self.abs_eps < math.inf and 0 <= self.rel_eps < math.inf):
             raise ValueError("tolerances must be finite and nonnegative")
 
+    def cutoff(self, largest):
+        """The zero cutoff for the largest magnitude, or for an array of them (one per row)."""
+        return self.abs_eps + self.rel_eps * largest
+
     def scale(self, *arrays) -> float:
         m = max((float(np.max(np.abs(a))) if np.asarray(a).size else 0.0) for a in arrays)
-        return self.abs_eps + self.rel_eps * m
+        return self.cutoff(m)
 
 
 TOL = Tolerance()  # the package's one rule; rank and orthonormal_range use no other
@@ -119,7 +123,7 @@ def nullspace(a: np.ndarray, tol: Tolerance = TOL) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of A.
 
     A singular value sigma is treated as zero when
-    sigma <= abs_eps + rel_eps * sigma_max.  Returns a (cols, k) array,
+    sigma <= tol.cutoff(sigma_max).  Returns a (cols, k) array,
     k = 0 when A has full column rank.
     """
     a = np.asarray(a)
@@ -130,8 +134,7 @@ def nullspace(a: np.ndarray, tol: Tolerance = TOL) -> np.ndarray:
     if a.size == 0:
         return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a)
-    cutoff = tol.abs_eps + tol.rel_eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > tol.cutoff(s[0] if s.size else 0.0)))
     return vh[rank:].conj().T
 
 
@@ -141,13 +144,13 @@ def rank(a: np.ndarray) -> np.ndarray:
     if a.size == 0:
         return np.zeros(a.shape[:-2], dtype=int)
     s = np.linalg.svd(a, compute_uv=False)
-    return (s > TOL.abs_eps + TOL.rel_eps * s[..., :1]).sum(axis=-1)
+    return (s > TOL.cutoff(s[..., :1])).sum(axis=-1)
 
 
 def orthonormal_range(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) for the span of A, or of each A in a (..., rows, cols) stack.
 
-    Each matrix gets its own cutoff abs_eps + rel_eps * sigma_max.  The
+    Each matrix gets its own cutoff, TOL.cutoff(sigma_max).  The
     result of a stack is one array, so a stack whose ranks differ raises
     StructureError.
     """
@@ -156,7 +159,7 @@ def orthonormal_range(a: np.ndarray) -> np.ndarray:
         return a.reshape(*a.shape[:-1], 0)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     # s is sorted, so each row of keep is a prefix: equal rows, equal ranks
-    keep = (s > TOL.abs_eps + TOL.rel_eps * s[..., :1]).reshape(-1, s.shape[-1])
+    keep = (s > TOL.cutoff(s[..., :1])).reshape(-1, s.shape[-1])
     if keep.shape[0] > 1 and (keep != keep[0]).any():
         ranks = sorted(set(keep.sum(axis=1).tolist()))
         raise StructureError(f"matrices in the stack have ranks {ranks}")

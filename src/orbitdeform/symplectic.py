@@ -8,7 +8,9 @@ throughout is
 
     Omega(X, Y) := B_tau(iX, Y),
 
-a single fixed normalization of the imaginary part.  The compact real
+a single fixed normalization of the imaginary part.  Omega is a plain
+skew Gram array, J^T B_tau with B_tau = cd.b_theta and J = cd.alg.j_op,
+so Omega(x, y) = numerics.bilinear(x, omega, y).  The compact real
 form u and the fibers [w, s] of the semidirect orbit are Lagrangian /
 isotropic for Omega; the restriction of Omega to the semidirect orbit
 over a chamber element H is symplectic, which is certified at every
@@ -18,8 +20,9 @@ sections on the flag orbit, checked on their exact tangents along the
 compact flows; the defect by which the deformation maps fail to
 preserve Omega, from exact tangents too (psi~_r is a diffeomorphism,
 not a symplectomorphism; see pullback_check); the moment map of the
-compact-group action; and a generic skew-form toolkit (maximal
-isotropic subspaces in the linear Darboux form).
+compact-group action; and a generic skew-form toolkit on the same
+plain Gram arrays (maximal isotropic subspaces in the linear Darboux
+form, with the package's zero rule, numerics.Tolerance.cutoff).
 gradient_hamiltonian_residual and hamiltonian_q_check take central
 differences, as evidence independent of the bracket formulas.
 
@@ -42,73 +45,55 @@ from . import deformation as df
 from . import semidirect as sd
 from .algebra import CartanData, DomainError, OrbitBatch, RepresentationError
 from .numerics import (
-    TOL, DimensionError, StructureError, apply, bilinear, matrix_exp, orthonormal_range,
+    DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp, orthonormal_range,
 )
 
 
-@dataclass(frozen=True)
-class SkewFormData:
-    """A skew-symmetric bilinear form given by its Gram matrix, or an (m, d, d) stack of forms."""
-
-    gram: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.gram.shape[-1]
-
-    def value(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-        """x^T gram y; (..., dim) stacks broadcast and give (...) values."""
-        return bilinear(x, self.gram, y)
-
-
-def make_skew_form(gram: np.ndarray) -> SkewFormData:
+def make_skew_form(gram: np.ndarray) -> np.ndarray:
+    """The skew part of a (d, d) Gram matrix, or of each in an (m, d, d) stack."""
     gram = np.asarray(gram, dtype=float)
     if gram.ndim not in (2, 3) or gram.shape[-1] != gram.shape[-2]:
         raise DimensionError("Gram matrix must be square, or a stack of square matrices")
-    return SkewFormData(gram=0.5 * (gram - np.swapaxes(gram, -1, -2)))
+    return 0.5 * (gram - np.swapaxes(gram, -1, -2))
 
 
-def max_isotropic(form: SkewFormData) -> np.ndarray | list[np.ndarray]:
+def max_isotropic(form: np.ndarray) -> np.ndarray | list[np.ndarray]:
     """Orthonormal basis of a maximal isotropic subspace W containing the radical.
 
-    Linear Darboux normal form: i * gram is Hermitian, and for its
-    eigenvectors u_j with eigenvalue above the radical's cutoff the
-    vectors sqrt(2) Re u_j are orthonormal, isotropic and orthogonal to
-    the radical.  So 2 dim W = dim V + dim radical.
+    form is a skew Gram matrix (make_skew_form).  Linear Darboux normal
+    form: i * form is Hermitian, and for its eigenvectors u_j with
+    eigenvalue above the radical's cutoff the vectors sqrt(2) Re u_j are
+    orthonormal, isotropic and orthogonal to the radical.  So
+    2 dim W = dim V + dim radical.
 
     An (m, d, d) stack of forms gives the list of its m bases, from one
     stacked SVD (the radicals, with nullspace's cutoff) and one stacked eigh.
     """
-    grams = form.gram if form.gram.ndim == 3 else form.gram[None]
+    tol = Tolerance()  # the package's zero rule
+    grams = form if form.ndim == 3 else form[None]
     _, s, vh = np.linalg.svd(grams)
-    ranks = (s > TOL.abs_eps + TOL.rel_eps * s[:, :1]).sum(axis=-1)
+    ranks = (s > tol.cutoff(s[:, :1])).sum(axis=-1)
     vals, vecs = np.linalg.eigh(1j * grams)
-    cutoff = TOL.abs_eps + TOL.rel_eps * np.abs(vals).max(axis=-1, keepdims=True, initial=0.0)
-    paired = vals > cutoff
+    paired = vals > tol.cutoff(np.abs(vals).max(axis=-1, keepdims=True, initial=0.0))
     if (2 * paired.sum(axis=-1) != ranks).any():
         raise StructureError("eigenvalue count does not match the radical")
     bases = [np.hstack([v[r:].conj().T, math.sqrt(2.0) * u[:, p].real])
              for v, r, u, p in zip(vh, ranks, vecs, paired)]
-    return bases if form.gram.ndim == 3 else bases[0]
+    return bases if form.ndim == 3 else bases[0]
 
 
 @dataclass(frozen=True)
 class HermitianContext:
-    """B_tau, Omega and J for a complex-family Cartan structure."""
+    """cd and the skew Gram array Omega = J^T B_tau, with J = cd.alg.j_op and B_tau = cd.b_theta."""
 
     cd: CartanData
-    b_tau: np.ndarray
-    omega: SkewFormData
-    j: np.ndarray
+    omega: np.ndarray
 
 
 def make_hermitian_context(cd: CartanData) -> HermitianContext:
     if cd.alg.field_tag != "complex":
         raise DomainError("Hermitian structure requires a complex-family algebra")
-    b_tau = cd.b_theta
-    j = cd.alg.j_op
-    omega = make_skew_form(j.T @ b_tau)
-    return HermitianContext(cd=cd, b_tau=b_tau, omega=omega, j=j)
+    return HermitianContext(cd=cd, omega=make_skew_form(cd.alg.j_op.T @ cd.b_theta))
 
 
 def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
@@ -119,7 +104,7 @@ def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
     matrices).
     """
     cd = ctx.cd
-    m = -apply(ctx.j, cd.alg.bracket(apply(cd.theta, x), x))
+    m = -apply(cd.alg.j_op, cd.alg.bracket(apply(cd.theta, x), x))
     if (np.linalg.norm(cd.project_s(m), axis=-1) > 1e-8 * (1 + np.linalg.norm(m, axis=-1))).any():
         raise DomainError("moment value escaped the compact form")
     return m
@@ -171,7 +156,7 @@ def max_omega(ctx: HermitianContext, t: np.ndarray) -> np.ndarray:
     """
     if not t.shape[-1]:
         return np.zeros(t.shape[:-2])
-    return np.linalg.svd(np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t, compute_uv=False)[..., 0]
+    return np.linalg.svd(np.swapaxes(t, -1, -2) @ ctx.omega @ t, compute_uv=False)[..., 0]
 
 
 def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
@@ -187,7 +172,7 @@ def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
         raise RepresentationError("need a batch of the semidirect orbit (r = inf)")
     fib = fiber_tangent_at(ctx.cd, ctx.cd.project_s(batch.points))
     t = _semidirect_tangent(ctx.cd, batch.points, fib)
-    gram = np.swapaxes(t, -1, -2) @ ctx.omega.gram @ t
+    gram = np.swapaxes(t, -1, -2) @ ctx.omega @ t
     s = np.linalg.svd(0.5 * (gram - np.swapaxes(gram, -1, -2)), compute_uv=False)
     min_ratio = float((s[..., -1] / s[..., 0]).min())
     return {
@@ -236,7 +221,7 @@ def lagrangian_section(
     (n_t,) array gives (n_t, n, dim), t axis first, with Y computed once.
     """
     t = np.asarray(t, dtype=float)[..., None, None]
-    return x + t * (gradient_at(ctx, x, n_vec) @ ctx.j.T)
+    return x + t * (gradient_at(ctx, x, n_vec) @ ctx.cd.alg.j_op.T)
 
 
 _SECTION_BLOCK = 256  # base points whose section tangents are formed in one stacked call
@@ -260,7 +245,7 @@ def _section_tangents(
     grads = gradient_at(ctx, x[:, None], np.vstack([n_vec, sd.tangent_columns(cd, n_vec).T]))
     d_y = sd.tangent_columns(cd, grads[:, 0]) - np.swapaxes(grads[:, 1:], -1, -2)
     t = np.asarray(t, dtype=float)[..., None, None, None]
-    return sd.tangent_columns(cd, x) + t * (ctx.j @ d_y)
+    return sd.tangent_columns(cd, x) + t * (cd.alg.j_op @ d_y)
 
 
 def section_omega_residual(
@@ -277,7 +262,7 @@ def section_omega_residual(
     resid = np.zeros(np.shape(t))
     for start in range(0, x.shape[0], _SECTION_BLOCK):
         tb = orthonormal_range(_section_tangents(ctx, n_vec, x[start:start + _SECTION_BLOCK], t))
-        gram = np.swapaxes(tb, -1, -2) @ ctx.omega.gram @ tb
+        gram = np.swapaxes(tb, -1, -2) @ ctx.omega @ tb
         resid = np.maximum(resid, np.abs(gram).max(axis=(-3, -2, -1), initial=0.0))
     return float(resid) if resid.ndim == 0 else resid
 
@@ -293,10 +278,10 @@ def gradient_hamiltonian_residual(ctx: HermitianContext, n_vec: np.ndarray, x: n
     # (1, dim) rows: stacked vector-matrix products keep the per-point bits
     xs = apply(_compact_flows(ctx.cd), x)[..., None, :]
     w = (xs[0] - xs[1]) / (2 * _FD_STEP)
-    f = xs @ ctx.b_tau @ np.asarray(n_vec, dtype=float)
+    f = xs @ ctx.cd.b_theta @ np.asarray(n_vec, dtype=float)
     d_f = (f[0] - f[1]) / (2 * _FD_STEP)
-    i_y = (gradient_at(ctx, x, n_vec) @ ctx.j.T)[..., None]
-    return float(np.max(np.abs(d_f - (w @ ctx.omega.gram @ i_y)[..., 0])))
+    i_y = (gradient_at(ctx, x, n_vec) @ ctx.cd.alg.j_op.T)[..., None]
+    return float(np.max(np.abs(d_f - (w @ ctx.omega @ i_y)[..., 0])))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +309,6 @@ def pullback_check(
     """
     cd = ctx.cd
     psi = df.make_context(cd, r).psi_r
-    gram = ctx.omega.gram
     shape, n_dirs = batch.points.shape, fiber_dirs.shape[1]
     base = np.broadcast_to(batch.base_points[:, None], shape)
     h = np.concatenate([sd.tangent_columns(cd, base), np.zeros((*shape, n_dirs))], axis=-1)
@@ -333,7 +317,7 @@ def pullback_check(
     x = np.concatenate([sd.tangent_columns(cd, batch.fibers),
                         np.broadcast_to(dirs[:, None], (*shape, n_dirs))], axis=-1)
     v, v_r = h + x, h + psi @ x
-    diff = np.swapaxes(v_r, -1, -2) @ gram @ v_r - np.swapaxes(v, -1, -2) @ gram @ v
+    diff = np.swapaxes(v_r, -1, -2) @ ctx.omega @ v_r - np.swapaxes(v, -1, -2) @ ctx.omega @ v
     return float(np.abs(np.triu(diff, 1)).max())
 
 
@@ -357,16 +341,16 @@ def hamiltonian_q_check(ctx: HermitianContext, a: np.ndarray, seed: int) -> tupl
     if np.linalg.norm(cd.project_s(a)) > 1e-9 * (1 + np.linalg.norm(a)):
         raise DomainError("Hamiltonian generator must lie in the compact form")
     ad_a = cd.alg.ad(a)
-    beta = ctx.omega.gram @ ad_a
-    sym_resid = float(np.max(np.abs(ad_a.T @ ctx.omega.gram.T - beta)))
+    beta = ctx.omega @ ad_a
+    sym_resid = float(np.max(np.abs(ad_a.T @ ctx.omega.T - beta)))
     # _Q_CURVES rounds of (x0, x1), drawn as one array
     x0, x1 = np.moveaxis(
         np.random.default_rng(seed).standard_normal((_Q_CURVES, 2, cd.alg.dim)), 1, 0)
 
     def q(t):
         x = x0 + t * x1
-        return 0.5 * ctx.omega.value(apply(ad_a, x), x)
+        return 0.5 * bilinear(apply(ad_a, x), ctx.omega, x)
 
     lhs = (q(_FD_STEP) - q(-_FD_STEP)) / (2 * _FD_STEP)
-    rhs = ctx.omega.value(apply(ad_a, x1), x0)
+    rhs = bilinear(apply(ad_a, x1), ctx.omega, x0)
     return float(np.abs(lhs - rhs).max(initial=0.0)), sym_resid

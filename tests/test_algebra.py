@@ -484,6 +484,35 @@ def test_k_operators_memory():
     assert peak < 20 * 2**20, peak
 
 
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_k_operators_blocks_match_one_call(descriptor):
+    # the exponentials are formed _K_BLOCK samples at a time; the one-call
+    # route over the whole draw gives the same bytes, here over two full
+    # blocks and a partial third
+    cd = _exact_cartan(*al.DESCRIPTORS[descriptor])
+    count = 2 * al._K_BLOCK + 37
+    for seed in (1, 4242):
+        coeffs = np.random.default_rng(seed).standard_normal((count, 3, cd.k_basis.shape[1]))
+        exps = matrix_exp(cd.alg.to_matrix(coeffs @ cd.k_basis.T))
+        ref = exps[:, 2] @ (exps[:, 1] @ exps[:, 0])
+        g = al.sample_k_operators(cd, seed, count)
+        assert g.dtype == ref.dtype and g.tobytes() == ref.tobytes()
+
+
+def test_k_operators_memory_does_not_grow_with_count():
+    # 20000 samples are 2.7 MiB of group elements; one matrix_exp call on the
+    # whole stack kept about nine Pade temporaries of it, a 79 MiB peak
+    cd = _exact_cartan("sl_complex", 3)
+    tracemalloc.start()
+    try:
+        g = al.sample_k_operators(cd, seed=1, count=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.nbytes < 3 * 2**20
+    assert peak < 12 * 2**20, peak
+
+
 @pytest.mark.parametrize("family,n", EXACT_CASES)
 def test_projections_exact(family, n):
     cd = _exact_cartan(family, n)

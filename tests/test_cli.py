@@ -76,6 +76,15 @@ def test_verify_zero_tolerance_fails(algebra, capsys):
     assert "error:" not in capsys.readouterr().err
 
 
+def test_verify_other_tolerance_changes_nothing(tmp_path, capsys):
+    # the tolerance flags only select the forced-failure mode at 0, 0
+    default, other = tmp_path / "default.json", tmp_path / "other.json"
+    assert run(["verify", "--algebra", "sl2r", "--out", str(default)]) == 0
+    assert run(["verify", "--algebra", "sl2r", "--abs-eps", "1e-3", "--rel-eps", "0.5",
+                "--out", str(other)]) == 0
+    assert other.read_bytes() == default.read_bytes()
+
+
 def test_verify_single_suite(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run(["verify", "--algebra", "sl2c", "--suite", "symplectic", "--out", str(out)]) == 0
@@ -391,6 +400,15 @@ def test_non_finite_or_overflowing_chamber_is_usage_error(tmp_path, capsys, comm
     # 1e308 overflowed in the root values and the ad rows, each a RuntimeWarning
     assert run([*command, f"--H={value}", "--out", str(tmp_path)]) == 2
     assert "--H" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["orbit-sample", "--kind", "deformed", "--r", "1e-320"],
+                                     ["deform-sweep", "--r", "1e-320,1,inf"]])
+def test_r_too_small_to_invert_is_usage_error(tmp_path, capsys, command):
+    # 1/r overflows, so T_r^-1 has no finite value: refused before any file is written
+    assert run([*command, "--algebra", "sl2r", "--out", str(tmp_path)]) == 2
+    assert "too small" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

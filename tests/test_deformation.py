@@ -26,6 +26,17 @@ def test_context_rejects_nonpositive_r(sl2r):
         df.make_context(cd, -2.0)
 
 
+def test_context_rejects_r_whose_inverse_overflows(sl2r):
+    # T_r^-1 scales by 1/r, which is inf below about 5.6e-309
+    _, cd = sl2r
+    with pytest.raises(al.DomainError, match="too small"):
+        df.make_context(cd, 1e-320)
+    with pytest.raises(al.DomainError, match="too small"):
+        df.make_context(cd, np.float64(5.5e-309))
+    ctx = df.make_context(cd, 5.6e-309)
+    assert np.all(np.isfinite(ctx.t_r_inv))
+
+
 def test_r1_bracket_is_base_bracket(sl2r):
     alg, cd = sl2r
     ctx = df.make_context(cd, 1.0)

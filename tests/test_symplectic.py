@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from orbitdeform import deformation as df
 from orbitdeform import semidirect as sd
 from orbitdeform import symplectic as sp
 from orbitdeform.numerics import (
-    StructureError, Tolerance, apply, matrix_exp, nullspace, orthonormal_range, rank,
+    StructureError, Tolerance, apply, bilinear, matrix_exp, nullspace, orthonormal_range, rank,
 )
 
 
@@ -38,8 +39,8 @@ def test_hermitian_context_rejects_real_family():
 
 def _hermitian_form(hc, x, y):
     # H_tau(X,Y) = -<X, tau Y>, sesquilinear with Re H_tau = B_tau / 2, from B_tau and J
-    re = 0.5 * float(x @ hc.b_tau @ y)
-    im = -0.5 * float((hc.j @ x) @ hc.b_tau @ y)
+    re = 0.5 * float(x @ hc.cd.b_theta @ y)
+    im = -0.5 * float((hc.cd.alg.j_op @ x) @ hc.cd.b_theta @ y)
     return complex(re, im)
 
 
@@ -58,8 +59,8 @@ def test_hermitian_form_positive_and_sesquilinear(sl2c):
         x, y = rng.standard_normal(6), rng.standard_normal(6)
         hxx = _hermitian_form(hc, x, x)
         assert abs(hxx.imag) < 1e-10 and hxx.real > 0
-        assert abs(_hermitian_form(hc, hc.j @ x, y) - 1j * _hermitian_form(hc, x, y)) < 1e-10
-        assert abs(_hermitian_form(hc, x, hc.j @ y) + 1j * _hermitian_form(hc, x, y)) < 1e-10
+        assert abs(_hermitian_form(hc, cd.alg.j_op @ x, y) - 1j * _hermitian_form(hc, x, y)) < 1e-10
+        assert abs(_hermitian_form(hc, x, cd.alg.j_op @ y) + 1j * _hermitian_form(hc, x, y)) < 1e-10
 
 
 def test_b_tau_identities(sl2c):
@@ -68,8 +69,8 @@ def test_b_tau_identities(sl2c):
     for _ in range(20):
         x, y = rng.standard_normal(6), rng.standard_normal(6)
         # B_tau = 2 Re H_tau and is J-invariant
-        assert abs(x @ hc.b_tau @ y - 2 * _hermitian_form(hc, x, y).real) < 1e-10
-        assert abs((hc.j @ x) @ hc.b_tau @ (hc.j @ y) - x @ hc.b_tau @ y) < 1e-10
+        assert abs(x @ cd.b_theta @ y - 2 * _hermitian_form(hc, x, y).real) < 1e-10
+        assert abs((cd.alg.j_op @ x) @ cd.b_theta @ (cd.alg.j_op @ y) - x @ cd.b_theta @ y) < 1e-10
 
 
 def test_restriction_to_s_is_killing(sl2c):
@@ -90,11 +91,11 @@ def test_omega_alternating_and_u_isotropic(sl2c):
     rng = np.random.default_rng(3)
     for _ in range(50):
         x = rng.standard_normal(6)
-        assert abs(hc.omega.value(x, x)) < 1e-12
+        assert abs(bilinear(x, hc.omega, x)) < 1e-12
     ku = cd.k_basis
-    assert np.max(np.abs(ku.T @ hc.omega.gram @ ku)) < 1e-12
+    assert np.max(np.abs(ku.T @ hc.omega @ ku)) < 1e-12
     su = cd.s_basis
-    assert np.max(np.abs(su.T @ hc.omega.gram @ su)) < 1e-12
+    assert np.max(np.abs(su.T @ hc.omega @ su)) < 1e-12
 
 
 def test_omega_ad_u_invariance(sl2c):
@@ -105,16 +106,16 @@ def test_omega_ad_u_invariance(sl2c):
     for _ in range(10):
         a = cd.k_basis @ rng.standard_normal(3)
         ad_k = matrix_exp(cd.alg.ad(a))
-        assert np.max(np.abs(ad_k.T @ hc.omega.gram @ ad_k - hc.omega.gram)) < 1e-8
+        assert np.max(np.abs(ad_k.T @ hc.omega @ ad_k - hc.omega)) < 1e-8
 
 
 def test_radical_cases():
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     std4 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), j2]])
-    assert nullspace(sp.make_skew_form(std4).gram).shape[1] == 0
-    assert nullspace(sp.make_skew_form(np.zeros((4, 4))).gram).shape[1] == 4
+    assert nullspace(sp.make_skew_form(std4)).shape[1] == 0
+    assert nullspace(sp.make_skew_form(np.zeros((4, 4)))).shape[1] == 4
     rank2 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 2))]])
-    assert nullspace(sp.make_skew_form(rank2).gram).shape[1] == 2
+    assert nullspace(sp.make_skew_form(rank2)).shape[1] == 2
 
 
 def test_max_isotropic_dimensions():
@@ -134,11 +135,11 @@ def test_max_isotropic_formula_random_forms():
         p = rng.standard_normal((d, k))
         g = p @ rng.standard_normal((k, k)) @ p.T
         form = sp.make_skew_form(g - g.T)
-        rad = nullspace(form.gram)
+        rad = nullspace(form)
         w = sp.max_isotropic(form)
         assert 2 * w.shape[1] == d + rad.shape[1]
         if w.size:
-            assert np.max(np.abs(w.T @ form.gram @ w)) < 1e-8
+            assert np.max(np.abs(w.T @ form @ w)) < 1e-8
 
 
 def test_orbit_tangent_dimensions(sl2c):
@@ -195,9 +196,9 @@ def test_gradient_field_consistency(sl2c):
             a = cd.k_basis[:, i]
             xp = matrix_exp(step * cd.alg.ad(a)) @ x
             xm = matrix_exp(-step * cd.alg.ad(a)) @ x
-            d_f = ((xp @ hc.b_tau @ h) - (xm @ hc.b_tau @ h)) / (2 * step)
+            d_f = ((xp @ hc.cd.b_theta @ h) - (xm @ hc.cd.b_theta @ h)) / (2 * step)
             v = (xp - xm) / (2 * step)
-            assert abs(d_f - float(y @ hc.b_tau @ v)) < 1e-6
+            assert abs(d_f - float(y @ hc.cd.b_theta @ v)) < 1e-6
 
 
 def test_gradient_vanishes_at_poles(sl2c):
@@ -222,8 +223,8 @@ def test_gradient_is_b_tau_projection(fixture, request):
     grads = sp.gradient_at(hc, x, h)
     for x_i, y_i in zip(x, grads):
         c = np.stack([cd.alg.bracket(a, x_i) for a in cd.k_basis.T], axis=1)
-        g = c.T @ hc.b_tau @ c
-        ref = c @ np.linalg.pinv(g, rtol=1e-10, hermitian=True) @ c.T @ hc.b_tau @ h
+        g = c.T @ hc.cd.b_theta @ c
+        ref = c @ np.linalg.pinv(g, rtol=1e-10, hermitian=True) @ c.T @ hc.cd.b_theta @ h
         assert np.linalg.norm(y_i - ref) <= 1e-12 * np.linalg.norm(h)
     assert np.abs(grads[:2]).max() <= 1e-12 * np.linalg.norm(h)  # the poles +-H
 
@@ -283,7 +284,7 @@ def _section_differences(hc, n_vec, x, t):
     """
     xs = apply(sp._compact_flows(hc.cd), x)  # (2, dim k, b, dim)
     t = np.asarray(t, dtype=float)[..., None, None, None, None]
-    sig = xs + t * (sp.gradient_at(hc, xs, n_vec) @ hc.j.T)
+    sig = xs + t * (sp.gradient_at(hc, xs, n_vec) @ hc.cd.alg.j_op.T)
     return np.moveaxis((sig[..., 0, :, :, :] - sig[..., 1, :, :, :]) / (2 * sp._FD_STEP), -3, -1)
 
 
@@ -384,9 +385,8 @@ def _fd_pullback_check(hc, r, samples, fiber_dirs, draws, step=1e-5):
                 out.append((pt_p - pt_m) / (2 * step))
         for a in range(len(vs)):
             for b in range(a + 1, len(vs)):
-                worst = max(
-                    worst, abs(hc.omega.value(vrs[a], vrs[b]) - hc.omega.value(vs[a], vs[b]))
-                )
+                worst = max(worst, abs(bilinear(vrs[a], hc.omega, vrs[b])
+                                       - bilinear(vs[a], hc.omega, vs[b])))
     return worst
 
 
@@ -411,13 +411,13 @@ def test_pullback_fiber_scaling(sl2c):
     # the deformation rescales Omega on fiber pairs by 1 - q^2, q = (r-1)/(r+1)
     cd, hc = sl2c
     e12 = cd.alg.to_vector(np.array([[0, 1], [0, 0]], dtype=complex))
-    ie12 = hc.j @ e12
-    base = hc.omega.value(e12, ie12)
+    ie12 = hc.cd.alg.j_op @ e12
+    base = bilinear(e12, hc.omega, ie12)
     assert abs(base - 8.0) < 1e-9
     for r in (2.0, 10.0, 100.0):
         ctx = df.make_context(cd, r)
         q = (r - 1.0) / (r + 1.0)
-        scaled = hc.omega.value(ctx.psi_r @ e12, ctx.psi_r @ ie12)
+        scaled = bilinear(ctx.psi_r @ e12, hc.omega, ctx.psi_r @ ie12)
         assert abs(scaled - (1 - q * q) * base) < 1e-9
 
 
@@ -589,14 +589,14 @@ def _loop_certificate(hc, samples, kind):
     for b, f in np.ndindex(samples.points.shape[:2]):
         x = samples.points[b, f]
         t = _loop_tangent_basis(hc, x, kind, samples.r)
-        gram = sp.make_skew_form(t.T @ hc.omega.gram @ t).gram
+        gram = sp.make_skew_form(t.T @ hc.omega @ t)
         s = np.linalg.svd(gram, compute_uv=False)
         min_ratio = min(min_ratio, float(s[-1] / s[0]))
         fib = sp.fiber_tangent_at(cd, cd.s_basis @ (cd.s_basis.T @ x))
         if fib.shape[1]:
             # the spectral norm: max |Omega(u, v)| over unit vectors of the fiber
             max_fiber_omega = max(
-                max_fiber_omega, float(np.linalg.norm(fib.T @ hc.omega.gram @ fib, 2))
+                max_fiber_omega, float(np.linalg.norm(fib.T @ hc.omega @ fib, 2))
             )
         maximal = maximal and (2 * fib.shape[1] == t.shape[1])
         dims.add(t.shape[1])
@@ -623,7 +623,7 @@ def _loop_pullback_check(hc, r, samples, fiber_dirs, draws):
     # reference: the per-sample pullback_check, conjugating the fiber draws X_c itself
     cd = hc.cd
     psi = df.make_context(cd, r).psi_r
-    gram = hc.omega.gram
+    gram = hc.omega
     no_base = np.zeros((cd.alg.dim, fiber_dirs.shape[1]))
     worst = 0.0
     for b, f in np.ndindex(samples.points.shape[:2]):
@@ -656,14 +656,14 @@ def test_u_moment_stack_matches_single(fixture, request):
     x = np.random.default_rng(20).standard_normal((4, 3, cd.alg.dim))
     stack = sp.u_moment(hc, x)
     for b, f in np.ndindex(4, 3):
-        single = -hc.j @ cd.alg.bracket(cd.theta @ x[b, f], x[b, f])
+        single = -cd.alg.j_op @ cd.alg.bracket(cd.theta @ x[b, f], x[b, f])
         assert np.linalg.norm(stack[b, f] - single) <= 1e-14 * np.linalg.norm(single)
 
 
 def test_u_moment_rejects_a_stack_with_one_bad_point(sl2c):
     # without the factor -i the value [tau x, x] lies in s, so E12 escapes u and 0 does not
     cd, hc = sl2c
-    no_i = sp.HermitianContext(cd=cd, b_tau=hc.b_tau, omega=hc.omega, j=-np.eye(6))
+    no_i = sp.HermitianContext(cd=replace(cd, alg=replace(cd.alg, j_op=-np.eye(6))), omega=hc.omega)
     e12 = cd.alg.to_vector(np.array([[0, 1], [0, 0]], dtype=complex))
     sp.u_moment(no_i, np.zeros((2, 6)))
     with pytest.raises(al.DomainError):
@@ -686,9 +686,9 @@ def test_isotropy_criterion_zero_sees_flag_points(fixture, request, monkeypatch)
 
 def _greedy_max_isotropic(form):
     # reference: the greedy extension the closed form replaced, two SVDs per added vector
-    w = nullspace(form.gram)
+    w = nullspace(form)
     while True:
-        perp = nullspace(w.T @ form.gram, Tolerance())
+        perp = nullspace(w.T @ form, Tolerance())
         cand = orthonormal_range(perp - w @ (w.T @ perp))
         if cand.shape[1] == 0:
             return w
@@ -718,10 +718,10 @@ def _skew_forms(rng, count):
 
 def test_max_isotropic_matches_greedy_reference():
     for form in _skew_forms(np.random.default_rng(21), 300):
-        w, rad = sp.max_isotropic(form), nullspace(form.gram)
+        w, rad = sp.max_isotropic(form), nullspace(form)
         assert w.shape[1] == _greedy_max_isotropic(form).shape[1]
-        scale = max(np.abs(form.gram).max(), 1.0)
-        assert np.abs(w.T @ form.gram @ w).max(initial=0.0) <= 1e-13 * scale
+        scale = max(np.abs(form).max(), 1.0)
+        assert np.abs(w.T @ form @ w).max(initial=0.0) <= 1e-13 * scale
         assert np.linalg.norm(w.T @ w - np.eye(w.shape[1])) <= 1e-12
         assert np.linalg.norm(rad - w @ (w.T @ rad)) <= 1e-12
 
@@ -739,11 +739,11 @@ def _integer_skew_forms(draw):
 @settings(derandomize=True, deadline=None, database=None)
 @given(_integer_skew_forms())
 def test_max_isotropic_property(form):
-    d = form.dim
-    w, rad = sp.max_isotropic(form), nullspace(form.gram)
+    d = form.shape[-1]
+    w, rad = sp.max_isotropic(form), nullspace(form)
     assert 2 * w.shape[1] == d + rad.shape[1]
-    scale = max(np.abs(form.gram).max(initial=0.0), 1.0)
-    assert np.abs(w.T @ form.gram @ w).max(initial=0.0) <= 1e-12 * scale
+    scale = max(np.abs(form).max(initial=0.0), 1.0)
+    assert np.abs(w.T @ form @ w).max(initial=0.0) <= 1e-12 * scale
     # W contains the radical: projecting R onto span(W) loses nothing
     coeffs, *_ = np.linalg.lstsq(w, rad, rcond=None)
     assert np.linalg.norm(w @ coeffs - rad) <= 1e-10
@@ -751,19 +751,19 @@ def test_max_isotropic_property(form):
 
 def test_skew_value_stack_matches_single(sl3c):
     _, hc = sl3c
-    x, y = np.random.default_rng(8).standard_normal((2, 6, 5, hc.omega.dim))
-    got = hc.omega.value(x, y)
+    x, y = np.random.default_rng(8).standard_normal((2, 6, 5, hc.omega.shape[-1]))
+    got = bilinear(x, hc.omega, y)
     assert got.shape == (6, 5)
-    assert np.array_equal(got, [[hc.omega.value(a, b) for a, b in zip(xs, ys)]
+    assert np.array_equal(got, [[bilinear(a, hc.omega, b) for a, b in zip(xs, ys)]
                                 for xs, ys in zip(x, y)])
-    assert isinstance(hc.omega.value(x[0, 0], y[0, 0]), float)
+    assert isinstance(bilinear(x[0, 0], hc.omega, y[0, 0]), float)
 
 
 def test_max_isotropic_stack_matches_single_forms():
     # random low-rank forms, forms with repeated eigenvalues and zero forms, stacked by size
     by_size = {}
     for form in _skew_forms(np.random.default_rng(22), 150):
-        by_size.setdefault(form.dim, []).append(form.gram)
+        by_size.setdefault(form.shape[-1], []).append(form)
     assert all(len(grams) > 1 for grams in by_size.values())
     for d, grams in by_size.items():
         stack = sp.make_skew_form(np.stack(grams))
@@ -772,4 +772,4 @@ def test_max_isotropic_stack_matches_single_forms():
         for w, gram in zip(bases, grams):
             single = sp.max_isotropic(sp.make_skew_form(gram))
             assert np.array_equal(w, single)
-            assert 2 * w.shape[1] == d + nullspace(sp.make_skew_form(gram).gram).shape[1]
+            assert 2 * w.shape[1] == d + nullspace(sp.make_skew_form(gram)).shape[1]
