@@ -1,9 +1,12 @@
 """Concrete matrix Lie algebras with their Cartan structure.
 
-Supported families: sl(n,R), sl(n,C) and so(n).  A complex algebra is
-handled as a real vector space of dimension 2*dim_C together with the
-operator J of multiplication by i, so that one real-linear substrate
-serves both field cases.
+Supported families: sl(n,R), sl(n,C) and so(n), each one entry of
+_FAMILIES (n x n basis, exact coordinate reader, Killing constant).  A
+complex algebra is handled as a real vector space of dimension 2*dim_C
+together with the operator J of multiplication by i, so that one
+real-linear substrate serves both field cases.  J and the maximal
+abelian a are read off the basis: J exists exactly when it has a nonzero
+imaginary part, and a is spanned by its real diagonal elements.
 
 Basis conventions (fixed, canonical order):
 
@@ -32,6 +35,7 @@ fiber); the flag sampler returns its base points as a plain array.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,41 +65,49 @@ class RepresentationError(ValueError):
 
 
 def _sl_real_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n - 1):
-        h = np.zeros((n, n))
-        h[i, i], h[i + 1, i + 1] = 1.0, -1.0
-        basis.append(h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = np.zeros((n, n))
-            s[i, j] = s[j, i] = 1.0
-            basis.append(s)
-    return basis + _so_basis(n)
+    e = np.eye(n * n).reshape(n, n, n, n)  # e[i, j] is the matrix unit E_ij
+    s = [e[i, j] + e[j, i] for i, j in itertools.combinations(range(n), 2)]
+    return [e[i, i] - e[i + 1, i + 1] for i in range(n - 1)] + s + _so_basis(n)
+
+
+def _sl_complex_basis(n: int) -> list[np.ndarray]:
+    real_part = _sl_real_basis(n)
+    return [m.astype(complex) for m in real_part] + [1j * m for m in real_part]
 
 
 def _so_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = np.zeros((n, n))
-            a[i, j], a[j, i] = 1.0, -1.0
-            basis.append(a)
-    return basis
+    e = np.eye(n * n).reshape(n, n, n, n)
+    return [e[i, j] - e[j, i] for i, j in itertools.combinations(range(n), 2)]
+
+
+def _sl_real_coords(m: np.ndarray) -> np.ndarray:
+    m = m.real
+    rows, cols = np.triu_indices(m.shape[-1], 1)
+    upper, lower = m[..., rows, cols], m[..., cols, rows]
+    diag = np.cumsum(np.diagonal(m, axis1=-2, axis2=-1)[..., :-1], axis=-1)
+    return np.concatenate([diag, 0.5 * (upper + lower), 0.5 * (upper - lower)], axis=-1)
+
+
+def _sl_complex_coords(m: np.ndarray) -> np.ndarray:
+    return np.concatenate([_sl_real_coords(m.real), _sl_real_coords(m.imag)], axis=-1)
+
+
+def _so_coords(m: np.ndarray) -> np.ndarray:
+    rows, cols = np.triu_indices(m.shape[-1], 1)
+    return m.real[..., rows, cols]
 
 
 @dataclass(frozen=True)
 class LieAlgebraData:
     """A concrete matrix Lie algebra over a fixed real basis."""
 
-    family: str  # "sl_real" | "sl_complex" | "so"
+    family: str  # a key of _FAMILIES
     n: int
-    field_tag: str  # "real" | "complex"
     dim: int  # real dimension
     basis: np.ndarray  # (dim, n, n), complex dtype for complex families
     structure: np.ndarray  # c[i,j,k]: [e_i, e_j] = sum_k c[i,j,k] e_k
     killing: np.ndarray  # (dim, dim), tr(ad e_i . ad e_j) = c Re tr(e_i e_j)
-    j_op: np.ndarray | None  # (dim, dim) multiplication by i, complex case only
+    j_op: np.ndarray | None  # (dim, dim) multiplication by i; None on a real basis
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
         """The matrix of a coefficient vector, or of each in a (..., dim) stack: (..., n, n)."""
@@ -108,7 +120,7 @@ class LieAlgebraData:
         outside (a trace, a symmetric part on so(n), an imaginary part on a
         real family) is dropped.
         """
-        return _coordinates(self.family, np.asarray(m))
+        return _FAMILIES[self.family][1](np.asarray(m))
 
     def conjugate(self, g: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Ad(g)x = to_vector(g X g^H) for g in K; (..., n, n) and (..., dim) stacks broadcast.
@@ -227,7 +239,15 @@ class OrbitBatch:
     r: float
 
 
-_FAMILIES = {"sl_real", "sl_complex", "so"}
+# family: (its n x n basis, the coordinates of each matrix of a (..., n, n) stack,
+# the Killing constant c with tr(ad X ad Y) = c Re tr(XY)).  A complex basis is
+# a real one followed by i times it.  c is 2n on sl(n,R), 4n on sl(n,C) as a real
+# algebra (twice the real part of its complex form 2n tr(XY)) and n - 2 on so(n)
+_FAMILIES = {
+    "sl_real": (_sl_real_basis, _sl_real_coords, lambda n: 2 * n),
+    "sl_complex": (_sl_complex_basis, _sl_complex_coords, lambda n: 4 * n),
+    "so": (_so_basis, _so_coords, lambda n: n - 2),
+}
 
 DESCRIPTORS = {
     "sl2r": ("sl_real", 2),
@@ -245,67 +265,34 @@ def parse_descriptor(name: str) -> tuple[str, int]:
     raise ConfigurationError(f"unknown algebra descriptor {name!r}")
 
 
-def _coordinates(family: str, m: np.ndarray) -> np.ndarray:
-    """Coordinates of each matrix of a (..., n, n) stack, i < j in row-major order."""
-    if family == "sl_complex":
-        return np.concatenate(
-            [_coordinates("sl_real", m.real), _coordinates("sl_real", m.imag)], axis=-1
-        )
-    m = m.real
-    rows, cols = np.triu_indices(m.shape[-1], 1)
-    upper, lower = m[..., rows, cols], m[..., cols, rows]
-    if family == "so":
-        return upper
-    diag = np.cumsum(np.diagonal(m, axis1=-2, axis2=-1)[..., :-1], axis=-1)
-    return np.concatenate([diag, 0.5 * (upper + lower), 0.5 * (upper - lower)], axis=-1)
-
-
 def build_algebra(family: str, n: int) -> LieAlgebraData:
     """Construct the algebra with structure tensor and Killing matrix.
 
     The structure tensor comes from the matrix commutators of all pairs
     of basis elements, read back by entries; the Killing matrix from the
     trace form c Re tr(e_i e_j) on that basis.  Both are exact integers.
+    J is built exactly when the basis has a nonzero imaginary part.
     """
     if family not in _FAMILIES:
         raise ConfigurationError(f"unsupported family {family!r}")
     if n < 2:
         raise ConfigurationError("rank must satisfy n >= 2")
-    if family == "sl_real":
-        mats = [m.astype(complex) for m in _sl_real_basis(n)]
-        field_tag = "real"
-    elif family == "sl_complex":
-        real_part = _sl_real_basis(n)
-        mats = [m.astype(complex) for m in real_part] + [1j * m for m in real_part]
-        field_tag = "complex"
-    else:
-        mats = [m.astype(complex) for m in _so_basis(n)]
-        field_tag = "real"
-
-    dim = len(mats)
-    basis = np.stack(mats)
+    make_basis, coordinates, c = _FAMILIES[family]
+    basis = np.stack(make_basis(n)).astype(complex)
+    dim = len(basis)
     products = basis[:, None] @ basis[None]
-    structure = _coordinates(family, products - np.swapaxes(products, 0, 1))
-
-    # tr(ad X ad Y) = c Re tr(XY): 2n on sl(n,R), 4n on sl(n,C) as a real algebra
-    # (twice the real part of its complex form 2n tr(XY)), n - 2 on so(n)
-    scale = {"sl_real": 2 * n, "sl_complex": 4 * n, "so": n - 2}[family]
+    structure = coordinates(products - np.swapaxes(products, 0, 1))
     # tr(e_i e_j) = sum_ab (e_i)_ab (e_j)_ba, one product of the flattened bases
-    killing = scale * (basis.reshape(dim, -1) @ np.swapaxes(basis, 1, 2).reshape(dim, -1).T).real
+    killing = c(n) * (basis.reshape(dim, -1) @ np.swapaxes(basis, 1, 2).reshape(dim, -1).T).real
 
-    j_op = None
-    if field_tag == "complex":
-        half = dim // 2
-        j_op = np.zeros((dim, dim))
-        j_op[half:, :half] = np.eye(half)
-        j_op[:half, half:] = -np.eye(half)
+    # J is [[0, -I], [I, 0]] on a real basis followed by i times it
+    j_op = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(dim // 2)) if basis.imag.any() else None
 
     return LieAlgebraData(
         family=family,
         n=n,
-        field_tag=field_tag,
         dim=dim,
-        basis=basis if field_tag == "complex" else basis.real,
+        basis=basis if j_op is not None else basis.real,
         structure=structure,
         killing=killing,
         j_op=j_op,
@@ -352,7 +339,8 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     k_basis, s_basis = eye[:, signs == 1.0], eye[:, signs == -1.0]
     b_theta = -alg.killing @ theta
 
-    a_basis = eye[:, : 0 if alg.family == "so" else alg.n - 1]
+    off_diagonal = alg.basis[:, ~np.eye(alg.n, dtype=bool)]
+    a_basis = eye[:, ~(off_diagonal.any(axis=1) | alg.basis.imag.any(axis=(1, 2)))]
 
     ops = [alg.ad(a_basis[:, i]) for i in range(a_basis.shape[1])]
     blocks = simultaneous_eigenspaces(ops) if ops else [(np.zeros(0), eye)]

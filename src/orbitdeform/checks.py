@@ -292,7 +292,7 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
 
 
 def symplectic_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
-    if cd.alg.field_tag != "complex":
+    if cd.alg.j_op is None:
         return []
     rng = np.random.default_rng(seed)
     hc = sp.make_hermitian_context(cd)

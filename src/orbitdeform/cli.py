@@ -91,8 +91,10 @@ _BLOCK_ROWS = 256  # CSV rows formatted into one string before it is written
 def _atomic_write(path: str, chunks: Iterable[str]):
     """Write the str chunks in order to a temp file beside path, then rename it to path.
 
-    Any error, one raised by a chunk generator partway through included,
-    removes the temp file and leaves path untouched.
+    The file gets the mode open(path, "w") would leave: path's permission
+    bits if it exists, else 0o666 less the umask.  Any error, one raised
+    by a chunk generator partway through included, removes the temp file
+    and leaves path untouched.
     """
     if isinstance(chunks, str):
         # iterating a str would write it one character at a time
@@ -103,6 +105,10 @@ def _atomic_write(path: str, chunks: Iterable[str]):
         with os.fdopen(fd, "w") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+        umask = os.umask(0)  # the umask is read by setting it; restored at once
+        os.umask(umask)
+        # mkstemp created tmp 0o600
+        os.chmod(tmp, os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -272,7 +278,7 @@ def cmd_deform_sweep(args) -> int:
 def cmd_lagrangian_section(args) -> int:
     t_values = _parse_list(args.t, "t")
     cd, h = _build(args)
-    if cd.alg.field_tag != "complex":
+    if cd.alg.j_op is None:
         print("Lagrangian sections require a complex-family algebra", file=sys.stderr)
         return 2
     hc = sp.make_hermitian_context(cd)

@@ -50,9 +50,9 @@ from .numerics import (
 
 
 def make_skew_form(gram: np.ndarray) -> np.ndarray:
-    """The skew part of a (d, d) Gram matrix, or of each in an (m, d, d) stack."""
+    """The skew part of a (d, d) Gram matrix, or of each in a (..., d, d) stack."""
     gram = np.asarray(gram, dtype=float)
-    if gram.ndim not in (2, 3) or gram.shape[-1] != gram.shape[-2]:
+    if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2]:
         raise DimensionError("Gram matrix must be square, or a stack of square matrices")
     return 0.5 * (gram - np.swapaxes(gram, -1, -2))
 
@@ -91,7 +91,7 @@ class HermitianContext:
 
 
 def make_hermitian_context(cd: CartanData) -> HermitianContext:
-    if cd.alg.field_tag != "complex":
+    if cd.alg.j_op is None:
         raise DomainError("Hermitian structure requires a complex-family algebra")
     return HermitianContext(cd=cd, omega=make_skew_form(cd.alg.j_op.T @ cd.b_theta))
 
@@ -173,7 +173,7 @@ def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
     fib = fiber_tangent_at(ctx.cd, ctx.cd.project_s(batch.points))
     t = _semidirect_tangent(ctx.cd, batch.points, fib)
     gram = np.swapaxes(t, -1, -2) @ ctx.omega @ t
-    s = np.linalg.svd(0.5 * (gram - np.swapaxes(gram, -1, -2)), compute_uv=False)
+    s = np.linalg.svd(make_skew_form(gram), compute_uv=False)
     min_ratio = float((s[..., -1] / s[..., 0]).min())
     return {
         "min_sv_ratio": min_ratio,

@@ -248,17 +248,6 @@ def test_nullspace_of_ad_h_is_centralizer(sl2r):
     assert abs(abs(ns[0, 0]) - 1.0) < 1e-12
 
 
-def test_complex_algebra_j_operator():
-    alg = al.build_algebra("sl_complex", 2)
-    assert alg.dim == 6
-    j = alg.j_op
-    assert np.allclose(j @ j, -np.eye(6))
-    # J realizes multiplication by i on the matrix side
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal(6)
-    assert np.linalg.norm(alg.to_matrix(j @ x) - 1j * alg.to_matrix(x)) < 1e-12
-
-
 def test_check_chamber_rejects_non_finite(sl2r):
     _, cd = sl2r
     for bad in (math.nan, math.inf, -math.inf):
@@ -376,6 +365,31 @@ def test_structure_data_exact(family, n):
     assert np.array_equal(cd.b_theta, cd.b_theta.T)
     assert np.array_equal(cd.k_basis @ cd.k_basis.T + cd.s_basis @ cd.s_basis.T,
                           np.eye(alg.dim))
+
+
+@pytest.mark.parametrize("family,n", EXACT_CASES)
+def test_complex_algebra_j_operator(family, n):
+    # J exists exactly on the complex families, and realizes multiplication by i
+    # on the matrix side exactly: column k of J is to_vector(i e_k)
+    alg = _exact_cartan(family, n).alg
+    if family != "sl_complex":
+        assert alg.j_op is None
+        return
+    assert alg.dim == 2 * (n * n - 1)
+    j = alg.j_op
+    assert np.array_equal(j @ j, -np.eye(alg.dim))
+    assert np.array_equal(alg.to_vector(1j * alg.to_matrix(np.eye(alg.dim))), j.T)
+
+
+@pytest.mark.parametrize("family,n", EXACT_CASES)
+def test_a_basis_is_the_real_diagonal_basis_elements(family, n):
+    # the H_i on sl(n,R) and sl(n,C), not their i multiples on sl(n,C); none on so(n)
+    cd = _exact_cartan(family, n)
+    alg = cd.alg
+    real_diagonal = [k for k, m in enumerate(alg.basis)
+                     if np.array_equal(m, np.diag(np.diag(m).real))]
+    assert real_diagonal == list(range(0 if family == "so" else n - 1))
+    assert np.array_equal(cd.a_basis, np.eye(alg.dim)[:, real_diagonal])
 
 
 @pytest.mark.parametrize("family,n", EXACT_CASES)

@@ -226,7 +226,7 @@ def test_stacked_checks_match_loops(descriptor, seed):
     if cd.roots:
         _assert_bits(_residuals(checks.deformation_suite(cd, seed)), _deformation_loops(cd, seed))
         _assert_bits(_residuals(checks.semidirect_suite(cd, seed)), _semidirect_loops(cd, seed))
-    if cd.alg.field_tag == "complex":
+    if cd.alg.j_op is not None:
         _assert_bits(_residuals(checks.symplectic_suite(cd, seed)), _symplectic_loops(cd, seed))
 
 

@@ -299,6 +299,26 @@ def test_atomic_write_rejects_bare_str(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_atomic_write_new_file_mode_follows_umask(tmp_path, umask, mode):
+    # the mode open(path, "w") would leave, not the temp file's 0o600
+    old = os.umask(umask)
+    try:
+        _atomic_write(str(tmp_path / "out.csv"), ["a\n"])
+    finally:
+        os.umask(old)
+    assert (tmp_path / "out.csv").stat().st_mode & 0o777 == mode
+
+
+def test_atomic_write_keeps_existing_mode(tmp_path):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    _atomic_write(str(target), ["new\n"])
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert target.read_text() == "new\n"
+
+
 def test_export_memory_bounded_by_block(tmp_path):
     # writing a 2e4-row sl2c CSV holds one block of text, not the file's 9 MB
     cd = _cartan("sl2c")

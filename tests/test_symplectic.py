@@ -13,7 +13,8 @@ from orbitdeform import deformation as df
 from orbitdeform import semidirect as sd
 from orbitdeform import symplectic as sp
 from orbitdeform.numerics import (
-    StructureError, Tolerance, apply, bilinear, matrix_exp, nullspace, orthonormal_range, rank,
+    DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp, nullspace,
+    orthonormal_range, rank,
 )
 
 
@@ -116,6 +117,16 @@ def test_radical_cases():
     assert nullspace(sp.make_skew_form(np.zeros((4, 4)))).shape[1] == 4
     rank2 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 2))]])
     assert nullspace(sp.make_skew_form(rank2)).shape[1] == 2
+
+
+def test_skew_form_any_stack_matches_single():
+    # a (..., d, d) stack gives the bits of the per-matrix calls
+    grams = np.random.default_rng(12).standard_normal((2, 3, 5, 5))
+    per_matrix = np.array([[sp.make_skew_form(g) for g in row] for row in grams])
+    assert sp.make_skew_form(grams).tobytes() == per_matrix.tobytes()
+    for bad in (np.zeros(4), np.zeros((3, 4)), np.zeros((2, 3, 4, 5))):
+        with pytest.raises(DimensionError):
+            sp.make_skew_form(bad)
 
 
 def test_max_isotropic_dimensions():
