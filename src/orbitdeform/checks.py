@@ -12,6 +12,10 @@ function per parameter value.  Only the draws whose sizes are themselves
 random loop; their kernels run once per size.  The stacked products give
 the bits of the per-sample ones, so the residuals do not depend on the
 grouping.
+
+Each suite decides whether it applies to an algebra: the deformation and
+semidirect suites return [] on an algebra without roots (so(3), so(4)),
+the symplectic suite on one without a complex structure J.
 """
 
 from __future__ import annotations
@@ -144,6 +148,8 @@ def algebra_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
 
 
 def deformation_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
+    if not cd.roots:
+        return []
     alg = cd.alg
     rng = np.random.default_rng(seed)
     out = []
@@ -179,15 +185,14 @@ def deformation_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     out.append(CheckResult("killing_r_consistency", "<X,Y>_r = tr(ad_r X ad_r Y)", worst, 1e-8))
 
     worst = 0.0
-    if cd.roots:
-        h = cd.chamber_H
-        # every root vector X_a as a row, with its value a(H)
-        root_vecs = np.hstack([root.space_basis for root in cd.roots]).T
-        vals = np.repeat(cd.root_values(h), [root.space_basis.shape[1] for root in cd.roots])
-        for r in df.R_GRID:
-            ctx = df.make_context(cd, r)
-            v = df.psi_r_map(ctx, root_vecs)
-            worst = max(worst, float(_norms(apply(df.ad_r(ctx, h), v) - vals[:, None] * v).max()))
+    h = cd.chamber_H
+    # every root vector X_a as a row, with its value a(H)
+    root_vecs = np.hstack([root.space_basis for root in cd.roots]).T
+    vals = np.repeat(cd.root_values(h), [root.space_basis.shape[1] for root in cd.roots])
+    for r in df.R_GRID:
+        ctx = df.make_context(cd, r)
+        v = df.psi_r_map(ctx, root_vecs)
+        worst = max(worst, float(_norms(apply(df.ad_r(ctx, h), v) - vals[:, None] * v).max()))
     out.append(CheckResult("psi_r_eigenvector", "ad_r(H) psi_r(X_a) = a(H) psi_r(X_a)", worst, 1e-9))
 
     worst = 0.0
@@ -212,24 +217,25 @@ def deformation_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     out.append(CheckResult("ad_r_exponential", "Ad_r(e^{tX})Y = Ad(e^{(t/r)X})Y", worst, 1e-9))
 
-    if cd.roots:
-        n_plus, _, _ = al.h_subspaces(cd, cd.chamber_H)
-        worst = 0.0
-        for r in df.R_GRID:
-            ctx = df.make_context(cd, r)
-            img = ctx.psi_r @ n_plus
-            img_on = np.linalg.qr(img)[0]
-            # r-root spaces: eigenspaces of ad_r(H) with positive eigenvalue
-            adr_h = df.ad_r(ctx, cd.chamber_H)
-            blocks = simultaneous_eigenspaces([adr_h])
-            pos = [b for (v, b) in blocks if v[0] > 1e-8]
-            pos_basis = np.hstack(pos) if pos else np.zeros((alg.dim, 0))
-            worst = max(worst, _proj_residual(img_on, pos_basis))
-        out.append(CheckResult("r_root_spaces", "n+_{r,H} = psi_r(n+_H)", worst, 1e-9))
+    n_plus, _, _ = al.h_subspaces(cd, cd.chamber_H)
+    worst = 0.0
+    for r in df.R_GRID:
+        ctx = df.make_context(cd, r)
+        img = ctx.psi_r @ n_plus
+        img_on = np.linalg.qr(img)[0]
+        # r-root spaces: eigenspaces of ad_r(H) with positive eigenvalue
+        adr_h = df.ad_r(ctx, cd.chamber_H)
+        blocks = simultaneous_eigenspaces([adr_h])
+        pos = [b for (v, b) in blocks if v[0] > 1e-8]
+        pos_basis = np.hstack(pos) if pos else np.zeros((alg.dim, 0))
+        worst = max(worst, _proj_residual(img_on, pos_basis))
+    out.append(CheckResult("r_root_spaces", "n+_{r,H} = psi_r(n+_H)", worst, 1e-9))
     return out
 
 
 def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
+    if not cd.roots:
+        return []
     alg = cd.alg
     rng = np.random.default_rng(seed)
     out = []
@@ -266,24 +272,23 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     worst = float(np.triu(far & same_s, 1).any())
     out.append(CheckResult("fiber_disjointness", "fibers over distinct bases are disjoint", worst, 0.5))
 
-    if cd.roots:
-        n_plus, _, _ = al.h_subspaces(cd, h)
-        ctx_inf = df.make_context(cd, math.inf)
-        img = np.linalg.qr(ctx_inf.psi_r @ n_plus)[0]
-        fib = sd.coadjoint_fiber(cd, h)
-        out.append(
-            CheckResult("fiber_is_psi_n_plus", "[H,s] = psi(n+_H)", _proj_residual(img, fib), 1e-9)
-        )
+    n_plus, _, _ = al.h_subspaces(cd, h)
+    ctx_inf = df.make_context(cd, math.inf)
+    img = np.linalg.qr(ctx_inf.psi_r @ n_plus)[0]
+    fib = sd.coadjoint_fiber(cd, h)
+    out.append(
+        CheckResult("fiber_is_psi_n_plus", "[H,s] = psi(n+_H)", _proj_residual(img, fib), 1e-9)
+    )
 
-        dbatch = df.sample_deformed_orbit(ctx_inf, h, seed, 10, 3)
-        fib = sd.coadjoint_fiber(cd, batch.base_points)[:, None]
-        kq = cd.project_k(dbatch.points)[..., None]
-        off_fiber = (kq - fib @ (np.swapaxes(fib, -1, -2) @ kq))[..., 0]
-        worst = float(max(_norms(batch.base_points - dbatch.base_points).max(),
-                          _norms(off_fiber).max()))
-        out.append(
-            CheckResult("semidirect_matches_r_inf", "K_ad.H = Ad_inf(G).H", worst, 1e-8)
-        )
+    dbatch = df.sample_deformed_orbit(ctx_inf, h, seed, 10, 3)
+    fib = sd.coadjoint_fiber(cd, batch.base_points)[:, None]
+    kq = cd.project_k(dbatch.points)[..., None]
+    off_fiber = (kq - fib @ (np.swapaxes(fib, -1, -2) @ kq))[..., 0]
+    worst = float(max(_norms(batch.base_points - dbatch.base_points).max(),
+                      _norms(off_fiber).max()))
+    out.append(
+        CheckResult("semidirect_matches_r_inf", "K_ad.H = Ad_inf(G).H", worst, 1e-8)
+    )
 
     m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
     worst = float(_norms(m - batch.points).max())

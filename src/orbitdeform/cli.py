@@ -1,8 +1,11 @@
 """Command-line surface: verification suites, orbit sampling, r-sweeps
 and Lagrangian sections.  All outputs are deterministic given a seed;
-files are written atomically (temp + rename), and each CSV is streamed in
-blocks of _BLOCK_ROWS rows, so a command holds one block of text at a
-time, not the file.
+files are written atomically (temp + rename).  Every CSV comes from one
+writer, _csv: each float field is "%.17g" (r = inf prints as inf), each
+integer tag "%d", and the text is streamed in blocks of _BLOCK_ROWS rows.
+orbit-sample and deform-sweep push the r = 1 sample to one r at a time
+and write it before the next, so a command holds one pushed batch and
+one block of text at a time, not every r or the whole file.
 
 Exit codes: 0 all checks pass / output written, 1 check failure,
 2 usage or configuration error.
@@ -116,47 +119,24 @@ def _atomic_write(path: str, chunks: Iterable[str]):
         raise
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv(columns: str, leads: list[float], points: np.ndarray) -> Iterator[str]:
+    """The CSV text of a (len(leads), ..., dim) stack: the header line, then
+    one string per block of _BLOCK_ROWS rows, lead by lead.
 
-
-def _coord_rows(points: np.ndarray) -> list[str]:
-    """Each point's coordinates as one CSV row of "%.17g" fields: the characters of _fmt."""
-    flat = points.reshape(-1, points.shape[-1])
-    row = ",".join(["%.17g"] * flat.shape[1])
-    return [row % tuple(p) for p in flat.tolist()]
-
-
-def _row_blocks(points: np.ndarray) -> Iterator[tuple[int, list[str]]]:
-    """(start, rows): the _coord_rows of the (..., dim) points, _BLOCK_ROWS at a time."""
-    flat = points.reshape(-1, points.shape[-1])
-    for start in range(0, flat.shape[0], _BLOCK_ROWS):
-        yield start, _coord_rows(flat[start:start + _BLOCK_ROWS])
-
-
-def _header(tags: str, dim: int) -> str:
-    return tags + "," + ",".join(f"c{i+1}" for i in range(dim)) + "\n"
-
-
-def _sample_csv(batch: al.OrbitBatch, r: float) -> Iterator[str]:
-    """The CSV text of a batch at r: the header line, then one string per block of rows."""
-    n_fiber, dim = batch.points.shape[1:]
-    yield _header("r,base_tag,fiber_tag", dim)
-    r_text = _fmt(r)
-    for start, rows in _row_blocks(batch.points):
-        yield "".join([f"{r_text},{i // n_fiber},{i % n_fiber},{coords}\n"
-                       for i, coords in enumerate(rows, start)])
-
-
-def _section_csv(t_values: list[float], sections: np.ndarray) -> Iterator[str]:
-    """The CSV text of the (n_t, n, dim) section points: the header line, then
-    one string per block of rows, t by t."""
-    yield _header("t,base_tag", sections.shape[-1])
-    for t, points in zip(t_values, sections):
-        t_text = _fmt(t)
-        for start, rows in _row_blocks(points):
-            yield "".join([f"{t_text},{tag},{coords}\n"
-                           for tag, coords in enumerate(rows, start)])
+    A row is the lead, one integer tag per middle axis (np.unravel_index of
+    the row's place) and the point's coordinates, every float as "%.17g".
+    """
+    dim, tag_shape = points.shape[-1], points.shape[1:-1]
+    yield columns + "".join(f",c{i + 1}" for i in range(dim)) + "\n"
+    fields = ",".join(["%d"] * len(tag_shape) + ["%.17g"] * dim)
+    for lead, stack in zip(leads, points):
+        row = f"{lead:.17g},{fields}\n"
+        flat = stack.reshape(-1, dim)
+        for start in range(0, flat.shape[0], _BLOCK_ROWS):
+            block = flat[start:start + _BLOCK_ROWS]
+            tags = np.unravel_index(np.arange(start, start + block.shape[0]), tag_shape)
+            fields_by_column = [t.tolist() for t in tags] + block.T.tolist()
+            yield "".join([row % values for values in zip(*fields_by_column)])
 
 
 def _parse_list(text: str, name: str, ascending: bool = False) -> list[float]:
@@ -169,10 +149,6 @@ def _parse_list(text: str, name: str, ascending: bool = False) -> list[float]:
         if values.count(v) > 1:
             print(f"warning: duplicate {name}={v} dropped", file=sys.stderr)
     return unique
-
-
-def _r_tag(r: float) -> str:
-    return "inf" if math.isinf(r) else _fmt(r)
 
 
 def _build(args) -> tuple[al.CartanData, np.ndarray]:
@@ -188,8 +164,8 @@ def cmd_verify(args) -> int:
     suites = {
         "numerics": lambda cd: checks.numerics_suite(args.seed),
         "algebra": lambda cd: checks.algebra_suite(cd, args.seed),
-        "deformation": lambda cd: checks.deformation_suite(cd, args.seed) if cd.roots else [],
-        "semidirect": lambda cd: checks.semidirect_suite(cd, args.seed) if cd.roots else [],
+        "deformation": lambda cd: checks.deformation_suite(cd, args.seed),
+        "semidirect": lambda cd: checks.semidirect_suite(cd, args.seed),
         "symplectic": lambda cd: checks.symplectic_suite(cd, args.seed),
     }
     # the tolerance only selects the forced-failure mode; it must still be valid
@@ -238,17 +214,19 @@ def cmd_orbit_sample(args) -> int:
         print("adjoint sampling requires r=1", file=sys.stderr)
         return 2
     if args.kind == "semidirect":
-        batches = {math.inf: sd.sample_semidirect_orbit(cd, h, args.seed, args.n_base,
-                                                        args.n_fiber)}
+        batch = sd.sample_semidirect_orbit(cd, h, args.seed, args.n_base, args.n_fiber)
+        pushed = lambda r: batch
     else:
-        # one sampling at r = 1, pushed to each r by psi~_r
+        # every context first, so a bad r is refused before any file is written
+        contexts = {r: df.make_context(cd, r) for r in r_values}
+        # one sampling at r = 1, pushed to each r by psi~_r as that r's file is written
         base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
                                         args.seed, args.n_base, args.n_fiber)
-        batches = {r: df.tilde_psi_r(df.make_context(cd, r), base) for r in r_values}
+        pushed = lambda r: df.tilde_psi_r(contexts[r], base)
     written = []
-    for r, batch in batches.items():
-        path = os.path.join(args.out, f"orbit_{args.algebra}_{args.kind}_r{_r_tag(r)}.csv")
-        _atomic_write(path, _sample_csv(batch, r))
+    for r in r_values:
+        path = os.path.join(args.out, f"orbit_{args.algebra}_{args.kind}_r{r:.17g}.csv")
+        _atomic_write(path, _csv("r,base_tag,fiber_tag", [r], pushed(r).points[None]))
         written.append(path)
     print("\n".join(written))
     return 0
@@ -263,8 +241,9 @@ def cmd_deform_sweep(args) -> int:
     summary = []
     for r in r_values:
         ctx = df.make_context(cd, r)
-        path = os.path.join(args.out, f"sweep_{args.algebra}_r{_r_tag(r)}.csv")
-        _atomic_write(path, _sample_csv(df.tilde_psi_r(ctx, base), r))
+        path = os.path.join(args.out, f"sweep_{args.algebra}_r{r:.17g}.csv")
+        _atomic_write(path, _csv("r,base_tag,fiber_tag", [r],
+                                 df.tilde_psi_r(ctx, base).points[None]))
         entry = {"r": "inf" if math.isinf(r) else r, "csv": os.path.basename(path)}
         if math.isfinite(r):
             entry["limit_deviation"] = df.limit_deviation(ctx, base)
@@ -296,7 +275,7 @@ def cmd_lagrangian_section(args) -> int:
         report.append({"t": t, "max_omega_residual": resid})
         print(f"t={t}: max |Omega| over section tangent pairs = {resid:.3e}", file=sys.stderr)
     path = os.path.join(args.out, f"section_{args.algebra}.csv")
-    _atomic_write(path, _section_csv(t_values, sections))
+    _atomic_write(path, _csv("t,base_tag", t_values, sections))
     _atomic_write(
         os.path.join(args.out, f"section_{args.algebra}_report.json"),
         [json.dumps(report, indent=2) + "\n"],

@@ -68,7 +68,10 @@ def max_isotropic(form: np.ndarray) -> np.ndarray | list[np.ndarray]:
 
     An (m, d, d) stack of forms gives the list of its m bases, from one
     stacked SVD (the radicals, with nullspace's cutoff) and one stacked eigh.
+    Any other shape raises DimensionError.
     """
+    if form.ndim not in (2, 3) or form.shape[-1] != form.shape[-2]:
+        raise DimensionError(f"expected a (d, d) form or an (m, d, d) stack, not {form.shape}")
     tol = Tolerance()  # the package's zero rule
     grams = form if form.ndim == 3 else form[None]
     _, s, vh = np.linalg.svd(grams)

@@ -230,6 +230,16 @@ def test_stacked_checks_match_loops(descriptor, seed):
         _assert_bits(_residuals(checks.symplectic_suite(cd, seed)), _symplectic_loops(cd, seed))
 
 
+@pytest.mark.parametrize("descriptor", ["so3", "so4"])
+def test_suites_decide_their_algebras(descriptor):
+    # each suite says itself that it does not apply: no roots, no J
+    cd = _cartan(descriptor)
+    assert not cd.roots and cd.alg.j_op is None
+    assert checks.deformation_suite(cd) == []
+    assert checks.semidirect_suite(cd) == []
+    assert checks.symplectic_suite(cd) == []
+
+
 @pytest.mark.parametrize("descriptor,smallest", [("sl2c", 15.999999999999973),
                                                  ("sl3c", 24.032618895865465)])
 def test_isotropy_nonzero_reports_smallest_restriction(descriptor, smallest):

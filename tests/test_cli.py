@@ -21,12 +21,9 @@ from orbitdeform.algebra import DESCRIPTORS
 from orbitdeform.cli import (
     _BLOCK_ROWS,
     _atomic_write,
-    _coord_rows,
-    _fmt,
+    _csv,
     _parse_list,
     _resolve_h,
-    _sample_csv,
-    _section_csv,
     build_parser,
     main,
 )
@@ -219,16 +216,19 @@ def test_orbit_sample_drops_repeated_r(tmp_path, capsys):
     assert err.splitlines() == ["warning: duplicate r=2.0 dropped"]
 
 
-def test_coord_rows_match_fmt():
-    # the one %-format per row must write exactly the characters of _fmt
+def test_csv_fields_match_format_spec():
+    # the one %-format per row must write exactly the characters of f"{v:.17g}"
     rows = np.array([
         [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300],
         [2.0, -2.0, 0.1, 1 / 3, 2.0 ** -1074, 1.7976931348623157e308],
         [0.30000000000000004, 123456789.12345679, 1e-5, 1e16, 9007199254740993.0, -1e-300],
     ])
-    expected = [",".join(_fmt(float(v)) for v in row) for row in rows]
-    assert _coord_rows(rows) == expected
-    assert _coord_rows(rows.reshape(3, 1, 6)) == expected
+    coords = [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    header = ",c1,c2,c3,c4,c5,c6\n"
+    assert "".join(_csv("t,tag", [-0.0], rows[None])) == "t,tag" + header + "".join(
+        f"-0,{i},{c}\n" for i, c in enumerate(coords))
+    assert "".join(_csv("r,b,f", [math.inf], rows.reshape(1, 3, 1, 6))) == (
+        "r,b,f" + header + "".join(f"inf,{i},0,{c}\n" for i, c in enumerate(coords)))
 
 
 def _grid(n_rows):
@@ -236,11 +236,6 @@ def _grid(n_rows):
     n_fiber not dividing _BLOCK_ROWS, so a base point's rows straddle two blocks."""
     n_fiber = next(f for f in (3, 5, 7, n_rows) if n_rows % f == 0)
     return n_rows // n_fiber, n_fiber
-
-
-def _batch(points):
-    return al.OrbitBatch(points=points, base_points=points[:, 0], k=np.empty(0),
-                         fibers=points, kind="deformed", r=2.0)
 
 
 @pytest.mark.parametrize("n_rows", [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
@@ -251,27 +246,30 @@ def test_sample_csv_blocks_join_to_reference(n_rows):
     n_base, n_fiber = _grid(n_rows)
     rng = np.random.default_rng(n_rows)
     points = rng.standard_normal((n_base, n_fiber, 6)) * 10.0 ** rng.integers(-300, 300, 6)
-    chunks = list(_sample_csv(_batch(points), 2.0))
-    lines = ["r,base_tag,fiber_tag,c1,c2,c3,c4,c5,c6"] + [
-        ",".join([_fmt(2.0), str(b), str(f), *(_fmt(float(v)) for v in points[b, f])])
-        for b in range(n_base) for f in range(n_fiber)
-    ]
-    assert "".join(chunks) == "\n".join(lines) + "\n"
-    assert len(chunks) == 1 + -(-n_rows // _BLOCK_ROWS)
-    assert all(chunk.count("\n") <= _BLOCK_ROWS for chunk in chunks)
+    for r in (2.0, math.inf):
+        chunks = list(_csv("r,base_tag,fiber_tag", [r], points[None]))
+        lines = ["r,base_tag,fiber_tag,c1,c2,c3,c4,c5,c6"] + [
+            ",".join([f"{r:.17g}", str(b), str(f), *(f"{float(v):.17g}" for v in points[b, f])])
+            for b in range(n_base) for f in range(n_fiber)
+        ]
+        assert "".join(chunks) == "\n".join(lines) + "\n"
+        assert len(chunks) == 1 + -(-n_rows // _BLOCK_ROWS)
+        assert all(chunk.count("\n") <= _BLOCK_ROWS for chunk in chunks)
+    assert lines[1].startswith("inf,0,0,")
 
 
 def test_section_csv_blocks_join_to_reference():
     n = 2 * _BLOCK_ROWS + 3
     t_values = [-0.0, 0.5, 1e-300]
     sections = np.random.default_rng(2).standard_normal((len(t_values), n, 6))
-    chunks = list(_section_csv(t_values, sections))
+    chunks = list(_csv("t,base_tag", t_values, sections))
     lines = ["t,base_tag,c1,c2,c3,c4,c5,c6"] + [
-        ",".join([_fmt(t), str(tag), *(_fmt(float(v)) for v in sections[i, tag])])
+        ",".join([f"{t:.17g}", str(tag), *(f"{float(v):.17g}" for v in sections[i, tag])])
         for i, t in enumerate(t_values) for tag in range(n)
     ]
     assert "".join(chunks) == "\n".join(lines) + "\n"
     assert len(chunks) == 1 + len(t_values) * -(-n // _BLOCK_ROWS)
+    assert lines[1].startswith("-0,0,")
 
 
 def _failing_chunks():
@@ -325,12 +323,34 @@ def test_export_memory_bounded_by_block(tmp_path):
     batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, 1, 1000, 20)
     tracemalloc.start()
     try:
-        _atomic_write(str(tmp_path / "sweep.csv"), _sample_csv(batch, 1.0))
+        _atomic_write(str(tmp_path / "sweep.csv"),
+                      _csv("r,base_tag,fiber_tag", [1.0], batch.points[None]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 1 + 20000
     assert peak < 1_000_000, peak
+
+
+def test_orbit_sample_memory_holds_one_pushed_batch(tmp_path, capsys):
+    # orbit-sample pushes and writes one r at a time: beyond the sampling's own
+    # peak it holds about one pushed batch and one block, not all five batches
+    cd = _cartan("sl2c")
+    tracemalloc.start()
+    try:
+        batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, 1, 1000, 20)
+        sampled_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        del batch
+        assert run(["orbit-sample", "--algebra", "sl2c", "--kind", "deformed",
+                    "--r", "1,2,10,100,inf", "--n-base", "1000", "--n-fiber", "20",
+                    "--seed", "1", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pushed = 1000 * 20 * cd.alg.dim * 8
+    assert len(list(tmp_path.iterdir())) == 5
+    assert peak < sampled_peak + pushed + 1_000_000, (peak, sampled_peak, pushed)
 
 
 def test_lagrangian_section(tmp_path, capsys):
@@ -424,9 +444,11 @@ def test_non_finite_or_overflowing_chamber_is_usage_error(tmp_path, capsys, comm
 
 
 @pytest.mark.parametrize("command", [["orbit-sample", "--kind", "deformed", "--r", "1e-320"],
-                                     ["deform-sweep", "--r", "1e-320,1,inf"]])
+                                     ["deform-sweep", "--r", "1e-320,1,inf"],
+                                     ["orbit-sample", "--kind", "deformed", "--r", "2,1e-320"]])
 def test_r_too_small_to_invert_is_usage_error(tmp_path, capsys, command):
-    # 1/r overflows, so T_r^-1 has no finite value: refused before any file is written
+    # 1/r overflows, so T_r^-1 has no finite value: refused before any file is
+    # written, also after an r that orbit-sample would push and write first
     assert run([*command, "--algebra", "sl2r", "--out", str(tmp_path)]) == 2
     assert "too small" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -638,7 +660,7 @@ def test_cli_does_not_import_scipy(tmp_path):
     # a fresh interpreter because this test process may have imported it
     code = f"""
 import sys
-from orbitdeform.cli import _coord_rows, _fmt, main
+from orbitdeform.cli import _csv, main
 out = {str(tmp_path)!r}
 assert main(["verify", "--algebra", "sl2c", "--out", out + "/report.json"]) == 0
 assert main(["orbit-sample", "--kind", "semidirect", "--algebra", "sl2c",

@@ -129,6 +129,14 @@ def test_skew_form_any_stack_matches_single():
             sp.make_skew_form(bad)
 
 
+def test_max_isotropic_rejects_other_shapes():
+    # only a (d, d) form or an (m, d, d) stack; make_skew_form's wider stacks are refused
+    deeper = sp.make_skew_form(np.random.default_rng(13).standard_normal((2, 3, 4, 4)))
+    for bad in (np.zeros(4), deeper, np.zeros((4, 5))):
+        with pytest.raises(DimensionError):
+            sp.max_isotropic(bad)
+
+
 def test_max_isotropic_dimensions():
     j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     std4 = np.block([[j2, np.zeros((2, 2))], [np.zeros((2, 2)), j2]])
