@@ -23,9 +23,9 @@ diagonal, S_ij and A_ij take (m_ij +- m_ji)/2, so(n) reads A_ij = m_ij,
 and sl(n,C) reads its real part, then its imaginary part.  So the
 structure constants (in {0, +-1, +-2}), the Killing matrix and the
 involution theta (diagonal +-1) are exact; the Killing matrix is the
-trace form c Re tr(e_i e_j).  bracket and ad contract with the structure
-tensor through one kernel: stacked row-times-matrix products against its
-(dim, dim^2) view, which give a stack the bits of the per-vector calls.
+trace form c Re tr(e_i e_j).  No structure tensor is stored: bracket is
+to_vector(XY - YX) and ad stacks to_vector(X e_j - e_j X) over the basis,
+n x n products that give a stack the bits of the per-vector calls.
 The compact group is sampled as n x n matrices g, never as (dim, dim)
 Ad(g) operators: LieAlgebraData.conjugate, to_vector(g X g^H), is the
 one place where Ad(g) acts.
@@ -35,6 +35,7 @@ fiber); the flag sampler returns its base points as a plain array.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -70,31 +71,30 @@ def _sl_real_basis(n: int) -> list[np.ndarray]:
     return [e[i, i] - e[i + 1, i + 1] for i in range(n - 1)] + s + _so_basis(n)
 
 
-def _sl_complex_basis(n: int) -> list[np.ndarray]:
-    real_part = _sl_real_basis(n)
-    return [m.astype(complex) for m in real_part] + [1j * m for m in real_part]
-
-
 def _so_basis(n: int) -> list[np.ndarray]:
     e = np.eye(n * n).reshape(n, n, n, n)
     return [e[i, j] - e[j, i] for i, j in itertools.combinations(range(n), 2)]
 
 
-def _sl_real_coords(m: np.ndarray) -> np.ndarray:
-    m = m.real
-    rows, cols = np.triu_indices(m.shape[-1], 1)
+_pairs = functools.cache(lambda n: np.triu_indices(n, 1))  # the (i, j), i < j, of n x n
+
+
+def _sl_coords(m: np.ndarray) -> np.ndarray:
+    """sl(n,R) coordinates of a (..., n, n) stack; of both parts at once if it is complex."""
+    rows, cols = _pairs(m.shape[-1])
     upper, lower = m[..., rows, cols], m[..., cols, rows]
-    diag = np.cumsum(np.diagonal(m, axis1=-2, axis2=-1)[..., :-1], axis=-1)
+    diag = m.diagonal(0, -2, -1)[..., :-1].cumsum(-1)
     return np.concatenate([diag, 0.5 * (upper + lower), 0.5 * (upper - lower)], axis=-1)
 
 
 def _sl_complex_coords(m: np.ndarray) -> np.ndarray:
-    return np.concatenate([_sl_real_coords(m.real), _sl_real_coords(m.imag)], axis=-1)
+    c = _sl_coords(m)
+    return np.concatenate([c.real, c.imag], axis=-1)
 
 
 def _so_coords(m: np.ndarray) -> np.ndarray:
-    rows, cols = np.triu_indices(m.shape[-1], 1)
-    return m.real[..., rows, cols]
+    rows, cols = _pairs(m.shape[-1])  # C-contiguous rows: a stack's dot products sum as one's
+    return np.ascontiguousarray(m.real[..., rows, cols])
 
 
 @dataclass(frozen=True)
@@ -105,13 +105,18 @@ class LieAlgebraData:
     n: int
     dim: int  # real dimension
     basis: np.ndarray  # (dim, n, n), complex dtype for complex families
-    structure: np.ndarray  # c[i,j,k]: [e_i, e_j] = sum_k c[i,j,k] e_k
     killing: np.ndarray  # (dim, dim), tr(ad e_i . ad e_j) = c Re tr(e_i e_j)
     j_op: np.ndarray | None  # (dim, dim) multiplication by i; None on a real basis
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
-        """The matrix of a coefficient vector, or of each in a (..., dim) stack: (..., n, n)."""
-        return np.tensordot(self._check_stack(v), self.basis, axes=(-1, 0))
+        """The matrix of a coefficient vector, or of each in a (..., dim) stack: (..., n, n).
+
+        One real product of the stack against the flattened basis, a complex
+        entry read as its two floats.
+        """
+        v = self._check_stack(v)
+        flat = v.reshape(-1, self.dim) @ self.basis.reshape(self.dim, -1).view(float)
+        return flat.view(self.basis.dtype).reshape(*v.shape[:-1], self.n, self.n)
 
     def to_vector(self, m: np.ndarray) -> np.ndarray:
         """Basis coefficients of a matrix, or of each in a (..., n, n) stack, read off its entries.
@@ -130,30 +135,25 @@ class LieAlgebraData:
         return self.to_vector(g @ self.to_matrix(x) @ np.conj(np.swapaxes(g, -1, -2)))
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """[x, y] on basis coefficients; (..., dim) stacks broadcast against each other.
+        """[x, y] = to_vector(XY - YX) on basis coefficients; (..., dim) stacks broadcast.
 
-        y's row times the ad rows of x, as stacked products: a stack gives
-        the bits of the per-vector calls.
+        einsum sums every entry of every product in index order, so a stack
+        gives the bits of the per-vector calls, and [k, k] lies in k and
+        [k, s] in s to the bit, which complex BLAS products miss at some n.
         """
-        x, y = self._check_stack(x), self._check_stack(y)
-        return (y[..., None, :] @ self._ad_rows(x))[..., 0, :]
+        xm, ym, product = self.to_matrix(x), self.to_matrix(y), "...ij,...jk->...ik"
+        return self.to_vector(np.einsum(product, xm, ym) - np.einsum(product, ym, xm))
 
     def ad(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad(x) on basis coefficients; a (..., dim) stack gives (..., dim, dim).
 
-        The transpose of the ad rows of x: column j holds [x, e_j].
+        Column j is to_vector(X e_j - e_j X), from X times the basis side by side and
+        the basis stacked times X, exact: e_j has one nonzero (+-1, +-i) per row and column.
         """
-        return np.swapaxes(self._ad_rows(self._check_stack(x)), -1, -2)
-
-    def _ad_rows(self, x: np.ndarray) -> np.ndarray:
-        """R(x)[..., j, k] = sum_i x_i c[i, j, k]: row j holds the coefficients of [x, e_j].
-
-        One stacked row-times-matrix product per vector against the
-        (dim, dim**2) view of the structure tensor, the only contraction
-        with it after build_algebra.
-        """
-        rows = (x[..., None, :] @ self.structure.reshape(self.dim, -1))[..., 0, :]
-        return rows.reshape(*x.shape[:-1], self.dim, self.dim)
+        xm, n, dim = self.to_matrix(x), self.n, self.dim
+        x_e = (xm @ self.basis.transpose(1, 0, 2).reshape(n, dim * n)).reshape(*xm.shape[:-1], dim, n)
+        e_x = (self.basis.reshape(dim * n, n) @ xm).reshape(*xm.shape[:-2], dim, n, n)
+        return np.swapaxes(self.to_vector(np.swapaxes(x_e, -3, -2) - e_x), -1, -2)
 
     def killing_form(self, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
         """<x, y> on basis coefficients; (..., dim) stacks broadcast and give (...) values."""
@@ -244,8 +244,9 @@ class OrbitBatch:
 # a real one followed by i times it.  c is 2n on sl(n,R), 4n on sl(n,C) as a real
 # algebra (twice the real part of its complex form 2n tr(XY)) and n - 2 on so(n)
 _FAMILIES = {
-    "sl_real": (_sl_real_basis, _sl_real_coords, lambda n: 2 * n),
-    "sl_complex": (_sl_complex_basis, _sl_complex_coords, lambda n: 4 * n),
+    "sl_real": (_sl_real_basis, lambda m: _sl_coords(m.real), lambda n: 2 * n),
+    "sl_complex": (lambda n: _sl_real_basis(n) + [1j * m for m in _sl_real_basis(n)],
+                   _sl_complex_coords, lambda n: 4 * n),
     "so": (_so_basis, _so_coords, lambda n: n - 2),
 }
 
@@ -266,22 +267,18 @@ def parse_descriptor(name: str) -> tuple[str, int]:
 
 
 def build_algebra(family: str, n: int) -> LieAlgebraData:
-    """Construct the algebra with structure tensor and Killing matrix.
+    """Construct the algebra: its n x n basis, Killing matrix and J, in O(dim^2 n^2).
 
-    The structure tensor comes from the matrix commutators of all pairs
-    of basis elements, read back by entries; the Killing matrix from the
-    trace form c Re tr(e_i e_j) on that basis.  Both are exact integers.
+    The Killing matrix is the trace form c Re tr(e_i e_j), exact integers.
     J is built exactly when the basis has a nonzero imaginary part.
     """
     if family not in _FAMILIES:
         raise ConfigurationError(f"unsupported family {family!r}")
     if n < 2:
         raise ConfigurationError("rank must satisfy n >= 2")
-    make_basis, coordinates, c = _FAMILIES[family]
+    make_basis, _, c = _FAMILIES[family]
     basis = np.stack(make_basis(n)).astype(complex)
     dim = len(basis)
-    products = basis[:, None] @ basis[None]
-    structure = coordinates(products - np.swapaxes(products, 0, 1))
     # tr(e_i e_j) = sum_ab (e_i)_ab (e_j)_ba, one product of the flattened bases
     killing = c(n) * (basis.reshape(dim, -1) @ np.swapaxes(basis, 1, 2).reshape(dim, -1).T).real
 
@@ -292,16 +289,10 @@ def build_algebra(family: str, n: int) -> LieAlgebraData:
         family=family,
         n=n,
         dim=dim,
-        basis=basis if j_op is not None else basis.real,
-        structure=structure,
+        basis=basis if j_op is not None else np.ascontiguousarray(basis.real),
         killing=killing,
         j_op=j_op,
     )
-
-
-def _theta_matrix(alg: LieAlgebraData) -> np.ndarray:
-    """Coefficient matrix of theta(X) = -X^T (real) or tau(X) = -conj(X)^T."""
-    return alg.to_vector(-np.conj(np.swapaxes(alg.basis, -1, -2))).T
 
 
 def _b_orthonormalize(basis: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -331,7 +322,7 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     vectors positive.  ad(a) is exact, so
     fixed cutoffs serve: eigenvalues within 1e-9 are one root, |alpha| <= 1e-8 is zero.
     """
-    theta = _theta_matrix(alg)
+    theta = alg.to_vector(-np.conj(np.swapaxes(alg.basis, -1, -2))).T  # column j: theta(e_j)
     signs = np.diag(theta)
     if not (np.array_equal(theta, np.diag(signs)) and (np.abs(signs) == 1.0).all()):
         raise StructureError("theta is not diagonal with entries +-1 on the basis")

@@ -43,11 +43,13 @@ from .numerics import DimensionError, apply, orthonormal_range
 
 
 def semidirect_bracket(cd: CartanData, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[X + v, Y + w] = [X, Y] + [X, w] - [Y, v] for X, Y in k and v, w in s.
+    """[X + v, Y + w] = [X, Y] + ([X, w] - [Y, v]) for X, Y in k and v, w in s.
 
-    x and y are ambient vectors or (..., dim) stacks, which broadcast.
+    x and y are ambient vectors or (..., dim) stacks, which broadcast.  The
+    k-part and the s-part are formed apart, with the bits of the pair formulas.
     """
-    return cd.alg.bracket(cd.project_k(x), y) - cd.alg.bracket(cd.project_k(y), cd.project_s(x))
+    bracket, k, s = cd.alg.bracket, cd.project_k, cd.project_s
+    return bracket(k(x), k(y)) + (bracket(k(x), s(y)) - bracket(k(y), s(x)))
 
 
 def ad_rho_matrix(cd: CartanData, x: np.ndarray) -> np.ndarray:

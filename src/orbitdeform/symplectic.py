@@ -222,12 +222,18 @@ def lagrangian_section(
 
     x is what flag_orbit_sample returns.  A scalar t gives (n, dim); a
     (n_t,) array gives (n_t, n, dim), t axis first, with Y computed once.
+    Y is formed _SECTION_BLOCK points at a time, so temporaries do not grow with n.
     """
-    t = np.asarray(t, dtype=float)[..., None, None]
-    return x + t * (gradient_at(ctx, x, n_vec) @ ctx.cd.alg.j_op.T)
+    t = np.asarray(t, dtype=float)
+    out = np.empty((*t.shape, *x.shape))
+    for start in range(0, x.shape[0], _SECTION_BLOCK):
+        block = x[start:start + _SECTION_BLOCK]
+        i_y = gradient_at(ctx, block, n_vec) @ ctx.cd.alg.j_op.T
+        out[..., start:start + _SECTION_BLOCK, :] = block + t[..., None, None] * i_y
+    return out
 
 
-_SECTION_BLOCK = 256  # base points whose section tangents are formed in one stacked call
+_SECTION_BLOCK = 256  # base points whose section points or tangents are formed in one stacked call
 
 
 def _section_tangents(

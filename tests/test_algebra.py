@@ -287,6 +287,12 @@ def test_killing_form_stack_matches_single(descriptor):
         alg.killing_form(x[..., :-1], y[..., :-1])
 
 
+def structure_tensor(alg):
+    """c[i, j, k]: [e_i, e_j] = sum_k c[i, j, k] e_k, read off the basis commutators."""
+    products = alg.basis[:, None] @ alg.basis[None]
+    return alg.to_vector(products - np.swapaxes(products, 0, 1))
+
+
 def _moveaxis_stack(rng, n, k, dim):
     # k stacks of n vectors as a non-contiguous view, as checks._draw draws them
     return np.moveaxis(rng.standard_normal((n, k, dim)), 1, 0)
@@ -294,7 +300,7 @@ def _moveaxis_stack(rng, n, k, dim):
 
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
 def test_structure_kernel_stack_matches_single(descriptor):
-    # bracket and ad contract with the structure tensor as stacked row products,
+    # bracket and ad form one n x n commutator per pair (per basis element for ad),
     # so every stacked and broadcast call gives the bits of the per-vector calls
     alg = al.build_algebra(*al.parse_descriptor(descriptor))
     rng = np.random.default_rng(5)
@@ -323,12 +329,13 @@ def test_structure_kernel_stack_matches_single(descriptor):
 
 @pytest.mark.parametrize("family,n", [*sorted(al.DESCRIPTORS.values()), ("sl_complex", 6)])
 def test_structure_kernel_matches_einsum_reference(family, n):
-    # the three-operand einsums the kernel replaced, kept as the reference;
-    # the BLAS products sum in another order, so agreement is to roundoff
+    # the three-operand einsums with the structure tensor, kept as the reference;
+    # the commutators sum in another order, so agreement is to roundoff
     alg = al.build_algebra(family, n)
+    c = structure_tensor(alg)
     x, y = np.random.default_rng(9).standard_normal((2, 20, alg.dim))
-    ref_bracket = np.einsum("...i,...j,ijk->...k", x, y, alg.structure)
-    ref_ad = np.einsum("...i,ijk->...kj", x, alg.structure)
+    ref_bracket = np.einsum("...i,...j,ijk->...k", x, y, c)
+    ref_ad = np.einsum("...i,ijk->...kj", x, c)
     nx, ny = np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)
     assert np.all(np.abs(alg.bracket(x, y) - ref_bracket).max(axis=-1) <= 1e-13 * nx * ny)
     assert np.all(np.abs(alg.ad(x) - ref_ad).max(axis=(-2, -1)) <= 1e-13 * nx)
@@ -347,20 +354,23 @@ def test_structure_data_exact(family, n):
     # coordinates are read off matrix entries, so the structure data are exact integers
     cd = _exact_cartan(family, n)
     alg = cd.alg
+    c = structure_tensor(alg)
     values = {0.0, 1.0, -1.0} if family == "so" else {0.0, 1.0, -1.0, 2.0, -2.0}
-    assert set(np.unique(alg.structure)) <= values
-    assert np.array_equal(alg.structure, -np.swapaxes(alg.structure, 0, 1))
-    # the per-pair commutator loop the stacked product replaced, as the reference
+    assert set(np.unique(c)) <= values
+    assert np.array_equal(c, -np.swapaxes(c, 0, 1))
+    # the per-pair commutator loop of the basis matrices, as the reference
     for i, j in itertools.combinations(range(alg.dim), 2):
         mi, mj = alg.basis[i], alg.basis[j]
-        assert np.array_equal(alg.structure[i, j], alg.to_vector(mi @ mj - mj @ mi))
+        assert np.array_equal(c[i, j], alg.to_vector(mi @ mj - mj @ mi))
     signs = np.diag(cd.theta)
     assert np.array_equal(cd.theta, np.diag(signs))
     assert set(signs) <= {1.0, -1.0}
     assert np.array_equal(cd.theta @ cd.theta, np.eye(alg.dim))
     assert np.array_equal(alg.killing, alg.killing.T)
+    # ad on a basis vector is exact: its columns are the structure constants
+    ads = np.swapaxes(c, 1, 2)
+    assert np.array_equal(alg.ad(np.eye(alg.dim)), ads)
     # the trace form c Re tr(e_i e_j) against tr(ad e_i ad e_j) from the structure tensor
-    ads = np.swapaxes(alg.structure, 1, 2)
     assert np.array_equal(alg.killing, np.einsum("iab,jba->ij", ads, ads))
     assert np.array_equal(cd.b_theta, cd.b_theta.T)
     assert np.array_equal(cd.k_basis @ cd.k_basis.T + cd.s_basis @ cd.s_basis.T,
@@ -525,6 +535,19 @@ def test_k_operators_memory_does_not_grow_with_count():
         tracemalloc.stop()
     assert g.nbytes < 3 * 2**20
     assert peak < 12 * 2**20, peak
+
+
+def test_build_memory_at_rank():
+    # bracket and ad form n x n commutators, so the build stores no (dim, dim, dim)
+    # structure tensor: sl(10,C) (dim 198) peaked at 238 MiB with one
+    tracemalloc.start()
+    try:
+        alg = al.build_algebra("sl_complex", 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == 198
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("family,n", EXACT_CASES)

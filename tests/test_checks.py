@@ -230,6 +230,20 @@ def test_stacked_checks_match_loops(descriptor, seed):
         _assert_bits(_residuals(checks.symplectic_suite(cd, seed)), _symplectic_loops(cd, seed))
 
 
+@pytest.mark.parametrize("family,n", [("sl_complex", 6), ("sl_real", 5)])
+def test_suites_pass_at_rank(family, n):
+    # the algebra, deformation, semidirect and symplectic suites above rank 3;
+    # sl(5,R) has no J, so its symplectic suite is empty
+    cd = al.cartan_structure(al.build_algebra(family, n))
+    results = [r for suite in (checks.algebra_suite, checks.deformation_suite,
+                               checks.semidirect_suite, checks.symplectic_suite)
+               for r in suite(cd, seed=1)]
+    failed = [(r.name, r.residual, r.threshold) for r in results if not r.passed]
+    assert results and not failed
+    assert any(r.name == "jacobi_semidirect" for r in results)
+    assert any(r.name == "fiber_isotropic" for r in results) == (cd.alg.j_op is not None)
+
+
 @pytest.mark.parametrize("descriptor", ["so3", "so4"])
 def test_suites_decide_their_algebras(descriptor):
     # each suite says itself that it does not apply: no roots, no J

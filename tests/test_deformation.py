@@ -8,6 +8,7 @@ from orbitdeform import algebra as al
 from orbitdeform import deformation as df
 from orbitdeform import semidirect as sd
 from orbitdeform.numerics import matrix_exp, simultaneous_eigenspaces
+from test_algebra import structure_tensor
 
 H, S, A = np.eye(3)
 
@@ -323,10 +324,11 @@ def test_bracket_r_matches_deformed_structure_tensor(descriptor):
     # reference: the structure tensor of [X,Y]_r, c_r = T_r^{-1} x T_r^{-1} x c x T_r
     alg = al.build_algebra(*al.parse_descriptor(descriptor))
     cd = al.cartan_structure(alg)
+    c = structure_tensor(alg)
     basis = np.eye(alg.dim)
     for r in df.R_GRID:
         ctx = df.make_context(cd, r)
-        ref = np.einsum("ia,jb,abc,kc->ijk", ctx.t_r_inv, ctx.t_r_inv, alg.structure, ctx.t_r,
+        ref = np.einsum("ia,jb,abc,kc->ijk", ctx.t_r_inv, ctx.t_r_inv, c, ctx.t_r,
                         optimize=True)
         got = np.stack([[df.bracket_r(ctx, basis[i], basis[j]) for j in range(alg.dim)]
                         for i in range(alg.dim)])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -281,6 +282,34 @@ def test_section_t_array_matches_scalar_calls(fixture, request):
         assert np.array_equal(p_t, sp.lagrangian_section(hc, h, flag, t))
         single = sp.section_omega_residual(hc, h, flag, t)
         assert isinstance(single, float) and r_t == single
+
+
+@pytest.mark.parametrize("count", [255, 256, 257, 600])
+def test_section_blocks_match_one_call(sl3c, count):
+    # blocks of _SECTION_BLOCK points give the bits of one call over every point,
+    # x + t J Y(x) with the gradient of the whole stack at once, as the reference
+    cd, hc = sl3c
+    h = cd.chamber_H
+    flag = al.flag_orbit_sample(cd, h, seed=1, count=count)
+    t = np.array([0.0, 0.5, 1.0, 2.0])
+    ref = flag + t[:, None, None] * (sp.gradient_at(hc, flag, h) @ cd.alg.j_op.T)
+    assert np.array_equal(sp.lagrangian_section(hc, h, flag, t), ref)
+
+
+def test_section_memory_does_not_grow_with_points(sl2c):
+    # the section is formed block by block into its result: the traced peak stays
+    # under twice the result (a one-call section peaks at three times it here)
+    cd, hc = sl2c
+    h = cd.chamber_H
+    flag = al.flag_orbit_sample(cd, h, seed=1, count=10_000)
+    t = np.array([0.0, 0.5, 1.0, 2.0])
+    tracemalloc.start()
+    try:
+        points = sp.lagrangian_section(hc, h, flag, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * points.nbytes
 
 
 @pytest.mark.parametrize("seed", [1, 4242])
