@@ -14,6 +14,7 @@ Exit codes: 0 all checks pass / output written, 1 check failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -38,6 +39,9 @@ def _parse_r(text: str) -> float:
     r = float(text)
     if not r > 0:
         raise ValueError("r must be positive")
+    if math.isinf(r):
+        # only the words mean infinity, not a number that overflows to it
+        raise ValueError(f"r = {text.strip()} is out of range; only inf or infinity mean r = inf")
     return r
 
 
@@ -161,20 +165,10 @@ def _build(args) -> tuple[al.CartanData, np.ndarray]:
 
 
 def cmd_verify(args) -> int:
-    suites = {
-        "numerics": lambda cd: checks.numerics_suite(args.seed),
-        "algebra": lambda cd: checks.algebra_suite(cd, args.seed),
-        "deformation": lambda cd: checks.deformation_suite(cd, args.seed),
-        "semidirect": lambda cd: checks.semidirect_suite(cd, args.seed),
-        "symplectic": lambda cd: checks.symplectic_suite(cd, args.seed),
-    }
     # the tolerance only selects the forced-failure mode; it must still be valid
     tol = Tolerance(args.abs_eps, args.rel_eps)
     cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(args.algebra)))
-    results = []
-    for name, fn in suites.items():
-        if args.suite in ("all", name):
-            results += fn(cd)
+    results = checks.run(cd, args.seed, args.suite)
     if not results:
         # an empty report would pass while certifying nothing
         print(f"error: suite {args.suite} has no checks for algebra {args.algebra}",
@@ -182,9 +176,7 @@ def cmd_verify(args) -> int:
         return 2
     if tol == Tolerance(0.0, 0.0):
         # forced-failure mode: every nonzero residual counts as a failure
-        results = [
-            checks.CheckResult(r.name, r.paper_anchor, r.residual, 0.0) for r in results
-        ]
+        results = [dataclasses.replace(r, threshold=0.0) for r in results]
     report = {
         "algebra": args.algebra,
         "seed": args.seed,
@@ -314,8 +306,7 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--abs-eps", type=float, default=1e-9)
     p.add_argument("--rel-eps", type=float, default=1e-7)
-    p.add_argument("--suite", default="all",
-                   choices=["all", "numerics", "algebra", "deformation", "semidirect", "symplectic"])
+    p.add_argument("--suite", default="all", choices=["all", *checks.SUITES])
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(fn=cmd_verify)
 

@@ -3,9 +3,12 @@
 Each reference below is the loop a check ran before it drew its samples
 as one array.  It replays the suite's random stream in the old order, so
 its residual must equal the stacked residual bit for bit.  The call-count
-guard keeps such loops from coming back unnoticed.
+guard keeps such loops from coming back unnoticed.  The last tests pin
+the one reduction of residuals (a NaN fails its check) and the suite
+table that verify runs from.
 """
 
+import argparse
 import collections
 import functools
 import json
@@ -333,3 +336,67 @@ def test_section_residual_forms_one_tangent_basis_per_block(descriptor, monkeypa
     monkeypatch.setattr(sp, "_SECTION_BLOCK", 4)
     sp.section_omega_residual(hc, cd.chamber_H, x, np.array([0.0, 1.0]))
     assert counts["basis"] == 3
+
+
+def test_nan_residual_fails_its_check(monkeypatch):
+    # one NaN bracket at r = 2 is the residual of every check that reads it;
+    # Python's max(worst, nan) keeps worst, so a running maximum passed both
+    bracket_r = df.bracket_r
+
+    def nan_at_2(ctx, x, y):
+        out = bracket_r(ctx, x, y)
+        return np.full_like(out, np.nan) if ctx.r == 2.0 else out
+
+    monkeypatch.setattr(df, "bracket_r", nan_at_2)
+    for r in checks.deformation_suite(_cartan("sl2r"), seed=1):
+        hit = r.name in ("jacobi_r", "t_r_isomorphism")
+        assert (math.isnan(r.residual), r.passed) == (hit, not hit), r
+
+
+@pytest.mark.parametrize("residuals", [math.nan, np.array([0.0, math.nan, 1.0]),
+                                       [np.zeros(3), np.array([math.nan]), np.ones(2)],
+                                       [np.zeros((2, 0)), math.nan]])
+def test_check_reduction_keeps_nan(residuals):
+    result = checks._check("c", "anchor", residuals, 1.0)
+    assert math.isnan(result.residual) and not result.passed
+
+
+@pytest.mark.parametrize("residuals,worst", [(0.5, 0.5), (np.array([0.25, 2.0]), 2.0),
+                                             ([np.array([1.0, 3.0]), 0.5, np.zeros(0)], 3.0),
+                                             ([], 0.0), (np.zeros((3, 0)), 0.0)])
+def test_check_reduction_takes_the_maximum(residuals, worst):
+    # a scalar, an array, or one array per r; no residuals at all read 0
+    assert checks._check("c", "anchor", residuals, 1.0).residual == worst
+
+
+def test_verify_runs_the_suite_table(monkeypatch, tmp_path):
+    # --suite offers SUITES, and verify reads each suite as a checks attribute
+    # when it runs, so a wrapper set there (as perfbench/tracer.py sets) is called
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == ("all", *checks.SUITES)
+    calls = []
+    for name in checks.SUITES:
+        def fake(*args, name=name):
+            calls.append((name, args[-1]))
+            return [checks.CheckResult(name, "anchor", 0.0, 1.0)]
+        monkeypatch.setattr(checks, f"{name}_suite", fake)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--algebra", "so3", "--seed", "7", "--out", str(out)]) == 0
+    assert calls == [(name, 7) for name in checks.SUITES]
+    assert [c["name"] for c in json.loads(out.read_text())["checks"]] == list(checks.SUITES)
+    calls.clear()
+    assert cli.main(["verify", "--algebra", "so3", "--suite", "semidirect",
+                     "--out", str(out)]) == 0
+    assert calls == [("semidirect", 0)]
+
+
+@pytest.mark.parametrize("descriptor", ["sl2r", "sl3r", "sl2c", "sl3c"])
+def test_ad_r_of_chamber_element_is_conjugated_ad(descriptor):
+    # H lies in s, so T_r^-1 H = H: deformation_suite forms ad(H) once for every r
+    cd = _cartan(descriptor)
+    ad_h = cd.alg.ad(cd.chamber_H)
+    for r in df.R_GRID:
+        ctx = df.make_context(cd, r)
+        assert np.array_equal(df.ad_r(ctx, cd.chamber_H), ctx.t_r @ ad_h @ ctx.t_r_inv)

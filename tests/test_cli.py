@@ -454,6 +454,17 @@ def test_r_too_small_to_invert_is_usage_error(tmp_path, capsys, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [["orbit-sample", "--kind", "deformed", "--r", "1e400"],
+                                     ["orbit-sample", "--kind", "semidirect", "--r", "1e400"],
+                                     ["deform-sweep", "--r", "1,1e400"],
+                                     ["deform-sweep", "--r", "1,+inf"]])
+def test_r_overflowing_to_inf_is_usage_error(tmp_path, capsys, command):
+    # only inf or infinity mean r = inf; 1e400 was read as inf and written as sweep_*_rinf.csv
+    assert run([*command, "--algebra", "sl2r", "--out", str(tmp_path)]) == 2
+    assert "only inf or infinity" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_negative_seed_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["orbit-sample", "--algebra", "sl2r", "--seed", "-1", "--out", str(tmp_path)])
