@@ -21,9 +21,9 @@ For sl(2,R) this gives exactly the basis {H, S, A} with coordinates
 of an element of the algebra: H_i takes the cumulative sum of the
 diagonal, S_ij and A_ij take (m_ij +- m_ji)/2, so(n) reads A_ij = m_ij,
 and sl(n,C) reads its real part, then its imaginary part.  So the
-structure constants (in {0, +-1, +-2}), the Killing matrix and the
-involution theta (diagonal +-1) are exact; the Killing matrix is the
-trace form c Re tr(e_i e_j).  No structure tensor is stored: bracket is
+structure constants (in {0, +-1, +-2}), the Killing matrix (the trace
+form c Re tr(e_i e_j)) and theta, kept as its +-1 diagonal CartanData.signs
+that scales and selects, are exact.  No structure tensor is stored: bracket is
 to_vector(XY - YX) and ad stacks to_vector(X e_j - e_j X) over the basis,
 n x n products that give a stack the bits of the per-vector calls.
 The compact group is sampled as n x n matrices g, never as (dim, dim)
@@ -45,7 +45,6 @@ from .numerics import (
     DimensionError,
     StructureError,
     TOL,
-    apply,
     bilinear,
     matrix_exp,
     nullspace,
@@ -176,10 +175,10 @@ class RootDatum:
 @dataclass(frozen=True)
 class CartanData:
     alg: LieAlgebraData
-    theta: np.ndarray  # (dim, dim) involution on coefficients
-    k_basis: np.ndarray  # +1 eigenspace columns
-    s_basis: np.ndarray  # -1 eigenspace columns
-    b_theta: np.ndarray  # B_theta(X,Y) = -<X, theta Y>
+    signs: np.ndarray  # (dim,) diagonal of the involution theta: +1 on k, -1 on s
+    k_basis: np.ndarray  # +1 eigenspace columns, identity columns
+    s_basis: np.ndarray  # -1 eigenspace columns, identity columns
+    b_theta: np.ndarray  # B_theta(X,Y) = -<X, theta Y>, the Killing columns scaled by -signs
     a_basis: np.ndarray  # columns spanning the maximal abelian a in s
     roots: tuple[RootDatum, ...]
     positive_set: tuple[int, ...]
@@ -209,12 +208,12 @@ class CartanData:
         return vals
 
     def project_k(self, v: np.ndarray) -> np.ndarray:
-        """The k-part of a vector or of each vector of a (..., dim) stack."""
-        return 0.5 * (v + apply(self.theta, v))
+        """The k-part of a vector or of each of a (..., dim) stack: its k coordinates kept."""
+        return np.where(self.signs > 0, v, 0.0)
 
     def project_s(self, v: np.ndarray) -> np.ndarray:
-        """The s-part of a vector or of each vector of a (..., dim) stack."""
-        return 0.5 * (v - apply(self.theta, v))
+        """The s-part of a vector or of each of a (..., dim) stack: its s coordinates kept."""
+        return np.where(self.signs < 0, v, 0.0)
 
 
 @dataclass(frozen=True)
@@ -328,7 +327,7 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
         raise StructureError("theta is not diagonal with entries +-1 on the basis")
     eye = np.eye(alg.dim)
     k_basis, s_basis = eye[:, signs == 1.0], eye[:, signs == -1.0]
-    b_theta = -alg.killing @ theta
+    b_theta = -alg.killing * signs
 
     off_diagonal = alg.basis[:, ~np.eye(alg.n, dtype=bool)]
     a_basis = eye[:, ~(off_diagonal.any(axis=1) | alg.basis.imag.any(axis=(1, 2)))]
@@ -363,7 +362,7 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     paired = []
     for r, row in zip(roots, opposite):
         j = int(row.argmax())  # the first opposite, as a search in root order finds it
-        img = theta @ r.space_basis
+        img = signs[:, None] * r.space_basis
         resid = img - roots[j].space_basis @ (roots[j].space_basis.T @ b_theta @ img)
         if np.linalg.norm(resid) > 1e-9:
             raise StructureError("theta does not exchange opposite root spaces")
@@ -384,7 +383,7 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     chamber_H = chamber_element(a_basis, roots, simple, "regular")
     return CartanData(
         alg=alg,
-        theta=theta,
+        signs=signs,
         k_basis=k_basis,
         s_basis=s_basis,
         b_theta=b_theta,

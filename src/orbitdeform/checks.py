@@ -15,7 +15,8 @@ without a complex structure J.
 Every check hands its residuals to _check, the one reduction: a scalar,
 an array, or a list of them (one per r), reduced to their largest value
 as np.max reckons it.  A NaN residual is therefore the result and fails
-the check; no residuals at all read 0.
+the check; no residuals at all read 0.  A check that selects its samples
+by a mask passes the NaN entries of what it masks too, so they fail it.
 
 Each check is one stacked evaluation: it draws its samples as one array
 (rng.standard_normal((n, k, dim)) gives the values of n x k sequential
@@ -146,11 +147,11 @@ def algebra_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
                       resid / (_norms(x) * _norms(y) * _norms(z)), 1e-9))
 
     out.append(_check("k_s_orthogonality", "<k,s>=0",
-                      np.abs(cd.k_basis.T @ alg.killing @ cd.s_basis), 1e-10))
+                      np.abs(alg.killing[cd.signs > 0][:, cd.signs < 0]), 1e-10))
 
     exchange = []
     for r in cd.roots:
-        img = cd.theta @ r.space_basis
+        img = cd.signs[:, None] * r.space_basis
         other = cd.roots[r.theta_image_index].space_basis
         exchange.append(np.linalg.norm(img - other @ (other.T @ cd.b_theta @ img)))
     out.append(_check("theta_root_exchange", "theta(g_a)=g_{-a}", exchange, 1e-9))
@@ -179,7 +180,7 @@ def deformation_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     h = cd.chamber_H
     # h lies in s, so T_r^-1 h = h and ad_r(h) = T_r ad(h) T_r^-1: one ad(h) for every r
     ad_h = alg.ad(h)
-    adr_h = {r: ctx[r].t_r @ ad_h @ ctx[r].t_r_inv for r in df.R_GRID}
+    adr_h = {r: ctx[r].t_r[:, None] * ad_h * ctx[r].t_r_inv for r in df.R_GRID}
 
     jacobi = []
     for r in df.R_GRID:
@@ -195,8 +196,8 @@ def deformation_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     iso = []
     for r in df.R_GRID:
         x, y = _draw(rng, 10, 2, alg.dim)
-        lhs = apply(ctx[r].t_r, alg.bracket(x, y))
-        rhs = df.bracket_r(ctx[r], apply(ctx[r].t_r, x), apply(ctx[r].t_r, y))
+        lhs = ctx[r].t_r * alg.bracket(x, y)
+        rhs = df.bracket_r(ctx[r], ctx[r].t_r * x, ctx[r].t_r * y)
         iso.append(_norms(lhs - rhs) / np.maximum(1.0, _norms(lhs)))
     out.append(_check("t_r_isomorphism", "T_r[X,Y]=[T_rX,T_rY]_r", iso, 1e-12))
 
@@ -238,7 +239,7 @@ def deformation_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     n_plus, _, _ = al.h_subspaces(cd, h)
     spaces = []
     for r in df.R_GRID:
-        img_on = np.linalg.qr(ctx[r].psi_r @ n_plus)[0]
+        img_on = np.linalg.qr(ctx[r].psi_r[:, None] * n_plus)[0]
         # r-root spaces: eigenspaces of ad_r(H) with positive eigenvalue
         pos = [b for (v, b) in simultaneous_eigenspaces([adr_h[r]]) if v[0] > 1e-8]
         pos_basis = np.hstack(pos) if pos else np.zeros((alg.dim, 0))
@@ -280,14 +281,14 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     base = np.broadcast_to(batch.base_points[:, None], batch.points.shape).reshape(-1, alg.dim)
     s_part = cd.project_s(batch.points.reshape(-1, alg.dim))
     # every pair of samples, in row-major order: distinct bases must give distinct s-parts
-    far = _norms(base[:, None] - base[None]) > 1e-6
-    same_s = _norms(s_part[:, None] - s_part[None]) < 1e-9
+    d_base, d_s = _norms(base[:, None] - base[None]), _norms(s_part[:, None] - s_part[None])
+    clash = float(np.triu((d_base > 1e-6) & (d_s < 1e-9), 1).any())
     out.append(_check("fiber_disjointness", "fibers over distinct bases are disjoint",
-                      float(np.triu(far & same_s, 1).any()), 0.5))
+                      [clash, d_base[np.isnan(d_base)], d_s[np.isnan(d_s)]], 0.5))
 
     n_plus, _, _ = al.h_subspaces(cd, h)
     ctx_inf = df.make_context(cd, math.inf)
-    img = np.linalg.qr(ctx_inf.psi_r @ n_plus)[0]
+    img = np.linalg.qr(ctx_inf.psi_r[:, None] * n_plus)[0]
     fib = sd.coadjoint_fiber(cd, h)
     out.append(_check("fiber_is_psi_n_plus", "[H,s] = psi(n+_H)", _proj_residual(img, fib), 1e-9))
 
@@ -318,7 +319,7 @@ def symplectic_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
                       np.abs(np.swapaxes(ad_k, -1, -2) @ hc.omega @ ad_k - hc.omega), 1e-8))
 
     out.append(_check("u_isotropic", "Omega|u = 0",
-                      np.abs(cd.k_basis.T @ hc.omega @ cd.k_basis), 1e-12))
+                      np.abs(hc.omega[cd.signs > 0][:, cd.signs > 0]), 1e-12))
 
     h = cd.chamber_H
     ctx_inf = df.make_context(cd, math.inf)
@@ -362,11 +363,11 @@ def symplectic_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     # mu = 0 on the flag points; off it, at the first 20 samples of the orbit
     mom, restr = moment_and_omega(samples.base_points)
     out.append(_check("isotropy_criterion_zero", "mu=0 => compact orbit isotropic",
-                      restr[mom < 1e-10], 1e-8))
+                      [restr[mom < 1e-10], mom[np.isnan(mom)]], 1e-8))
     mom, restr = moment_and_omega(samples.points.reshape(-1, alg.dim)[:20])
     # the smallest restriction where mu != 0; none such fails the check
     restr = restr[mom > 1e-3]
     smallest = float(restr.min()) if restr.size else 0.0
     out.append(_check("isotropy_criterion_nonzero", "mu!=0 => compact orbit not isotropic",
-                      1e-8 / max(smallest, 1e-300), 1.0))
+                      [1e-8 / max(smallest, 1e-300), mom[np.isnan(mom)]], 1.0))
     return out

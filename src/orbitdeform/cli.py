@@ -3,9 +3,9 @@ and Lagrangian sections.  All outputs are deterministic given a seed;
 files are written atomically (temp + rename).  Every CSV comes from one
 writer, _csv: each float field is "%.17g" (r = inf prints as inf), each
 integer tag "%d", and the text is streamed in blocks of _BLOCK_ROWS rows.
-orbit-sample and deform-sweep push the r = 1 sample to one r at a time
-and write it before the next, so a command holds one pushed batch and
-one block of text at a time, not every r or the whole file.
+orbit-sample and deform-sweep share one loop, _push_and_write: every context
+first, then the r = 1 sample pushed to one r at a time and written before the
+next, so a command holds one pushed batch and one block of text at a time.
 
 Exit codes: 0 all checks pass / output written, 1 check failure,
 2 usage or configuration error.
@@ -164,6 +164,23 @@ def _build(args) -> tuple[al.CartanData, np.ndarray]:
     return cd, _resolve_h(cd, args.H)
 
 
+def _write_orbit(prefix: str, r: float, points: np.ndarray) -> str:
+    path = f"{prefix}_r{r:.17g}.csv"
+    _atomic_write(path, _csv("r,base_tag,fiber_tag", [r], points[None]))
+    return path
+
+
+def _push_and_write(args, cd: al.CartanData, h: np.ndarray, r_values: list[float], prefix: str):
+    """Sample the orbit once at r = 1 and write its psi~_r image at each r, <prefix>_r<r>.csv,
+    each context built before any file, so a bad r is refused first; returns the r = 1
+    batch and each r's (context, path)."""
+    contexts = [df.make_context(cd, r) for r in r_values]
+    base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
+                                    args.seed, args.n_base, args.n_fiber)
+    return base, [(ctx, _write_orbit(prefix, ctx.r, df.tilde_psi_r(ctx, base).points))
+                  for ctx in contexts]
+
+
 def cmd_verify(args) -> int:
     # the tolerance only selects the forced-failure mode; it must still be valid
     tol = Tolerance(args.abs_eps, args.rel_eps)
@@ -205,21 +222,12 @@ def cmd_orbit_sample(args) -> int:
     if args.kind == "adjoint" and r_values != [1.0]:
         print("adjoint sampling requires r=1", file=sys.stderr)
         return 2
+    prefix = os.path.join(args.out, f"orbit_{args.algebra}_{args.kind}")
     if args.kind == "semidirect":
         batch = sd.sample_semidirect_orbit(cd, h, args.seed, args.n_base, args.n_fiber)
-        pushed = lambda r: batch
+        written = [_write_orbit(prefix, math.inf, batch.points)]
     else:
-        # every context first, so a bad r is refused before any file is written
-        contexts = {r: df.make_context(cd, r) for r in r_values}
-        # one sampling at r = 1, pushed to each r by psi~_r as that r's file is written
-        base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
-                                        args.seed, args.n_base, args.n_fiber)
-        pushed = lambda r: df.tilde_psi_r(contexts[r], base)
-    written = []
-    for r in r_values:
-        path = os.path.join(args.out, f"orbit_{args.algebra}_{args.kind}_r{r:.17g}.csv")
-        _atomic_write(path, _csv("r,base_tag,fiber_tag", [r], pushed(r).points[None]))
-        written.append(path)
+        written = [path for _, path in _push_and_write(args, cd, h, r_values, prefix)[1]]
     print("\n".join(written))
     return 0
 
@@ -227,17 +235,12 @@ def cmd_orbit_sample(args) -> int:
 def cmd_deform_sweep(args) -> int:
     cd, h = _build(args)
     r_values = _parse_list(args.r, "r", ascending=True)
-    # one sampling at r = 1, pushed to each r by psi~_r and read by limit_deviation
-    base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
-                                    args.seed, args.n_base, args.n_fiber)
+    base, pushed = _push_and_write(args, cd, h, r_values,
+                                   os.path.join(args.out, f"sweep_{args.algebra}"))
     summary = []
-    for r in r_values:
-        ctx = df.make_context(cd, r)
-        path = os.path.join(args.out, f"sweep_{args.algebra}_r{r:.17g}.csv")
-        _atomic_write(path, _csv("r,base_tag,fiber_tag", [r],
-                                 df.tilde_psi_r(ctx, base).points[None]))
-        entry = {"r": "inf" if math.isinf(r) else r, "csv": os.path.basename(path)}
-        if math.isfinite(r):
+    for ctx, path in pushed:
+        entry = {"r": "inf" if math.isinf(ctx.r) else ctx.r, "csv": os.path.basename(path)}
+        if ctx.finite:
             entry["limit_deviation"] = df.limit_deviation(ctx, base)
         summary.append(entry)
     spath = os.path.join(args.out, f"sweep_{args.algebra}_summary.json")

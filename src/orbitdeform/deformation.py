@@ -40,9 +40,9 @@ R_GRID_FULL = R_GRID + (math.inf,)
 class DeformationContext:
     cd: CartanData
     r: float
-    t_r: np.ndarray | None  # None at r = infinity
-    t_r_inv: np.ndarray | None
-    psi_r: np.ndarray
+    t_r: np.ndarray | None  # (dim,) diagonal of T_r: r on k, 1 on s; None at r = infinity
+    t_r_inv: np.ndarray | None  # (dim,) 1 / t_r; None at r = infinity
+    psi_r: np.ndarray  # (dim,) diagonal of psi_r = I + q theta: 1 + q signs
 
     @property
     def finite(self) -> bool:
@@ -54,20 +54,17 @@ class DeformationContext:
 
 
 def make_context(cd: CartanData, r: float) -> DeformationContext:
-    """Build the deformation data for a parameter r > 0 or infinity; T_r^-1 needs a finite 1/r."""
+    """Deformation data for r > 0 or inf (1/r finite); T_r, T_r^-1, psi_r as (dim,) diagonals."""
     if not (r > 0):
         raise DomainError("deformation parameter must satisfy r > 0")
     if not math.isfinite(1.0 / float(r)):
         raise DomainError(f"deformation parameter r = {float(r)!r} is too small: 1/r overflows")
     q = 1.0 if math.isinf(r) else (r - 1.0) / (r + 1.0)
-    psi = np.eye(cd.alg.dim) + q * cd.theta
+    psi = 1.0 + q * cd.signs
     if math.isinf(r):
         return DeformationContext(cd=cd, r=r, t_r=None, t_r_inv=None, psi_r=psi)
-    # theta is diagonal +/-1 on the adapted basis, so T_r is diagonal too
-    diag = np.where(np.diag(cd.theta) == 1.0, r, 1.0)
-    t_r = np.diag(diag)
-    t_r_inv = np.diag(1.0 / diag)
-    return DeformationContext(cd=cd, r=r, t_r=t_r, t_r_inv=t_r_inv, psi_r=psi)
+    t_r = np.where(cd.signs > 0, r, 1.0)
+    return DeformationContext(cd=cd, r=r, t_r=t_r, t_r_inv=1.0 / t_r, psi_r=psi)
 
 
 def bracket_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -75,14 +72,14 @@ def bracket_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> np.ndarr
     ctx._require_finite("the deformed bracket")
     alg = ctx.cd.alg
     x, y = alg._check_stack(x), alg._check_stack(y)
-    return apply(ctx.t_r, alg.bracket(apply(ctx.t_r_inv, x), apply(ctx.t_r_inv, y)))
+    return ctx.t_r * alg.bracket(ctx.t_r_inv * x, ctx.t_r_inv * y)
 
 
 def ad_r(ctx: DeformationContext, x: np.ndarray) -> np.ndarray:
     """Coefficient matrix of ad_r(x) = T_r ad(T_r^{-1}x) T_r^{-1}; a (..., dim) stack
-    gives (..., dim, dim)."""
+    gives (..., dim, dim).  The diagonals scale the rows and the columns of ad."""
     ctx._require_finite("ad_r")
-    return ctx.t_r @ ctx.cd.alg.ad(apply(ctx.t_r_inv, x)) @ ctx.t_r_inv
+    return ctx.t_r[:, None] * ctx.cd.alg.ad(ctx.t_r_inv * ctx.cd.alg._check_stack(x)) * ctx.t_r_inv
 
 
 def killing_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
@@ -90,12 +87,12 @@ def killing_r(ctx: DeformationContext, x: np.ndarray, y: np.ndarray) -> float | 
     ctx._require_finite("the deformed Killing form")
     alg = ctx.cd.alg
     x, y = alg._check_stack(x), alg._check_stack(y)
-    return alg.killing_form(apply(ctx.t_r_inv, x), apply(ctx.t_r_inv, y))
+    return alg.killing_form(ctx.t_r_inv * x, ctx.t_r_inv * y)
 
 
 def psi_r_map(ctx: DeformationContext, z: np.ndarray) -> np.ndarray:
     """psi_r(z) for one vector or every vector of a (..., dim) stack."""
-    return apply(ctx.psi_r, ctx.cd.alg._check_stack(z))
+    return ctx.psi_r * ctx.cd.alg._check_stack(z)
 
 
 def ad_r_exp_orbit(ctx: DeformationContext, a: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
@@ -125,7 +122,7 @@ def sample_deformed_orbit(
     fibers = cd.alg.conjugate(k[:, None], apply(n_plus, coeffs))
     base = cd.alg.conjugate(k, h)
     return OrbitBatch(
-        points=base[:, None] + apply(ctx.psi_r, fibers), base_points=base, k=k,
+        points=base[:, None] + ctx.psi_r * fibers, base_points=base, k=k,
         fibers=fibers, kind="deformed", r=ctx.r,
     )
 
@@ -141,7 +138,7 @@ def tilde_psi_r(ctx: DeformationContext, batch: OrbitBatch) -> OrbitBatch:
     """Push a tagged orbit batch to the deformation parameter of ctx.
 
     The base points Ad(k).H and the stored fibers Ad(k).X are kept, and
-    the points become Ad(k).H + psi_r(Ad(k).X).
+    the points become Ad(k).H + psi_r(Ad(k).X), psi_r scaling each coordinate.
 
     The map is a diffeomorphism of the r = 1 orbit onto the deformed
     orbit, but not an Omega-symplectomorphism.  On the complex families
@@ -150,15 +147,15 @@ def tilde_psi_r(ctx: DeformationContext, batch: OrbitBatch) -> OrbitBatch:
     gives the law on mixed base/fiber tangent pairs.
     """
     _require_tags(batch)
-    points = batch.base_points[:, None] + apply(ctx.psi_r, batch.fibers)
+    points = batch.base_points[:, None] + ctx.psi_r * batch.fibers
     return replace(batch, points=points, r=ctx.r)
 
 
 def limit_deviation(ctx: DeformationContext, batch: OrbitBatch) -> float:
     """max_p ||tilde_psi_r(p) - tilde_psi_inf(p)|| over a tagged batch, in closed form.
 
-    The two images differ by (q - 1) theta(Ad(k).X), q = (r-1)/(r+1), and
-    theta is a +/-1 diagonal, so the maximum is (2/(r+1)) max ||Ad(k).X||.
+    The two images differ by (q - 1) theta(Ad(k).X), q = (r-1)/(r+1), and theta,
+    the +-1 diagonal cd.signs, keeps norms: the maximum is (2/(r+1)) max ||Ad(k).X||.
     """
     ctx._require_finite("the limit deviation")
     _require_tags(batch)

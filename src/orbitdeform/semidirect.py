@@ -55,31 +55,31 @@ def semidirect_bracket(cd: CartanData, x: np.ndarray, y: np.ndarray) -> np.ndarr
 def ad_rho_matrix(cd: CartanData, x: np.ndarray) -> np.ndarray:
     """The adjoint action of X + v on g's coordinates: Y + w -> [X, Y] + [X, w] - [Y, v].
 
-    A (..., dim) stack gives (..., dim, dim) matrices.
+    A (..., dim) stack gives (..., dim, dim) matrices; ad(v) keeps its k columns (project_k).
     """
-    return cd.alg.ad(cd.project_k(x)) + cd.alg.ad(cd.project_s(x)) @ (cd.k_basis @ cd.k_basis.T)
+    return cd.alg.ad(cd.project_k(x)) + cd.project_k(cd.alg.ad(cd.project_s(x)))
 
 
 def coad_star_matrix(cd: CartanData, x: np.ndarray) -> np.ndarray:
     """The coadjoint action of X + v on g's coordinates, dual to ad_rho_matrix under B_theta.
 
-    It is ad(X) - ad(v) on the s-part, so that m.T @ b_theta + b_theta @ c = 0
-    for m = ad_rho_matrix(cd, x) and c = coad_star_matrix(cd, x).
+    It is ad(X) - ad(v) on the s columns (project_s), so that m.T @ b_theta +
+    b_theta @ c = 0 for m = ad_rho_matrix(cd, x) and c = coad_star_matrix(cd, x).
     """
-    return cd.alg.ad(cd.project_k(x)) - cd.alg.ad(cd.project_s(x)) @ (cd.s_basis @ cd.s_basis.T)
+    return cd.alg.ad(cd.project_k(x)) - cd.project_s(cd.alg.ad(cd.project_s(x)))
 
 
 def coadjoint_fiber(cd: CartanData, w: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the fiber direction [w, s] inside k over w."""
-    return orthonormal_range(cd.alg.ad(w) @ cd.s_basis)
+    """Orthonormal columns spanning the fiber [w, s] inside k over w: the s columns of ad(w)."""
+    return orthonormal_range(cd.alg.ad(w)[..., cd.signs < 0])
 
 
 def tangent_columns(cd: CartanData, x: np.ndarray) -> np.ndarray:
-    """The columns [A, x] for A over k_basis, which span T_x(Ad(K).x).
+    """The columns [A, x] for A over k_basis, which span T_x(Ad(K).x): the k columns of -ad(x).
 
     A (..., dim) stack of points gives a (..., dim, dim k) stack.
     """
-    return -cd.alg.ad(x) @ cd.k_basis
+    return -cd.alg.ad(x)[..., cd.signs > 0]
 
 
 def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:

@@ -107,7 +107,7 @@ def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
     matrices).
     """
     cd = ctx.cd
-    m = -apply(cd.alg.j_op, cd.alg.bracket(apply(cd.theta, x), x))
+    m = -apply(cd.alg.j_op, cd.alg.bracket(cd.signs * x, x))
     if (np.linalg.norm(cd.project_s(m), axis=-1) > 1e-8 * (1 + np.linalg.norm(m, axis=-1))).any():
         raise DomainError("moment value escaped the compact form")
     return m
@@ -325,7 +325,7 @@ def pullback_check(
     dirs = np.swapaxes(cd.alg.conjugate(batch.k[:, None], fiber_dirs.T), -1, -2)
     x = np.concatenate([sd.tangent_columns(cd, batch.fibers),
                         np.broadcast_to(dirs[:, None], (*shape, n_dirs))], axis=-1)
-    v, v_r = h + x, h + psi @ x
+    v, v_r = h + x, h + psi[:, None] * x
     diff = np.swapaxes(v_r, -1, -2) @ ctx.omega @ v_r - np.swapaxes(v, -1, -2) @ ctx.omega @ v
     return float(np.abs(np.triu(diff, 1)).max())
 

@@ -158,7 +158,7 @@ def test_theta_exchanges_root_spaces():
         for r in cd.roots:
             other = cd.roots[r.theta_image_index]
             assert np.allclose(other.functional, -r.functional, atol=1e-9)
-            img = cd.theta @ r.space_basis
+            img = np.diag(cd.signs) @ r.space_basis
             resid = img - other.space_basis @ (other.space_basis.T @ cd.b_theta @ img)
             assert np.linalg.norm(resid) < 1e-9
 
@@ -362,10 +362,11 @@ def test_structure_data_exact(family, n):
     for i, j in itertools.combinations(range(alg.dim), 2):
         mi, mj = alg.basis[i], alg.basis[j]
         assert np.array_equal(c[i, j], alg.to_vector(mi @ mj - mj @ mi))
-    signs = np.diag(cd.theta)
-    assert np.array_equal(cd.theta, np.diag(signs))
+    signs = cd.signs
+    theta = alg.to_vector(-np.conj(np.swapaxes(alg.basis, -1, -2))).T  # column j: theta(e_j)
+    assert np.array_equal(theta, np.diag(signs))
     assert set(signs) <= {1.0, -1.0}
-    assert np.array_equal(cd.theta @ cd.theta, np.eye(alg.dim))
+    assert np.array_equal(np.diag(signs) @ np.diag(signs), np.eye(alg.dim))
     assert np.array_equal(alg.killing, alg.killing.T)
     # ad on a basis vector is exact: its columns are the structure constants
     ads = np.swapaxes(c, 1, 2)
@@ -456,7 +457,8 @@ def test_k_operators_preserve_killing_and_theta(descriptor):
     killing = alg.killing
     gram = np.swapaxes(ops, -1, -2) @ killing @ ops
     assert np.abs(gram - killing).max() <= 1e-13 * np.abs(killing).max()
-    assert np.abs(ops @ cd.theta - cd.theta @ ops).max() <= 1e-13 * np.abs(ops).max()
+    theta = np.diag(cd.signs)
+    assert np.abs(ops @ theta - theta @ ops).max() <= 1e-13 * np.abs(ops).max()
     # g is in K: g^H g = 1
     assert np.abs(np.conj(np.swapaxes(g, -1, -2)) @ g - np.eye(alg.n)).max() <= 1e-13
 

@@ -10,6 +10,7 @@ table that verify runs from.
 
 import argparse
 import collections
+import dataclasses
 import functools
 import json
 import math
@@ -36,6 +37,10 @@ def _cartan(descriptor):
 
 def _residuals(results):
     return {r.name: r.residual for r in results}
+
+
+def _by_name(results):
+    return {r.name: r for r in results}
 
 
 def _numerics_loops(seed):
@@ -93,8 +98,8 @@ def _deformation_loops(cd, seed):
         ctx = df.make_context(cd, r)
         for _ in range(10):
             x, y = rng.standard_normal(alg.dim), rng.standard_normal(alg.dim)
-            lhs = ctx.t_r @ alg.bracket(x, y)
-            rhs = df.bracket_r(ctx, ctx.t_r @ x, ctx.t_r @ y)
+            lhs = np.diag(ctx.t_r) @ alg.bracket(x, y)
+            rhs = df.bracket_r(ctx, np.diag(ctx.t_r) @ x, np.diag(ctx.t_r) @ y)
             worst = max(worst, float(np.linalg.norm(lhs - rhs)) / max(1.0, np.linalg.norm(lhs)))
     out["t_r_isomorphism"] = worst
     worst = 0.0
@@ -353,6 +358,35 @@ def test_nan_residual_fails_its_check(monkeypatch):
         assert (math.isnan(r.residual), r.passed) == (hit, not hit), r
 
 
+def test_nan_moment_fails_isotropy_criteria(monkeypatch):
+    # the checks read the points their masks mu < 1e-10 and mu > 1e-3 select; a NaN
+    # moment fails both comparisons, so a mask alone dropped the point and both passed
+    u_moment = sp.u_moment
+
+    def nan_at_first_point(hc, x):
+        m = u_moment(hc, x)
+        m[0] = np.nan
+        return m
+
+    monkeypatch.setattr(sp, "u_moment", nan_at_first_point)
+    results = _by_name(checks.symplectic_suite(_cartan("sl2c"), seed=1))
+    for name in ("isotropy_criterion_zero", "isotropy_criterion_nonzero"):
+        assert math.isnan(results[name].residual) and not results[name].passed, results[name]
+
+
+def test_nan_points_fail_fiber_disjointness(monkeypatch):
+    # NaN points give NaN s-part distances, which fail d_s < 1e-9 as they fail any test
+    sample = sd.sample_semidirect_orbit
+
+    def nan_points(*args):
+        batch = sample(*args)
+        return dataclasses.replace(batch, points=np.full_like(batch.points, np.nan))
+
+    monkeypatch.setattr(sd, "sample_semidirect_orbit", nan_points)
+    result = _by_name(checks.semidirect_suite(_cartan("sl2r"), seed=1))["fiber_disjointness"]
+    assert math.isnan(result.residual) and not result.passed
+
+
 @pytest.mark.parametrize("residuals", [math.nan, np.array([0.0, math.nan, 1.0]),
                                        [np.zeros(3), np.array([math.nan]), np.ones(2)],
                                        [np.zeros((2, 0)), math.nan]])
@@ -399,4 +433,5 @@ def test_ad_r_of_chamber_element_is_conjugated_ad(descriptor):
     ad_h = cd.alg.ad(cd.chamber_H)
     for r in df.R_GRID:
         ctx = df.make_context(cd, r)
-        assert np.array_equal(df.ad_r(ctx, cd.chamber_H), ctx.t_r @ ad_h @ ctx.t_r_inv)
+        assert np.array_equal(df.ad_r(ctx, cd.chamber_H),
+                              np.diag(ctx.t_r) @ ad_h @ np.diag(ctx.t_r_inv))

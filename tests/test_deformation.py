@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from orbitdeform import algebra as al
 from orbitdeform import deformation as df
 from orbitdeform import semidirect as sd
-from orbitdeform.numerics import matrix_exp, simultaneous_eigenspaces
+from orbitdeform.numerics import apply, matrix_exp, orthonormal_range, simultaneous_eigenspaces
 from test_algebra import structure_tensor
 
 H, S, A = np.eye(3)
@@ -96,8 +97,8 @@ def test_t_r_is_bracket_isomorphism():
             ctx = df.make_context(cd, r)
             for _ in range(5):
                 x, y = rng.standard_normal(alg.dim), rng.standard_normal(alg.dim)
-                lhs = ctx.t_r @ alg.bracket(x, y)
-                rhs = df.bracket_r(ctx, ctx.t_r @ x, ctx.t_r @ y)
+                lhs = np.diag(ctx.t_r) @ alg.bracket(x, y)
+                rhs = df.bracket_r(ctx, np.diag(ctx.t_r) @ x, np.diag(ctx.t_r) @ y)
                 assert np.linalg.norm(lhs - rhs) < 1e-12 * max(1.0, np.linalg.norm(lhs))
 
 
@@ -120,7 +121,7 @@ def test_jacobi_for_deformed_bracket():
 def test_psi_identity_at_r1(sl2r):
     _, cd = sl2r
     ctx = df.make_context(cd, 1.0)
-    assert np.allclose(ctx.psi_r, np.eye(3))
+    assert np.allclose(np.diag(ctx.psi_r), np.eye(3))
 
 
 def test_psi_r_on_e12(sl2r):
@@ -140,7 +141,7 @@ def test_psi_inf_sends_n_plus_into_k():
         cd = al.cartan_structure(al.build_algebra(family, n))
         ctx = df.make_context(cd, math.inf)
         n_plus, _, _ = al.h_subspaces(cd, cd.chamber_H)
-        img = ctx.psi_r @ n_plus
+        img = np.diag(ctx.psi_r) @ n_plus
         assert np.linalg.norm(cd.s_basis.T @ img) < 1e-12
 
 
@@ -164,7 +165,7 @@ def test_r_root_spaces_are_psi_images(sl2r):
     n_plus, _, _ = al.h_subspaces(cd, cd.chamber_H)
     for r in df.R_GRID:
         ctx = df.make_context(cd, r)
-        img = np.linalg.qr(ctx.psi_r @ n_plus)[0]
+        img = np.linalg.qr(np.diag(ctx.psi_r) @ n_plus)[0]
         blocks = simultaneous_eigenspaces([df.ad_r(ctx, cd.chamber_H)])
         pos = np.hstack([b for v, b in blocks if v[0] > 1e-8])
         assert np.linalg.norm(img - pos @ (pos.T @ img)) < 1e-9
@@ -328,7 +329,8 @@ def test_bracket_r_matches_deformed_structure_tensor(descriptor):
     basis = np.eye(alg.dim)
     for r in df.R_GRID:
         ctx = df.make_context(cd, r)
-        ref = np.einsum("ia,jb,abc,kc->ijk", ctx.t_r_inv, ctx.t_r_inv, c, ctx.t_r,
+        t_r_inv = np.diag(ctx.t_r_inv)
+        ref = np.einsum("ia,jb,abc,kc->ijk", t_r_inv, t_r_inv, c, np.diag(ctx.t_r),
                         optimize=True)
         got = np.stack([[df.bracket_r(ctx, basis[i], basis[j]) for j in range(alg.dim)]
                         for i in range(alg.dim)])
@@ -353,7 +355,7 @@ def _loop_deformed_orbit(ctx, h, seed, n_base, n_fiber):
         for f_tag, x_c in enumerate(draws):
             moved = cd.alg.conjugate(k, x_c)
             samples.append(dict(
-                point=base + ctx.psi_r @ moved, base_point=base, k=k,
+                point=base + np.diag(ctx.psi_r) @ moved, base_point=base, k=k,
                 fiber=moved, tags=(b_tag, f_tag),
             ))
     return samples
@@ -424,8 +426,8 @@ def _loop_limit_deviation(ctx, samples, draws):
     dev = 0.0
     for b, f in np.ndindex(samples.points.shape[:2]):
         moved = ctx.cd.alg.conjugate(samples.k[b], draws[f])
-        at_r = samples.base_points[b] + ctx.psi_r @ moved
-        at_inf = samples.base_points[b] + inf_ctx.psi_r @ moved
+        at_r = samples.base_points[b] + np.diag(ctx.psi_r) @ moved
+        at_inf = samples.base_points[b] + np.diag(inf_ctx.psi_r) @ moved
         dev = max(dev, float(np.linalg.norm(at_r - at_inf)))
     return dev
 
@@ -456,7 +458,8 @@ def test_ad_r_stack_matches_single(descriptor):
         stack = df.ad_r(ctx, x)
         for b, f in np.ndindex(3, 4):
             # reference: the single-vector form ad_r had before it took stacks
-            single = ctx.t_r @ cd.alg.ad(ctx.t_r_inv @ x[b, f]) @ ctx.t_r_inv
+            t_r, t_r_inv = np.diag(ctx.t_r), np.diag(ctx.t_r_inv)
+            single = t_r @ cd.alg.ad(t_r_inv @ x[b, f]) @ t_r_inv
             assert np.linalg.norm(stack[b, f] - single) <= 1e-14 * np.linalg.norm(single)
 
 
@@ -479,3 +482,46 @@ def test_deformed_maps_stack_matches_single(descriptor):
         assert np.array_equal(kr, [[df.killing_r(ctx, a, b) for a, b in zip(xs, ys)]
                                    for xs, ys in zip(x, y)])
         assert isinstance(df.killing_r(ctx, x[0, 0], y[0, 0]), float)
+
+
+@functools.lru_cache(maxsize=None)
+def _cartan(descriptor):
+    return al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
+
+
+@pytest.mark.parametrize("r", df.R_GRID_FULL)
+@pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
+def test_diagonal_route_matches_dense_matrices(descriptor, r):
+    # theta is a +-1 diagonal, so T_r, T_r^-1 and psi_r are stored as (dim,) diagonals
+    # and the k/s split selects coordinates; the dense (dim, dim) route they replace,
+    # theta read off the basis as cartan_structure reads it, is the reference
+    cd = _cartan(descriptor)
+    alg, dim = cd.alg, cd.alg.dim
+    theta = alg.to_vector(-np.conj(np.swapaxes(alg.basis, -1, -2))).T
+    eye = np.eye(dim)
+    k_cols, s_cols = eye[:, np.diag(theta) == 1.0], eye[:, np.diag(theta) == -1.0]
+    x, y, z = np.random.default_rng(30).standard_normal((3, 4, 2, dim))
+    ctx = df.make_context(cd, r)
+    assert cd.signs.shape == ctx.psi_r.shape == (dim,)
+    assert np.array_equal(cd.b_theta, -alg.killing @ theta)
+    q = 1.0 if math.isinf(r) else (r - 1.0) / (r + 1.0)
+    assert np.array_equal(df.psi_r_map(ctx, z), apply(eye + q * theta, z))
+    assert np.array_equal(cd.project_k(z), 0.5 * (z + apply(theta, z)))
+    assert np.array_equal(cd.project_s(z), 0.5 * (z - apply(theta, z)))
+    assert np.array_equal(sd.tangent_columns(cd, z), -alg.ad(z) @ k_cols)
+    assert np.array_equal(sd.coadjoint_fiber(cd, z), orthonormal_range(alg.ad(z) @ s_cols))
+    assert np.array_equal(sd.ad_rho_matrix(cd, z), alg.ad(cd.project_k(z))
+                          + alg.ad(cd.project_s(z)) @ (k_cols @ k_cols.T))
+    assert np.array_equal(sd.coad_star_matrix(cd, z), alg.ad(cd.project_k(z))
+                          - alg.ad(cd.project_s(z)) @ (s_cols @ s_cols.T))
+    if math.isinf(r):
+        assert ctx.t_r is None and ctx.t_r_inv is None
+        return
+    assert ctx.t_r.shape == ctx.t_r_inv.shape == (dim,)
+    t_r = np.diag(np.where(np.diag(theta) == 1.0, r, 1.0))
+    t_r_inv = np.diag(1.0 / np.diag(t_r))
+    assert np.array_equal(df.ad_r(ctx, x), t_r @ alg.ad(apply(t_r_inv, x)) @ t_r_inv)
+    assert np.array_equal(df.bracket_r(ctx, x, y),
+                          apply(t_r, alg.bracket(apply(t_r_inv, x), apply(t_r_inv, y))))
+    assert np.array_equal(df.killing_r(ctx, x, y),
+                          alg.killing_form(apply(t_r_inv, x), apply(t_r_inv, y)))

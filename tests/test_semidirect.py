@@ -123,7 +123,7 @@ def test_fiber_equals_psi_n_plus():
         cd = al.cartan_structure(al.build_algebra(family, n))
         h = cd.chamber_H
         n_plus, _, _ = al.h_subspaces(cd, h)
-        psi = np.eye(cd.alg.dim) + cd.theta
+        psi = np.eye(cd.alg.dim) + np.diag(cd.signs)
         img = np.linalg.qr(psi @ n_plus)[0]
         fib = sd.coadjoint_fiber(cd, h)
         assert np.linalg.norm(img - fib @ (fib.T @ img)) < 1e-9
