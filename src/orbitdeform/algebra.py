@@ -26,9 +26,13 @@ form c Re tr(e_i e_j)) and theta, kept as its +-1 diagonal CartanData.signs
 that scales and selects, are exact.  No structure tensor is stored: bracket is
 to_vector(XY - YX) and ad stacks to_vector(X e_j - e_j X) over the basis,
 n x n products that give a stack the bits of the per-vector calls.
-The compact group is sampled as n x n matrices g, never as (dim, dim)
-Ad(g) operators: LieAlgebraData.conjugate, to_vector(g X g^H), is the
-one place where Ad(g) acts.
+The compact group acts as n x n matrices g = exp(A), A in k, never as
+(dim, dim) Ad(g) operators or exponentials exp(ad A): the samplers, the
+compact flows of symplectic.py and the verify checks all conjugate, and
+LieAlgebraData.conjugate, to_vector(g X g^H), is the one place where Ad(g)
+acts.  The one dense exponential is exp(t ad_r A) in
+deformation.ad_r_exp_orbit, the deformed action that the ad_r_exponential
+check compares with conjugate.
 The bundle samplers return an OrbitBatch, one set of arrays over (base,
 fiber); the flag sampler returns its base points as a plain array.
 """

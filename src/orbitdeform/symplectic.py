@@ -104,12 +104,15 @@ def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
 
     x is one point or a (..., dim) stack.  Vanishes exactly on points
     whose compact orbit is isotropic (x commuting with tau x, i.e. normal
-    matrices).
+    matrices).  A moment that is not finite, or whose s-part exceeds
+    1e-8 (1 + |m|), raises DomainError.
     """
     cd = ctx.cd
     m = -apply(cd.alg.j_op, cd.alg.bracket(cd.signs * x, x))
-    if (np.linalg.norm(cd.project_s(m), axis=-1) > 1e-8 * (1 + np.linalg.norm(m, axis=-1))).any():
-        raise DomainError("moment value escaped the compact form")
+    # a NaN fails the comparison, so finiteness is tested on its own
+    if not np.isfinite(m).all() or (
+            np.linalg.norm(cd.project_s(m), axis=-1) > 1e-8 * (1 + np.linalg.norm(m, axis=-1))).any():
+        raise DomainError("moment value is not finite or escaped the compact form")
     return m
 
 
@@ -207,12 +210,13 @@ _FD_STEP = 1e-5  # the step h of every central difference (f(+h) - f(-h)) / 2h
 
 
 def _compact_flows(cd: CartanData) -> np.ndarray:
-    """exp(+-h ad A) for A over the compact basis, h = _FD_STEP: a (2, dim k, 1, dim, dim)
-    stack, the + flow first, that applies to (n, dim) points as a (2, dim k, n, dim) stack.
+    """The elements exp(+-h A) of K for A over the compact basis, h = _FD_STEP: a
+    (2, dim k, 1, n, n) stack, the + flow first.  conjugate applies it to (m, dim)
+    points as a (2, dim k, m, dim) stack: Ad(exp(hA)) = exp(h ad A).
 
     In the package only gradient_hamiltonian_residual differentiates along it."""
-    ads = cd.alg.ad(cd.k_basis.T)
-    return matrix_exp(np.stack([_FD_STEP * ads, -_FD_STEP * ads]))[:, :, None]
+    a = cd.alg.to_matrix(cd.k_basis.T)
+    return matrix_exp(np.stack([_FD_STEP * a, -_FD_STEP * a]))[:, :, None]
 
 
 def lagrangian_section(
@@ -263,7 +267,7 @@ def section_omega_residual(
     """max |Omega(v, w)| over pairs of an orthonormal basis of the tangent space of sigma_t.
 
     The section is over the (n, dim) flag points x.  The tangents are
-    exact, along the flag curves exp(s ad(A)) x for A ranging over the
+    exact, along the flag curves Ad(exp(sA)) x for A ranging over the
     compact basis (_section_tangents).  A scalar t gives a float, a
     (n_t,) array one value per t.  The maximum is taken block by block
     over the base points, so memory does not grow with their number.
@@ -282,10 +286,11 @@ def gradient_hamiltonian_residual(ctx: HermitianContext, n_vec: np.ndarray, x: n
     F is the height function lifted to the orbit; iY is its Hamiltonian
     field for Omega restricted to the symplectic orbit through the
     flag.  Under the fixed convention Omega(X,Y) = B_tau(iX,Y) the
-    pairing slot matters: Omega(w, iY) = B_tau(w, Y) = dF(w).
+    pairing slot matters: Omega(w, iY) = B_tau(w, Y) = dF(w).  The points are
+    moved along the compact flows by conjugate, with n x n group elements.
     """
     # (1, dim) rows: stacked vector-matrix products keep the per-point bits
-    xs = apply(_compact_flows(ctx.cd), x)[..., None, :]
+    xs = ctx.cd.alg.conjugate(_compact_flows(ctx.cd), x)[..., None, :]
     w = (xs[0] - xs[1]) / (2 * _FD_STEP)
     f = xs @ ctx.cd.b_theta @ np.asarray(n_vec, dtype=float)
     d_f = (f[0] - f[1]) / (2 * _FD_STEP)

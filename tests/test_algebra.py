@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from orbitdeform import algebra as al
+from orbitdeform import symplectic as sp
 from orbitdeform.numerics import DimensionError, StructureError, matrix_exp, nullspace
 
 # canonical sl(2,R) coordinates: (x, y, z) = x H + y S + z A
@@ -433,7 +434,8 @@ def _k_operators_by_ad(cd, seed, count):
 
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
 def test_k_operators_match_ad_exponentials(descriptor):
-    # Ad(g) through conjugate, on random vectors and on the identity columns
+    # Ad(g) through conjugate, on random vectors and on the identity columns, against
+    # the dense exp(ad A) route that every n x n group element replaced
     cd = _exact_cartan(*al.DESCRIPTORS[descriptor])
     alg = cd.alg
     for seed, count in ((1, 50), (4242, 200)):
@@ -445,6 +447,18 @@ def test_k_operators_match_ad_exponentials(descriptor):
         x = np.random.default_rng(seed).standard_normal((count, alg.dim))
         want = (ref @ x[..., None])[..., 0]
         assert np.abs(alg.conjugate(g, x) - want).max() <= 1e-13 * np.abs(want).max()
+        # one factor: the Ad(u) matrix of omega_invariance, its columns read through conjugate
+        a = np.random.default_rng(seed).standard_normal((10, cd.k_basis.shape[1])) @ cd.k_basis.T
+        ref = matrix_exp(alg.ad(a))
+        cols = np.swapaxes(alg.conjugate(matrix_exp(alg.to_matrix(a))[:, None], np.eye(alg.dim)), -1, -2)
+        assert np.abs(cols - ref).max() <= 1e-14 * np.abs(ref).max()
+    # the compact flows exp(+-h A) of the central differences against exp(+-h ad A)
+    flows = sp._compact_flows(cd)
+    assert flows.shape == (2, cd.k_basis.shape[1], 1, alg.n, alg.n)
+    ads = alg.ad(cd.k_basis.T)
+    ref = matrix_exp(np.stack([sp._FD_STEP * ads, -sp._FD_STEP * ads]))
+    cols = np.swapaxes(alg.conjugate(flows, np.eye(alg.dim)), -1, -2)
+    assert np.abs(cols - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))

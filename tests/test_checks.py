@@ -129,8 +129,9 @@ def _deformation_loops(cd, seed):
         for _ in range(5):
             a = cd.k_basis @ rng.standard_normal(dim_k)
             x = rng.standard_normal(alg.dim)
-            ad_k = matrix_exp(alg.ad(a))
-            worst = max(worst, float(np.linalg.norm(df.psi_r_map(ctx, ad_k @ x) - ad_k @ df.psi_r_map(ctx, x))))
+            g = matrix_exp(alg.to_matrix(a))
+            moved = df.psi_r_map(ctx, alg.conjugate(g, x)) - alg.conjugate(g, df.psi_r_map(ctx, x))
+            worst = max(worst, float(np.linalg.norm(moved)))
     out["psi_r_equivariance"] = worst
     return out
 
@@ -195,8 +196,8 @@ def _symplectic_loops(cd, seed):
     worst = 0.0
     for _ in range(10):
         a = cd.k_basis @ rng.standard_normal(cd.k_basis.shape[1])
-        ad_k = matrix_exp(cd.alg.ad(a))
-        worst = max(worst, float(np.max(np.abs(ad_k.T @ hc.omega @ ad_k - hc.omega))))
+        ad_u = cd.alg.conjugate(matrix_exp(cd.alg.to_matrix(a)), np.eye(cd.alg.dim)).T
+        worst = max(worst, float(np.max(np.abs(ad_u.T @ hc.omega @ ad_u - hc.omega))))
     out["omega_invariance"] = worst
     worst = 0.0
     for _ in range(200):
@@ -316,17 +317,39 @@ def test_verify_sl3c_call_counts(monkeypatch, tmp_path):
     for owner, name in ((al.LieAlgebraData, "bracket"), (df, "bracket_r"),
                         (sd, "semidirect_bracket")):
         monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    exp = numerics.matrix_exp
+    # every matrix_exp input shape, and whether ad_r_exp_orbit made the call
+    exp, ad_r_exp_orbit, calls, in_orbit = numerics.matrix_exp, df.ad_r_exp_orbit, [], []
+
+    def recording_exp(a):
+        calls.append((np.shape(a), bool(in_orbit)))
+        return exp(a)
+
+    def recording_orbit(*args):
+        in_orbit.append(True)
+        try:
+            return ad_r_exp_orbit(*args)
+        finally:
+            in_orbit.pop()
+
     for module in (numerics, al, df, sd, sp, checks):
         if getattr(module, "matrix_exp", None) is exp:
-            monkeypatch.setattr(module, "matrix_exp", counting("matrix_exp", exp))
+            monkeypatch.setattr(module, "matrix_exp", counting("matrix_exp", recording_exp))
+    monkeypatch.setattr(df, "ad_r_exp_orbit", recording_orbit)
     out = tmp_path / "report.json"
-    assert cli.main(["verify", "--algebra", "sl3c", "--seed", "1", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["all_pass"]
-    assert 0 < counts["bracket"] <= 100
-    assert 0 < counts["bracket_r"] <= 60
-    assert 0 < counts["semidirect_bracket"] <= 10
-    assert 0 < counts["matrix_exp"] <= 25
+    for descriptor in ("sl3c", "sl3r"):
+        counts.clear()
+        calls.clear()
+        assert cli.main(["verify", "--algebra", descriptor, "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["all_pass"]
+        assert 0 < counts["bracket"] <= 100
+        assert 0 < counts["bracket_r"] <= 60
+        assert 0 < counts["semidirect_bracket"] <= 10
+        assert 0 < counts["matrix_exp"] <= 25
+        # K acts as n x n elements through conjugate: the one (dim, dim) exponential is
+        # the deformed action exp(t ad_r A), the left side of ad_r_exponential, once per r
+        dim = _cartan(descriptor).alg.dim
+        dense = [orbit for shape, orbit in calls if shape[-2:] == (dim, dim)]
+        assert dense == [True] * 3 and sum(orbit for _, orbit in calls) == 3, (descriptor, calls)
 
 
 @pytest.mark.parametrize("descriptor", ["sl2c", "sl3c"])

@@ -324,13 +324,13 @@ def test_section_omega_residual_at_roundoff(fixture, seed, request):
 
 
 def _section_differences(hc, n_vec, x, t):
-    """Central differences of sigma_t along the compact flows exp(+-h ad A), h = _FD_STEP.
+    """Central differences of sigma_t along the compact flows Ad(exp(+-h A)), h = _FD_STEP.
 
     The reference for the exact section tangents: a scalar t or a (n_t,)
     array gives a (b, dim, dim k) or (n_t, b, dim, dim k) stack, columns
     ordered like the compact basis.
     """
-    xs = apply(sp._compact_flows(hc.cd), x)  # (2, dim k, b, dim)
+    xs = hc.cd.alg.conjugate(sp._compact_flows(hc.cd), x)  # (2, dim k, b, dim)
     t = np.asarray(t, dtype=float)[..., None, None, None, None]
     sig = xs + t * (sp.gradient_at(hc, xs, n_vec) @ hc.cd.alg.j_op.T)
     return np.moveaxis((sig[..., 0, :, :, :] - sig[..., 1, :, :, :]) / (2 * sp._FD_STEP), -3, -1)
@@ -716,6 +716,16 @@ def test_u_moment_rejects_a_stack_with_one_bad_point(sl2c):
     sp.u_moment(no_i, np.zeros((2, 6)))
     with pytest.raises(al.DomainError):
         sp.u_moment(no_i, np.stack([np.zeros(6), e12]))
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e200])
+def test_u_moment_rejects_a_non_finite_moment(sl2c, value):
+    # a NaN moment fails the s-part comparison, so the guard let it through; at 1e200
+    # the bracket overflows and inf - inf gives NaN (errstate: the overflow is the input's)
+    cd, hc = sl2c
+    x = np.stack([np.zeros(cd.alg.dim), np.full(cd.alg.dim, value)])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(al.DomainError):
+        sp.u_moment(hc, x)
 
 
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
