@@ -80,10 +80,10 @@ def _check(name: str, anchor: str, residuals, threshold: float) -> CheckResult:
     return CheckResult(name, anchor, float(np.max(residuals, initial=0.0)), threshold)
 
 
-def _proj_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """Mutual projection residual between two orthonormal column spans."""
-    ra = np.linalg.norm(a - b @ (b.T @ a)) if a.size else 0.0
-    rb = np.linalg.norm(b - a @ (a.T @ b)) if b.size else 0.0
+def _proj_residual(cd: al.CartanData, a: np.ndarray, b: np.ndarray) -> float:
+    """Mutual projection residual between two B_theta-orthonormal column spans (sd.span_basis)."""
+    ra = np.linalg.norm(a.T - sd.span_projection(cd, b, a.T))
+    rb = np.linalg.norm(b.T - sd.span_projection(cd, a, b.T))
     return float(max(ra, rb))
 
 
@@ -239,11 +239,11 @@ def deformation_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     n_plus, _, _ = al.h_subspaces(cd, h)
     spaces = []
     for r in df.R_GRID:
-        img_on = np.linalg.qr(ctx[r].psi_r[:, None] * n_plus)[0]
+        img_on = sd.span_basis(cd, ctx[r].psi_r[:, None] * n_plus)
         # r-root spaces: eigenspaces of ad_r(H) with positive eigenvalue
         pos = [b for (v, b) in simultaneous_eigenspaces([adr_h[r]]) if v[0] > 1e-8]
-        pos_basis = np.hstack(pos) if pos else np.zeros((alg.dim, 0))
-        spaces.append(_proj_residual(img_on, pos_basis))
+        pos_basis = sd.span_basis(cd, np.hstack(pos) if pos else np.zeros((alg.dim, 0)))
+        spaces.append(_proj_residual(cd, img_on, pos_basis))
     out.append(_check("r_root_spaces", "n+_{r,H} = psi_r(n+_H)", spaces, 1e-9))
     return out
 
@@ -288,14 +288,14 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
 
     n_plus, _, _ = al.h_subspaces(cd, h)
     ctx_inf = df.make_context(cd, math.inf)
-    img = np.linalg.qr(ctx_inf.psi_r[:, None] * n_plus)[0]
+    img = sd.span_basis(cd, ctx_inf.psi_r[:, None] * n_plus)
     fib = sd.coadjoint_fiber(cd, h)
-    out.append(_check("fiber_is_psi_n_plus", "[H,s] = psi(n+_H)", _proj_residual(img, fib), 1e-9))
+    out.append(_check("fiber_is_psi_n_plus", "[H,s] = psi(n+_H)",
+                      _proj_residual(cd, img, fib), 1e-9))
 
     dbatch = df.sample_deformed_orbit(ctx_inf, h, seed, 10, 3)
-    fib = sd.coadjoint_fiber(cd, batch.base_points)[:, None]
-    kq = cd.project_k(dbatch.points)[..., None]
-    off_fiber = (kq - fib @ (np.swapaxes(fib, -1, -2) @ kq))[..., 0]
+    kq = cd.project_k(dbatch.points)
+    off_fiber = kq - sd.span_projection(cd, sd.coadjoint_fiber(cd, batch.base_points)[:, None], kq)
     out.append(_check("semidirect_matches_r_inf", "K_ad.H = Ad_inf(G).H",
                       [_norms(batch.base_points - dbatch.base_points), _norms(off_fiber)], 1e-8))
 
@@ -319,6 +319,9 @@ def symplectic_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     ad_u = np.swapaxes(alg.conjugate(u[:, None], np.eye(alg.dim)), -1, -2)
     out.append(_check("omega_invariance", "Omega(Ad(u)X, Ad(u)Y)=Omega(X,Y)",
                       np.abs(np.swapaxes(ad_u, -1, -2) @ hc.omega @ ad_u - hc.omega), 1e-8))
+    # the metric of every orbit basis is K-invariant, so Ad(u) carries bases to bases
+    out.append(_check("b_theta_invariance", "B_theta(Ad(u)X, Ad(u)Y)=B_theta(X,Y)",
+                      np.abs(np.swapaxes(ad_u, -1, -2) @ cd.b_theta @ ad_u - cd.b_theta), 1e-8))
 
     out.append(_check("u_isotropic", "Omega|u = 0",
                       np.abs(hc.omega[cd.signs > 0][:, cd.signs > 0]), 1e-12))

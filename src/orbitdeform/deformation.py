@@ -96,11 +96,16 @@ def psi_r_map(ctx: DeformationContext, z: np.ndarray) -> np.ndarray:
 
 
 def ad_r_exp_orbit(ctx: DeformationContext, a: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
-    """exp(t ad_r(A)).Y for A in k; equals exp((t/r) ad(A)).Y."""
+    """exp(t ad_r(A)).Y for A in k; equals exp((t/r) ad(A)).Y.
+
+    An A that is not finite, or not in k, raises DomainError.
+    """
     ctx._require_finite("ad_r exponentials")
     a = np.asarray(a, dtype=float)
-    if np.linalg.norm(ctx.cd.project_s(a)) > TOL.scale(a) * 10 + TOL.abs_eps:
-        raise DomainError("exponential direction must lie in the compact part k")
+    # a NaN fails the comparison, so finiteness is tested on its own
+    if not np.isfinite(a).all() or (
+            np.linalg.norm(ctx.cd.project_s(a)) > TOL.scale(a) * 10 + TOL.abs_eps):
+        raise DomainError("exponential direction must be finite and lie in the compact part k")
     return matrix_exp(t * ad_r(ctx, a)) @ np.asarray(y, dtype=float)
 
 

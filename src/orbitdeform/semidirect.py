@@ -18,12 +18,17 @@ orbit and the fiber part in the dual of the tangent space at w.  The
 map phi sends a fiber point to the covector it induces via B_theta; the
 moment application m inverts it.  Each compact-orbit object is formed
 here, once: tangent_columns ([A, x] for A in k), orbit_tangent_at (a
-B_theta-orthonormal basis t of their span), tangent_projection (the
-B_theta-orthogonal projection t t^T B_theta v onto that span, which phi
-and the height-function gradients of symplectic.py read) and
-coadjoint_fiber ([w, s]).  The sampler's points are w + [w, v] with the
-raw fiber coordinate v, which its OrbitBatch stores; phi projects v
-where it is read, and m works on the stacks.
+basis t of their span), tangent_projection (the projection onto that
+span, which phi and the height-function gradients of symplectic.py
+read) and coadjoint_fiber ([w, s]).  The sampler's points are w + [w, v]
+with the raw fiber coordinate v, which its OrbitBatch stores; phi
+projects v where it is read, and m works on the stacks.
+
+B_theta is the one metric of orbit bases: span_basis forms every
+tangent and fiber basis of the package, B_theta-orthonormal, and
+span_projection, t t^T B_theta v, is the one projection onto such a
+span.  B_theta is Ad(K)-invariant, as the Euclidean coefficient metric
+is not on sl(n), n >= 3, so Ad(k) maps a basis at y to one at Ad(k) y.
 """
 
 from __future__ import annotations
@@ -69,9 +74,29 @@ def coad_star_matrix(cd: CartanData, x: np.ndarray) -> np.ndarray:
     return cd.alg.ad(cd.project_k(x)) - cd.project_s(cd.alg.ad(cd.project_s(x)))
 
 
+def span_basis(cd: CartanData, cols: np.ndarray) -> np.ndarray:
+    """B_theta-orthonormal basis of the span of the columns of a (..., dim, m) stack.
+
+    One batched SVD (orthonormal_range, which fixes the rank with the
+    package's zero rule) and one batched Cholesky step.  A stack whose
+    ranks differ raises StructureError.
+    """
+    return _b_orthonormalize(orthonormal_range(cols), cd.b_theta)
+
+
+def span_projection(cd: CartanData, t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """t t^T B_theta v, the B_theta-orthogonal projection of v onto the span of a span_basis t.
+
+    v is a (..., dim) stack that broadcasts against t's (..., dim, m).
+    Stacked matrix-vector products, so each projected vector has the bits
+    of its own per-point product.
+    """
+    return apply(t, apply(np.swapaxes(t, -1, -2) @ cd.b_theta, v))
+
+
 def coadjoint_fiber(cd: CartanData, w: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the fiber [w, s] inside k over w: the s columns of ad(w)."""
-    return orthonormal_range(cd.alg.ad(w)[..., cd.signs < 0])
+    """span_basis of the fiber [w, s] inside k over w: the s columns of ad(w)."""
+    return span_basis(cd, cd.alg.ad(w)[..., cd.signs < 0])
 
 
 def tangent_columns(cd: CartanData, x: np.ndarray) -> np.ndarray:
@@ -83,26 +108,24 @@ def tangent_columns(cd: CartanData, x: np.ndarray) -> np.ndarray:
 
 
 def orbit_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
-    """B_theta-orthonormal basis of T_w(Ad(K).w), the span of tangent_columns.
+    """span_basis of T_w(Ad(K).w), the span of tangent_columns.
 
-    A (..., dim) stack of points gives a (..., dim, rank) stack, from one
-    batched SVD and one batched Cholesky step.  B_theta-orthonormality
-    makes tangential projection (the complement being the centralizer
-    directions) a plain coefficient contraction, tangent_projection.
+    A (..., dim) stack of points gives a (..., dim, rank) stack.
+    B_theta-orthonormality makes tangential projection (the complement
+    being the centralizer directions) a plain coefficient contraction,
+    tangent_projection.
     """
-    return _b_orthonormalize(orthonormal_range(tangent_columns(cd, w)), cd.b_theta)
+    return span_basis(cd, tangent_columns(cd, w))
 
 
 def tangent_projection(cd: CartanData, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The B_theta-orthogonal projection t t^T B_theta v of v onto T_w(Ad(K).w).
+    """The B_theta-orthogonal projection span_projection of v onto T_w(Ad(K).w).
 
     t = orbit_tangent_at(w), formed once per point of w: one point or a
     (..., dim) stack.  v is a (..., dim) stack that broadcasts against w;
-    the result has the broadcast shape.  Stacked matrix-vector products,
-    so each projected vector has the bits of its own per-point product.
+    the result has the broadcast shape.
     """
-    t = orbit_tangent_at(cd, w)
-    return apply(t, apply(np.swapaxes(t, -1, -2) @ cd.b_theta, v))
+    return span_projection(cd, orbit_tangent_at(cd, w), v)
 
 
 def sample_semidirect_orbit(

@@ -31,7 +31,11 @@ stacks of points (tangent bases, gradients, moments, and the flag points
 of flag_orbit_sample that the sections and their residuals read): each
 takes one stacked call, never a loop over samples.  The compact-orbit
 tangent columns [A, x], the projection onto their span and the fibers
-[w, s] come from semidirect.py.
+[w, s] come from semidirect.py, and so does every orthonormal basis of a
+tangent or fiber space (semidirect.span_basis): each is B_theta-orthonormal,
+in the metric Omega lives on.  Since B_theta is Ad(K)-invariant, the
+certificate's singular-value ratios and max_omega read the same value at
+every point of one K-orbit.
 """
 
 from __future__ import annotations
@@ -44,9 +48,7 @@ import numpy as np
 from . import deformation as df
 from . import semidirect as sd
 from .algebra import CartanData, DomainError, OrbitBatch, RepresentationError
-from .numerics import (
-    DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp, orthonormal_range,
-)
+from .numerics import DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp
 
 
 def make_skew_form(gram: np.ndarray) -> np.ndarray:
@@ -122,43 +124,44 @@ def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
 
 
 def fiber_tangent_at(cd: CartanData, w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the fiber direction [w, s] inside u."""
+    """B_theta-orthonormal basis of the fiber direction [w, s] inside u."""
     return sd.coadjoint_fiber(cd, w)
 
 
 def orbit_tangent_basis(
     ctx: HermitianContext, x: np.ndarray, kind: str, r: float = 1.0
 ) -> np.ndarray:
-    """Orthonormal tangent bases at a (..., dim) stack of orbit points: (..., dim, rank).
+    """B_theta-orthonormal tangent bases at a (..., dim) stack of orbit points: (..., dim, rank).
 
-    flag: spanned by [A, x], A in u;  semidirect: those plus the fiber
-    directions [w, s];  deformed: ad_r(g).x at finite r, the adjoint
-    orbit's ad(g).x at r = 1.  An orbit has constant tangent rank, so a
-    stack whose ranks differ raises StructureError.
+    flag: spanned by [A, x], A in u, semidirect.orbit_tangent_at;
+    semidirect: those plus the fiber directions [w, s];  deformed:
+    ad_r(g).x at finite r, the adjoint orbit's ad(g).x at r = 1.  An orbit
+    has constant tangent rank, so a stack whose ranks differ raises
+    StructureError.
     """
     cd = ctx.cd
+    if kind == "flag":
+        return sd.orbit_tangent_at(cd, x)
     if kind == "semidirect":
         return _semidirect_tangent(cd, x, fiber_tangent_at(cd, cd.project_s(x)))
-    if kind == "flag":
-        cols = sd.tangent_columns(cd, x)
-    elif kind == "deformed":
-        cols = -df.ad_r(df.make_context(cd, r), x)
-    else:
-        raise RepresentationError(f"unknown orbit kind {kind!r}")
-    return orthonormal_range(cols)
+    if kind == "deformed":
+        return sd.span_basis(cd, -df.ad_r(df.make_context(cd, r), x))
+    raise RepresentationError(f"unknown orbit kind {kind!r}")
 
 
 def _semidirect_tangent(cd: CartanData, x: np.ndarray, fib: np.ndarray) -> np.ndarray:
     """The semidirect orbit_tangent_basis at x, given the fiber bases over its s-part."""
-    return orthonormal_range(np.concatenate([sd.tangent_columns(cd, x), fib], axis=-1))
+    return sd.span_basis(cd, np.concatenate([sd.tangent_columns(cd, x), fib], axis=-1))
 
 
 def max_omega(ctx: HermitianContext, t: np.ndarray) -> np.ndarray:
-    """max |Omega(u, v)| over unit vectors u, v of the span of an orthonormal basis.
+    """max |Omega(u, v)| over B_theta-unit vectors u, v of a B_theta-orthonormal basis's span.
 
     That is the spectral norm of the restricted Gram matrix, so it does not
-    depend on the choice of basis.  A (..., dim, rank) stack gives (...)
-    values, 0 at rank 0.
+    depend on the choice of basis.  Omega(u, v) = B_theta(Ju, v) and J is a
+    B_theta-isometry, so the value is at most 1, and it is 1 exactly when
+    the span T meets JT.  A (..., dim, rank) stack gives (...) values, 0 at
+    rank 0.
     """
     if not t.shape[-1]:
         return np.zeros(t.shape[:-2])
@@ -168,8 +171,9 @@ def max_omega(ctx: HermitianContext, t: np.ndarray) -> np.ndarray:
 def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
     """Certify non-degeneracy of Omega on the semidirect orbit and fiber isotropy.
 
-    At every sample: the restriction of Omega to the orbit tangent
-    space has full rank (smallest singular value > 1e-8 * largest), the
+    At every sample, in B_theta-orthonormal bases: the restriction of
+    Omega to the orbit tangent space has full rank (smallest singular
+    value > 1e-8 * largest; the ratio is constant along each K-orbit), the
     fiber tangents are isotropic, and they are maximal isotropic
     (2 dim fiber = dim tangent).  The batch may come from either r = inf
     sampler; only its points are read, and a batch at finite r raises.
@@ -264,7 +268,7 @@ def _section_tangents(
 def section_omega_residual(
     ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray
 ) -> float | np.ndarray:
-    """max |Omega(v, w)| over pairs of an orthonormal basis of the tangent space of sigma_t.
+    """max |Omega(v, w)| over pairs of a B_theta-orthonormal basis of the tangent space of sigma_t.
 
     The section is over the (n, dim) flag points x.  The tangents are
     exact, along the flag curves Ad(exp(sA)) x for A ranging over the
@@ -274,7 +278,8 @@ def section_omega_residual(
     """
     resid = np.zeros(np.shape(t))
     for start in range(0, x.shape[0], _SECTION_BLOCK):
-        tb = orthonormal_range(_section_tangents(ctx, n_vec, x[start:start + _SECTION_BLOCK], t))
+        block = x[start:start + _SECTION_BLOCK]
+        tb = sd.span_basis(ctx.cd, _section_tangents(ctx, n_vec, block, t))
         gram = np.swapaxes(tb, -1, -2) @ ctx.omega @ tb
         resid = np.maximum(resid, np.abs(gram).max(axis=(-3, -2, -1), initial=0.0))
     return float(resid) if resid.ndim == 0 else resid
@@ -348,12 +353,14 @@ def hamiltonian_q_check(ctx: HermitianContext, a: np.ndarray, seed: int) -> tupl
 
     Along _Q_CURVES random linear curves alpha(t), d/dt (Q/2) must match
     Omega(ad(A) alpha', alpha); beta_A(X,Y) = Omega(ad(A)X, Y) must be
-    symmetric.
+    symmetric.  A generator that is not finite, or not in the compact
+    form, raises DomainError.
     """
     cd = ctx.cd
     a = np.asarray(a, dtype=float)
-    if np.linalg.norm(cd.project_s(a)) > 1e-9 * (1 + np.linalg.norm(a)):
-        raise DomainError("Hamiltonian generator must lie in the compact form")
+    # a NaN fails the comparison, so finiteness is tested on its own
+    if not np.isfinite(a).all() or np.linalg.norm(cd.project_s(a)) > 1e-9 * (1 + np.linalg.norm(a)):
+        raise DomainError("Hamiltonian generator must be finite and lie in the compact form")
     ad_a = cd.alg.ad(a)
     beta = ctx.omega @ ad_a
     sym_resid = float(np.max(np.abs(ad_a.T @ ctx.omega.T - beta)))

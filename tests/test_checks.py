@@ -193,12 +193,14 @@ def _symplectic_loops(cd, seed):
         x = rng.standard_normal(cd.alg.dim)
         worst = max(worst, abs(bilinear(x, hc.omega, x)))
     out["omega_alternating"] = worst
-    worst = 0.0
+    worst = worst_b = 0.0
     for _ in range(10):
         a = cd.k_basis @ rng.standard_normal(cd.k_basis.shape[1])
         ad_u = cd.alg.conjugate(matrix_exp(cd.alg.to_matrix(a)), np.eye(cd.alg.dim)).T
         worst = max(worst, float(np.max(np.abs(ad_u.T @ hc.omega @ ad_u - hc.omega))))
+        worst_b = max(worst_b, float(np.max(np.abs(ad_u.T @ cd.b_theta @ ad_u - cd.b_theta))))
     out["omega_invariance"] = worst
+    out["b_theta_invariance"] = worst_b
     worst = 0.0
     for _ in range(200):
         d = int(rng.integers(2, 11))
@@ -263,13 +265,34 @@ def test_suites_decide_their_algebras(descriptor):
     assert checks.symplectic_suite(cd) == []
 
 
-@pytest.mark.parametrize("descriptor,smallest", [("sl2c", 15.999999999999973),
-                                                 ("sl3c", 24.032618895865465)])
-def test_isotropy_nonzero_reports_smallest_restriction(descriptor, smallest):
-    # 1e-8 / min over the points with mu != 0, no longer capped at 1e-8; the
-    # restriction is the spectral norm of Omega on the compact orbit's tangents
-    result = _residuals(checks.symplectic_suite(_cartan(descriptor), seed=1))
-    assert result["isotropy_criterion_nonzero"] != 1e-8
+def _smallest_restriction(cd, seed):
+    # reference, point by point: B_theta^(1/2) maps B_theta to the Euclidean metric, so
+    # a Euclidean-orthonormal basis q of B^(1/2) [A, x] is a B_theta-orthonormal one
+    # B^(-1/2) q, and Omega restricts to q^T B^(-1/2) Omega B^(-1/2) q
+    hc = sp.make_hermitian_context(cd)
+    vals, vecs = np.linalg.eigh(cd.b_theta)
+    root, inv_root = (vecs * vals ** 0.5) @ vecs.T, (vecs * vals ** -0.5) @ vecs.T
+    omega = inv_root @ hc.omega @ inv_root
+    samples = df.sample_deformed_orbit(df.make_context(cd, math.inf), cd.chamber_H, seed, 25, 3)
+    smallest = math.inf
+    for x in samples.points.reshape(-1, cd.alg.dim)[:20]:
+        if np.linalg.norm(sp.u_moment(hc, x)) > 1e-3:
+            u, s, _ = np.linalg.svd(root @ -cd.alg.ad(x) @ cd.k_basis, full_matrices=False)
+            q = u[:, s > 1e-9 + 1e-7 * s[0]]
+            smallest = min(smallest, float(np.linalg.norm(q.T @ omega @ q, 2)))
+    return smallest
+
+
+@pytest.mark.parametrize("descriptor", ["sl2c", "sl3c"])
+def test_isotropy_nonzero_reports_smallest_restriction(descriptor):
+    # 1e-8 / min over the points with mu != 0, not capped at 1e-8; the restriction is
+    # the spectral norm of Omega on B_theta-orthonormal tangents of the compact orbit.
+    # It is at most |Omega| = 1 and reaches it here (T meets JT at these points), so
+    # the residual reads 1e-8 to roundoff and is pinned to the per-point reference
+    cd = _cartan(descriptor)
+    result = _residuals(checks.symplectic_suite(cd, seed=1))
+    smallest = _smallest_restriction(cd, seed=1)
+    assert smallest <= 1.0 + 1e-12
     assert result["isotropy_criterion_nonzero"] == pytest.approx(1e-8 / smallest, rel=1e-12)
 
 

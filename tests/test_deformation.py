@@ -185,6 +185,14 @@ def test_ad_r_exp_orbit_matches_rescaled_flow(sl2r):
             assert np.linalg.norm(lhs - rhs) < 1e-9
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_ad_r_exp_orbit_rejects_a_non_finite_generator(value):
+    # a NaN s-part fails the comparison, so the guard let it through to matrix_exp
+    ctx = df.make_context(_cartan("sl2c"), 2.0)
+    with pytest.raises(al.DomainError):
+        df.ad_r_exp_orbit(ctx, np.full(ctx.cd.alg.dim, value), 1.0, np.ones(ctx.cd.alg.dim))
+
+
 def test_ad_r_exp_orbit_scaling_substitution(sl2r):
     _, cd = sl2r
     y = np.array([0.3, -1.2, 0.7])
@@ -509,7 +517,8 @@ def test_diagonal_route_matches_dense_matrices(descriptor, r):
     assert np.array_equal(cd.project_k(z), 0.5 * (z + apply(theta, z)))
     assert np.array_equal(cd.project_s(z), 0.5 * (z - apply(theta, z)))
     assert np.array_equal(sd.tangent_columns(cd, z), -alg.ad(z) @ k_cols)
-    assert np.array_equal(sd.coadjoint_fiber(cd, z), orthonormal_range(alg.ad(z) @ s_cols))
+    assert np.array_equal(sd.coadjoint_fiber(cd, z),
+                          al._b_orthonormalize(orthonormal_range(alg.ad(z) @ s_cols), cd.b_theta))
     assert np.array_equal(sd.ad_rho_matrix(cd, z), alg.ad(cd.project_k(z))
                           + alg.ad(cd.project_s(z)) @ (k_cols @ k_cols.T))
     assert np.array_equal(sd.coad_star_matrix(cd, z), alg.ad(cd.project_k(z))

@@ -113,8 +113,9 @@ def test_fiber_dimension_over_h(sl2r):
     _, cd = sl2r
     fib = sd.coadjoint_fiber(cd, H)
     assert fib.shape[1] == 1
-    # ad(H)(s) = span{A}
-    assert abs(abs(fib[2, 0]) - 1.0) < 1e-12
+    # ad(H)(s) = span{A}, and the basis vector is B_theta-unit
+    assert np.abs(fib[:2, 0]).max() < 1e-12
+    assert abs(abs(fib[2, 0]) - 1.0 / math.sqrt(cd.b_theta[2, 2])) < 1e-12
 
 
 def test_fiber_equals_psi_n_plus():
@@ -124,10 +125,11 @@ def test_fiber_equals_psi_n_plus():
         h = cd.chamber_H
         n_plus, _, _ = al.h_subspaces(cd, h)
         psi = np.eye(cd.alg.dim) + np.diag(cd.signs)
-        img = np.linalg.qr(psi @ n_plus)[0]
+        # B_theta-orthonormal, as the fiber basis is, by Gram-Schmidt instead of an SVD
+        img = al._b_orthonormalize(np.linalg.qr(psi @ n_plus)[0], cd.b_theta)
         fib = sd.coadjoint_fiber(cd, h)
-        assert np.linalg.norm(img - fib @ (fib.T @ img)) < 1e-9
-        assert np.linalg.norm(fib - img @ (img.T @ fib)) < 1e-9
+        assert np.linalg.norm(img - fib @ (fib.T @ cd.b_theta @ img)) < 1e-9
+        assert np.linalg.norm(fib - img @ (img.T @ cd.b_theta @ fib)) < 1e-9
 
 
 def test_fiber_disjointness(sl2r):
@@ -148,7 +150,7 @@ def test_semidirect_matches_deformed_at_infinity(sl2r):
         assert np.linalg.norm(ssd.base_points[b] - sdf.base_points[b]) < 1e-12
         fib = sd.coadjoint_fiber(cd, ssd.base_points[b])
         kq = cd.project_k(sdf.points[b, f])
-        assert np.linalg.norm(kq - fib @ (fib.T @ kq)) < 1e-8
+        assert np.linalg.norm(kq - fib @ (fib.T @ cd.b_theta @ kq)) < 1e-8
 
 
 def test_phi_zero_fiber_gives_zero_covector(sl2r):

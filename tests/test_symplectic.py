@@ -481,6 +481,14 @@ def test_hamiltonian_q(sl2c):
         sp.hamiltonian_q_check(hc, cd.s_basis[:, 0], 0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_hamiltonian_q_rejects_a_non_finite_generator(sl2c, value):
+    # a NaN s-part fails the comparison, so the guard let it through to (nan, nan)
+    _, hc = sl2c
+    with pytest.raises(al.DomainError):
+        sp.hamiltonian_q_check(hc, np.full(6, value), 0)
+
+
 def test_u_moment_values(sl2c):
     cd, hc = sl2c
     h = cd.chamber_H
@@ -568,7 +576,11 @@ def test_adjoint_and_deformed_tangents(fixture, request):
     assert (adjoint.kind, adjoint.r) == ("deformed", 1.0)
     t_adj = sp.orbit_tangent_basis(hc, adjoint.points, adjoint.kind, adjoint.r)
     # at r = 1 the deformed tangents are the adjoint orbit's ad(g).x, bit for bit
-    assert np.array_equal(t_adj, orthonormal_range(-cd.alg.ad(adjoint.points)))
+    assert np.array_equal(
+        t_adj, al._b_orthonormalize(orthonormal_range(-cd.alg.ad(adjoint.points)), cd.b_theta))
+    # and the flag tangents are semidirect.orbit_tangent_at's, bit for bit
+    flag = al.flag_orbit_sample(cd, h, seed=9, count=4)
+    assert np.array_equal(sp.orbit_tangent_basis(hc, flag, "flag"), sd.orbit_tangent_at(cd, flag))
     adjoint_dim = t_adj.shape[-1]
     assert adjoint_dim == cd.alg.dim - al.h_subspaces(cd, h)[2].shape[1]
     for r in (2.0, 10.0):
@@ -583,7 +595,8 @@ def test_adjoint_and_deformed_tangents(fixture, request):
 
 
 def _loop_tangent_basis(hc, x, kind, r):
-    # reference: the per-point orbit_tangent_basis that read one OrbitSample view
+    # reference: the per-point orbit_tangent_basis that read one OrbitSample view,
+    # made B_theta-orthonormal
     cd = hc.cd
     if kind == "flag":
         cols = -cd.alg.ad(x) @ cd.k_basis
@@ -592,7 +605,7 @@ def _loop_tangent_basis(hc, x, kind, r):
         cols = np.hstack([-cd.alg.ad(x) @ cd.k_basis, sp.fiber_tangent_at(cd, w)])
     else:
         cols = -df.ad_r(df.make_context(cd, r), x)
-    return orthonormal_range(cols)
+    return al._b_orthonormalize(orthonormal_range(cols), cd.b_theta)
 
 
 def _batches(cd, seed):
@@ -665,6 +678,19 @@ def test_symplectic_certificate_matches_per_sample_loop(fixture, seed, request):
     samples = df.sample_deformed_orbit(ctx, cd.chamber_H, seed, n_base=25, n_fiber=3)
     report = sp.check_symplectic_on_orbit(hc, samples)
     assert report == _loop_certificate(hc, samples, "semidirect")
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_symplectic_certificate_is_k_invariant(sl3c, seed):
+    # B_theta and Omega are Ad(K)-invariant, so the samples Ad(k) y of one fiber draw y
+    # read y's singular-value ratio; in Euclidean coefficient bases it spread by up to 0.86
+    cd, hc = sl3c
+    samples = df.sample_deformed_orbit(df.make_context(cd, math.inf), cd.chamber_H, seed, 25, 3)
+    t = sp.orbit_tangent_basis(hc, samples.points, "semidirect")
+    s = np.linalg.svd(sp.make_skew_form(np.swapaxes(t, -1, -2) @ hc.omega @ t), compute_uv=False)
+    ratio = s[..., -1] / s[..., 0]  # (n_base, n_fiber)
+    assert np.ptp(ratio, axis=0).max() <= 1e-13
+    assert sp.check_symplectic_on_orbit(hc, samples)["min_sv_ratio"] == ratio.min()
 
 
 def _loop_pullback_check(hc, r, samples, fiber_dirs, draws):
