@@ -185,15 +185,14 @@ class CartanData:
     b_theta: np.ndarray  # B_theta(X,Y) = -<X, theta Y>, the Killing columns scaled by -signs
     a_basis: np.ndarray  # columns spanning the maximal abelian a in s
     roots: tuple[RootDatum, ...]
-    positive_set: tuple[int, ...]
     simple_set: tuple[int, ...]
     chamber_H: np.ndarray  # ambient coefficients of the default regular element
 
     def a_coefficients(self, h: np.ndarray) -> np.ndarray:
-        """Express an ambient vector in a_basis coordinates; error if outside a."""
+        """a_basis coordinates of h; DomainError unless the residual is at most TOL.cutoff(|h|)."""
         h = np.asarray(h, dtype=float)
         coeffs, *_ = np.linalg.lstsq(self.a_basis, h, rcond=None)
-        if np.linalg.norm(self.a_basis @ coeffs - h) > TOL.scale(h) * 10 + TOL.abs_eps:
+        if not np.linalg.norm(self.a_basis @ coeffs - h) <= TOL.cutoff(np.linalg.norm(h)):
             raise DomainError("element does not lie in the maximal abelian subalgebra")
         return coeffs
 
@@ -203,13 +202,36 @@ class CartanData:
         return np.array([r.functional @ coeffs for r in self.roots])
 
     def check_chamber(self, h: np.ndarray) -> np.ndarray:
+        """The root values of H, 0 where |alpha(H)| <= TOL.cutoff(max_beta |beta(H)|).
+
+        That is the cutoff nullspace(ad H) applies to the singular values |alpha(H)|
+        of ad(H), so a root value within it is a wall.  DomainError for an H that is
+        not finite, not in a, outside the closed chamber (a simple root value below
+        -cutoff) or nonzero with every root value zero, too small to resolve.
+        """
         if not np.all(np.isfinite(h)):
             raise DomainError("chamber element must be finite")
         vals = self.root_values(h)
-        for i in self.simple_set:
-            if vals[i] < -TOL.abs_eps:
-                raise DomainError("element lies outside the closed positive Weyl chamber")
+        vals = np.where(np.abs(vals) > TOL.cutoff(np.abs(vals).max(initial=0.0)), vals, 0.0)
+        if (vals[list(self.simple_set)] < 0).any():
+            raise DomainError("element lies outside the closed positive Weyl chamber")
+        if np.any(h) and not vals.any():
+            raise DomainError("chamber element is nonzero but every root value is zero: "
+                              "it is too small to resolve")
         return vals
+
+    def require_k(self, x: np.ndarray, what: str) -> np.ndarray:
+        """x as floats, checked to lie in k: a vector, or each point of a (..., dim) stack.
+
+        A point lies in k when it is finite and its s-part is zero by the one
+        rule, |project_s(x)| <= TOL.cutoff(|x|); else DomainError names what.
+        """
+        x = np.asarray(x, dtype=float)
+        # an inf k-coordinate passes the norm test (0 <= inf), so finiteness is tested on its own
+        if not (np.isfinite(x).all() and (np.linalg.norm(self.project_s(x), axis=-1)
+                                          <= TOL.cutoff(np.linalg.norm(x, axis=-1))).all()):
+            raise DomainError(f"{what} must be finite and lie in the compact part k")
+        return x
 
     def project_k(self, v: np.ndarray) -> np.ndarray:
         """The k-part of a vector or of each of a (..., dim) stack: its k coordinates kept."""
@@ -338,51 +360,35 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
 
     ops = [alg.ad(a_basis[:, i]) for i in range(a_basis.shape[1])]
     blocks = simultaneous_eigenspaces(ops) if ops else [(np.zeros(0), eye)]
-
-    roots: list[RootDatum] = []
-    zero_space = None
-    for vals, basis in blocks:
-        if np.abs(vals).max(initial=0.0) <= 1e-8:
-            zero_space = basis
-            continue
-        roots.append(
-            RootDatum(
-                functional=vals,
-                space_basis=_b_orthonormalize(basis, b_theta),
-                theta_image_index=-1,
-            )
-        )
-    if zero_space is None:
+    root_blocks = [(vals, basis) for vals, basis in blocks if np.abs(vals).max(initial=0.0) > 1e-8]
+    if len(root_blocks) == len(blocks):
         raise StructureError("joint zero eigenspace missing")
-    covered = zero_space.shape[1] + sum(r.space_basis.shape[1] for r in roots)
-    if covered != alg.dim:
-        raise StructureError("root decomposition does not close")
+    funcs = np.array([vals for vals, _ in root_blocks]).reshape(len(root_blocks), a_basis.shape[1])
+    spaces = [_b_orthonormalize(basis, b_theta) for _, basis in root_blocks]
 
     # pair alpha with -alpha and check theta(g_alpha) = g_{-alpha}
-    funcs = np.array([r.functional for r in roots]).reshape(len(roots), a_basis.shape[1])
     opposite = _close(funcs[None], -funcs[:, None])  # [i, j]: root j is -(root i)
     if not opposite.any(axis=1).all():
         raise StructureError("a root has no opposite root")
-    paired = []
-    for r, row in zip(roots, opposite):
+    roots = []
+    for functional, space, row in zip(funcs, spaces, opposite):
         j = int(row.argmax())  # the first opposite, as a search in root order finds it
-        img = signs[:, None] * r.space_basis
-        resid = img - roots[j].space_basis @ (roots[j].space_basis.T @ b_theta @ img)
+        img = signs[:, None] * space
+        resid = img - spaces[j] @ (spaces[j].T @ b_theta @ img)
         if np.linalg.norm(resid) > 1e-9:
             raise StructureError("theta does not exchange opposite root spaces")
-        paired.append(RootDatum(r.functional, r.space_basis, j))
-    roots = paired
+        roots.append(RootDatum(functional, space, j))
 
     # positivity: evaluate on a probe with strictly decreasing diagonal
     nn = alg.n
     probe_diag = np.diag([nn - 1 - 2 * i for i in range(nn)]).astype(complex)
     probe = alg.to_vector(probe_diag)
     probe_coeffs, *_ = np.linalg.lstsq(a_basis, probe, rcond=None)
-    positive = tuple(np.flatnonzero(funcs @ probe_coeffs > 1e-8).tolist())
+    positive = np.flatnonzero(funcs @ probe_coeffs > 1e-8)
     # simple: the positive roots that are no sum of two positive roots
-    pos = funcs[list(positive)]
+    pos = funcs[positive]
     is_sum = _close(pos[:, None, None], pos[:, None] + pos[None]).any(axis=(1, 2))
-    simple = tuple(i for i, summed in zip(positive, is_sum) if not summed)
+    simple = tuple(int(i) for i in positive[~is_sum])
 
     chamber_H = chamber_element(a_basis, roots, simple, "regular")
     return CartanData(
@@ -393,7 +399,6 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
         b_theta=b_theta,
         a_basis=a_basis,
         roots=tuple(roots),
-        positive_set=positive,
         simple_set=simple,
         chamber_H=chamber_H,
     )
@@ -430,16 +435,17 @@ def chamber_element(
 
 
 def h_subspaces(cd: CartanData, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_H^+, n_H^-, z_H) bases for H in the closed positive chamber."""
+    """(n_H^+, n_H^-, z_H) bases for H in the closed positive chamber.
+
+    n_H^+- are the root spaces of the root values check_chamber keeps, above and
+    below 0; z_H = nullspace(ad H) applies the same cutoff.
+    """
     vals = cd.check_chamber(h)
-    eps = TOL.abs_eps
-    plus_cols = [cd.roots[i].space_basis for i in range(len(cd.roots)) if vals[i] > eps]
-    minus_cols = [cd.roots[i].space_basis for i in range(len(cd.roots)) if vals[i] < -eps]
-    dim = cd.alg.dim
-    n_plus = np.hstack(plus_cols) if plus_cols else np.zeros((dim, 0))
-    n_minus = np.hstack(minus_cols) if minus_cols else np.zeros((dim, 0))
+    empty = [np.zeros((cd.alg.dim, 0))]  # the basis of a side without roots
+    n_plus = np.hstack(empty + [r.space_basis for r, v in zip(cd.roots, vals) if v > 0])
+    n_minus = np.hstack(empty + [r.space_basis for r, v in zip(cd.roots, vals) if v < 0])
     z_h = nullspace(cd.alg.ad(h))
-    if n_plus.shape[1] + n_minus.shape[1] + z_h.shape[1] != dim:
+    if n_plus.shape[1] + n_minus.shape[1] + z_h.shape[1] != cd.alg.dim:
         raise StructureError("dim g != dim z_H + dim n_H^+ + dim n_H^-")
     return n_plus, n_minus, z_h
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import CartanData, DomainError, OrbitBatch, RepresentationError, h_subspaces, sample_k_operators
-from .numerics import TOL, apply, matrix_exp
+from .numerics import apply, matrix_exp
 
 R_GRID = (0.1, 0.5, 1.0, 2.0, 10.0, 100.0)
 R_GRID_FULL = R_GRID + (math.inf,)
@@ -98,14 +98,10 @@ def psi_r_map(ctx: DeformationContext, z: np.ndarray) -> np.ndarray:
 def ad_r_exp_orbit(ctx: DeformationContext, a: np.ndarray, t: float, y: np.ndarray) -> np.ndarray:
     """exp(t ad_r(A)).Y for A in k; equals exp((t/r) ad(A)).Y.
 
-    An A that is not finite, or not in k, raises DomainError.
+    An A that is not finite, or not in k by CartanData.require_k, raises DomainError.
     """
     ctx._require_finite("ad_r exponentials")
-    a = np.asarray(a, dtype=float)
-    # a NaN fails the comparison, so finiteness is tested on its own
-    if not np.isfinite(a).all() or (
-            np.linalg.norm(ctx.cd.project_s(a)) > TOL.scale(a) * 10 + TOL.abs_eps):
-        raise DomainError("exponential direction must be finite and lie in the compact part k")
+    a = ctx.cd.require_k(a, "exponential direction")
     return matrix_exp(t * ad_r(ctx, a)) @ np.asarray(y, dtype=float)
 
 

@@ -4,9 +4,14 @@ Everything downstream (algebra construction, orbit sampling, form checks)
 goes through these routines so that rank / nullspace / eigenspace decisions
 are made with one rule, TOL.cutoff: sigma is zero when sigma <= 1e-9 + 1e-7
 sigma_max.  Only simultaneous_eigenspaces passes nullspace another
-tolerance.  matrix_exp and orthonormal_range also take (..., n, m) stacks,
-one matrix per orbit sample; apply and bilinear evaluate matrix-vector
-products and bilinear forms on (..., dim) stacks.
+tolerance.  The same rule decides membership, in CartanData: x lies in k
+when |project_s(x)| <= TOL.cutoff(|x|) (require_k), h in a when its lstsq
+residual is at most TOL.cutoff(|h|) (a_coefficients), and a root value of
+H is zero when |alpha(H)| <= TOL.cutoff(max_beta |beta(H)|) (check_chamber).
+
+matrix_exp and orthonormal_range also take (..., n, m) stacks, one matrix
+per orbit sample; apply and bilinear evaluate matrix-vector products and
+bilinear forms on (..., dim) stacks.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ class Tolerance:
         return self.cutoff(m)
 
 
-TOL = Tolerance()  # the package's one rule; rank and orthonormal_range use no other
+TOL = Tolerance()  # the one zero rule: rank, orthonormal_range and CartanData use no other
 
 
 def apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -106,16 +106,11 @@ def u_moment(ctx: HermitianContext, x: np.ndarray) -> np.ndarray:
 
     x is one point or a (..., dim) stack.  Vanishes exactly on points
     whose compact orbit is isotropic (x commuting with tau x, i.e. normal
-    matrices).  A moment that is not finite, or whose s-part exceeds
-    1e-8 (1 + |m|), raises DomainError.
+    matrices).  A moment that is not finite, or not in k by
+    CartanData.require_k at some point, raises DomainError.
     """
     cd = ctx.cd
-    m = -apply(cd.alg.j_op, cd.alg.bracket(cd.signs * x, x))
-    # a NaN fails the comparison, so finiteness is tested on its own
-    if not np.isfinite(m).all() or (
-            np.linalg.norm(cd.project_s(m), axis=-1) > 1e-8 * (1 + np.linalg.norm(m, axis=-1))).any():
-        raise DomainError("moment value is not finite or escaped the compact form")
-    return m
+    return cd.require_k(-apply(cd.alg.j_op, cd.alg.bracket(cd.signs * x, x)), "moment value")
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +348,11 @@ def hamiltonian_q_check(ctx: HermitianContext, a: np.ndarray, seed: int) -> tupl
 
     Along _Q_CURVES random linear curves alpha(t), d/dt (Q/2) must match
     Omega(ad(A) alpha', alpha); beta_A(X,Y) = Omega(ad(A)X, Y) must be
-    symmetric.  A generator that is not finite, or not in the compact
-    form, raises DomainError.
+    symmetric.  A generator that is not finite, or not in k by
+    CartanData.require_k, raises DomainError.
     """
     cd = ctx.cd
-    a = np.asarray(a, dtype=float)
-    # a NaN fails the comparison, so finiteness is tested on its own
-    if not np.isfinite(a).all() or np.linalg.norm(cd.project_s(a)) > 1e-9 * (1 + np.linalg.norm(a)):
-        raise DomainError("Hamiltonian generator must be finite and lie in the compact form")
+    a = cd.require_k(a, "Hamiltonian generator")
     ad_a = cd.alg.ad(a)
     beta = ctx.omega @ ad_a
     sym_resid = float(np.max(np.abs(ad_a.T @ ctx.omega.T - beta)))

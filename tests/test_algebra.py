@@ -136,7 +136,7 @@ def test_sl2r_roots(sl2r):
     vals = sorted(float(r.functional[0]) for r in cd.roots)
     assert np.allclose(vals, [-2.0, 2.0], atol=1e-9)
     # g_alpha for alpha(H)=2 is spanned by E12 = (S + A)/2
-    pos = cd.roots[cd.positive_set[0]]
+    pos = cd.roots[int(np.flatnonzero(cd.root_values(cd.chamber_H) > 0)[0])]
     direction = pos.space_basis[:, 0]
     assert abs(abs(direction[1]) - abs(direction[2])) < 1e-12
     assert abs(direction[0]) < 1e-12
@@ -148,7 +148,7 @@ def test_sl3r_root_count():
     assert cd.a_basis.shape[1] == 2
     # the centralizer of a, the joint kernel of ad(a_1), ad(a_2), is a itself (m = 0)
     assert nullspace(cd.alg.ad(cd.a_basis.T).reshape(-1, cd.alg.dim)).shape[1] == 2
-    assert len(cd.positive_set) == 3
+    assert (cd.root_values(cd.chamber_H) > 0).sum() == 3
     assert len(cd.simple_set) == 2
 
 
@@ -489,7 +489,7 @@ def test_root_pairing_and_simple_roots_match_loops(family, n):
     probe = cd.alg.to_vector(np.diag([nn - 1 - 2 * i for i in range(nn)]).astype(complex))
     probe_coeffs, *_ = np.linalg.lstsq(cd.a_basis, probe, rcond=None)
     positive = tuple(i for i, f in enumerate(funcs) if float(f @ probe_coeffs) > 1e-8)
-    assert cd.positive_set == positive
+    assert tuple(np.flatnonzero(cd.root_values(cd.chamber_H) > 0)) == positive
     sums = [funcs[a] + funcs[b] for a in positive for b in positive]
     simple = tuple(i for i in positive
                    if not any(np.allclose(funcs[i], s, atol=1e-8) for s in sums))

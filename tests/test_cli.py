@@ -443,6 +443,22 @@ def test_non_finite_or_overflowing_chamber_is_usage_error(tmp_path, capsys, comm
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args,code", [
+    (["orbit-sample", "--algebra", "sl2r", "--H", "1e-10"], 2),
+    (["deform-sweep", "--algebra", "sl3c", "--H", "2e-10,1e-10"], 2),
+    (["orbit-sample", "--algebra", "sl2r", "--H", "0"], 0),
+    (["deform-sweep", "--algebra", "sl3c", "--H", "1,0.500000005", "--r", "1,2,inf"], 0),
+], ids=["sl2r-1e-10", "sl3c-2e-10,1e-10", "sl2r-0", "sl3c-near-wall"])
+def test_chamber_element_resolution(tmp_path, capsys, args, code):
+    # a nonzero H whose root values are all zero by the one rule cannot be resolved: it
+    # exited 0 with every fiber collapsed.  H = 0 is the zero orbit.  A root value of 1e-8
+    # beside 1.5 is a wall; it exited 2 from h_subspaces' internal dimension check
+    assert run([*args, "--out", str(tmp_path)]) == code
+    if code == 2:
+        assert "too small to resolve" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", [["orbit-sample", "--kind", "deformed", "--r", "1e-320"],
                                      ["deform-sweep", "--r", "1e-320,1,inf"],
                                      ["orbit-sample", "--kind", "deformed", "--r", "2,1e-320"]])

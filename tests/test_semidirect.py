@@ -118,6 +118,24 @@ def test_fiber_dimension_over_h(sl2r):
     assert abs(abs(fib[2, 0]) - 1.0 / math.sqrt(cd.b_theta[2, 2])) < 1e-12
 
 
+@pytest.mark.parametrize("value", [1e-8, 1e-7])
+@pytest.mark.parametrize("desc", ["sl3r", "sl3c", ("sl_complex", 4)], ids=["sl3r", "sl3c", "sl4c"])
+def test_near_wall_root_is_read_as_a_wall(desc, value):
+    # a simple root value within TOL.cutoff of the largest is zero for check_chamber, as
+    # its singular value is for nullspace(ad H): n_H^+, the flag tangent and the fiber
+    # have one width, the wall's.  h_subspaces used to count it in n_H^+, not in z_H
+    cd = _cartan(desc)
+    simple = np.stack([cd.roots[i].functional for i in cd.simple_set])
+    for k in range(len(cd.simple_set)):
+        targets = np.full(len(cd.simple_set), 2.0)
+        targets[k] = value
+        h = cd.a_basis @ np.linalg.solve(simple, targets)
+        width = al.h_subspaces(cd, h)[0].shape[1]
+        assert width == sd.orbit_tangent_at(cd, h).shape[1] == sd.coadjoint_fiber(cd, h).shape[1]
+        wall = al.chamber_element(cd.a_basis, cd.roots, cd.simple_set, f"wall:{k}")
+        assert width == al.h_subspaces(cd, wall)[0].shape[1]
+
+
 def test_fiber_equals_psi_n_plus():
     for desc in ("sl2r", "sl3r"):
         family, n = al.parse_descriptor(desc)

@@ -14,7 +14,7 @@ from orbitdeform import deformation as df
 from orbitdeform import semidirect as sd
 from orbitdeform import symplectic as sp
 from orbitdeform.numerics import (
-    DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp, nullspace,
+    TOL, DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp, nullspace,
     orthonormal_range, rank,
 )
 
@@ -752,6 +752,37 @@ def test_u_moment_rejects_a_non_finite_moment(sl2c, value):
     x = np.stack([np.zeros(cd.alg.dim), np.full(cd.alg.dim, value)])
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(al.DomainError):
         sp.u_moment(hc, x)
+
+
+# the three guards that require an element of k, each as a function of that element;
+# u_moment's moment is made x by its apply, which applies J to the bracket
+_K_GUARDS = {
+    "ad_r_exp_orbit": lambda cd, hc, x: df.ad_r_exp_orbit(df.make_context(cd, 2.0), x, 1.0,
+                                                          np.ones(cd.alg.dim)),
+    "hamiltonian_q_check": lambda cd, hc, x: sp.hamiltonian_q_check(hc, x, 0),
+    "u_moment": lambda cd, hc, x: sp.u_moment(hc, np.zeros(cd.alg.dim)),
+}
+_CUT = TOL.cutoff(1.0)
+
+
+@pytest.mark.parametrize("s_part,accepted", [
+    (np.nan, False), (np.inf, False), (1.0, False), (2 * _CUT, False), (0.5 * _CUT, True),
+    (1e-12, True),
+], ids=["nan", "inf", "s=1", "s=2cutoff", "s=cutoff/2", "s=1e-12"])
+@pytest.mark.parametrize("guard", sorted(_K_GUARDS))
+def test_k_guards_read_the_one_rule(sl2c, monkeypatch, guard, s_part, accepted):
+    # x = e + s_part f, e in k and f in s unit coordinates, lies in k exactly when it is
+    # finite and |s_part f| <= TOL.cutoff(|x|); NaN and inf are put in the k coordinate
+    cd, hc = sl2c
+    k_unit, s_unit = cd.k_basis[:, 0], cd.s_basis[:, 0]
+    x = k_unit + s_part * s_unit if np.isfinite(s_part) else np.where(k_unit != 0, s_part, 0.0)
+    if guard == "u_moment":
+        monkeypatch.setattr(sp, "apply", lambda op, v: -x)
+    if accepted:
+        _K_GUARDS[guard](cd, hc, x)
+    else:
+        with pytest.raises(al.DomainError, match="must be finite and lie in the compact part k"):
+            _K_GUARDS[guard](cd, hc, x)
 
 
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
