@@ -33,6 +33,8 @@ LieAlgebraData.conjugate, to_vector(g X g^H), is the one place where Ad(g)
 acts.  The one dense exponential is exp(t ad_r A) in
 deformation.ad_r_exp_orbit, the deformed action that the ad_r_exponential
 check compares with conjugate.
+Chamber elements H are computed in one place, chamber_element(cd, spec), for
+every preset; CartanData stores none.
 The bundle samplers return an OrbitBatch, one set of arrays over (base,
 fiber); the flag sampler returns its base points as a plain array.
 """
@@ -48,8 +50,8 @@ import numpy as np
 from .numerics import (
     DimensionError,
     StructureError,
-    TOL,
     bilinear,
+    cutoff,
     matrix_exp,
     nullspace,
     simultaneous_eigenspaces,
@@ -186,13 +188,12 @@ class CartanData:
     a_basis: np.ndarray  # columns spanning the maximal abelian a in s
     roots: tuple[RootDatum, ...]
     simple_set: tuple[int, ...]
-    chamber_H: np.ndarray  # ambient coefficients of the default regular element
 
     def a_coefficients(self, h: np.ndarray) -> np.ndarray:
-        """a_basis coordinates of h; DomainError unless the residual is at most TOL.cutoff(|h|)."""
+        """a_basis coordinates of h; DomainError unless the residual is at most cutoff(|h|)."""
         h = np.asarray(h, dtype=float)
         coeffs, *_ = np.linalg.lstsq(self.a_basis, h, rcond=None)
-        if not np.linalg.norm(self.a_basis @ coeffs - h) <= TOL.cutoff(np.linalg.norm(h)):
+        if not np.linalg.norm(self.a_basis @ coeffs - h) <= cutoff(np.linalg.norm(h)):
             raise DomainError("element does not lie in the maximal abelian subalgebra")
         return coeffs
 
@@ -202,7 +203,7 @@ class CartanData:
         return np.array([r.functional @ coeffs for r in self.roots])
 
     def check_chamber(self, h: np.ndarray) -> np.ndarray:
-        """The root values of H, 0 where |alpha(H)| <= TOL.cutoff(max_beta |beta(H)|).
+        """The root values of H, 0 where |alpha(H)| <= cutoff(max_beta |beta(H)|).
 
         That is the cutoff nullspace(ad H) applies to the singular values |alpha(H)|
         of ad(H), so a root value within it is a wall.  DomainError for an H that is
@@ -212,7 +213,7 @@ class CartanData:
         if not np.all(np.isfinite(h)):
             raise DomainError("chamber element must be finite")
         vals = self.root_values(h)
-        vals = np.where(np.abs(vals) > TOL.cutoff(np.abs(vals).max(initial=0.0)), vals, 0.0)
+        vals = np.where(np.abs(vals) > cutoff(np.abs(vals).max(initial=0.0)), vals, 0.0)
         if (vals[list(self.simple_set)] < 0).any():
             raise DomainError("element lies outside the closed positive Weyl chamber")
         if np.any(h) and not vals.any():
@@ -223,13 +224,18 @@ class CartanData:
     def require_k(self, x: np.ndarray, what: str) -> np.ndarray:
         """x as floats, checked to lie in k: a vector, or each point of a (..., dim) stack.
 
-        A point lies in k when it is finite and its s-part is zero by the one
-        rule, |project_s(x)| <= TOL.cutoff(|x|); else DomainError names what.
+        A point lies in k when its norm |x| is finite and its s-part is zero by the
+        one rule, |project_s(x)| <= cutoff(|x|); else DomainError names what.  A
+        NaN or inf entry, or finite entries whose squares overflow (|x| beyond
+        about 1.3e154), give a norm that is not finite, refused before any other
+        product.
         """
         x = np.asarray(x, dtype=float)
-        # an inf k-coordinate passes the norm test (0 <= inf), so finiteness is tested on its own
-        if not (np.isfinite(x).all() and (np.linalg.norm(self.project_s(x), axis=-1)
-                                          <= TOL.cutoff(np.linalg.norm(x, axis=-1))).all()):
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, and refused
+            norm = np.linalg.norm(x, axis=-1)
+        # an inf k-coordinate would pass the s-part test (0 <= inf), so the norm is tested first
+        if not (np.isfinite(norm).all()
+                and (np.linalg.norm(self.project_s(x), axis=-1) <= cutoff(norm)).all()):
             raise DomainError(f"{what} must be finite and lie in the compact part k")
         return x
 
@@ -390,7 +396,6 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     is_sum = _close(pos[:, None, None], pos[:, None] + pos[None]).any(axis=(1, 2))
     simple = tuple(int(i) for i in positive[~is_sum])
 
-    chamber_H = chamber_element(a_basis, roots, simple, "regular")
     return CartanData(
         alg=alg,
         signs=signs,
@@ -400,22 +405,19 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
         a_basis=a_basis,
         roots=tuple(roots),
         simple_set=simple,
-        chamber_H=chamber_H,
     )
 
 
-def chamber_element(
-    a_basis: np.ndarray,
-    roots: tuple[RootDatum, ...] | list[RootDatum],
-    simple_set: tuple[int, ...],
-    spec: str,
-) -> np.ndarray:
-    """Ambient vector for a named chamber preset.
+def chamber_element(cd: CartanData, spec: str) -> np.ndarray:
+    """Ambient vector of cd's chamber preset spec, the one place each preset is computed.
 
     "regular" solves alpha(H) = 2 on every simple root (giving
     diag(1,-1) for sl(2)); "wall:k" zeroes the k-th simple root value
-    (0-based) and keeps the rest at 2.
+    (0-based) and keeps the rest at 2.  The regular element is the H of
+    Grajales & Grama (arXiv 2007.14541) that verify checks at; on so(n),
+    which has no roots, every preset is 0.
     """
+    simple_set = cd.simple_set
     targets = np.full(len(simple_set), 2.0)
     if spec.startswith("wall:"):
         try:
@@ -428,10 +430,10 @@ def chamber_element(
     elif spec != "regular":
         raise DomainError(f"unknown chamber preset {spec!r}")
     if not simple_set:
-        return np.zeros(a_basis.shape[0])
-    m = np.stack([roots[i].functional for i in simple_set])
+        return np.zeros(cd.a_basis.shape[0])
+    m = np.stack([cd.roots[i].functional for i in simple_set])
     coeffs, *_ = np.linalg.lstsq(m, targets, rcond=None)
-    return a_basis @ coeffs
+    return cd.a_basis @ coeffs
 
 
 def h_subspaces(cd: CartanData, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

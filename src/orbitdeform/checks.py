@@ -7,10 +7,13 @@ formula strings.
 
 SUITES names the suites in report order; run() looks each one up as the
 module attribute <name>_suite when it runs, so a wrapper set on that
-attribute is the function that runs.  Each suite decides whether it
-applies to an algebra: the deformation and semidirect suites return []
-on an algebra without roots (so(3), so(4)), the symplectic suite on one
-without a complex structure J.
+attribute is the function that runs.  Every suite is called as
+<name>_suite(cd, h, seed), h the chamber element the checks sample at,
+which the caller resolves with algebra.chamber_element; the numerics
+suite checks library kernels on its own algebra and reads neither cd
+nor h.  Each suite decides whether it applies to an algebra: the
+deformation and semidirect suites return [] on an algebra without roots
+(so(3), so(4)), the symplectic suite on one without a complex structure J.
 
 Every check hands its residuals to _check, the one reduction: a scalar,
 an array, or a list of them (one per r), reduced to their largest value
@@ -38,7 +41,9 @@ from . import algebra as al
 from . import deformation as df
 from . import semidirect as sd
 from . import symplectic as sp
-from .numerics import TOL, apply, bilinear, matrix_exp, nullspace, rank, simultaneous_eigenspaces
+from .numerics import (
+    apply, bilinear, cutoff, matrix_exp, nullspace, rank, simultaneous_eigenspaces,
+)
 
 SUITES = ("numerics", "algebra", "deformation", "semidirect", "symplectic")
 
@@ -60,15 +65,13 @@ class CheckResult:
         return d
 
 
-def run(cd: al.CartanData, seed: int, suite: str = "all") -> list[CheckResult]:
-    """The results of the suite named, or of every suite in SUITES order for "all"."""
+def run(cd: al.CartanData, h: np.ndarray, seed: int, suite: str = "all") -> list[CheckResult]:
+    """The results of the suite named, or of every suite in SUITES order for "all", at H = h."""
     results = []
     for name in SUITES:
         if suite in ("all", name):
             # read at each call, so a wrapper set on the attribute (perfbench/tracer.py) runs
-            fn = globals()[f"{name}_suite"]
-            # the numerics suite checks library kernels on its own algebra
-            results += fn(seed) if name == "numerics" else fn(cd, seed)
+            results += globals()[f"{name}_suite"](cd, h, seed)
     return results
 
 
@@ -97,7 +100,7 @@ def _draw(rng: np.random.Generator, n: int, k: int, dim: int) -> np.ndarray:
     return np.moveaxis(rng.standard_normal((n, k, dim)), 1, 0)
 
 
-def numerics_suite(seed: int = 0) -> list[CheckResult]:
+def numerics_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     by_size: dict[int, list[np.ndarray]] = {}
     for _ in range(20):
@@ -120,7 +123,7 @@ def numerics_suite(seed: int = 0) -> list[CheckResult]:
         a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
         ns = nullspace(a)
         if ns.shape[1]:
-            null.append(float(np.linalg.norm(a @ ns)) / (10 * TOL.scale(a)))
+            null.append(float(np.linalg.norm(a @ ns)) / (10 * cutoff(np.abs(a).max())))
             orth.append(np.linalg.norm(ns.T @ ns - np.eye(ns.shape[1])))
     out.append(_check("nullspace_quality", "||A v||<=10*tol, v orthonormal", null, 1.0))
     out.append(_check("nullspace_orthonormal", "v_i . v_j = delta_ij", orth, 1e-12))
@@ -133,7 +136,7 @@ def numerics_suite(seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def algebra_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
+def algebra_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[CheckResult]:
     alg = cd.alg
     rng = np.random.default_rng(seed)
     x, y, z = _draw(rng, 100, 3, alg.dim)
@@ -157,27 +160,26 @@ def algebra_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     out.append(_check("theta_root_exchange", "theta(g_a)=g_{-a}", exchange, 1e-9))
 
     if cd.a_basis.shape[1]:
-        n_plus, n_minus, z_h = al.h_subspaces(cd, cd.chamber_H)
+        n_plus, n_minus, z_h = al.h_subspaces(cd, h)
         mismatch = abs(alg.dim - n_plus.shape[1] - n_minus.shape[1] - z_h.shape[1])
     else:
         mismatch = 0
     out.append(_check("h_subspace_dims", "dim g = dim z_H + dim n+ + dim n-", mismatch, 0.5))
 
-    h_norm = alg.killing_form(cd.chamber_H, cd.chamber_H)
-    x = al.flag_orbit_sample(cd, cd.chamber_H, seed, 50)
+    h_norm = alg.killing_form(h, h)
+    x = al.flag_orbit_sample(cd, h, seed, 50)
     norm_err = np.abs((x[..., None, :] @ alg.killing @ x[..., None]) - h_norm)
     out.append(_check("flag_norm_preservation", "<Ad(k)H,Ad(k)H>=<H,H>, Ad(k)H in s",
                       [norm_err, _norms(cd.project_k(x))], 1e-8))
     return out
 
 
-def deformation_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
+def deformation_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[CheckResult]:
     if not cd.roots:
         return []
     alg = cd.alg
     rng = np.random.default_rng(seed)
     ctx = {r: df.make_context(cd, r) for r in df.R_GRID_FULL}
-    h = cd.chamber_H
     # h lies in s, so T_r^-1 h = h and ad_r(h) = T_r ad(h) T_r^-1: one ad(h) for every r
     ad_h = alg.ad(h)
     adr_h = {r: ctx[r].t_r[:, None] * ad_h * ctx[r].t_r_inv for r in df.R_GRID}
@@ -248,7 +250,7 @@ def deformation_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
+def semidirect_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[CheckResult]:
     if not cd.roots:
         return []
     alg = cd.alg
@@ -276,7 +278,6 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     out.append(_check("coad_duality", "B(ad(e)a,b) + B(a,ad*(e)b) = 0",
                       np.abs(np.swapaxes(m, -1, -2) @ cd.b_theta + cd.b_theta @ c), 1e-9))
 
-    h = cd.chamber_H
     batch = sd.sample_semidirect_orbit(cd, h, seed, 10, 3)
     base = np.broadcast_to(batch.base_points[:, None], batch.points.shape).reshape(-1, alg.dim)
     s_part = cd.project_s(batch.points.reshape(-1, alg.dim))
@@ -304,7 +305,7 @@ def semidirect_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     return out
 
 
-def symplectic_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
+def symplectic_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[CheckResult]:
     if cd.alg.j_op is None:
         return []
     rng = np.random.default_rng(seed)
@@ -326,7 +327,6 @@ def symplectic_suite(cd: al.CartanData, seed: int = 0) -> list[CheckResult]:
     out.append(_check("u_isotropic", "Omega|u = 0",
                       np.abs(hc.omega[cd.signs > 0][:, cd.signs > 0]), 1e-12))
 
-    h = cd.chamber_H
     ctx_inf = df.make_context(cd, math.inf)
     samples = df.sample_deformed_orbit(ctx_inf, h, seed, 25, 3)
     report = sp.check_symplectic_on_orbit(hc, samples)

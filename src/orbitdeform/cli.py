@@ -30,7 +30,6 @@ from . import deformation as df
 from . import semidirect as sd
 from . import symplectic as sp
 from .algebra import ConfigurationError, DomainError
-from .numerics import Tolerance
 
 
 def _parse_r(text: str) -> float:
@@ -63,7 +62,7 @@ _H_MAX = 1e300  # largest |--H coefficient|: [w, v] overflows at 5e307, the root
 
 def _resolve_h(cd: al.CartanData, h_spec: str) -> np.ndarray:
     if h_spec == "regular" or h_spec.startswith("wall:"):
-        h = al.chamber_element(cd.a_basis, cd.roots, cd.simple_set, h_spec)
+        h = al.chamber_element(cd, h_spec)
     else:
         coeffs = np.array([float(x) for x in h_spec.split(",")])
         if coeffs.shape[0] != cd.a_basis.shape[1]:
@@ -182,16 +181,17 @@ def _push_and_write(args, cd: al.CartanData, h: np.ndarray, r_values: list[float
 
 
 def cmd_verify(args) -> int:
-    # the tolerance only selects the forced-failure mode; it must still be valid
-    tol = Tolerance(args.abs_eps, args.rel_eps)
+    # the tolerances only select the forced-failure mode; they must still be valid
+    if not all(0 <= eps < math.inf for eps in (args.abs_eps, args.rel_eps)):
+        raise ValueError("tolerances must be finite and nonnegative")
     cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(args.algebra)))
-    results = checks.run(cd, args.seed, args.suite)
+    results = checks.run(cd, al.chamber_element(cd, "regular"), args.seed, args.suite)
     if not results:
         # an empty report would pass while certifying nothing
         print(f"error: suite {args.suite} has no checks for algebra {args.algebra}",
               file=sys.stderr)
         return 2
-    if tol == Tolerance(0.0, 0.0):
+    if args.abs_eps == args.rel_eps == 0:
         # forced-failure mode: every nonzero residual counts as a failure
         results = [dataclasses.replace(r, threshold=0.0) for r in results]
     report = {

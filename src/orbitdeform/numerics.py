@@ -2,12 +2,13 @@
 
 Everything downstream (algebra construction, orbit sampling, form checks)
 goes through these routines so that rank / nullspace / eigenspace decisions
-are made with one rule, TOL.cutoff: sigma is zero when sigma <= 1e-9 + 1e-7
-sigma_max.  Only simultaneous_eigenspaces passes nullspace another
-tolerance.  The same rule decides membership, in CartanData: x lies in k
-when |project_s(x)| <= TOL.cutoff(|x|) (require_k), h in a when its lstsq
-residual is at most TOL.cutoff(|h|) (a_coefficients), and a root value of
-H is zero when |alpha(H)| <= TOL.cutoff(max_beta |beta(H)|) (check_chamber).
+are made with one rule, cutoff: sigma is zero when sigma <= 1e-9 + 1e-7
+sigma_max.  Only simultaneous_eigenspaces passes nullspace another, absolute,
+cutoff.  The same rule decides membership, in CartanData: x lies in k
+when |project_s(x)| <= cutoff(|x|) (require_k), h in a when its lstsq
+residual is at most cutoff(|h|) (a_coefficients), and a root value of
+H is zero when |alpha(H)| <= cutoff(max_beta |beta(H)|) (check_chamber).
+symplectic.max_isotropic reads it for the radical and the paired eigenvalues.
 
 matrix_exp and orthonormal_range also take (..., n, m) stacks, one matrix
 per orbit sample; apply and bilinear evaluate matrix-vector products and
@@ -17,7 +18,6 @@ bilinear forms on (..., dim) stacks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,27 +30,12 @@ class StructureError(ValueError):
     """Input violates a structural precondition (e.g. non-commuting family)."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Zero rule: v counts as zero when |v| <= cutoff(m), m the largest magnitude."""
+def cutoff(largest):
+    """The zero cutoff 1e-9 + 1e-7 largest for the largest magnitude, or for an array of them.
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-7
-
-    def __post_init__(self):
-        if not (0 <= self.abs_eps < math.inf and 0 <= self.rel_eps < math.inf):
-            raise ValueError("tolerances must be finite and nonnegative")
-
-    def cutoff(self, largest):
-        """The zero cutoff for the largest magnitude, or for an array of them (one per row)."""
-        return self.abs_eps + self.rel_eps * largest
-
-    def scale(self, *arrays) -> float:
-        m = max((float(np.max(np.abs(a))) if np.asarray(a).size else 0.0) for a in arrays)
-        return self.cutoff(m)
-
-
-TOL = Tolerance()  # the one zero rule: rank, orthonormal_range and CartanData use no other
+    A magnitude v counts as zero when v <= cutoff(largest): the package's one zero rule.
+    """
+    return 1e-9 + 1e-7 * largest
 
 
 def apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -124,11 +109,11 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def nullspace(a: np.ndarray, tol: Tolerance = TOL) -> np.ndarray:
+def nullspace(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of A.
 
-    A singular value sigma is treated as zero when
-    sigma <= tol.cutoff(sigma_max).  Returns a (cols, k) array,
+    A singular value sigma is treated as zero when sigma <= cutoff(sigma_max),
+    or sigma <= tol for an absolute cutoff tol.  Returns a (cols, k) array,
     k = 0 when A has full column rank.
     """
     a = np.asarray(a)
@@ -139,23 +124,24 @@ def nullspace(a: np.ndarray, tol: Tolerance = TOL) -> np.ndarray:
     if a.size == 0:
         return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > tol.cutoff(s[0] if s.size else 0.0)))
+    # a has entries, so s does: s[0] is sigma_max
+    rank = int(np.sum(s > (cutoff(s[0]) if tol is None else tol)))
     return vh[rank:].conj().T
 
 
 def rank(a: np.ndarray) -> np.ndarray:
-    """Numerical rank of A, or of each A in a (..., rows, cols) stack, with the TOL cutoff."""
+    """Numerical rank of A, or of each A in a (..., rows, cols) stack, with the cutoff of its sigma_max."""
     a = np.asarray(a)
     if a.size == 0:
         return np.zeros(a.shape[:-2], dtype=int)
     s = np.linalg.svd(a, compute_uv=False)
-    return (s > TOL.cutoff(s[..., :1])).sum(axis=-1)
+    return (s > cutoff(s[..., :1])).sum(axis=-1)
 
 
 def orthonormal_range(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) for the span of A, or of each A in a (..., rows, cols) stack.
 
-    Each matrix gets its own cutoff, TOL.cutoff(sigma_max).  The
+    Each matrix gets its own cutoff, cutoff(sigma_max).  The
     result of a stack is one array, so a stack whose ranks differ raises
     StructureError.
     """
@@ -164,7 +150,7 @@ def orthonormal_range(a: np.ndarray) -> np.ndarray:
         return a.reshape(*a.shape[:-1], 0)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     # s is sorted, so each row of keep is a prefix: equal rows, equal ranks
-    keep = (s > TOL.cutoff(s[..., :1])).reshape(-1, s.shape[-1])
+    keep = (s > cutoff(s[..., :1])).reshape(-1, s.shape[-1])
     if keep.shape[0] > 1 and (keep != keep[0]).any():
         ranks = sorted(set(keep.sum(axis=1).tolist()))
         raise StructureError(f"matrices in the stack have ranks {ranks}")
@@ -174,13 +160,7 @@ def orthonormal_range(a: np.ndarray) -> np.ndarray:
 def _cluster(values: np.ndarray, eps: float) -> list[np.ndarray]:
     """Group sorted indices of `values` into clusters with gaps > eps."""
     order = np.argsort(values)
-    groups: list[list[int]] = [[order[0]]]
-    for idx in order[1:]:
-        if values[idx] - values[groups[-1][-1]] <= eps:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return [np.array(g) for g in groups]
+    return np.split(order, np.flatnonzero(np.diff(values[order]) > eps) + 1)
 
 
 def simultaneous_eigenspaces(ops: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -200,7 +180,8 @@ def simultaneous_eigenspaces(ops: list[np.ndarray]) -> list[tuple[np.ndarray, np
         if a.shape[0] != n:
             raise DimensionError("operators act on different spaces")
         for b in ops[i + 1 :]:
-            if np.linalg.norm(a @ b - b @ a) > TOL.scale(a, b) * scale * 10:
+            largest = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
+            if np.linalg.norm(a @ b - b @ a) > cutoff(largest) * scale * 10:
                 raise StructureError("operators do not commute within tolerance")
 
     blocks: list[tuple[tuple[float, ...], np.ndarray]] = [((), np.eye(n))]
@@ -214,10 +195,8 @@ def simultaneous_eigenspaces(ops: list[np.ndarray]) -> list[tuple[np.ndarray, np
             eigvals = eigvals.real
             for group in _cluster(eigvals, 1e-9):
                 lam = float(np.mean(eigvals[group]))
-                sub = nullspace(
-                    restricted - lam * np.eye(restricted.shape[0]),
-                    Tolerance(abs_eps=1e-8 * max(1.0, scale), rel_eps=0.0),
-                )
+                sub = nullspace(restricted - lam * np.eye(restricted.shape[0]),
+                                1e-8 * max(1.0, scale))
                 if sub.shape[1] != len(group):
                     raise StructureError(
                         "eigenspace dimension mismatch; operator may not be diagonalizable"

@@ -22,7 +22,7 @@ preserve Omega, from exact tangents too (psi~_r is a diffeomorphism,
 not a symplectomorphism; see pullback_check); the moment map of the
 compact-group action; and a generic skew-form toolkit on the same
 plain Gram arrays (maximal isotropic subspaces in the linear Darboux
-form, with the package's zero rule, numerics.Tolerance.cutoff).
+form, with the package's zero rule, numerics.cutoff).
 gradient_hamiltonian_residual and hamiltonian_q_check take central
 differences, as evidence independent of the bracket formulas.
 
@@ -48,7 +48,7 @@ import numpy as np
 from . import deformation as df
 from . import semidirect as sd
 from .algebra import CartanData, DomainError, OrbitBatch, RepresentationError
-from .numerics import DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp
+from .numerics import DimensionError, StructureError, apply, bilinear, cutoff, matrix_exp
 
 
 def make_skew_form(gram: np.ndarray) -> np.ndarray:
@@ -64,22 +64,21 @@ def max_isotropic(form: np.ndarray) -> np.ndarray | list[np.ndarray]:
 
     form is a skew Gram matrix (make_skew_form).  Linear Darboux normal
     form: i * form is Hermitian, and for its eigenvectors u_j with
-    eigenvalue above the radical's cutoff the vectors sqrt(2) Re u_j are
+    eigenvalue above cutoff(max |eigenvalue|) the vectors sqrt(2) Re u_j are
     orthonormal, isotropic and orthogonal to the radical.  So
     2 dim W = dim V + dim radical.
 
     An (m, d, d) stack of forms gives the list of its m bases, from one
-    stacked SVD (the radicals, with nullspace's cutoff) and one stacked eigh.
+    stacked SVD (the radicals, with nullspace's cutoff(sigma_max)) and one stacked eigh.
     Any other shape raises DimensionError.
     """
     if form.ndim not in (2, 3) or form.shape[-1] != form.shape[-2]:
         raise DimensionError(f"expected a (d, d) form or an (m, d, d) stack, not {form.shape}")
-    tol = Tolerance()  # the package's zero rule
     grams = form if form.ndim == 3 else form[None]
     _, s, vh = np.linalg.svd(grams)
-    ranks = (s > tol.cutoff(s[:, :1])).sum(axis=-1)
+    ranks = (s > cutoff(s[:, :1])).sum(axis=-1)
     vals, vecs = np.linalg.eigh(1j * grams)
-    paired = vals > tol.cutoff(np.abs(vals).max(axis=-1, keepdims=True, initial=0.0))
+    paired = vals > cutoff(np.abs(vals).max(axis=-1, keepdims=True, initial=0.0))
     if (2 * paired.sum(axis=-1) != ranks).any():
         raise StructureError("eigenvalue count does not match the radical")
     bases = [np.hstack([v[r:].conj().T, math.sqrt(2.0) * u[:, p].real])

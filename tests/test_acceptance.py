@@ -147,7 +147,7 @@ def test_criterion_06_psi_r_eigenvectors():
     for desc in ("sl2r", "sl3r", "sl2c"):
         family, n = al.parse_descriptor(desc)
         cd = al.cartan_structure(al.build_algebra(family, n))
-        h = cd.chamber_H
+        h = al.chamber_element(cd, "regular")
         vals = cd.root_values(h)
         for r in df.R_GRID:
             ctx = df.make_context(cd, r)
@@ -164,7 +164,8 @@ def test_criterion_07_symplectic_nondegeneracy(sl2c, sl3c):
     ok, detail = True, []
     for cd, hc in (sl2c, sl3c):
         ctx = df.make_context(cd, math.inf)
-        samples = df.sample_deformed_orbit(ctx, cd.chamber_H, SEED, n_base=25, n_fiber=4)
+        samples = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
+                                           SEED, n_base=25, n_fiber=4)
         assert samples.points.shape[:2] == (25, 4)
         report = sp.check_symplectic_on_orbit(hc, samples)
         ok = ok and report["full_rank"] and report["max_fiber_omega"] < 1e-10
@@ -177,7 +178,7 @@ def test_criterion_07_symplectic_nondegeneracy(sl2c, sl3c):
 
 def test_criterion_08_lagrangian_sections(sl2c):
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, SEED, count=15)
     worst = max(sp.section_omega_residual(hc, h, flag, t) for t in (0.0, 0.5, 1.0, 2.0))
     _line("criterion 8 (sections x + t i grad f_H are Lagrangian)",
@@ -195,7 +196,7 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
     # pullback_check measures the difference from Omega(v, w): q Omega_1 - q^2 Omega_2,
     # with Omega_1 the bracketed term and Omega_2 = Omega(x_v, x_w).
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     ctx1 = df.make_context(cd, 1.0)
     samples = df.sample_deformed_orbit(ctx1, h, SEED, n_base=25, n_fiber=2)
     assert samples.points.shape[:2] == (25, 2)
@@ -272,7 +273,7 @@ def test_criterion_10_moment_isotropy(sl2c, sl3c):
     nil_norm = float(np.linalg.norm(sp.u_moment(hc3, cd3.alg.to_vector(nil))))
     dims_ok = True
     for (cd, hc), (fd, ad) in zip((sl2c, sl3c), ((2, 4), (6, 12))):
-        report = unique_isotropic_orbit_check(hc, cd.chamber_H, SEED)
+        report = unique_isotropic_orbit_check(hc, al.chamber_element(cd, "regular"), SEED)
         dims_ok = dims_ok and report["flag_dim"] == fd and report["adjoint_dim"] == ad
         dims_ok = dims_ok and report["lagrangian"] and report["isotropy_drops"]
         dims_ok = dims_ok and report["min_moment_norm"] > 1e-2
@@ -300,7 +301,8 @@ def test_criterion_12_cotangent_identification(sl2r, sl2c):
     # sl2c carries the canonical case: SO(3) rotating s = R^3 inside so(3,1)
     worst, ranks_ok = 0.0, True
     for cd in (sl2r[1], sl2c[0]):
-        batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, SEED, n_base=20, n_fiber=5)
+        batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
+                                           SEED, n_base=20, n_fiber=5)
         m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
         roundtrip = np.linalg.norm(m - batch.points, axis=-1)
         worst = max(worst, float(roundtrip.max()))

@@ -136,7 +136,7 @@ def test_sl2r_roots(sl2r):
     vals = sorted(float(r.functional[0]) for r in cd.roots)
     assert np.allclose(vals, [-2.0, 2.0], atol=1e-9)
     # g_alpha for alpha(H)=2 is spanned by E12 = (S + A)/2
-    pos = cd.roots[int(np.flatnonzero(cd.root_values(cd.chamber_H) > 0)[0])]
+    pos = cd.roots[int(np.flatnonzero(cd.root_values(al.chamber_element(cd, "regular")) > 0)[0])]
     direction = pos.space_basis[:, 0]
     assert abs(abs(direction[1]) - abs(direction[2])) < 1e-12
     assert abs(direction[0]) < 1e-12
@@ -148,7 +148,7 @@ def test_sl3r_root_count():
     assert cd.a_basis.shape[1] == 2
     # the centralizer of a, the joint kernel of ad(a_1), ad(a_2), is a itself (m = 0)
     assert nullspace(cd.alg.ad(cd.a_basis.T).reshape(-1, cd.alg.dim)).shape[1] == 2
-    assert (cd.root_values(cd.chamber_H) > 0).sum() == 3
+    assert (cd.root_values(al.chamber_element(cd, "regular")) > 0).sum() == 3
     assert len(cd.simple_set) == 2
 
 
@@ -166,12 +166,12 @@ def test_theta_exchanges_root_spaces():
 
 def test_chamber_element_regular_sl2r(sl2r):
     _, cd = sl2r
-    assert np.allclose(cd.chamber_H, H)  # diag(1, -1)
+    assert np.allclose(al.chamber_element(cd, "regular"), H)  # diag(1, -1)
 
 
 def test_chamber_wall_preset():
     cd = al.cartan_structure(al.build_algebra("sl_real", 3))
-    h_wall = al.chamber_element(cd.a_basis, cd.roots, cd.simple_set, "wall:0")
+    h_wall = al.chamber_element(cd, "wall:0")
     vals = cd.root_values(h_wall)
     simple_vals = sorted(vals[i] for i in cd.simple_set)
     assert abs(simple_vals[0]) < 1e-9 and abs(simple_vals[1] - 2.0) < 1e-9
@@ -218,7 +218,7 @@ def test_flag_samples_norm_and_subspace():
         family, n = al.parse_descriptor(desc)
         alg = al.build_algebra(family, n)
         cd = al.cartan_structure(alg)
-        h = cd.chamber_H
+        h = al.chamber_element(cd, "regular")
         target = alg.killing_form(h, h)
         for point in al.flag_orbit_sample(cd, h, seed=8, count=30):
             assert abs(alg.killing_form(point, point) - target) < 1e-8
@@ -236,7 +236,7 @@ def test_flag_sampling_deterministic(sl2r):
 def test_flag_samples_are_k_operators_times_h(descriptor):
     # the flag points are the (count, dim) array Ad(k).H of the samplers' k draw
     cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     x = al.flag_orbit_sample(cd, h, seed=5, count=7)
     assert x.shape == (7, cd.alg.dim)
     assert np.array_equal(x, cd.alg.conjugate(al.sample_k_operators(cd, 5, 7), h))
@@ -489,7 +489,7 @@ def test_root_pairing_and_simple_roots_match_loops(family, n):
     probe = cd.alg.to_vector(np.diag([nn - 1 - 2 * i for i in range(nn)]).astype(complex))
     probe_coeffs, *_ = np.linalg.lstsq(cd.a_basis, probe, rcond=None)
     positive = tuple(i for i, f in enumerate(funcs) if float(f @ probe_coeffs) > 1e-8)
-    assert tuple(np.flatnonzero(cd.root_values(cd.chamber_H) > 0)) == positive
+    assert tuple(np.flatnonzero(cd.root_values(al.chamber_element(cd, "regular")) > 0)) == positive
     sums = [funcs[a] + funcs[b] for a in positive for b in positive]
     simple = tuple(i for i in positive
                    if not any(np.allclose(funcs[i], s, atol=1e-8) for s in sums))

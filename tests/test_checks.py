@@ -35,6 +35,12 @@ def _cartan(descriptor):
     return al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
 
 
+def _run(descriptor, suite):
+    # one suite at seed 1 and the regular chamber element, as verify runs it
+    cd = _cartan(descriptor)
+    return checks.run(cd, al.chamber_element(cd, "regular"), 1, suite)
+
+
 def _residuals(results):
     return {r.name: r.residual for r in results}
 
@@ -112,7 +118,7 @@ def _deformation_loops(cd, seed):
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     out["killing_r_consistency"] = worst
     worst = 0.0
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     vals = cd.root_values(h)
     for r in df.R_GRID:
         ctx = df.make_context(cd, r)
@@ -225,7 +231,7 @@ def _assert_bits(got, ref):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_numerics_checks_match_loops(seed):
-    _assert_bits(_residuals(checks.numerics_suite(seed)), _numerics_loops(seed))
+    _assert_bits(_residuals(checks.numerics_suite(None, None, seed)), _numerics_loops(seed))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -233,12 +239,13 @@ def test_numerics_checks_match_loops(seed):
 def test_stacked_checks_match_loops(descriptor, seed):
     # the suites verify runs on each descriptor, against their loops
     cd = _cartan(descriptor)
-    _assert_bits(_residuals(checks.algebra_suite(cd, seed)), _algebra_loops(cd, seed))
+    h = al.chamber_element(cd, "regular")
+    _assert_bits(_residuals(checks.algebra_suite(cd, h, seed)), _algebra_loops(cd, seed))
     if cd.roots:
-        _assert_bits(_residuals(checks.deformation_suite(cd, seed)), _deformation_loops(cd, seed))
-        _assert_bits(_residuals(checks.semidirect_suite(cd, seed)), _semidirect_loops(cd, seed))
+        _assert_bits(_residuals(checks.deformation_suite(cd, h, seed)), _deformation_loops(cd, seed))
+        _assert_bits(_residuals(checks.semidirect_suite(cd, h, seed)), _semidirect_loops(cd, seed))
     if cd.alg.j_op is not None:
-        _assert_bits(_residuals(checks.symplectic_suite(cd, seed)), _symplectic_loops(cd, seed))
+        _assert_bits(_residuals(checks.symplectic_suite(cd, h, seed)), _symplectic_loops(cd, seed))
 
 
 @pytest.mark.parametrize("family,n", [("sl_complex", 6), ("sl_real", 5)])
@@ -248,7 +255,7 @@ def test_suites_pass_at_rank(family, n):
     cd = al.cartan_structure(al.build_algebra(family, n))
     results = [r for suite in (checks.algebra_suite, checks.deformation_suite,
                                checks.semidirect_suite, checks.symplectic_suite)
-               for r in suite(cd, seed=1)]
+               for r in suite(cd, al.chamber_element(cd, "regular"), seed=1)]
     failed = [(r.name, r.residual, r.threshold) for r in results if not r.passed]
     assert results and not failed
     assert any(r.name == "jacobi_semidirect" for r in results)
@@ -260,9 +267,10 @@ def test_suites_decide_their_algebras(descriptor):
     # each suite says itself that it does not apply: no roots, no J
     cd = _cartan(descriptor)
     assert not cd.roots and cd.alg.j_op is None
-    assert checks.deformation_suite(cd) == []
-    assert checks.semidirect_suite(cd) == []
-    assert checks.symplectic_suite(cd) == []
+    h = al.chamber_element(cd, "regular")
+    assert checks.deformation_suite(cd, h) == []
+    assert checks.semidirect_suite(cd, h) == []
+    assert checks.symplectic_suite(cd, h) == []
 
 
 def _smallest_restriction(cd, seed):
@@ -273,7 +281,8 @@ def _smallest_restriction(cd, seed):
     vals, vecs = np.linalg.eigh(cd.b_theta)
     root, inv_root = (vecs * vals ** 0.5) @ vecs.T, (vecs * vals ** -0.5) @ vecs.T
     omega = inv_root @ hc.omega @ inv_root
-    samples = df.sample_deformed_orbit(df.make_context(cd, math.inf), cd.chamber_H, seed, 25, 3)
+    samples = df.sample_deformed_orbit(df.make_context(cd, math.inf),
+                                       al.chamber_element(cd, "regular"), seed, 25, 3)
     smallest = math.inf
     for x in samples.points.reshape(-1, cd.alg.dim)[:20]:
         if np.linalg.norm(sp.u_moment(hc, x)) > 1e-3:
@@ -290,7 +299,7 @@ def test_isotropy_nonzero_reports_smallest_restriction(descriptor):
     # It is at most |Omega| = 1 and reaches it here (T meets JT at these points), so
     # the residual reads 1e-8 to roundoff and is pinned to the per-point reference
     cd = _cartan(descriptor)
-    result = _residuals(checks.symplectic_suite(cd, seed=1))
+    result = _residuals(checks.symplectic_suite(cd, al.chamber_element(cd, "regular"), seed=1))
     smallest = _smallest_restriction(cd, seed=1)
     assert smallest <= 1.0 + 1e-12
     assert result["isotropy_criterion_nonzero"] == pytest.approx(1e-8 / smallest, rel=1e-12)
@@ -299,7 +308,7 @@ def test_isotropy_nonzero_reports_smallest_restriction(descriptor):
 def test_isotropy_nonzero_fails_without_nonzero_moments(monkeypatch):
     # with mu = 0 everywhere no point tests the criterion, and the check must not pass
     monkeypatch.setattr(sp, "u_moment", lambda ctx, x: np.zeros_like(x))
-    results = {r.name: r for r in checks.symplectic_suite(_cartan("sl2c"), seed=1)}
+    results = {r.name: r for r in _run("sl2c", "symplectic")}
     assert not results["isotropy_criterion_nonzero"].passed
 
 
@@ -381,11 +390,11 @@ def test_section_residual_forms_one_tangent_basis_per_block(descriptor, monkeypa
     # three blocks of 4, 4 and 2 base points
     cd = _cartan(descriptor)
     hc = sp.make_hermitian_context(cd)
-    x = al.flag_orbit_sample(cd, cd.chamber_H, 1, 10)
+    x = al.flag_orbit_sample(cd, al.chamber_element(cd, "regular"), 1, 10)
     counts = collections.Counter()
     monkeypatch.setattr(sd, "orbit_tangent_at", _counting(counts, "basis", sd.orbit_tangent_at))
     monkeypatch.setattr(sp, "_SECTION_BLOCK", 4)
-    sp.section_omega_residual(hc, cd.chamber_H, x, np.array([0.0, 1.0]))
+    sp.section_omega_residual(hc, al.chamber_element(cd, "regular"), x, np.array([0.0, 1.0]))
     assert counts["basis"] == 3
 
 
@@ -399,7 +408,7 @@ def test_nan_residual_fails_its_check(monkeypatch):
         return np.full_like(out, np.nan) if ctx.r == 2.0 else out
 
     monkeypatch.setattr(df, "bracket_r", nan_at_2)
-    for r in checks.deformation_suite(_cartan("sl2r"), seed=1):
+    for r in _run("sl2r", "deformation"):
         hit = r.name in ("jacobi_r", "t_r_isomorphism")
         assert (math.isnan(r.residual), r.passed) == (hit, not hit), r
 
@@ -415,7 +424,7 @@ def test_nan_moment_fails_isotropy_criteria(monkeypatch):
         return m
 
     monkeypatch.setattr(sp, "u_moment", nan_at_first_point)
-    results = _by_name(checks.symplectic_suite(_cartan("sl2c"), seed=1))
+    results = _by_name(_run("sl2c", "symplectic"))
     for name in ("isotropy_criterion_zero", "isotropy_criterion_nonzero"):
         assert math.isnan(results[name].residual) and not results[name].passed, results[name]
 
@@ -429,7 +438,7 @@ def test_nan_points_fail_fiber_disjointness(monkeypatch):
         return dataclasses.replace(batch, points=np.full_like(batch.points, np.nan))
 
     monkeypatch.setattr(sd, "sample_semidirect_orbit", nan_points)
-    result = _by_name(checks.semidirect_suite(_cartan("sl2r"), seed=1))["fiber_disjointness"]
+    result = _by_name(_run("sl2r", "semidirect"))["fiber_disjointness"]
     assert math.isnan(result.residual) and not result.passed
 
 
@@ -476,8 +485,8 @@ def test_verify_runs_the_suite_table(monkeypatch, tmp_path):
 def test_ad_r_of_chamber_element_is_conjugated_ad(descriptor):
     # H lies in s, so T_r^-1 H = H: deformation_suite forms ad(H) once for every r
     cd = _cartan(descriptor)
-    ad_h = cd.alg.ad(cd.chamber_H)
+    ad_h = cd.alg.ad(al.chamber_element(cd, "regular"))
     for r in df.R_GRID:
         ctx = df.make_context(cd, r)
-        assert np.array_equal(df.ad_r(ctx, cd.chamber_H),
+        assert np.array_equal(df.ad_r(ctx, al.chamber_element(cd, "regular")),
                               np.diag(ctx.t_r) @ ad_h @ np.diag(ctx.t_r_inv))

@@ -67,10 +67,11 @@ def test_verify_unknown_algebra_is_usage_error(capsys):
 @pytest.mark.parametrize("algebra", sorted(DESCRIPTORS))
 def test_verify_zero_tolerance_fails(algebra, capsys):
     # forced-failure mode: every nonzero residual fails, and exact structure data
-    # keep the Cartan set-up itself from tripping over a zero tolerance
-    code = run(["verify", "--algebra", algebra, "--abs-eps", "0", "--rel-eps", "0"])
-    assert code == 1
-    assert "error:" not in capsys.readouterr().err
+    # keep the Cartan set-up itself from tripping over a zero tolerance; -0 is 0
+    for abs_eps in ("0", "-0"):
+        code = run(["verify", "--algebra", algebra, "--abs-eps", abs_eps, "--rel-eps", "0"])
+        assert code == 1
+        assert "error:" not in capsys.readouterr().err
 
 
 def test_verify_other_tolerance_changes_nothing(tmp_path, capsys):
@@ -320,7 +321,8 @@ def test_atomic_write_keeps_existing_mode(tmp_path):
 def test_export_memory_bounded_by_block(tmp_path):
     # writing a 2e4-row sl2c CSV holds one block of text, not the file's 9 MB
     cd = _cartan("sl2c")
-    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, 1, 1000, 20)
+    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), al.chamber_element(cd, "regular"),
+                                     1, 1000, 20)
     tracemalloc.start()
     try:
         _atomic_write(str(tmp_path / "sweep.csv"),
@@ -338,7 +340,8 @@ def test_orbit_sample_memory_holds_one_pushed_batch(tmp_path, capsys):
     cd = _cartan("sl2c")
     tracemalloc.start()
     try:
-        batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, 1, 1000, 20)
+        batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), al.chamber_element(cd, "regular"),
+                                         1, 1000, 20)
         sampled_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         del batch
@@ -419,8 +422,11 @@ def test_config_rejects_bad_key_or_value(tmp_path, capsys, line):
 
 @pytest.mark.parametrize("args", [
     ["verify", "--algebra", "sl2r", "--rel-eps", "inf"],
-])
+] + [["verify", "--algebra", "sl2r", flag, value]
+     for flag in ("--abs-eps", "--rel-eps") for value in ("nan", "inf", "-1")
+     if (flag, value) != ("--rel-eps", "inf")])
 def test_non_finite_tolerance_is_usage_error(tmp_path, capsys, args):
+    # cmd_verify checks both flags, each finite and nonnegative, before any work
     assert run(args + ["--out", str(tmp_path / "report.json")]) == 2
     assert "finite" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -140,7 +140,7 @@ def test_psi_inf_sends_n_plus_into_k():
         family, n = al.parse_descriptor(desc)
         cd = al.cartan_structure(al.build_algebra(family, n))
         ctx = df.make_context(cd, math.inf)
-        n_plus, _, _ = al.h_subspaces(cd, cd.chamber_H)
+        n_plus, _, _ = al.h_subspaces(cd, al.chamber_element(cd, "regular"))
         img = np.diag(ctx.psi_r) @ n_plus
         assert np.linalg.norm(cd.s_basis.T @ img) < 1e-12
 
@@ -149,7 +149,7 @@ def test_psi_r_eigenvector_property():
     for desc in ("sl2r", "sl3r", "sl2c"):
         family, n = al.parse_descriptor(desc)
         cd = al.cartan_structure(al.build_algebra(family, n))
-        h = cd.chamber_H
+        h = al.chamber_element(cd, "regular")
         vals = cd.root_values(h)
         for r in df.R_GRID:
             ctx = df.make_context(cd, r)
@@ -162,11 +162,11 @@ def test_psi_r_eigenvector_property():
 
 def test_r_root_spaces_are_psi_images(sl2r):
     _, cd = sl2r
-    n_plus, _, _ = al.h_subspaces(cd, cd.chamber_H)
+    n_plus, _, _ = al.h_subspaces(cd, al.chamber_element(cd, "regular"))
     for r in df.R_GRID:
         ctx = df.make_context(cd, r)
         img = np.linalg.qr(np.diag(ctx.psi_r) @ n_plus)[0]
-        blocks = simultaneous_eigenspaces([df.ad_r(ctx, cd.chamber_H)])
+        blocks = simultaneous_eigenspaces([df.ad_r(ctx, al.chamber_element(cd, "regular"))])
         pos = np.hstack([b for v, b in blocks if v[0] > 1e-8])
         assert np.linalg.norm(img - pos @ (pos.T @ img)) < 1e-9
 
@@ -239,7 +239,7 @@ def test_deformed_orbit_killing_invariance():
         family, n = al.parse_descriptor(desc)
         alg = al.build_algebra(family, n)
         cd = al.cartan_structure(alg)
-        h = cd.chamber_H
+        h = al.chamber_element(cd, "regular")
         target = alg.killing_form(h, h)
         for r in (0.1, 0.5, 2.0, 10.0, 100.0):
             ctx = df.make_context(cd, r)
@@ -378,8 +378,10 @@ def test_deformed_batch_matches_per_sample_loop(descriptor):
     cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
     for r in (1.0, 2.0, math.inf):
         ctx = df.make_context(cd, r)
-        batch = df.sample_deformed_orbit(ctx, cd.chamber_H, seed=13, n_base=6, n_fiber=4)
-        reference = _loop_deformed_orbit(ctx, cd.chamber_H, seed=13, n_base=6, n_fiber=4)
+        batch = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
+                                         seed=13, n_base=6, n_fiber=4)
+        reference = _loop_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
+                                         seed=13, n_base=6, n_fiber=4)
         assert batch.points.shape == (6, 4, cd.alg.dim) and len(reference) == 24
         assert (batch.kind, batch.r) == ("deformed", ctx.r)
         for (b, f), q in zip(np.ndindex(6, 4), reference):
@@ -402,7 +404,8 @@ def test_deformed_sampler_memory_at_rank(sl6c):
     ctx = df.make_context(cd, 1.0)
     tracemalloc.start()
     try:
-        batch = df.sample_deformed_orbit(ctx, cd.chamber_H, seed=1, n_base=2000, n_fiber=5)
+        batch = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
+                                         seed=1, n_base=2000, n_fiber=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,8 +417,8 @@ def test_tilde_psi_memory_at_rank(sl6c):
     # the batch stores Ad(k)X, so psi~_r forms psi_r Ad(k)X and the sum with the
     # base points: two arrays the size of the points.  Conjugating the fibers
     # again at each r peaked near 4x
-    batch = df.sample_deformed_orbit(df.make_context(sl6c, 1.0), sl6c.chamber_H, seed=1,
-                                     n_base=2000, n_fiber=5)
+    batch = df.sample_deformed_orbit(df.make_context(sl6c, 1.0), al.chamber_element(sl6c, "regular"),
+                                     seed=1, n_base=2000, n_fiber=5)
     ctx = df.make_context(sl6c, 2.0)
     tracemalloc.start()
     try:
@@ -445,9 +448,9 @@ def test_limit_deviation_exact_law(descriptor):
     # tilde_psi_r(p) - tilde_psi_inf(p) = (q - 1) theta Ad(k)X, so the deviation
     # times (r+1)/2 does not depend on r
     cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
-    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), cd.chamber_H, seed=8,
-                                     n_base=10, n_fiber=4)
-    draws = _fiber_draws(cd, cd.chamber_H, seed=8, n_fiber=4)
+    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), al.chamber_element(cd, "regular"),
+                                     seed=8, n_base=10, n_fiber=4)
+    draws = _fiber_draws(cd, al.chamber_element(cd, "regular"), seed=8, n_fiber=4)
     scaled = []
     for r in (1.0, 2.0, 10.0, 100.0):
         ctx = df.make_context(cd, r)

@@ -5,23 +5,13 @@ from orbitdeform import algebra as al
 from orbitdeform.numerics import (
     DimensionError,
     StructureError,
-    Tolerance,
+    cutoff,
     matrix_exp,
     nullspace,
     orthonormal_range,
     rank,
     simultaneous_eigenspaces,
 )
-
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=-1.0)
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            Tolerance(abs_eps=bad)
-        with pytest.raises(ValueError):
-            Tolerance(rel_eps=bad)
 
 
 def test_exp_zero_is_identity_exactly():
@@ -110,17 +100,23 @@ def test_nullspace_full_rank_and_zero():
     assert nullspace(np.zeros((3, 3))).shape == (3, 3)
 
 
+def test_nullspace_absolute_cutoff():
+    # the relative rule keeps 1e-6 of sigma_max = 1; an absolute cutoff of 1e-5 drops it
+    a = np.diag([1.0, 1e-6])
+    assert nullspace(a).shape == (2, 0)
+    assert np.array_equal(np.abs(nullspace(a, 1e-5)), [[0.0], [1.0]])
+
+
 def test_nullspace_quality():
     rng = np.random.default_rng(1)
-    tol = Tolerance()
     for _ in range(100):
         m, n = int(rng.integers(2, 8)), int(rng.integers(2, 8))
         k = int(rng.integers(0, min(m, n) + 1))
         a = rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
-        ns = nullspace(a, tol)
+        ns = nullspace(a)
         assert ns.shape[1] == n - np.linalg.matrix_rank(a)
         if ns.shape[1]:
-            assert np.linalg.norm(a @ ns) <= 10 * tol.scale(a)
+            assert np.linalg.norm(a @ ns) <= 10 * cutoff(np.abs(a).max())
             assert np.linalg.norm(ns.T @ ns - np.eye(ns.shape[1])) < 1e-12
 
 

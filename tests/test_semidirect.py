@@ -121,7 +121,7 @@ def test_fiber_dimension_over_h(sl2r):
 @pytest.mark.parametrize("value", [1e-8, 1e-7])
 @pytest.mark.parametrize("desc", ["sl3r", "sl3c", ("sl_complex", 4)], ids=["sl3r", "sl3c", "sl4c"])
 def test_near_wall_root_is_read_as_a_wall(desc, value):
-    # a simple root value within TOL.cutoff of the largest is zero for check_chamber, as
+    # a simple root value within cutoff of the largest is zero for check_chamber, as
     # its singular value is for nullspace(ad H): n_H^+, the flag tangent and the fiber
     # have one width, the wall's.  h_subspaces used to count it in n_H^+, not in z_H
     cd = _cartan(desc)
@@ -132,7 +132,7 @@ def test_near_wall_root_is_read_as_a_wall(desc, value):
         h = cd.a_basis @ np.linalg.solve(simple, targets)
         width = al.h_subspaces(cd, h)[0].shape[1]
         assert width == sd.orbit_tangent_at(cd, h).shape[1] == sd.coadjoint_fiber(cd, h).shape[1]
-        wall = al.chamber_element(cd.a_basis, cd.roots, cd.simple_set, f"wall:{k}")
+        wall = al.chamber_element(cd, f"wall:{k}")
         assert width == al.h_subspaces(cd, wall)[0].shape[1]
 
 
@@ -140,7 +140,7 @@ def test_fiber_equals_psi_n_plus():
     for desc in ("sl2r", "sl3r"):
         family, n = al.parse_descriptor(desc)
         cd = al.cartan_structure(al.build_algebra(family, n))
-        h = cd.chamber_H
+        h = al.chamber_element(cd, "regular")
         n_plus, _, _ = al.h_subspaces(cd, h)
         psi = np.eye(cd.alg.dim) + np.diag(cd.signs)
         # B_theta-orthonormal, as the fiber basis is, by Gram-Schmidt instead of an SVD
@@ -194,7 +194,8 @@ def test_phi_pairs_fiber_with_tangent(sl2r):
 def test_phi_fiber_map_is_isomorphism():
     for desc in ("sl2r", "sl2c", "sl3c"):
         cd = _cartan(desc)
-        batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=6, n_base=10, n_fiber=2)
+        batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
+                                           seed=6, n_base=10, n_fiber=2)
         for w in batch.base_points:
             tangent = sd.orbit_tangent_at(cd, w)
             cols = [cd.alg.bracket(w, tangent[:, i]) for i in range(tangent.shape[1])]
@@ -205,7 +206,8 @@ def test_phi_fiber_map_is_isomorphism():
 def test_moment_inverts_phi():
     for desc in ("sl2r", "sl3r", "sl2c", "sl3c"):
         cd = _cartan(desc)
-        batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=7, n_base=10, n_fiber=3)
+        batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
+                                           seed=7, n_base=10, n_fiber=3)
         m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
         assert np.linalg.norm(m - batch.points, axis=-1).max() < 1e-9
 
@@ -253,7 +255,7 @@ def test_sl2c_mu_formula(sl2c):
 def test_sl2c_orbit_roundtrip(sl2c):
     cd = sl2c
     for scale in (1.0, 2.0):
-        h = scale * cd.chamber_H
+        h = scale * al.chamber_element(cd, "regular")
         batch = sd.sample_semidirect_orbit(cd, h, seed=11, n_base=15, n_fiber=4)
         sphere = np.linalg.norm(batch.base_points @ cd.s_basis, axis=-1)
         assert np.abs(sphere - scale).max() < 1e-10
@@ -266,7 +268,7 @@ def test_sl2c_orbit_roundtrip(sl2c):
 def test_sl2c_fiber_map_isomorphism(sl2c):
     cd = sl2c
     for scale in (1.0, 2.0):
-        h = scale * cd.chamber_H
+        h = scale * al.chamber_element(cd, "regular")
         for w in sd.sample_semidirect_orbit(cd, h, seed=12, n_base=10, n_fiber=2).base_points:
             tangent = sd.orbit_tangent_at(cd, w)
             f = np.stack([cd.alg.bracket(w, t) for t in tangent.T], axis=1)
@@ -291,8 +293,10 @@ def _loop_semidirect_orbit(cd, h, seed, n_base, n_fiber):
 @pytest.mark.parametrize("descriptor", ["sl2r", "sl2c", "sl3c"])
 def test_semidirect_batch_matches_per_sample_loop(descriptor):
     cd = _cartan(descriptor)
-    batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=14, n_base=6, n_fiber=4)
-    reference = _loop_semidirect_orbit(cd, cd.chamber_H, seed=14, n_base=6, n_fiber=4)
+    batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
+                                       seed=14, n_base=6, n_fiber=4)
+    reference = _loop_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
+                                       seed=14, n_base=6, n_fiber=4)
     assert batch.points.shape[:2] == (6, 4) and len(reference) == 24
     assert (batch.kind, batch.r) == ("semidirect", np.inf)
     for (b, f), q in zip(np.ndindex(6, 4), reference):
@@ -306,7 +310,7 @@ def test_semidirect_batch_matches_per_sample_loop(descriptor):
 
 def test_orbit_tangent_stack_matches_single():
     cd = _cartan("sl3c")
-    w = al.flag_orbit_sample(cd, cd.chamber_H, seed=15, count=5)
+    w = al.flag_orbit_sample(cd, al.chamber_element(cd, "regular"), seed=15, count=5)
     stack = sd.orbit_tangent_at(cd, w)
     for w_i, t_i in zip(w, stack):
         single = sd.orbit_tangent_at(cd, w_i)
@@ -316,7 +320,8 @@ def test_orbit_tangent_stack_matches_single():
 @pytest.mark.parametrize("descriptor", ["sl2r", "sl2c", "sl3c"])
 def test_phi_cotangent_matches_per_sample_loop(descriptor):
     cd = _cartan(descriptor)
-    batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=16, n_base=6, n_fiber=4)
+    batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
+                                       seed=16, n_base=6, n_fiber=4)
     bases, covs = sd.phi_cotangent(cd, batch)
     assert bases.shape == covs.shape == batch.points.shape
     for b, f in np.ndindex(6, 4):
@@ -340,7 +345,8 @@ def test_phi_cotangent_rejects_deformed_batch_at_r_inf():
     # Ad(k)X with X in n_H^+, not v in s: their k-part reaches 0.18 on sl2c at seed 1,
     # and read as v the point w + [w, v] misses p by 0.33
     cd = _cartan("sl2c")
-    batch = df.sample_deformed_orbit(df.make_context(cd, math.inf), cd.chamber_H, 1, 4, 2)
+    batch = df.sample_deformed_orbit(df.make_context(cd, math.inf), al.chamber_element(cd, "regular"),
+                                     1, 4, 2)
     with pytest.raises(al.RepresentationError):
         sd.phi_cotangent(cd, batch)
 
@@ -403,7 +409,8 @@ def test_ambient_formulas_match_pair_formulas(desc):
     for fn, coadjoint in ((sd.ad_rho_matrix, False), (sd.coad_star_matrix, True)):
         assert np.array_equal(p.T @ fn(cd, x + v) @ p, _pair_matrix(cd, x, v, coadjoint))
     if cd.roots:
-        batch = sd.sample_semidirect_orbit(cd, cd.chamber_H, seed=10, n_base=10, n_fiber=5)
+        batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
+                                           seed=10, n_base=10, n_fiber=5)
         base, cov = sd.phi_cotangent(cd, batch)
         # reference: the pair (mu(y ^ covector), y), summed
         ref = cd.alg.bracket(base, cov) + base

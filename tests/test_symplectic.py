@@ -14,7 +14,7 @@ from orbitdeform import deformation as df
 from orbitdeform import semidirect as sd
 from orbitdeform import symplectic as sp
 from orbitdeform.numerics import (
-    TOL, DimensionError, StructureError, Tolerance, apply, bilinear, matrix_exp, nullspace,
+    DimensionError, StructureError, apply, bilinear, cutoff, matrix_exp, nullspace,
     orthonormal_range, rank,
 )
 
@@ -48,7 +48,7 @@ def _hermitian_form(hc, x, y):
 
 def test_hermitian_form_h_value(sl2c):
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     # complex Killing of sl(2,C) is 4 tr(XY); H = diag(1,-1) gives 8
     val = _hermitian_form(hc, h, h)
     assert abs(val - 8.0) < 1e-10
@@ -164,7 +164,7 @@ def test_max_isotropic_formula_random_forms():
 
 def test_orbit_tangent_dimensions(sl2c):
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=6, count=5)
     assert sp.orbit_tangent_basis(hc, flag, "flag").shape == (5, 6, 2)
     ctx = df.make_context(cd, math.inf)
@@ -176,7 +176,8 @@ def test_orbit_tangent_dimensions(sl2c):
 def test_symplectic_certificate_sl2c(sl2c):
     cd, hc = sl2c
     ctx = df.make_context(cd, math.inf)
-    samples = df.sample_deformed_orbit(ctx, cd.chamber_H, seed=7, n_base=25, n_fiber=4)
+    samples = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
+                                       seed=7, n_base=25, n_fiber=4)
     report = sp.check_symplectic_on_orbit(hc, samples)
     assert report["full_rank"]
     assert report["max_fiber_omega"] < 1e-10
@@ -189,7 +190,8 @@ def test_symplectic_certificate_rejects_other_kinds(sl2c):
     # a batch at finite r, the adjoint orbit at r = 1 included, raises
     cd, hc = sl2c
     for r in (1.0, 2.0):
-        batch = df.sample_deformed_orbit(df.make_context(cd, r), cd.chamber_H, 7, 3, 2)
+        batch = df.sample_deformed_orbit(df.make_context(cd, r), al.chamber_element(cd, "regular"),
+                                         7, 3, 2)
         with pytest.raises(al.RepresentationError):
             sp.check_symplectic_on_orbit(hc, batch)
 
@@ -197,7 +199,8 @@ def test_symplectic_certificate_rejects_other_kinds(sl2c):
 def test_symplectic_certificate_sl3c(sl3c):
     cd, hc = sl3c
     ctx = df.make_context(cd, math.inf)
-    samples = df.sample_deformed_orbit(ctx, cd.chamber_H, seed=7, n_base=20, n_fiber=3)
+    samples = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
+                                       seed=7, n_base=20, n_fiber=3)
     report = sp.check_symplectic_on_orbit(hc, samples)
     assert report["full_rank"]
     assert report["tangent_dims"] == [12]  # 2 |positive roots| over C
@@ -205,7 +208,7 @@ def test_symplectic_certificate_sl3c(sl3c):
 
 def test_gradient_field_consistency(sl2c):
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=8, count=10)
     step = 1e-6
     from orbitdeform.numerics import matrix_exp
@@ -224,7 +227,7 @@ def test_gradient_field_consistency(sl2c):
 def test_gradient_vanishes_at_poles(sl2c):
     # the height function along H has critical points exactly at +-H
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     assert np.linalg.norm(sp.gradient_at(hc, h, h)) < 1e-10
     assert np.linalg.norm(sp.gradient_at(hc, -h, h)) < 1e-10
     flag = al.flag_orbit_sample(cd, h, seed=9, count=20)
@@ -238,7 +241,7 @@ def test_gradient_is_b_tau_projection(fixture, request):
     # the span of the raw columns C = [A, x], A over the compact basis; errors are
     # relative to |N|, since the gradient vanishes at the poles
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     x = np.vstack([h, -h, al.flag_orbit_sample(cd, h, seed=20, count=8)])
     grads = sp.gradient_at(hc, x, h)
     for x_i, y_i in zip(x, grads):
@@ -252,7 +255,7 @@ def test_gradient_is_b_tau_projection(fixture, request):
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_gradient_stack_matches_single(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     x = al.flag_orbit_sample(cd, h, seed=16, count=6)
     stack = sp.gradient_at(hc, x.reshape(2, 3, -1), h).reshape(6, -1)
     for x_i, y_i in zip(x, stack):
@@ -262,7 +265,7 @@ def test_gradient_stack_matches_single(fixture, request):
 
 def test_lagrangian_sections(sl2c):
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=10, count=10)
     for t in (0.0, 0.5, 1.0, 2.0):
         assert sp.section_omega_residual(hc, h, flag, t) < 1e-6
@@ -272,7 +275,7 @@ def test_lagrangian_sections(sl2c):
 def test_section_t_array_matches_scalar_calls(fixture, request):
     # a t array is the scalar calls stacked, t axis first, bit for bit
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=10, count=7)
     t_values = [0.0, 0.5, -1.25, 2.0]
     points = sp.lagrangian_section(hc, h, flag, np.array(t_values))
@@ -289,7 +292,7 @@ def test_section_blocks_match_one_call(sl3c, count):
     # blocks of _SECTION_BLOCK points give the bits of one call over every point,
     # x + t J Y(x) with the gradient of the whole stack at once, as the reference
     cd, hc = sl3c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=1, count=count)
     t = np.array([0.0, 0.5, 1.0, 2.0])
     ref = flag + t[:, None, None] * (sp.gradient_at(hc, flag, h) @ cd.alg.j_op.T)
@@ -300,7 +303,7 @@ def test_section_memory_does_not_grow_with_points(sl2c):
     # the section is formed block by block into its result: the traced peak stays
     # under twice the result (a one-call section peaks at three times it here)
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=1, count=10_000)
     t = np.array([0.0, 0.5, 1.0, 2.0])
     tracemalloc.start()
@@ -317,7 +320,7 @@ def test_section_memory_does_not_grow_with_points(sl2c):
 def test_section_omega_residual_at_roundoff(fixture, seed, request):
     # exact tangents: the section is Lagrangian up to the roundoff of the tangents
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=seed, count=50)
     resids = sp.section_omega_residual(hc, h, flag, np.array([0.0, 0.5, 1.0, 2.0]))
     assert resids.max() < 1e-12
@@ -339,7 +342,7 @@ def _section_differences(hc, n_vec, x, t):
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_section_tangents_match_finite_differences(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     x = al.flag_orbit_sample(cd, h, seed=10, count=5)
     t_values = np.array([0.0, 0.5, 1.0, 2.0])
     exact = sp._section_tangents(hc, h, x, t_values)
@@ -352,7 +355,7 @@ def test_section_blocks_match_one_block(fixture, block, request, monkeypatch):
     # blocks of base points give the bits of one unblocked call; n spans at
     # least two blocks, the last one partial (None: the module's own block)
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     block = block or sp._SECTION_BLOCK
     x = al.flag_orbit_sample(cd, h, seed=12, count=2 * block + 1)
     t_values = np.array([0.0, 0.5, 1.0, 2.0])
@@ -371,7 +374,7 @@ def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkey
     # a smooth field that is not the projected gradient breaks the tangent
     # formula, and section_omega_residual, which reads the formula, shows it
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     x = al.flag_orbit_sample(cd, h, seed=1, count=10)
 
     def gap():
@@ -387,14 +390,14 @@ def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkey
 
 def test_gradient_hamiltonian_residual(sl2c):
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=11, count=10)
     assert sp.gradient_hamiltonian_residual(hc, h, flag) < 1e-6
 
 
 def test_pullback_identity_at_r1(sl2c):
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     ctx1 = df.make_context(cd, 1.0)
     samples = df.sample_deformed_orbit(ctx1, h, seed=12, n_base=5, n_fiber=2)
     n_plus, _, _ = al.h_subspaces(cd, h)
@@ -441,7 +444,7 @@ def _fd_pullback_check(hc, r, samples, fiber_dirs, draws, step=1e-5):
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_pullback_exact_tangents_match_finite_differences(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     samples = df.sample_deformed_orbit(df.make_context(cd, 1.0), h, seed=17, n_base=4, n_fiber=2)
     draws = _fiber_draws(cd, h, seed=17, n_fiber=2)
     n_plus, _, _ = al.h_subspaces(cd, h)
@@ -491,7 +494,7 @@ def test_hamiltonian_q_rejects_a_non_finite_generator(sl2c, value):
 
 def test_u_moment_values(sl2c):
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     assert np.linalg.norm(sp.u_moment(hc, h)) < 1e-12
     e12 = cd.alg.to_vector(np.array([[0, 1], [0, 0]], dtype=complex))
     m = sp.u_moment(hc, e12)
@@ -551,7 +554,7 @@ def unique_isotropic_orbit_check(hc, h, seed):
 
 def test_unique_isotropic_orbit_sl2c(sl2c):
     cd, hc = sl2c
-    report = unique_isotropic_orbit_check(hc, cd.chamber_H, seed=16)
+    report = unique_isotropic_orbit_check(hc, al.chamber_element(cd, "regular"), seed=16)
     assert report["flag_dim"] == 2 and report["adjoint_dim"] == 4
     assert report["lagrangian"]
     assert report["max_flag_omega"] < 1e-8
@@ -561,7 +564,7 @@ def test_unique_isotropic_orbit_sl2c(sl2c):
 
 def test_unique_isotropic_orbit_sl3c(sl3c):
     cd, hc = sl3c
-    report = unique_isotropic_orbit_check(hc, cd.chamber_H, seed=16)
+    report = unique_isotropic_orbit_check(hc, al.chamber_element(cd, "regular"), seed=16)
     assert report["flag_dim"] == 6 and report["adjoint_dim"] == 12
     assert report["lagrangian"]
     assert report["isotropy_drops"]
@@ -570,7 +573,7 @@ def test_unique_isotropic_orbit_sl3c(sl3c):
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_adjoint_and_deformed_tangents(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     ctx1 = df.make_context(cd, 1.0)
     adjoint = df.sample_deformed_orbit(ctx1, h, seed=9, n_base=4, n_fiber=2)
     assert (adjoint.kind, adjoint.r) == ("deformed", 1.0)
@@ -610,7 +613,7 @@ def _loop_tangent_basis(hc, x, kind, r):
 
 def _batches(cd, seed):
     # one batch per orbit kind, as (points, kind, r)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     # the flag points as a (6, 1, dim) batch of one fiber each
     out = [(al.flag_orbit_sample(cd, h, seed, 6)[:, None], "flag", math.inf)]
     for r in (1.0, 2.0, math.inf):
@@ -638,7 +641,7 @@ def test_orbit_tangent_basis_matches_per_point_loop(fixture, request):
 
 def test_orbit_tangent_basis_mixed_ranks_raise(sl2c):
     cd, hc = sl2c
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     with pytest.raises(StructureError):
         sp.orbit_tangent_basis(hc, np.stack([h, np.zeros_like(h)]), "flag")
 
@@ -675,7 +678,8 @@ def _loop_certificate(hc, samples, kind):
 def test_symplectic_certificate_matches_per_sample_loop(fixture, seed, request):
     cd, hc = request.getfixturevalue(fixture)
     ctx = df.make_context(cd, math.inf)
-    samples = df.sample_deformed_orbit(ctx, cd.chamber_H, seed, n_base=25, n_fiber=3)
+    samples = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
+                                       seed, n_base=25, n_fiber=3)
     report = sp.check_symplectic_on_orbit(hc, samples)
     assert report == _loop_certificate(hc, samples, "semidirect")
 
@@ -685,7 +689,8 @@ def test_symplectic_certificate_is_k_invariant(sl3c, seed):
     # B_theta and Omega are Ad(K)-invariant, so the samples Ad(k) y of one fiber draw y
     # read y's singular-value ratio; in Euclidean coefficient bases it spread by up to 0.86
     cd, hc = sl3c
-    samples = df.sample_deformed_orbit(df.make_context(cd, math.inf), cd.chamber_H, seed, 25, 3)
+    samples = df.sample_deformed_orbit(df.make_context(cd, math.inf), al.chamber_element(cd, "regular"),
+                                       seed, 25, 3)
     t = sp.orbit_tangent_basis(hc, samples.points, "semidirect")
     s = np.linalg.svd(sp.make_skew_form(np.swapaxes(t, -1, -2) @ hc.omega @ t), compute_uv=False)
     ratio = s[..., -1] / s[..., 0]  # (n_base, n_fiber)
@@ -714,7 +719,7 @@ def _loop_pullback_check(hc, r, samples, fiber_dirs, draws):
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_pullback_check_matches_per_sample_loop(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
-    h = cd.chamber_H
+    h = al.chamber_element(cd, "regular")
     samples = df.sample_deformed_orbit(df.make_context(cd, 1.0), h, seed=19, n_base=6, n_fiber=3)
     draws = _fiber_draws(cd, h, seed=19, n_fiber=3)
     n_plus, _, _ = al.h_subspaces(cd, h)
@@ -762,7 +767,7 @@ _K_GUARDS = {
     "hamiltonian_q_check": lambda cd, hc, x: sp.hamiltonian_q_check(hc, x, 0),
     "u_moment": lambda cd, hc, x: sp.u_moment(hc, np.zeros(cd.alg.dim)),
 }
-_CUT = TOL.cutoff(1.0)
+_CUT = cutoff(1.0)
 
 
 @pytest.mark.parametrize("s_part,accepted", [
@@ -772,7 +777,7 @@ _CUT = TOL.cutoff(1.0)
 @pytest.mark.parametrize("guard", sorted(_K_GUARDS))
 def test_k_guards_read_the_one_rule(sl2c, monkeypatch, guard, s_part, accepted):
     # x = e + s_part f, e in k and f in s unit coordinates, lies in k exactly when it is
-    # finite and |s_part f| <= TOL.cutoff(|x|); NaN and inf are put in the k coordinate
+    # finite and |s_part f| <= cutoff(|x|); NaN and inf are put in the k coordinate
     cd, hc = sl2c
     k_unit, s_unit = cd.k_basis[:, 0], cd.s_basis[:, 0]
     x = k_unit + s_part * s_unit if np.isfinite(s_part) else np.where(k_unit != 0, s_part, 0.0)
@@ -785,17 +790,29 @@ def test_k_guards_read_the_one_rule(sl2c, monkeypatch, guard, s_part, accepted):
             _K_GUARDS[guard](cd, hc, x)
 
 
+@pytest.mark.parametrize("guard", ["require_k", "ad_r_exp_orbit", "hamiltonian_q_check"])
+def test_k_guards_refuse_an_overflowing_norm(sl2c, guard):
+    # 1e200 e, e in k, has finite entries, but its squared norm overflows: the norm is
+    # inf and refused before any other product, not an overflow warning (an error here)
+    cd, hc = sl2c
+    calls = {"require_k": lambda cd, hc, x: cd.require_k(x, "element"), **_K_GUARDS}
+    with pytest.raises(al.DomainError, match="must be finite and lie in the compact part k"):
+        calls[guard](cd, hc, 1e200 * cd.k_basis[:, 0])
+
+
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_isotropy_criterion_zero_sees_flag_points(fixture, request, monkeypatch):
     # mu = 0 on the flag points, so the zero half measures Omega on their compact orbits
     cd, _ = request.getfixturevalue(fixture)
-    results = {c.name: c for c in checks.symplectic_suite(cd, seed=1)}
+    results = {c.name: c for c in checks.symplectic_suite(cd, al.chamber_element(cd, "regular"),
+                                                          seed=1)}
     assert results["isotropy_criterion_zero"].residual < 1e-8
     assert results["isotropy_criterion_nonzero"].passed
     # the residual can be exactly 0, so show the flag points are read: a restriction
     # of Omega that is 1 everywhere must fail the zero half
     monkeypatch.setattr(sp, "max_omega", lambda ctx, t: np.ones(t.shape[:-2]))
-    results = {c.name: c for c in checks.symplectic_suite(cd, seed=1)}
+    results = {c.name: c for c in checks.symplectic_suite(cd, al.chamber_element(cd, "regular"),
+                                                          seed=1)}
     assert not results["isotropy_criterion_zero"].passed
 
 
@@ -803,7 +820,7 @@ def _greedy_max_isotropic(form):
     # reference: the greedy extension the closed form replaced, two SVDs per added vector
     w = nullspace(form)
     while True:
-        perp = nullspace(w.T @ form, Tolerance())
+        perp = nullspace(w.T @ form)
         cand = orthonormal_range(perp - w @ (w.T @ perp))
         if cand.shape[1] == 0:
             return w
