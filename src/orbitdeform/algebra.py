@@ -190,10 +190,15 @@ class CartanData:
     simple_set: tuple[int, ...]
 
     def a_coefficients(self, h: np.ndarray) -> np.ndarray:
-        """a_basis coordinates of h; DomainError unless the residual is at most cutoff(|h|)."""
+        """a_basis coordinates of h; DomainError unless |residual/s| <= cutoff(|h/s|).
+
+        s = max(|h|_inf, 1): a is a subspace, so h lies in it when h/s does, and the
+        norms of h/s cannot overflow, as |h| does beyond about 1.3e154.
+        """
         h = np.asarray(h, dtype=float)
         coeffs, *_ = np.linalg.lstsq(self.a_basis, h, rcond=None)
-        if not np.linalg.norm(self.a_basis @ coeffs - h) <= cutoff(np.linalg.norm(h)):
+        s = max(np.abs(h).max(initial=0.0), 1.0)
+        if not np.linalg.norm((self.a_basis @ coeffs - h) / s) <= cutoff(np.linalg.norm(h / s)):
             raise DomainError("element does not lie in the maximal abelian subalgebra")
         return coeffs
 
@@ -348,7 +353,8 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
 
     theta(X) = -X^T for real families, tau(X) = -conj(X)^T for complex
     ones.  The maximal abelian a is the span of the real diagonal basis
-    elements, zero on so(n), which then has no roots; positivity is the
+    elements; on so(n) a = 0, and the empty stack ad(a) has g as its one
+    joint eigenspace, so there are no roots.  Positivity is the
     lexicographic choice that makes the strictly upper-triangular root
     vectors positive.  ad(a) is exact, so
     fixed cutoffs serve: eigenvalues within 1e-9 are one root, |alpha| <= 1e-8 is zero.
@@ -364,8 +370,7 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     off_diagonal = alg.basis[:, ~np.eye(alg.n, dtype=bool)]
     a_basis = eye[:, ~(off_diagonal.any(axis=1) | alg.basis.imag.any(axis=(1, 2)))]
 
-    ops = [alg.ad(a_basis[:, i]) for i in range(a_basis.shape[1])]
-    blocks = simultaneous_eigenspaces(ops) if ops else [(np.zeros(0), eye)]
+    blocks = simultaneous_eigenspaces(alg.ad(a_basis.T))
     root_blocks = [(vals, basis) for vals, basis in blocks if np.abs(vals).max(initial=0.0) > 1e-8]
     if len(root_blocks) == len(blocks):
         raise StructureError("joint zero eigenspace missing")
@@ -414,8 +419,8 @@ def chamber_element(cd: CartanData, spec: str) -> np.ndarray:
     "regular" solves alpha(H) = 2 on every simple root (giving
     diag(1,-1) for sl(2)); "wall:k" zeroes the k-th simple root value
     (0-based) and keeps the rest at 2.  The regular element is the H of
-    Grajales & Grama (arXiv 2007.14541) that verify checks at; on so(n),
-    which has no roots, every preset is 0.
+    Grajales & Grama (arXiv 2007.14541) that verify checks at; on so(n)
+    the simple root functionals form a (0, 0) matrix, so every preset is 0.
     """
     simple_set = cd.simple_set
     targets = np.full(len(simple_set), 2.0)
@@ -429,9 +434,7 @@ def chamber_element(cd: CartanData, spec: str) -> np.ndarray:
         targets[k] = 0.0
     elif spec != "regular":
         raise DomainError(f"unknown chamber preset {spec!r}")
-    if not simple_set:
-        return np.zeros(cd.a_basis.shape[0])
-    m = np.stack([cd.roots[i].functional for i in simple_set])
+    m = np.array([cd.roots[i].functional for i in simple_set]).reshape(targets.size, cd.a_basis.shape[1])
     coeffs, *_ = np.linalg.lstsq(m, targets, rcond=None)
     return cd.a_basis @ coeffs
 

@@ -10,10 +10,11 @@ module attribute <name>_suite when it runs, so a wrapper set on that
 attribute is the function that runs.  Every suite is called as
 <name>_suite(cd, h, seed), h the chamber element the checks sample at,
 which the caller resolves with algebra.chamber_element; the numerics
-suite checks library kernels on its own algebra and reads neither cd
-nor h.  Each suite decides whether it applies to an algebra: the
-deformation and semidirect suites return [] on an algebra without roots
-(so(3), so(4)), the symplectic suite on one without a complex structure J.
+suite checks library kernels and the joint eigenspaces of cd's ad(a),
+and does not read h.  Each suite decides whether it applies to an
+algebra: the deformation and semidirect suites return [] on an algebra
+without roots (so(3), so(4)), the symplectic suite on one without a
+complex structure J.
 
 Every check hands its residuals to _check, the one reduction: a scalar,
 an array, or a list of them (one per r), reduced to their largest value
@@ -128,11 +129,9 @@ def numerics_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[Chec
     out.append(_check("nullspace_quality", "||A v||<=10*tol, v orthonormal", null, 1.0))
     out.append(_check("nullspace_orthonormal", "v_i . v_j = delta_ij", orth, 1e-12))
 
-    alg = al.build_algebra("sl_real", 3)
-    cd = al.cartan_structure(alg)
-    ops = [alg.ad(cd.a_basis[:, i]) for i in range(cd.a_basis.shape[1])]
-    total = sum(b.shape[1] for _, b in simultaneous_eigenspaces(ops))
-    out.append(_check("eigenspace_completeness", "sum dim g_a = dim g", abs(total - alg.dim), 0.5))
+    # ad(a), an empty family on so(n), whose one joint eigenspace is g
+    total = sum(b.shape[1] for _, b in simultaneous_eigenspaces(cd.alg.ad(cd.a_basis.T)))
+    out.append(_check("eigenspace_completeness", "sum dim g_a = dim g", abs(total - cd.alg.dim), 0.5))
     return out
 
 
@@ -159,12 +158,9 @@ def algebra_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[Check
         exchange.append(np.linalg.norm(img - other @ (other.T @ cd.b_theta @ img)))
     out.append(_check("theta_root_exchange", "theta(g_a)=g_{-a}", exchange, 1e-9))
 
-    if cd.a_basis.shape[1]:
-        n_plus, n_minus, z_h = al.h_subspaces(cd, h)
-        mismatch = abs(alg.dim - n_plus.shape[1] - n_minus.shape[1] - z_h.shape[1])
-    else:
-        mismatch = 0
-    out.append(_check("h_subspace_dims", "dim g = dim z_H + dim n+ + dim n-", mismatch, 0.5))
+    n_plus, n_minus, z_h = al.h_subspaces(cd, h)
+    out.append(_check("h_subspace_dims", "dim g = dim z_H + dim n+ + dim n-",
+                      abs(alg.dim - n_plus.shape[1] - n_minus.shape[1] - z_h.shape[1]), 0.5))
 
     h_norm = alg.killing_form(h, h)
     x = al.flag_orbit_sample(cd, h, seed, 50)
@@ -243,7 +239,7 @@ def deformation_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[C
     for r in df.R_GRID:
         img_on = sd.span_basis(cd, ctx[r].psi_r[:, None] * n_plus)
         # r-root spaces: eigenspaces of ad_r(H) with positive eigenvalue
-        pos = [b for (v, b) in simultaneous_eigenspaces([adr_h[r]]) if v[0] > 1e-8]
+        pos = [b for (v, b) in simultaneous_eigenspaces(adr_h[r][None]) if v[0] > 1e-8]
         pos_basis = sd.span_basis(cd, np.hstack(pos) if pos else np.zeros((alg.dim, 0)))
         spaces.append(_proj_residual(cd, img_on, pos_basis))
     out.append(_check("r_root_spaces", "n+_{r,H} = psi_r(n+_H)", spaces, 1e-9))

@@ -116,7 +116,6 @@ def sample_deformed_orbit(
     batch stores their images Ad(k).X_c, each pair conjugated once.
     """
     cd = ctx.cd
-    cd.check_chamber(h)
     n_plus, _, _ = h_subspaces(cd, h)
     k = sample_k_operators(cd, seed, n_base)
     coeffs = np.random.default_rng([seed, 0x5F1BE]).standard_normal((n_fiber, n_plus.shape[1]))

@@ -6,8 +6,9 @@ are made with one rule, cutoff: sigma is zero when sigma <= 1e-9 + 1e-7
 sigma_max.  Only simultaneous_eigenspaces passes nullspace another, absolute,
 cutoff.  The same rule decides membership, in CartanData: x lies in k
 when |project_s(x)| <= cutoff(|x|) (require_k), h in a when its lstsq
-residual is at most cutoff(|h|) (a_coefficients), and a root value of
-H is zero when |alpha(H)| <= cutoff(max_beta |beta(H)|) (check_chamber).
+residual is at most cutoff(|h|), both over max(|h|_inf, 1)
+(a_coefficients), and a root value of H is zero when |alpha(H)| <=
+cutoff(max_beta |beta(H)|) (check_chamber).
 symplectic.max_isotropic reads it for the radical and the paired eigenvalues.
 
 matrix_exp and orthonormal_range also take (..., n, m) stacks, one matrix
@@ -163,22 +164,21 @@ def _cluster(values: np.ndarray, eps: float) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(values[order]) > eps) + 1)
 
 
-def simultaneous_eigenspaces(ops: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Joint eigenspace decomposition of a commuting, real-diagonalizable family.
+def simultaneous_eigenspaces(ops: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Joint eigenspace decomposition of a commuting, real-diagonalizable (m, n, n) stack, m >= 0.
 
     Returns a list of (eigenvalue_vector, orthonormal_basis) pairs; the
-    eigenvalue vector collects one eigenvalue per operator.  Nearby
-    eigenvalues (within 1e-9) are merged into a single cluster.
+    eigenvalue vector collects one eigenvalue per operator, so the empty
+    family's one pair is (zeros(0), I_n).  Nearby eigenvalues (within 1e-9)
+    are merged into a single cluster.
     Raises StructureError when the operators fail to commute.
     """
-    ops = [_require_square(op) for op in ops]
-    if not ops:
-        raise ValueError("need at least one operator")
-    n = ops[0].shape[0]
-    scale = max(1.0, *(float(np.linalg.norm(op)) for op in ops))
+    ops = _require_square(ops, stack=True)
+    if ops.ndim != 3:
+        raise DimensionError(f"expected an (m, n, n) stack of operators, got shape {ops.shape}")
+    n = ops.shape[-1]
+    scale = max([1.0, *(float(np.linalg.norm(op)) for op in ops)])
     for i, a in enumerate(ops):
-        if a.shape[0] != n:
-            raise DimensionError("operators act on different spaces")
         for b in ops[i + 1 :]:
             largest = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))
             if np.linalg.norm(a @ b - b @ a) > cutoff(largest) * scale * 10:

@@ -256,6 +256,16 @@ def test_check_chamber_rejects_non_finite(sl2r):
             cd.check_chamber(np.full(3, bad))
 
 
+@pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e300])
+def test_a_coefficients_refuses_off_a_at_any_scale(sl2r, c):
+    # |c (H + S)| overflowed to inf beyond about 1.3e154, a cutoff that passed any
+    # residual: 1e160 (H + S) read as 1e160 H, with a RuntimeWarning from the norm
+    _, cd = sl2r
+    with pytest.raises(al.DomainError, match="maximal abelian"):
+        cd.a_coefficients(c * (H + S))
+    assert np.array_equal(cd.a_coefficients(c * H), [c])
+
+
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
 def test_ad_columns_match_bracket_columns(descriptor):
     # the tangent kernel: [B_i, x] over the columns of B is -ad(x) @ B

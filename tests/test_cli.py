@@ -60,6 +60,24 @@ def test_verify_held_out_seed_passes(algebra, tmp_path, capsys):
         assert set(expected) <= {entry["name"] for entry in report["checks"]}
 
 
+def test_verify_builds_one_algebra(tmp_path, capsys, monkeypatch):
+    # every suite reads the caller's Cartan data; the numerics suite built its own sl(3,R)
+    calls = {"build_algebra": 0, "cartan_structure": 0}
+
+    def counted(name):
+        original = getattr(al, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(al, name, counted(name))
+    assert run(["verify", "--algebra", "sl3c", "--seed", "1", "--out", str(tmp_path / "v.json")]) == 0
+    assert calls == {"build_algebra": 1, "cartan_structure": 1}
+
+
 def test_verify_unknown_algebra_is_usage_error(capsys):
     assert run(["verify", "--algebra", "g2"]) == 2
 

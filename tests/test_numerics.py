@@ -143,6 +143,19 @@ def test_simultaneous_eigenspaces_commuting_pair():
     assert len(blocks) == 4
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_simultaneous_eigenspaces_empty_family(n):
+    # no operators: one joint eigenspace, the whole space, with no eigenvalues
+    [(vals, basis)] = simultaneous_eigenspaces(np.zeros((0, n, n)))
+    assert vals.shape == (0,) and np.array_equal(basis, np.eye(n))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (1, 2, 3, 3), (0,), (2, 3, 4)])
+def test_simultaneous_eigenspaces_requires_operator_stack(shape):
+    with pytest.raises(DimensionError):
+        simultaneous_eigenspaces(np.zeros(shape))
+
+
 def test_simultaneous_eigenspaces_rejects_noncommuting():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[1.0, 0.0], [0.0, 2.0]])
