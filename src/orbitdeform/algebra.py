@@ -356,8 +356,9 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     elements; on so(n) a = 0, and the empty stack ad(a) has g as its one
     joint eigenspace, so there are no roots.  Positivity is the
     lexicographic choice that makes the strictly upper-triangular root
-    vectors positive.  ad(a) is exact, so
-    fixed cutoffs serve: eigenvalues within 1e-9 are one root, |alpha| <= 1e-8 is zero.
+    vectors positive.  ad(a) is exact and symmetric for B_theta, so
+    simultaneous_eigenspaces returns each root space B_theta-orthonormal, and
+    a joint eigenvalue vector with |alpha| <= 1e-8 is the zero root.
     """
     theta = alg.to_vector(-np.conj(np.swapaxes(alg.basis, -1, -2))).T  # column j: theta(e_j)
     signs = np.diag(theta)
@@ -370,12 +371,12 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     off_diagonal = alg.basis[:, ~np.eye(alg.n, dtype=bool)]
     a_basis = eye[:, ~(off_diagonal.any(axis=1) | alg.basis.imag.any(axis=(1, 2)))]
 
-    blocks = simultaneous_eigenspaces(alg.ad(a_basis.T))
+    blocks = simultaneous_eigenspaces(alg.ad(a_basis.T), b_theta)
     root_blocks = [(vals, basis) for vals, basis in blocks if np.abs(vals).max(initial=0.0) > 1e-8]
     if len(root_blocks) == len(blocks):
         raise StructureError("joint zero eigenspace missing")
     funcs = np.array([vals for vals, _ in root_blocks]).reshape(len(root_blocks), a_basis.shape[1])
-    spaces = [_b_orthonormalize(basis, b_theta) for _, basis in root_blocks]
+    spaces = [basis for _, basis in root_blocks]
 
     # pair alpha with -alpha and check theta(g_alpha) = g_{-alpha}
     opposite = _close(funcs[None], -funcs[:, None])  # [i, j]: root j is -(root i)
@@ -417,7 +418,7 @@ def chamber_element(cd: CartanData, spec: str) -> np.ndarray:
     """Ambient vector of cd's chamber preset spec, the one place each preset is computed.
 
     "regular" solves alpha(H) = 2 on every simple root (giving
-    diag(1,-1) for sl(2)); "wall:k" zeroes the k-th simple root value
+    diag(1,-1) for sl(2), up to roundoff); "wall:k" zeroes the k-th simple root value
     (0-based) and keeps the rest at 2.  The regular element is the H of
     Grajales & Grama (arXiv 2007.14541) that verify checks at; on so(n)
     the simple root functionals form a (0, 0) matrix, so every preset is 0.

@@ -130,7 +130,7 @@ def numerics_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[Chec
     out.append(_check("nullspace_orthonormal", "v_i . v_j = delta_ij", orth, 1e-12))
 
     # ad(a), an empty family on so(n), whose one joint eigenspace is g
-    total = sum(b.shape[1] for _, b in simultaneous_eigenspaces(cd.alg.ad(cd.a_basis.T)))
+    total = sum(b.shape[1] for _, b in simultaneous_eigenspaces(cd.alg.ad(cd.a_basis.T), cd.b_theta))
     out.append(_check("eigenspace_completeness", "sum dim g_a = dim g", abs(total - cd.alg.dim), 0.5))
     return out
 
@@ -176,9 +176,7 @@ def deformation_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[C
     alg = cd.alg
     rng = np.random.default_rng(seed)
     ctx = {r: df.make_context(cd, r) for r in df.R_GRID_FULL}
-    # h lies in s, so T_r^-1 h = h and ad_r(h) = T_r ad(h) T_r^-1: one ad(h) for every r
-    ad_h = alg.ad(h)
-    adr_h = {r: ctx[r].t_r[:, None] * ad_h * ctx[r].t_r_inv for r in df.R_GRID}
+    adr_h = {r: df.ad_r(ctx[r], h) for r in df.R_GRID}
 
     jacobi = []
     for r in df.R_GRID:
@@ -238,8 +236,10 @@ def deformation_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[C
     spaces = []
     for r in df.R_GRID:
         img_on = sd.span_basis(cd, ctx[r].psi_r[:, None] * n_plus)
-        # r-root spaces: eigenspaces of ad_r(H) with positive eigenvalue
-        pos = [b for (v, b) in simultaneous_eigenspaces(adr_h[r][None]) if v[0] > 1e-8]
+        # r-root spaces: eigenspaces of ad_r(H) with positive eigenvalue; ad_r(H) is
+        # symmetric for T_r^-1 B_theta T_r^-1, as ad(H) is for B_theta
+        metric = ctx[r].t_r_inv[:, None] * cd.b_theta * ctx[r].t_r_inv
+        pos = [b for (v, b) in simultaneous_eigenspaces(adr_h[r][None], metric) if v[0] > 1e-8]
         pos_basis = sd.span_basis(cd, np.hstack(pos) if pos else np.zeros((alg.dim, 0)))
         spaces.append(_proj_residual(cd, img_on, pos_basis))
     out.append(_check("r_root_spaces", "n+_{r,H} = psi_r(n+_H)", spaces, 1e-9))

@@ -3,8 +3,9 @@
 Everything downstream (algebra construction, orbit sampling, form checks)
 goes through these routines so that rank / nullspace / eigenspace decisions
 are made with one rule, cutoff: sigma is zero when sigma <= 1e-9 + 1e-7
-sigma_max.  Only simultaneous_eigenspaces passes nullspace another, absolute,
-cutoff.  The same rule decides membership, in CartanData: x lies in k
+sigma_max, and simultaneous_eigenspaces splits sorted eigenvalues where a
+gap exceeds cutoff of the largest |eigenvalue|.  The same rule decides
+membership, in CartanData: x lies in k
 when |project_s(x)| <= cutoff(|x|) (require_k), h in a when its lstsq
 residual is at most cutoff(|h|), both over max(|h|_inf, 1)
 (a_coefficients), and a root value of H is zero when |alpha(H)| <=
@@ -110,12 +111,11 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def nullspace(a: np.ndarray, tol: float | None = None) -> np.ndarray:
+def nullspace(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of A.
 
-    A singular value sigma is treated as zero when sigma <= cutoff(sigma_max),
-    or sigma <= tol for an absolute cutoff tol.  Returns a (cols, k) array,
-    k = 0 when A has full column rank.
+    A singular value sigma is treated as zero when sigma <= cutoff(sigma_max).
+    Returns a (cols, k) array, k = 0 when A has full column rank.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -126,7 +126,7 @@ def nullspace(a: np.ndarray, tol: float | None = None) -> np.ndarray:
         return np.eye(a.shape[1])
     _, s, vh = np.linalg.svd(a)
     # a has entries, so s does: s[0] is sigma_max
-    rank = int(np.sum(s > (cutoff(s[0]) if tol is None else tol)))
+    rank = int(np.sum(s > cutoff(s[0])))
     return vh[rank:].conj().T
 
 
@@ -158,25 +158,26 @@ def orthonormal_range(a: np.ndarray) -> np.ndarray:
     return u[..., keep[0]]
 
 
-def _cluster(values: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Group sorted indices of `values` into clusters with gaps > eps."""
-    order = np.argsort(values)
-    return np.split(order, np.flatnonzero(np.diff(values[order]) > eps) + 1)
+def simultaneous_eigenspaces(ops: np.ndarray, metric: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Joint eigenspaces of a commuting (m, n, n) stack, m >= 0, of operators symmetric for metric.
 
-
-def simultaneous_eigenspaces(ops: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Joint eigenspace decomposition of a commuting, real-diagonalizable (m, n, n) stack, m >= 0.
-
-    Returns a list of (eigenvalue_vector, orthonormal_basis) pairs; the
-    eigenvalue vector collects one eigenvalue per operator, so the empty
-    family's one pair is (zeros(0), I_n).  Nearby eigenvalues (within 1e-9)
-    are merged into a single cluster.
-    Raises StructureError when the operators fail to commute.
+    metric is an (n, n) positive form M, and each operator A has M A = (M A)^T.
+    The one block of the empty family is the M-orthonormal inv(cholesky(M))^T;
+    each operator refines every block V by one eigh of V^T M A V, split where
+    its sorted eigenvalues gap by more than cutoff of the largest |eigenvalue|.
+    So the blocks are M-orthonormal and span the space.  Returns a list of
+    (eigenvalue_vector, basis) pairs, one eigenvalue per operator, the mean of
+    its split.  Raises StructureError when an operator is not M-symmetric, or
+    when the operators fail to commute.
     """
-    ops = _require_square(ops, stack=True)
-    if ops.ndim != 3:
-        raise DimensionError(f"expected an (m, n, n) stack of operators, got shape {ops.shape}")
-    n = ops.shape[-1]
+    ops, metric = _require_square(ops, stack=True), _require_square(metric)
+    if ops.ndim != 3 or metric.shape != ops.shape[1:]:
+        raise DimensionError(f"expected an (m, n, n) stack of operators and an (n, n) metric, "
+                             f"got shapes {ops.shape} and {metric.shape}")
+    m_ops = metric @ ops
+    for m_op in m_ops:
+        if np.abs(m_op - m_op.T).max(initial=0.0) > cutoff(np.abs(m_op).max(initial=0.0)):
+            raise StructureError("operator is not symmetric for the metric")
     scale = max([1.0, *(float(np.linalg.norm(op)) for op in ops)])
     for i, a in enumerate(ops):
         for b in ops[i + 1 :]:
@@ -184,26 +185,13 @@ def simultaneous_eigenspaces(ops: np.ndarray) -> list[tuple[np.ndarray, np.ndarr
             if np.linalg.norm(a @ b - b @ a) > cutoff(largest) * scale * 10:
                 raise StructureError("operators do not commute within tolerance")
 
-    blocks: list[tuple[tuple[float, ...], np.ndarray]] = [((), np.eye(n))]
-    for op in ops:
+    blocks: list[tuple[tuple[float, ...], np.ndarray]] = [((), np.linalg.inv(np.linalg.cholesky(metric)).T)]
+    for m_op in m_ops:
         refined = []
         for vals, basis in blocks:
-            restricted = basis.T @ op @ basis
-            eigvals = np.linalg.eigvals(restricted)
-            if np.max(np.abs(eigvals.imag)) > 1e-6 * scale:
-                raise StructureError("operator is not real-diagonalizable on a joint block")
-            eigvals = eigvals.real
-            for group in _cluster(eigvals, 1e-9):
-                lam = float(np.mean(eigvals[group]))
-                sub = nullspace(restricted - lam * np.eye(restricted.shape[0]),
-                                1e-8 * max(1.0, scale))
-                if sub.shape[1] != len(group):
-                    raise StructureError(
-                        "eigenspace dimension mismatch; operator may not be diagonalizable"
-                    )
-                refined.append((vals + (lam,), basis @ sub))
+            lam, vecs = np.linalg.eigh(basis.T @ m_op @ basis)
+            cuts = np.flatnonzero(np.diff(lam) > cutoff(np.abs(lam).max())) + 1
+            for part, sub in zip(np.split(lam, cuts), np.split(vecs, cuts, axis=1)):
+                refined.append((vals + (float(np.mean(part)),), basis @ sub))
         blocks = refined
-    total = sum(b.shape[1] for _, b in blocks)
-    if total != n:
-        raise StructureError(f"eigenspace dimensions sum to {total}, expected {n}")
     return [(np.array(vals), basis) for vals, basis in blocks]

@@ -9,7 +9,7 @@ import pytest
 
 from orbitdeform import algebra as al
 from orbitdeform import symplectic as sp
-from orbitdeform.numerics import DimensionError, StructureError, matrix_exp, nullspace
+from orbitdeform.numerics import DimensionError, StructureError, cutoff, matrix_exp, nullspace
 
 # canonical sl(2,R) coordinates: (x, y, z) = x H + y S + z A
 H, S, A = np.eye(3)
@@ -506,13 +506,35 @@ def test_root_pairing_and_simple_roots_match_loops(family, n):
     assert cd.simple_set == simple
 
 
+@pytest.mark.parametrize("family,n", [c for c in EXACT_CASES if c[0] != "so"])
+def test_root_spaces_are_the_type_a_answer(family, n):
+    # alpha = e_i - e_j has g_alpha spanned by E_ij, and on sl(n,C) by i E_ij too; each
+    # space_basis is B_theta-orthonormal and has that span, whatever the eigen-solver
+    cd = _exact_cartan(family, n)
+    alg, b = cd.alg, cd.b_theta
+    h = np.eye(n)[:-1] - np.eye(n)[1:]  # row k: the diagonal of the a-basis element H_k
+    e = np.eye(n * n).reshape(n, n, n, n)
+    scalars = (1.0, 1j) if family == "sl_complex" else (1.0,)
+    matched = set()
+    for root in cd.roots:
+        v = root.space_basis
+        assert np.abs(v.T @ b @ v - np.eye(v.shape[1])).max() <= cutoff(1.0)
+        [(i, j)] = [(i, j) for i, j in itertools.permutations(range(n), 2)
+                    if np.allclose(root.functional, h[:, i] - h[:, j], atol=1e-9)]
+        matched.add((i, j))
+        w = alg.to_vector(np.stack([c * e[i, j] for c in scalars])).T
+        ref = w @ np.linalg.solve(w.T @ b @ w, w.T @ b)
+        assert np.abs(v @ v.T @ b - ref).max() <= cutoff(1.0)
+    assert len(matched) == n * (n - 1) == len(cd.roots)
+
+
 def test_cartan_rejects_root_without_opposite(sl2r, monkeypatch):
     # one root functional scaled off its negative's: StructureError, not StopIteration
     alg, _ = sl2r
     eigenspaces = al.simultaneous_eigenspaces
 
-    def skewed(ops):
-        blocks = eigenspaces(ops)
+    def skewed(ops, metric):
+        blocks = eigenspaces(ops, metric)
         vals = next(v for v, _ in blocks if np.abs(v).max() > 1e-8)
         return [(1.5 * v, b) if v is vals else (v, b) for v, b in blocks]
 

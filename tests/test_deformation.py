@@ -166,9 +166,11 @@ def test_r_root_spaces_are_psi_images(sl2r):
     for r in df.R_GRID:
         ctx = df.make_context(cd, r)
         img = np.linalg.qr(np.diag(ctx.psi_r) @ n_plus)[0]
-        blocks = simultaneous_eigenspaces([df.ad_r(ctx, al.chamber_element(cd, "regular"))])
+        # ad_r(H) is symmetric for T_r^-1 B_theta T_r^-1, and the blocks are orthonormal for it
+        metric = np.diag(ctx.t_r_inv) @ cd.b_theta @ np.diag(ctx.t_r_inv)
+        blocks = simultaneous_eigenspaces([df.ad_r(ctx, al.chamber_element(cd, "regular"))], metric)
         pos = np.hstack([b for v, b in blocks if v[0] > 1e-8])
-        assert np.linalg.norm(img - pos @ (pos.T @ img)) < 1e-9
+        assert np.linalg.norm(img - pos @ (pos.T @ metric @ img)) < 1e-9
 
 
 def test_ad_r_exp_orbit_matches_rescaled_flow(sl2r):

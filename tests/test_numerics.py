@@ -100,11 +100,10 @@ def test_nullspace_full_rank_and_zero():
     assert nullspace(np.zeros((3, 3))).shape == (3, 3)
 
 
-def test_nullspace_absolute_cutoff():
-    # the relative rule keeps 1e-6 of sigma_max = 1; an absolute cutoff of 1e-5 drops it
+def test_nullspace_relative_cutoff():
+    # the relative rule keeps 1e-6 of sigma_max = 1, above cutoff(1) = 1.01e-7
     a = np.diag([1.0, 1e-6])
     assert nullspace(a).shape == (2, 0)
-    assert np.array_equal(np.abs(nullspace(a, 1e-5)), [[0.0], [1.0]])
 
 
 def test_nullspace_quality():
@@ -127,7 +126,7 @@ def test_rank_and_range():
 
 
 def test_simultaneous_eigenspaces_zero_operator():
-    blocks = simultaneous_eigenspaces([np.zeros((3, 3))])
+    blocks = simultaneous_eigenspaces([np.zeros((3, 3))], np.eye(3))
     assert len(blocks) == 1
     vals, basis = blocks[0]
     assert vals[0] == 0.0 and basis.shape == (3, 3)
@@ -137,30 +136,77 @@ def test_simultaneous_eigenspaces_commuting_pair():
     d1 = np.diag([1.0, 1.0, 2.0, 3.0])
     d2 = np.diag([5.0, 4.0, 4.0, 4.0])
     q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((4, 4)))
-    blocks = simultaneous_eigenspaces([q @ d1 @ q.T, q @ d2 @ q.T])
+    blocks = simultaneous_eigenspaces([q @ d1 @ q.T, q @ d2 @ q.T], np.eye(4))
     assert sum(b.shape[1] for _, b in blocks) == 4
     # joint eigenvalue pairs (1,5), (1,4), (2,4), (3,4) are all distinct
     assert len(blocks) == 4
 
 
+def _spd_family(rng, n, diagonals):
+    """A random SPD metric M = L L^T and the operators M^-1 Q D_i Q^T, Q = L q, q orthogonal.
+
+    Each is M-symmetric, and they commute: with V = M^-1 Q, V^T M V = I and the
+    operators are V D_i V^-1.
+    """
+    g = rng.standard_normal((n, n))
+    metric = g @ g.T + n * np.eye(n)
+    q = np.linalg.cholesky(metric) @ np.linalg.qr(rng.standard_normal((n, n)))[0]
+    ops = np.stack([np.linalg.solve(metric, q @ np.diag(d) @ q.T) for d in diagonals])
+    return metric, ops
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_simultaneous_eigenspaces_in_a_metric(seed):
+    rng = np.random.default_rng(seed)
+    # six joint eigenvalues (1,0), (2,0), (3,0), (3,1), (-1,1), (-1,2) of dimensions
+    # 2, 1, 1, 1, 2, 1 over 8 coordinates, with repeats within each operator
+    d1 = np.array([1.0, 1.0, 2.0, 3.0, 3.0, -1.0, -1.0, -1.0])
+    d2 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
+    perm = rng.permutation(8)
+    metric, ops = _spd_family(rng, 8, [d1[perm], d2[perm]])
+    blocks = simultaneous_eigenspaces(ops, metric)
+    joint = sorted(zip(d1.tolist(), d2.tolist()))
+    found = np.array(sorted(tuple(v) for v, _ in blocks))
+    assert found.shape == (6, 2) and np.abs(found - sorted(set(joint))).max() <= 1e-12
+    for vals, basis in blocks:
+        assert basis.shape[1] == joint.count(tuple(np.round(vals)))
+        gram = basis.T @ metric @ basis
+        assert np.abs(gram - np.eye(basis.shape[1])).max() <= cutoff(1.0)
+        for op, lam in zip(ops, vals):
+            assert np.abs(op @ basis - lam * basis).max() <= cutoff(np.abs(op).max())
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_simultaneous_eigenspaces_empty_family(n):
     # no operators: one joint eigenspace, the whole space, with no eigenvalues
-    [(vals, basis)] = simultaneous_eigenspaces(np.zeros((0, n, n)))
+    [(vals, basis)] = simultaneous_eigenspaces(np.zeros((0, n, n)), np.eye(n))
     assert vals.shape == (0,) and np.array_equal(basis, np.eye(n))
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (1, 2, 3, 3), (0,), (2, 3, 4)])
+# the last stack is (m, n, n), but its n is not the 3 of the metric
+@pytest.mark.parametrize("shape", [(3, 3), (1, 2, 3, 3), (0,), (2, 3, 4), (1, 2, 2)])
 def test_simultaneous_eigenspaces_requires_operator_stack(shape):
     with pytest.raises(DimensionError):
-        simultaneous_eigenspaces(np.zeros(shape))
+        simultaneous_eigenspaces(np.zeros(shape), np.eye(3))
 
 
 def test_simultaneous_eigenspaces_rejects_noncommuting():
-    a = np.array([[0.0, 1.0], [0.0, 0.0]])
+    # both symmetric for the identity, so the commute check is what fires
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
     b = np.array([[1.0, 0.0], [0.0, 2.0]])
-    with pytest.raises(StructureError):
-        simultaneous_eigenspaces([a, b])
+    with pytest.raises(StructureError, match="commute"):
+        simultaneous_eigenspaces([a, b], np.eye(2))
+
+
+def test_simultaneous_eigenspaces_rejects_non_symmetric_operator():
+    rng = np.random.default_rng(3)
+    metric, ops = _spd_family(rng, 4, [[1.0, 2.0, 3.0, 4.0]])
+    # M^-1 Q D Q^T is M-symmetric, but not symmetric for the identity
+    simultaneous_eigenspaces(ops, metric)
+    with pytest.raises(StructureError, match="not symmetric"):
+        simultaneous_eigenspaces(ops, np.eye(4))
+    with pytest.raises(StructureError, match="not symmetric"):
+        simultaneous_eigenspaces(np.array([[[0.0, 1.0], [0.0, 0.0]]]), np.eye(2))
 
 
 def test_orthonormal_range_stack_matches_single():
