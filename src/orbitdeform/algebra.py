@@ -53,7 +53,6 @@ from .numerics import (
     bilinear,
     cutoff,
     matrix_exp,
-    nullspace,
     simultaneous_eigenspaces,
 )
 
@@ -186,6 +185,7 @@ class CartanData:
     s_basis: np.ndarray  # -1 eigenspace columns, identity columns
     b_theta: np.ndarray  # B_theta(X,Y) = -<X, theta Y>, the Killing columns scaled by -signs
     a_basis: np.ndarray  # columns spanning the maximal abelian a in s
+    m_a_basis: np.ndarray  # B_theta-orthonormal columns of m + a, the joint zero eigenspace of ad(a)
     roots: tuple[RootDatum, ...]
     simple_set: tuple[int, ...]
 
@@ -210,8 +210,8 @@ class CartanData:
     def check_chamber(self, h: np.ndarray) -> np.ndarray:
         """The root values of H, 0 where |alpha(H)| <= cutoff(max_beta |beta(H)|).
 
-        That is the cutoff nullspace(ad H) applies to the singular values |alpha(H)|
-        of ad(H), so a root value within it is a wall.  DomainError for an H that is
+        A root value within that cutoff is a wall: h_subspaces counts its root
+        space in z_H, not in n_H^+ or n_H^-.  DomainError for an H that is
         not finite, not in a, outside the closed chamber (a simple root value below
         -cutoff) or nonzero with every root value zero, too small to resolve.
         """
@@ -331,23 +331,6 @@ def build_algebra(family: str, n: int) -> LieAlgebraData:
     )
 
 
-def _b_orthonormalize(basis: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormalize the columns of a matrix, or of each in a stack, for the positive form b."""
-    if basis.shape[-1] == 0:
-        return basis
-    gram = np.swapaxes(basis, -1, -2) @ b @ basis
-    chol = np.linalg.cholesky(gram)
-    return basis @ np.swapaxes(np.linalg.inv(chol), -1, -2)
-
-
-def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.allclose(a, b, atol=1e-8) along the last axis of broadcasting stacks.
-
-    Its rule, |a - b| <= 1e-8 + 1e-5 |b| in every entry, on every pair at once.
-    """
-    return (np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)).all(axis=-1)
-
-
 def cartan_structure(alg: LieAlgebraData) -> CartanData:
     """Cartan decomposition, maximal abelian subalgebra and restricted roots.
 
@@ -357,8 +340,10 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     joint eigenspace, so there are no roots.  Positivity is the
     lexicographic choice that makes the strictly upper-triangular root
     vectors positive.  ad(a) is exact and symmetric for B_theta, so
-    simultaneous_eigenspaces returns each root space B_theta-orthonormal, and
-    a joint eigenvalue vector with |alpha| <= 1e-8 is the zero root.
+    simultaneous_eigenspaces returns each joint eigenspace B_theta-orthonormal.
+    cutoff of the largest joint |eigenvalue| decides the zero root (kept as
+    m_a_basis, m + a), theta-pairs (alpha + beta = 0), simple roots (no
+    alpha - beta - gamma = 0) and positivity (alpha(probe) above it).
     """
     theta = alg.to_vector(-np.conj(np.swapaxes(alg.basis, -1, -2))).T  # column j: theta(e_j)
     signs = np.diag(theta)
@@ -372,14 +357,21 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     a_basis = eye[:, ~(off_diagonal.any(axis=1) | alg.basis.imag.any(axis=(1, 2)))]
 
     blocks = simultaneous_eigenspaces(alg.ad(a_basis.T), b_theta)
-    root_blocks = [(vals, basis) for vals, basis in blocks if np.abs(vals).max(initial=0.0) > 1e-8]
-    if len(root_blocks) == len(blocks):
+    vals = np.array([v for v, _ in blocks]).reshape(len(blocks), a_basis.shape[1])
+    zero = cutoff(np.abs(vals).max(initial=0.0))
+
+    def vanishes(x):  # every entry of a joint eigenvalue (difference) is zero by the one rule
+        return (np.abs(x) <= zero).all(axis=-1)
+
+    is_root = ~vanishes(vals)
+    if is_root.all():
         raise StructureError("joint zero eigenspace missing")
-    funcs = np.array([vals for vals, _ in root_blocks]).reshape(len(root_blocks), a_basis.shape[1])
-    spaces = [basis for _, basis in root_blocks]
+    funcs = vals[is_root]
+    spaces = [basis for (_, basis), root in zip(blocks, is_root) if root]
+    m_a_basis = np.hstack([basis for (_, basis), root in zip(blocks, is_root) if not root])
 
     # pair alpha with -alpha and check theta(g_alpha) = g_{-alpha}
-    opposite = _close(funcs[None], -funcs[:, None])  # [i, j]: root j is -(root i)
+    opposite = vanishes(funcs[None] + funcs[:, None])  # [i, j]: root j is -(root i)
     if not opposite.any(axis=1).all():
         raise StructureError("a root has no opposite root")
     roots = []
@@ -396,10 +388,10 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     probe_diag = np.diag([nn - 1 - 2 * i for i in range(nn)]).astype(complex)
     probe = alg.to_vector(probe_diag)
     probe_coeffs, *_ = np.linalg.lstsq(a_basis, probe, rcond=None)
-    positive = np.flatnonzero(funcs @ probe_coeffs > 1e-8)
+    positive = np.flatnonzero(funcs @ probe_coeffs > zero)
     # simple: the positive roots that are no sum of two positive roots
     pos = funcs[positive]
-    is_sum = _close(pos[:, None, None], pos[:, None] + pos[None]).any(axis=(1, 2))
+    is_sum = vanishes(pos[:, None, None] - pos[:, None] - pos[None]).any(axis=(1, 2))
     simple = tuple(int(i) for i in positive[~is_sum])
 
     return CartanData(
@@ -409,6 +401,7 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
         s_basis=s_basis,
         b_theta=b_theta,
         a_basis=a_basis,
+        m_a_basis=m_a_basis,
         roots=tuple(roots),
         simple_set=simple,
     )
@@ -443,16 +436,16 @@ def chamber_element(cd: CartanData, spec: str) -> np.ndarray:
 def h_subspaces(cd: CartanData, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n_H^+, n_H^-, z_H) bases for H in the closed positive chamber.
 
-    n_H^+- are the root spaces of the root values check_chamber keeps, above and
-    below 0; z_H = nullspace(ad H) applies the same cutoff.
+    Each is a sum of blocks of the root decomposition g = (m + a) + sum g_alpha:
+    n_H^+- the root spaces whose values check_chamber keeps above and below 0,
+    z_H the zero block m_a_basis and the root spaces whose values it zeroes.  So
+    the three are one B_theta-orthonormal partition of g.
     """
     vals = cd.check_chamber(h)
     empty = [np.zeros((cd.alg.dim, 0))]  # the basis of a side without roots
     n_plus = np.hstack(empty + [r.space_basis for r, v in zip(cd.roots, vals) if v > 0])
     n_minus = np.hstack(empty + [r.space_basis for r, v in zip(cd.roots, vals) if v < 0])
-    z_h = nullspace(cd.alg.ad(h))
-    if n_plus.shape[1] + n_minus.shape[1] + z_h.shape[1] != cd.alg.dim:
-        raise StructureError("dim g != dim z_H + dim n_H^+ + dim n_H^-")
+    z_h = np.hstack([cd.m_a_basis] + [r.space_basis for r, v in zip(cd.roots, vals) if v == 0])
     return n_plus, n_minus, z_h
 
 

@@ -236,10 +236,12 @@ def deformation_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[C
     spaces = []
     for r in df.R_GRID:
         img_on = sd.span_basis(cd, ctx[r].psi_r[:, None] * n_plus)
-        # r-root spaces: eigenspaces of ad_r(H) with positive eigenvalue; ad_r(H) is
-        # symmetric for T_r^-1 B_theta T_r^-1, as ad(H) is for B_theta
+        # r-root spaces: eigenspaces of ad_r(H) whose eigenvalue exceeds cutoff of the
+        # largest; ad_r(H) is symmetric for T_r^-1 B_theta T_r^-1, as ad(H) is for B_theta
         metric = ctx[r].t_r_inv[:, None] * cd.b_theta * ctx[r].t_r_inv
-        pos = [b for (v, b) in simultaneous_eigenspaces(adr_h[r][None], metric) if v[0] > 1e-8]
+        blocks = simultaneous_eigenspaces(adr_h[r][None], metric)
+        zero = cutoff(max(abs(v[0]) for v, _ in blocks))
+        pos = [b for v, b in blocks if v[0] > zero]
         pos_basis = sd.span_basis(cd, np.hstack(pos) if pos else np.zeros((alg.dim, 0)))
         spaces.append(_proj_residual(cd, img_on, pos_basis))
     out.append(_check("r_root_spaces", "n+_{r,H} = psi_r(n+_H)", spaces, 1e-9))

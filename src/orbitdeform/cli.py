@@ -29,7 +29,7 @@ from . import checks
 from . import deformation as df
 from . import semidirect as sd
 from . import symplectic as sp
-from .algebra import ConfigurationError, DomainError
+from .algebra import DomainError
 
 
 def _parse_r(text: str) -> float:
@@ -370,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return args.fn(args)
-    except (ConfigurationError, DomainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,10 @@ membership, in CartanData: x lies in k
 when |project_s(x)| <= cutoff(|x|) (require_k), h in a when its lstsq
 residual is at most cutoff(|h|), both over max(|h|_inf, 1)
 (a_coefficients), and a root value of H is zero when |alpha(H)| <=
-cutoff(max_beta |beta(H)|) (check_chamber).
+cutoff(max_beta |beta(H)|) (check_chamber).  cartan_structure decides the
+zero root, theta-pairs, positivity and simple roots with cutoff of the largest
+joint eigenvalue of ad(a), and through the zero root and check_chamber
+h_subspaces reads z_H.
 symplectic.max_isotropic reads it for the radical and the paired eigenvalues.
 
 matrix_exp and orthonormal_range also take (..., n, m) stacks, one matrix

@@ -37,13 +37,7 @@ import math
 
 import numpy as np
 
-from .algebra import (
-    CartanData,
-    OrbitBatch,
-    RepresentationError,
-    _b_orthonormalize,
-    sample_k_operators,
-)
+from .algebra import CartanData, OrbitBatch, RepresentationError, sample_k_operators
 from .numerics import DimensionError, apply, orthonormal_range
 
 
@@ -78,10 +72,13 @@ def span_basis(cd: CartanData, cols: np.ndarray) -> np.ndarray:
     """B_theta-orthonormal basis of the span of the columns of a (..., dim, m) stack.
 
     One batched SVD (orthonormal_range, which fixes the rank with the
-    package's zero rule) and one batched Cholesky step.  A stack whose
-    ranks differ raises StructureError.
+    package's zero rule) and one batched Cholesky step, q inv(L)^T for the
+    Gram matrix q^T B_theta q = L L^T.  A stack whose ranks differ raises
+    StructureError.
     """
-    return _b_orthonormalize(orthonormal_range(cols), cd.b_theta)
+    q = orthonormal_range(cols)
+    chol = np.linalg.cholesky(np.swapaxes(q, -1, -2) @ cd.b_theta @ q)
+    return q @ np.swapaxes(np.linalg.inv(chol), -1, -2)
 
 
 def span_projection(cd: CartanData, t: np.ndarray, v: np.ndarray) -> np.ndarray:

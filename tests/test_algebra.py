@@ -528,6 +528,30 @@ def test_root_spaces_are_the_type_a_answer(family, n):
     assert len(matched) == n * (n - 1) == len(cd.roots)
 
 
+@pytest.mark.parametrize("family,n", [*EXACT_CASES, ("sl_real", 5)])
+def test_h_subspaces_partition_g(family, n):
+    # n_H^+, n_H^- and z_H together are one B_theta-orthonormal basis of g, and z_H spans
+    # nullspace(ad H), the SVD route that h_subspaces took before, kept as the reference.
+    # At regular, at every wall and near every wall (one simple root value 1e-8 or 1e-7
+    # beside 2, which check_chamber reads as the wall)
+    cd = _exact_cartan(family, n)
+    alg, b, count = cd.alg, cd.b_theta, len(cd.simple_set)
+    hs = [al.chamber_element(cd, spec) for spec in ["regular", *(f"wall:{k}" for k in range(count))]]
+    simple = np.array([cd.roots[i].functional for i in cd.simple_set]).reshape(count, cd.a_basis.shape[1])
+    for k, value in itertools.product(range(count), (1e-8, 1e-7)):
+        targets = np.full(count, 2.0)
+        targets[k] = value
+        hs.append(cd.a_basis @ np.linalg.solve(simple, targets))
+    for h in hs:
+        n_plus, n_minus, z_h = al.h_subspaces(cd, h)
+        q = np.hstack([n_plus, n_minus, z_h])
+        assert q.shape == (alg.dim, alg.dim)
+        assert np.abs(q.T @ b @ q - np.eye(alg.dim)).max() <= 1e-12
+        ref = nullspace(alg.ad(h))
+        assert z_h.shape[1] == ref.shape[1]
+        assert np.abs(ref - z_h @ (z_h.T @ b @ ref)).max() <= 1e-12
+
+
 def test_cartan_rejects_root_without_opposite(sl2r, monkeypatch):
     # one root functional scaled off its negative's: StructureError, not StopIteration
     alg, _ = sl2r

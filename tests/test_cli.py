@@ -476,7 +476,7 @@ def test_non_finite_or_overflowing_chamber_is_usage_error(tmp_path, capsys, comm
 def test_chamber_element_resolution(tmp_path, capsys, args, code):
     # a nonzero H whose root values are all zero by the one rule cannot be resolved: it
     # exited 0 with every fiber collapsed.  H = 0 is the zero orbit.  A root value of 1e-8
-    # beside 1.5 is a wall; it exited 2 from h_subspaces' internal dimension check
+    # beside 1.5 is a wall, whose root space h_subspaces counts in z_H
     assert run([*args, "--out", str(tmp_path)]) == code
     if code == 2:
         assert "too small to resolve" in capsys.readouterr().err

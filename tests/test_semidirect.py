@@ -121,8 +121,8 @@ def test_fiber_dimension_over_h(sl2r):
 @pytest.mark.parametrize("value", [1e-8, 1e-7])
 @pytest.mark.parametrize("desc", ["sl3r", "sl3c", ("sl_complex", 4)], ids=["sl3r", "sl3c", "sl4c"])
 def test_near_wall_root_is_read_as_a_wall(desc, value):
-    # a simple root value within cutoff of the largest is zero for check_chamber, as
-    # its singular value is for nullspace(ad H): n_H^+, the flag tangent and the fiber
+    # a simple root value within cutoff of the largest is zero for check_chamber, so
+    # h_subspaces counts its root space in z_H: n_H^+, the flag tangent and the fiber
     # have one width, the wall's.  h_subspaces used to count it in n_H^+, not in z_H
     cd = _cartan(desc)
     simple = np.stack([cd.roots[i].functional for i in cd.simple_set])
@@ -143,8 +143,10 @@ def test_fiber_equals_psi_n_plus():
         h = al.chamber_element(cd, "regular")
         n_plus, _, _ = al.h_subspaces(cd, h)
         psi = np.eye(cd.alg.dim) + np.diag(cd.signs)
-        # B_theta-orthonormal, as the fiber basis is, by Gram-Schmidt instead of an SVD
-        img = al._b_orthonormalize(np.linalg.qr(psi @ n_plus)[0], cd.b_theta)
+        # B_theta-orthonormal, as the fiber basis is, by Gram-Schmidt instead of an SVD,
+        # then the Cholesky step q inv(L)^T for q^T B_theta q = L L^T
+        q = np.linalg.qr(psi @ n_plus)[0]
+        img = q @ np.linalg.inv(np.linalg.cholesky(q.T @ cd.b_theta @ q)).T
         fib = sd.coadjoint_fiber(cd, h)
         assert np.linalg.norm(img - fib @ (fib.T @ cd.b_theta @ img)) < 1e-9
         assert np.linalg.norm(fib - img @ (img.T @ cd.b_theta @ fib)) < 1e-9

@@ -579,8 +579,7 @@ def test_adjoint_and_deformed_tangents(fixture, request):
     assert (adjoint.kind, adjoint.r) == ("deformed", 1.0)
     t_adj = sp.orbit_tangent_basis(hc, adjoint.points, adjoint.kind, adjoint.r)
     # at r = 1 the deformed tangents are the adjoint orbit's ad(g).x, bit for bit
-    assert np.array_equal(
-        t_adj, al._b_orthonormalize(orthonormal_range(-cd.alg.ad(adjoint.points)), cd.b_theta))
+    assert np.array_equal(t_adj, sd.span_basis(cd, -cd.alg.ad(adjoint.points)))
     # and the flag tangents are semidirect.orbit_tangent_at's, bit for bit
     flag = al.flag_orbit_sample(cd, h, seed=9, count=4)
     assert np.array_equal(sp.orbit_tangent_basis(hc, flag, "flag"), sd.orbit_tangent_at(cd, flag))
@@ -608,7 +607,7 @@ def _loop_tangent_basis(hc, x, kind, r):
         cols = np.hstack([-cd.alg.ad(x) @ cd.k_basis, sp.fiber_tangent_at(cd, w)])
     else:
         cols = -df.ad_r(df.make_context(cd, r), x)
-    return al._b_orthonormalize(orthonormal_range(cols), cd.b_theta)
+    return sd.span_basis(cd, cols)
 
 
 def _batches(cd, seed):
