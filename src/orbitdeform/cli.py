@@ -8,7 +8,8 @@ first, then the r = 1 sample pushed to one r at a time and written before the
 next, so a command holds one pushed batch and one block of text at a time.
 
 Exit codes: 0 all checks pass / output written, 1 check failure,
-2 usage or configuration error.
+2 usage or configuration error.  Commands raise, and main alone maps an
+error, a count too large to allocate included, to 2 and one "error:" line.
 """
 
 from __future__ import annotations
@@ -106,7 +107,11 @@ def _atomic_write(path: str, chunks: Iterable[str]):
         # iterating a str would write it one character at a time
         raise TypeError("_atomic_write takes an iterable of str chunks, not a str")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        # name the path asked for, not the random temp name mkstemp tried
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             for chunk in chunks:
@@ -188,9 +193,7 @@ def cmd_verify(args) -> int:
     results = checks.run(cd, al.chamber_element(cd, "regular"), args.seed, args.suite)
     if not results:
         # an empty report would pass while certifying nothing
-        print(f"error: suite {args.suite} has no checks for algebra {args.algebra}",
-              file=sys.stderr)
-        return 2
+        raise DomainError(f"suite {args.suite} has no checks for algebra {args.algebra}")
     if args.abs_eps == args.rel_eps == 0:
         # forced-failure mode: every nonzero residual counts as a failure
         results = [dataclasses.replace(r, threshold=0.0) for r in results]
@@ -217,11 +220,9 @@ def cmd_orbit_sample(args) -> int:
     r_values = _parse_list(args.r if args.r is not None
                            else ("inf" if args.kind == "semidirect" else "1"), "r")
     if args.kind == "semidirect" and r_values != [math.inf]:
-        print("semidirect sampling is at r = inf; --r must be inf", file=sys.stderr)
-        return 2
+        raise DomainError("semidirect sampling is at r = inf; --r must be inf")
     if args.kind == "adjoint" and r_values != [1.0]:
-        print("adjoint sampling requires r=1", file=sys.stderr)
-        return 2
+        raise DomainError("adjoint sampling requires r=1")
     prefix = os.path.join(args.out, f"orbit_{args.algebra}_{args.kind}")
     if args.kind == "semidirect":
         batch = sd.sample_semidirect_orbit(cd, h, args.seed, args.n_base, args.n_fiber)
@@ -253,8 +254,7 @@ def cmd_lagrangian_section(args) -> int:
     t_values = _parse_list(args.t, "t")
     cd, h = _build(args)
     if cd.alg.j_op is None:
-        print("Lagrangian sections require a complex-family algebra", file=sys.stderr)
-        return 2
+        raise DomainError("Lagrangian sections require a complex-family algebra")
     hc = sp.make_hermitian_context(cd)
     flag = al.flag_orbit_sample(cd, h, args.seed, args.n_base)
     t_array = np.array(t_values)
@@ -268,7 +268,7 @@ def cmd_lagrangian_section(args) -> int:
     report = []
     for t, resid in zip(t_values, residuals.tolist()):
         report.append({"t": t, "max_omega_residual": resid})
-        print(f"t={t}: max |Omega| over section tangent pairs = {resid:.3e}", file=sys.stderr)
+        print(f"t={t}: max |Omega(u, v)| over unit section tangents u, v = {resid:.3e}", file=sys.stderr)
     path = os.path.join(args.out, f"section_{args.algebra}.csv")
     _atomic_write(path, _csv("t,base_tag", t_values, sections))
     _atomic_write(
@@ -370,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

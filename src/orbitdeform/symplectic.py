@@ -262,9 +262,10 @@ def _section_tangents(
 def section_omega_residual(
     ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray
 ) -> float | np.ndarray:
-    """max |Omega(v, w)| over pairs of a B_theta-orthonormal basis of the tangent space of sigma_t.
+    """The largest max_omega of sigma_t's tangent spaces over the (n, dim) flag points x.
 
-    The section is over the (n, dim) flag points x.  The tangents are
+    That is max |Omega(u, v)| over B_theta-unit tangent vectors u, v at a
+    point, so it does not depend on the tangent basis.  The tangents are
     exact, along the flag curves Ad(exp(sA)) x for A ranging over the
     compact basis (_section_tangents).  A scalar t gives a float, a
     (n_t,) array one value per t.  The maximum is taken block by block
@@ -274,8 +275,7 @@ def section_omega_residual(
     for start in range(0, x.shape[0], _SECTION_BLOCK):
         block = x[start:start + _SECTION_BLOCK]
         tb = sd.span_basis(ctx.cd, _section_tangents(ctx, n_vec, block, t))
-        gram = np.swapaxes(tb, -1, -2) @ ctx.omega @ tb
-        resid = np.maximum(resid, np.abs(gram).max(axis=(-3, -2, -1), initial=0.0))
+        resid = np.maximum(resid, max_omega(ctx, tb).max(axis=-1, initial=0.0))
     return float(resid) if resid.ndim == 0 else resid
 
 

@@ -397,6 +397,8 @@ def test_lagrangian_section_drops_repeated_t(tmp_path, capsys):
 
 def test_lagrangian_section_requires_complex(tmp_path, capsys):
     assert run(["lagrangian-section", "--algebra", "sl2r", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: Lagrangian sections require a complex-family algebra\n")
 
 
 def test_config_file(tmp_path, capsys):
@@ -622,6 +624,7 @@ def test_deform_sweep_requires_inf_last(tmp_path, capsys):
 def test_orbit_sample_semidirect_rejects_r_list(tmp_path, capsys):
     assert run(["orbit-sample", "--algebra", "sl2r", "--kind", "semidirect",
                 "--r", "1,10", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: semidirect sampling is at r = inf; --r must be inf\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -647,6 +650,46 @@ def test_unread_count_flag_is_usage_error(tmp_path, capsys, args):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def _python(*argv):
+    # a fresh interpreter on this checkout's src: its modules and its stderr, a traceback included
+    src = str(Path(orbitdeform.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("command", [["orbit-sample", "--algebra", "sl2r", "--n-base"],
+                                     ["deform-sweep", "--algebra", "sl2r", "--n-fiber"],
+                                     ["lagrangian-section", "--algebra", "sl2c", "--n-base"]])
+def test_unallocatable_count_is_usage_error(tmp_path, command):
+    # 10^14 samples ask numpy for PiBs, which it refuses before allocating: one
+    # "error:" line and exit 2, where a traceback and exit 1 read as a failed
+    # check.  The request is past a 47-bit address space, so no overcommit
+    # policy grants it; a count that fits in virtual memory but not in RAM
+    # would meet the OOM killer, not MemoryError
+    proc = _python("-m", "orbitdeform.cli", *command, str(10**14), "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: Unable to allocate")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,target", [
+    (["verify", "--algebra", "sl2r", "--suite", "numerics"], "r.json"),
+    (["orbit-sample", "--algebra", "sl2r"], ""),
+    (["deform-sweep", "--algebra", "sl2r"], ""),
+    (["lagrangian-section", "--algebra", "sl2c", "--n-base", "2"], ""),
+])
+def test_missing_out_directory_is_named(tmp_path, capsys, command, target):
+    # the error names the path the user gave, not the random temp file beside it
+    missing = tmp_path / "missing"
+    assert run([*command, "--out", str(missing / target)]) == 2
+    err = capsys.readouterr().err.splitlines()[-1]  # after lagrangian-section's residual lines
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+    assert str(missing) in err and ".tmp" not in err
+    assert not missing.exists()
 
 
 def test_verify_config_rejects_count_key(tmp_path, capsys):
@@ -693,6 +736,7 @@ def test_orbit_sample_semidirect_rejects_finite_r(tmp_path, capsys, r):
 def test_orbit_sample_adjoint_rejects_r_list_before_writing(tmp_path, capsys):
     assert run(["orbit-sample", "--algebra", "sl2r", "--kind", "adjoint",
                 "--r", "1,2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: adjoint sampling requires r=1\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -721,9 +765,6 @@ assert main(["deform-sweep", "--algebra", "sl2c", "--n-base", "2", "--n-fiber", 
 assert main(["lagrangian-section", "--algebra", "sl2c", "--n-base", "2", "--out", out]) == 0
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
-    src = str(Path(orbitdeform.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

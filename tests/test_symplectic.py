@@ -372,7 +372,9 @@ def test_section_blocks_match_one_block(fixture, block, request, monkeypatch):
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkeypatch):
     # a smooth field that is not the projected gradient breaks the tangent
-    # formula, and section_omega_residual, which reads the formula, shows it
+    # formula, and section_omega_residual, which reads the formula, shows it.
+    # The value is read off each point's tangent space, not off its basis: a
+    # random orthogonal change of every tangent basis leaves it in place
     cd, hc = request.getfixturevalue(fixture)
     h = al.chamber_element(cd, "regular")
     x = al.flag_orbit_sample(cd, h, seed=1, count=10)
@@ -385,7 +387,17 @@ def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkey
     monkeypatch.setattr(sp, "gradient_at", lambda ctx, x, n_vec: np.broadcast_to(
         x @ m.T, np.broadcast_shapes(np.shape(n_vec), x.shape)))
     assert gap() > 1e-2
-    assert sp.section_omega_residual(hc, h, x, 1.0) > 1e-2
+    resid = sp.section_omega_residual(hc, h, x, 1.0)
+    assert resid > 1e-2
+    rng, span_basis = np.random.default_rng(2), sd.span_basis
+
+    def rotated(cd, v):
+        basis = span_basis(cd, v)
+        rank = basis.shape[-1]
+        return basis @ np.linalg.qr(rng.standard_normal((*basis.shape[:-2], rank, rank)))[0]
+
+    monkeypatch.setattr(sd, "span_basis", rotated)
+    assert sp.section_omega_residual(hc, h, x, 1.0) == pytest.approx(resid, rel=1e-12)
 
 
 def test_gradient_hamiltonian_residual(sl2c):
