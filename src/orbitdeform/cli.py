@@ -101,7 +101,7 @@ def _atomic_write(path: str, chunks: Iterable[str]):
     The file gets the mode open(path, "w") would leave: path's permission
     bits if it exists, else 0o666 less the umask.  Any error, one raised
     by a chunk generator partway through included, removes the temp file
-    and leaves path untouched.
+    and leaves path untouched; a failed mkstemp or rename names path.
     """
     if isinstance(chunks, str):
         # iterating a str would write it one character at a time
@@ -120,7 +120,11 @@ def _atomic_write(path: str, chunks: Iterable[str]):
         os.umask(umask)
         # mkstemp created tmp 0o600
         os.chmod(tmp, os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            # as for mkstemp: name the path asked for, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -257,24 +261,22 @@ def cmd_lagrangian_section(args) -> int:
         raise DomainError("Lagrangian sections require a complex-family algebra")
     hc = sp.make_hermitian_context(cd)
     flag = al.flag_orbit_sample(cd, h, args.seed, args.n_base)
-    t_array = np.array(t_values)
     # a finite t can still be too large for the section's coordinates
     with np.errstate(over="raise", invalid="raise"):
         try:
-            sections = sp.lagrangian_section(hc, h, flag, t_array)
-            residuals = sp.section_omega_residual(hc, h, flag, t_array)
+            sections, residuals = sp.lagrangian_section(hc, h, flag, np.array(t_values))
         except FloatingPointError as exc:
             raise DomainError(f"--t values too large: the section overflows ({exc})") from exc
-    report = []
-    for t, resid in zip(t_values, residuals.tolist()):
-        report.append({"t": t, "max_omega_residual": resid})
-        print(f"t={t}: max |Omega(u, v)| over unit section tangents u, v = {resid:.3e}", file=sys.stderr)
     path = os.path.join(args.out, f"section_{args.algebra}.csv")
     _atomic_write(path, _csv("t,base_tag", t_values, sections))
+    report = [{"t": t, "max_omega_residual": r} for t, r in zip(t_values, residuals.tolist())]
     _atomic_write(
         os.path.join(args.out, f"section_{args.algebra}_report.json"),
         [json.dumps(report, indent=2) + "\n"],
     )
+    # the residual lines follow the writes, so a failed write shows its error alone
+    for t, r in zip(t_values, residuals.tolist()):
+        print(f"t={t}: max |Omega(u, v)| over unit section tangents u, v = {r:.3e}", file=sys.stderr)
     print(path)
     return 0
 

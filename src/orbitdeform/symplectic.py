@@ -16,13 +16,14 @@ isotropic for Omega; the restriction of Omega to the semidirect orbit
 over a chamber element H is symplectic, which is certified at every
 sample by rank.  The module also provides height-function gradients (the
 B_theta-projection of N, semidirect.tangent_projection) and Lagrangian
-sections on the flag orbit, checked on their exact tangents along the
-compact flows; the defect by which the deformation maps fail to
-preserve Omega, from exact tangents too (psi~_r is a diffeomorphism,
-not a symplectomorphism; see pullback_check); the moment map of the
-compact-group action; and a generic skew-form toolkit on the same
-plain Gram arrays (maximal isotropic subspaces in the linear Darboux
-form, with the package's zero rule, numerics.cutoff).
+sections on the flag orbit, formed in one pass with their residual,
+read on their exact tangents along the compact flows; the defect by
+which the deformation maps fail to preserve Omega, from exact tangents
+too (psi~_r is a diffeomorphism, not a symplectomorphism; see
+pullback_check); the moment map of the compact-group action; and a
+generic skew-form toolkit on the same plain Gram arrays (maximal
+isotropic subspaces in the linear Darboux form, with the package's zero
+rule, numerics.cutoff).
 gradient_hamiltonian_residual and hamiltonian_q_check take central
 differences, as evidence independent of the bracket formulas.
 
@@ -219,29 +220,32 @@ def _compact_flows(cd: CartanData) -> np.ndarray:
 
 def lagrangian_section(
     ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray
-) -> np.ndarray:
-    """The section points sigma_t(x) = x + t i Y(x) over the (n, dim) flag points x, Y = grad f_N.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(points, residual): the section points sigma_t(x) = x + t i Y(x) over the (n, dim) flag
+    points x, Y = grad f_N, and the largest section_omega_residual of their tangent spaces.
 
-    x is what flag_orbit_sample returns.  A scalar t gives (n, dim); a
-    (n_t,) array gives (n_t, n, dim), t axis first, with Y computed once.
-    Y is formed _SECTION_BLOCK points at a time, so temporaries do not grow with n.
+    A scalar t gives (n, dim) points and a 0-d residual, a (n_t,) array
+    (n_t, n, dim) points, t axis first, and (n_t,) residuals.  One pass over
+    blocks of _SECTION_BLOCK points, one _section_tangents call each: every
+    point's tangent basis is formed once, and temporaries do not grow with n.
     """
     t = np.asarray(t, dtype=float)
-    out = np.empty((*t.shape, *x.shape))
+    points, resid = np.empty((*t.shape, *x.shape)), np.zeros(t.shape)
     for start in range(0, x.shape[0], _SECTION_BLOCK):
         block = x[start:start + _SECTION_BLOCK]
-        i_y = gradient_at(ctx, block, n_vec) @ ctx.cd.alg.j_op.T
-        out[..., start:start + _SECTION_BLOCK, :] = block + t[..., None, None] * i_y
-    return out
+        y, tangents = _section_tangents(ctx, n_vec, block, t)
+        points[..., start:start + _SECTION_BLOCK, :] = block + t[..., None, None] * (y @ ctx.cd.alg.j_op.T)
+        resid = np.maximum(resid, section_omega_residual(ctx, tangents))
+    return points, resid
 
 
-_SECTION_BLOCK = 256  # base points whose section points or tangents are formed in one stacked call
+_SECTION_BLOCK = 256  # base points whose section points and tangents are formed in one stacked call
 
 
 def _section_tangents(
     ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray
-) -> np.ndarray:
-    """Exact tangents of sigma_t at the (b, dim) flag points x, a column per compact basis A.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, exact tangents of sigma_t) at the (b, dim) flag points x, a column per compact A.
 
     Along A the tangent is [A, x] + t i D_A Y with Y = gradient_at(x) and
     D_A Y = [A, Y] - P_x [A, N]: Y = P_x N, where P_x is the projection
@@ -249,34 +253,20 @@ def _section_tangents(
     P_{Ad(k)x} = Ad(k) P_x Ad(k)^-1 differentiates to it.  Y and every
     P_x [A, N] come from one gradient_at call on the (1 + dim k, dim)
     stack of N and the [A, N], so each point's tangent basis is formed
-    once.  A scalar t gives (b, dim, dim k), a (n_t,) array
-    (n_t, b, dim, dim k).
+    once.  Y is (b, dim); a scalar t gives (b, dim, dim k) tangents, a
+    (n_t,) array (n_t, b, dim, dim k).
     """
     cd = ctx.cd
     grads = gradient_at(ctx, x[:, None], np.vstack([n_vec, sd.tangent_columns(cd, n_vec).T]))
     d_y = sd.tangent_columns(cd, grads[:, 0]) - np.swapaxes(grads[:, 1:], -1, -2)
     t = np.asarray(t, dtype=float)[..., None, None, None]
-    return sd.tangent_columns(cd, x) + t * (cd.alg.j_op @ d_y)
+    return grads[:, 0], sd.tangent_columns(cd, x) + t * (cd.alg.j_op @ d_y)
 
 
-def section_omega_residual(
-    ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray, t: float | np.ndarray
-) -> float | np.ndarray:
-    """The largest max_omega of sigma_t's tangent spaces over the (n, dim) flag points x.
-
-    That is max |Omega(u, v)| over B_theta-unit tangent vectors u, v at a
-    point, so it does not depend on the tangent basis.  The tangents are
-    exact, along the flag curves Ad(exp(sA)) x for A ranging over the
-    compact basis (_section_tangents).  A scalar t gives a float, a
-    (n_t,) array one value per t.  The maximum is taken block by block
-    over the base points, so memory does not grow with their number.
-    """
-    resid = np.zeros(np.shape(t))
-    for start in range(0, x.shape[0], _SECTION_BLOCK):
-        block = x[start:start + _SECTION_BLOCK]
-        tb = sd.span_basis(ctx.cd, _section_tangents(ctx, n_vec, block, t))
-        resid = np.maximum(resid, max_omega(ctx, tb).max(axis=-1, initial=0.0))
-    return float(resid) if resid.ndim == 0 else resid
+def section_omega_residual(ctx: HermitianContext, tangents: np.ndarray) -> np.ndarray:
+    """The largest max_omega, max |Omega(u, v)| over B_theta-unit tangent vectors u, v, at the
+    points of a block of exact _section_tangents: one value per t, whatever the basis."""
+    return max_omega(ctx, sd.span_basis(ctx.cd, tangents)).max(axis=-1)
 
 
 def gradient_hamiltonian_residual(ctx: HermitianContext, n_vec: np.ndarray, x: np.ndarray) -> float:

@@ -180,7 +180,7 @@ def test_criterion_08_lagrangian_sections(sl2c):
     cd, hc = sl2c
     h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, SEED, count=15)
-    worst = max(sp.section_omega_residual(hc, h, flag, t) for t in (0.0, 0.5, 1.0, 2.0))
+    worst = sp.lagrangian_section(hc, h, flag, np.array([0.0, 0.5, 1.0, 2.0]))[1].max()
     _line("criterion 8 (sections x + t i grad f_H are Lagrangian)",
           worst < 1e-6, f"max |Omega| {worst:.3e} < 1e-6")
 

@@ -390,16 +390,37 @@ def test_verify_sl3c_call_counts(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("descriptor", ["sl2c", "sl3c"])
 def test_section_residual_forms_one_tangent_basis_per_block(descriptor, monkeypatch):
-    # Y = P_x N and the P_x [A, N] share each block's orbit_tangent_at call;
-    # three blocks of 4, 4 and 2 base points
+    # the points' Y = P_x N and the tangents' P_x [A, N] share each block's
+    # orbit_tangent_at call; three blocks of 4, 4 and 2 base points
     cd = _cartan(descriptor)
     hc = sp.make_hermitian_context(cd)
     x = al.flag_orbit_sample(cd, al.chamber_element(cd, "regular"), 1, 10)
     counts = collections.Counter()
     monkeypatch.setattr(sd, "orbit_tangent_at", _counting(counts, "basis", sd.orbit_tangent_at))
     monkeypatch.setattr(sp, "_SECTION_BLOCK", 4)
-    sp.section_omega_residual(hc, al.chamber_element(cd, "regular"), x, np.array([0.0, 1.0]))
+    sp.lagrangian_section(hc, al.chamber_element(cd, "regular"), x, np.array([0.0, 1.0]))
     assert counts["basis"] == 3
+
+
+@pytest.mark.parametrize("descriptor", ["sl2c", "sl3c"])
+def test_lagrangian_section_command_forms_one_tangent_basis_per_block(descriptor, tmp_path, monkeypatch):
+    # the command's points and residuals come from one pass: one orbit_tangent_at
+    # call per block of 4, 4 and 2 base points, and the points are the section
+    # x + t J Y(x) with the gradient of the whole flag stack at once
+    cd = _cartan(descriptor)
+    hc = sp.make_hermitian_context(cd)
+    h = al.chamber_element(cd, "regular")
+    counts = collections.Counter()
+    monkeypatch.setattr(sd, "orbit_tangent_at", _counting(counts, "basis", sd.orbit_tangent_at))
+    monkeypatch.setattr(sp, "_SECTION_BLOCK", 4)
+    assert cli.main(["lagrangian-section", "--algebra", descriptor, "--seed", "1",
+                     "--n-base", "10", "--t", "0,2", "--out", str(tmp_path)]) == 0
+    assert counts["basis"] == 3
+    flag = al.flag_orbit_sample(cd, h, 1, 10)
+    t = np.array([0.0, 2.0])
+    ref = flag + t[:, None, None] * (sp.gradient_at(hc, flag, h) @ cd.alg.j_op.T)
+    rows = np.loadtxt(tmp_path / f"section_{descriptor}.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 2:].reshape(ref.shape), ref)
 
 
 def test_nan_residual_fails_its_check(monkeypatch):

@@ -683,13 +683,26 @@ def test_unallocatable_count_is_usage_error(tmp_path, command):
     (["lagrangian-section", "--algebra", "sl2c", "--n-base", "2"], ""),
 ])
 def test_missing_out_directory_is_named(tmp_path, capsys, command, target):
-    # the error names the path the user gave, not the random temp file beside it
+    # the error names the path the user gave, not the random temp file beside it,
+    # and it is the only stderr line: lagrangian-section reports its residuals
+    # only after both files are written
     missing = tmp_path / "missing"
     assert run([*command, "--out", str(missing / target)]) == 2
-    err = capsys.readouterr().err.splitlines()[-1]  # after lagrangian-section's residual lines
+    [err] = capsys.readouterr().err.splitlines()
     assert err.startswith("error: [Errno 2] No such file or directory: ")
     assert str(missing) in err and ".tmp" not in err
     assert not missing.exists()
+
+
+def test_failed_rename_is_named(tmp_path, capsys):
+    # --out an existing directory: the temp file is written, the rename onto the
+    # directory fails, and the one error line names the path given; no temp is left
+    target = tmp_path / "d"
+    target.mkdir()
+    assert run(["verify", "--algebra", "sl2r", "--suite", "numerics", "--out", str(target)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"error: [Errno 21] Is a directory: {str(target)!r}"
+    assert list(tmp_path.iterdir()) == [target] and not any(target.iterdir())
 
 
 def test_verify_config_rejects_count_key(tmp_path, capsys):

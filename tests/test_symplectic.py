@@ -268,23 +268,23 @@ def test_lagrangian_sections(sl2c):
     h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=10, count=10)
     for t in (0.0, 0.5, 1.0, 2.0):
-        assert sp.section_omega_residual(hc, h, flag, t) < 1e-6
+        assert sp.lagrangian_section(hc, h, flag, t)[1] < 1e-6
 
 
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_section_t_array_matches_scalar_calls(fixture, request):
-    # a t array is the scalar calls stacked, t axis first, bit for bit
+    # a t array is the scalar calls stacked, t axis first, bit for bit; a scalar
+    # t gives a 0-d residual
     cd, hc = request.getfixturevalue(fixture)
     h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=10, count=7)
     t_values = [0.0, 0.5, -1.25, 2.0]
-    points = sp.lagrangian_section(hc, h, flag, np.array(t_values))
-    resids = sp.section_omega_residual(hc, h, flag, np.array(t_values))
+    points, resids = sp.lagrangian_section(hc, h, flag, np.array(t_values))
     assert points.shape == (4, 7, cd.alg.dim) and resids.shape == (4,)
     for t, p_t, r_t in zip(t_values, points, resids):
-        assert np.array_equal(p_t, sp.lagrangian_section(hc, h, flag, t))
-        single = sp.section_omega_residual(hc, h, flag, t)
-        assert isinstance(single, float) and r_t == single
+        single_points, single = sp.lagrangian_section(hc, h, flag, t)
+        assert np.array_equal(p_t, single_points)
+        assert single.shape == () and r_t == single
 
 
 @pytest.mark.parametrize("count", [255, 256, 257, 600])
@@ -296,7 +296,7 @@ def test_section_blocks_match_one_call(sl3c, count):
     flag = al.flag_orbit_sample(cd, h, seed=1, count=count)
     t = np.array([0.0, 0.5, 1.0, 2.0])
     ref = flag + t[:, None, None] * (sp.gradient_at(hc, flag, h) @ cd.alg.j_op.T)
-    assert np.array_equal(sp.lagrangian_section(hc, h, flag, t), ref)
+    assert np.array_equal(sp.lagrangian_section(hc, h, flag, t)[0], ref)
 
 
 def test_section_memory_does_not_grow_with_points(sl2c):
@@ -308,7 +308,7 @@ def test_section_memory_does_not_grow_with_points(sl2c):
     t = np.array([0.0, 0.5, 1.0, 2.0])
     tracemalloc.start()
     try:
-        points = sp.lagrangian_section(hc, h, flag, t)
+        points, _ = sp.lagrangian_section(hc, h, flag, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,7 +322,7 @@ def test_section_omega_residual_at_roundoff(fixture, seed, request):
     cd, hc = request.getfixturevalue(fixture)
     h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=seed, count=50)
-    resids = sp.section_omega_residual(hc, h, flag, np.array([0.0, 0.5, 1.0, 2.0]))
+    _, resids = sp.lagrangian_section(hc, h, flag, np.array([0.0, 0.5, 1.0, 2.0]))
     assert resids.max() < 1e-12
 
 
@@ -345,7 +345,8 @@ def test_section_tangents_match_finite_differences(fixture, request):
     h = al.chamber_element(cd, "regular")
     x = al.flag_orbit_sample(cd, h, seed=10, count=5)
     t_values = np.array([0.0, 0.5, 1.0, 2.0])
-    exact = sp._section_tangents(hc, h, x, t_values)
+    y, exact = sp._section_tangents(hc, h, x, t_values)
+    assert np.array_equal(y, sp.gradient_at(hc, x, h))
     assert exact.shape == (4, 5, cd.alg.dim, cd.k_basis.shape[1])
     assert np.abs(exact - _section_differences(hc, h, x, t_values)).max() < 1e-6
 
@@ -360,19 +361,20 @@ def test_section_blocks_match_one_block(fixture, block, request, monkeypatch):
     x = al.flag_orbit_sample(cd, h, seed=12, count=2 * block + 1)
     t_values = np.array([0.0, 0.5, 1.0, 2.0])
     starts = range(0, x.shape[0], block)
-    blocks = [sp._section_tangents(hc, h, x[s:s + block], t_values) for s in starts]
+    blocks = [sp._section_tangents(hc, h, x[s:s + block], t_values)[1] for s in starts]
     assert len(blocks) == 3
-    assert np.array_equal(np.concatenate(blocks, axis=1), sp._section_tangents(hc, h, x, t_values))
+    assert np.array_equal(np.concatenate(blocks, axis=1), sp._section_tangents(hc, h, x, t_values)[1])
     monkeypatch.setattr(sp, "_SECTION_BLOCK", block)
-    resids = sp.section_omega_residual(hc, h, x, t_values)
+    points, resids = sp.lagrangian_section(hc, h, x, t_values)
     monkeypatch.setattr(sp, "_SECTION_BLOCK", x.shape[0])
-    assert np.array_equal(resids, sp.section_omega_residual(hc, h, x, t_values))
+    one_points, one_resids = sp.lagrangian_section(hc, h, x, t_values)
+    assert np.array_equal(points, one_points) and np.array_equal(resids, one_resids)
 
 
 @pytest.mark.parametrize("fixture", ["sl2c", "sl3c"])
 def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkeypatch):
     # a smooth field that is not the projected gradient breaks the tangent
-    # formula, and section_omega_residual, which reads the formula, shows it.
+    # formula, and the section residual, which reads the formula, shows it.
     # The value is read off each point's tangent space, not off its basis: a
     # random orthogonal change of every tangent basis leaves it in place
     cd, hc = request.getfixturevalue(fixture)
@@ -380,14 +382,14 @@ def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkey
     x = al.flag_orbit_sample(cd, h, seed=1, count=10)
 
     def gap():
-        return np.abs(sp._section_tangents(hc, h, x, 1.0) - _section_differences(hc, h, x, 1.0)).max()
+        return np.abs(sp._section_tangents(hc, h, x, 1.0)[1] - _section_differences(hc, h, x, 1.0)).max()
 
     assert gap() < 1e-6
     m = np.random.default_rng(1).standard_normal((cd.alg.dim, cd.alg.dim))
     monkeypatch.setattr(sp, "gradient_at", lambda ctx, x, n_vec: np.broadcast_to(
         x @ m.T, np.broadcast_shapes(np.shape(n_vec), x.shape)))
     assert gap() > 1e-2
-    resid = sp.section_omega_residual(hc, h, x, 1.0)
+    resid = sp.lagrangian_section(hc, h, x, 1.0)[1]
     assert resid > 1e-2
     rng, span_basis = np.random.default_rng(2), sd.span_basis
 
@@ -397,7 +399,7 @@ def test_section_tangent_formula_rejects_wrong_gradient(fixture, request, monkey
         return basis @ np.linalg.qr(rng.standard_normal((*basis.shape[:-2], rank, rank)))[0]
 
     monkeypatch.setattr(sd, "span_basis", rotated)
-    assert sp.section_omega_residual(hc, h, x, 1.0) == pytest.approx(resid, rel=1e-12)
+    assert sp.lagrangian_section(hc, h, x, 1.0)[1] == pytest.approx(resid, rel=1e-12)
 
 
 def test_gradient_hamiltonian_residual(sl2c):
