@@ -1,11 +1,11 @@
 """Command-line surface: verification suites, orbit sampling, r-sweeps
 and Lagrangian sections.  All outputs are deterministic given a seed;
-files are written atomically (temp + rename).  Every CSV comes from one
-writer, _csv: each float field is "%.17g" (r = inf prints as inf), each
-integer tag "%d", and the text is streamed in blocks of _BLOCK_ROWS rows.
-orbit-sample and deform-sweep share one loop, _push_and_write: every context
-first, then the r = 1 sample pushed to one r at a time and written before the
-next, so a command holds one pushed batch and one block of text at a time.
+a command's files are one set, written by one _write_files call.  Every CSV
+comes from one writer, _csv: each float field is "%.17g" (r = inf prints as
+inf), each integer tag "%d", and the text is streamed in blocks of
+_BLOCK_ROWS rows.  orbit-sample and deform-sweep share _sweep_files, whose
+r = 1 sample is pushed to each r only as that r's file is written, so a
+command holds one pushed batch and one block of text at a time.
 
 Exit codes: 0 all checks pass / output written, 1 check failure,
 2 usage or configuration error.  Commands raise, and main alone maps an
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -95,39 +96,47 @@ def _load_config(path: str) -> dict:
 _BLOCK_ROWS = 256  # CSV rows formatted into one string before it is written
 
 
-def _atomic_write(path: str, chunks: Iterable[str]):
-    """Write the str chunks in order to a temp file beside path, then rename it to path.
+def _write_files(files: list[tuple[str, Iterable[str]]]):
+    """Write each (path, str chunks) to a temp file beside path, file after file, then rename all.
 
-    The file gets the mode open(path, "w") would leave: path's permission
-    bits if it exists, else 0o666 less the umask.  Any error, one raised
-    by a chunk generator partway through included, removes the temp file
-    and leaves path untouched; a failed mkstemp or rename names path.
+    Each file gets the mode open(path, "w") would leave: path's permission
+    bits if it exists, else 0o666 less the umask.  An existing directory at a
+    path is refused first.  Any error before the renames, a chunk generator's
+    or a later file's included, removes every temp file and leaves every path
+    untouched; a failed mkstemp or rename names the path given.
     """
-    if isinstance(chunks, str):
-        # iterating a str would write it one character at a time
-        raise TypeError("_atomic_write takes an iterable of str chunks, not a str")
-    directory = os.path.dirname(os.path.abspath(path))
+    for path, chunks in files:
+        if isinstance(chunks, str):
+            # iterating a str would write it one character at a time
+            raise TypeError("_write_files takes iterables of str chunks, not a str")
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    umask = os.umask(0)  # the umask is read by setting it; restored at once
+    os.umask(umask)
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except OSError as exc:
-        # name the path asked for, not the random temp name mkstemp tried
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        umask = os.umask(0)  # the umask is read by setting it; restored at once
-        os.umask(umask)
-        # mkstemp created tmp 0o600
-        os.chmod(tmp, os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask)
-        try:
-            os.replace(tmp, path)
-        except OSError as exc:
-            # as for mkstemp: name the path asked for, not the temp file
-            raise OSError(exc.errno, exc.strerror, path) from None
+        for path, chunks in files:
+            try:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            except OSError as exc:
+                # name the path asked for, not the random temp name mkstemp tried
+                raise OSError(exc.errno, exc.strerror, path) from None
+            temps.append(tmp)
+            with os.fdopen(fd, "w") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            # mkstemp created tmp 0o600
+            os.chmod(tmp, os.stat(path).st_mode & 0o777 if os.path.exists(path) else 0o666 & ~umask)
+        for (path, _), tmp in zip(files, temps):
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                # as for mkstemp: name the path asked for, not the temp file
+                raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -172,21 +181,20 @@ def _build(args) -> tuple[al.CartanData, np.ndarray]:
     return cd, _resolve_h(cd, args.H)
 
 
-def _write_orbit(prefix: str, r: float, points: np.ndarray) -> str:
-    path = f"{prefix}_r{r:.17g}.csv"
-    _atomic_write(path, _csv("r,base_tag,fiber_tag", [r], points[None]))
-    return path
+def _sweep_files(args, cd: al.CartanData, h: np.ndarray, r_values: list[float], prefix: str):
+    """The r = 1 batch, each r's context and each r's (<prefix>_r<r>.csv, text).
 
-
-def _push_and_write(args, cd: al.CartanData, h: np.ndarray, r_values: list[float], prefix: str):
-    """Sample the orbit once at r = 1 and write its psi~_r image at each r, <prefix>_r<r>.csv,
-    each context built before any file, so a bad r is refused first; returns the r = 1
-    batch and each r's (context, path)."""
+    Every context is built before the sample, so a bad r is refused first.
+    A text pushes the batch to its r only when first read, so the files
+    written one after another hold one pushed batch at a time."""
     contexts = [df.make_context(cd, r) for r in r_values]
     base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
                                     args.seed, args.n_base, args.n_fiber)
-    return base, [(ctx, _write_orbit(prefix, ctx.r, df.tilde_psi_r(ctx, base).points))
-                  for ctx in contexts]
+
+    def text(ctx: df.DeformationContext) -> Iterator[str]:
+        yield from _csv("r,base_tag,fiber_tag", [ctx.r], df.tilde_psi_r(ctx, base).points[None])
+
+    return base, contexts, [(f"{prefix}_r{ctx.r:.17g}.csv", text(ctx)) for ctx in contexts]
 
 
 def cmd_verify(args) -> int:
@@ -209,7 +217,7 @@ def cmd_verify(args) -> int:
     }
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _atomic_write(args.out, [text])
+        _write_files([(args.out, [text])])
     else:
         sys.stdout.write(text)
     for r in results:
@@ -230,26 +238,27 @@ def cmd_orbit_sample(args) -> int:
     prefix = os.path.join(args.out, f"orbit_{args.algebra}_{args.kind}")
     if args.kind == "semidirect":
         batch = sd.sample_semidirect_orbit(cd, h, args.seed, args.n_base, args.n_fiber)
-        written = [_write_orbit(prefix, math.inf, batch.points)]
+        files = [(f"{prefix}_rinf.csv", _csv("r,base_tag,fiber_tag", [math.inf], batch.points[None]))]
     else:
-        written = [path for _, path in _push_and_write(args, cd, h, r_values, prefix)[1]]
-    print("\n".join(written))
+        files = _sweep_files(args, cd, h, r_values, prefix)[2]
+    _write_files(files)
+    print("\n".join(path for path, _ in files))
     return 0
 
 
 def cmd_deform_sweep(args) -> int:
     cd, h = _build(args)
     r_values = _parse_list(args.r, "r", ascending=True)
-    base, pushed = _push_and_write(args, cd, h, r_values,
-                                   os.path.join(args.out, f"sweep_{args.algebra}"))
+    base, contexts, files = _sweep_files(args, cd, h, r_values,
+                                         os.path.join(args.out, f"sweep_{args.algebra}"))
     summary = []
-    for ctx, path in pushed:
+    for ctx, (path, _) in zip(contexts, files):
         entry = {"r": "inf" if math.isinf(ctx.r) else ctx.r, "csv": os.path.basename(path)}
         if ctx.finite:
             entry["limit_deviation"] = df.limit_deviation(ctx, base)
         summary.append(entry)
     spath = os.path.join(args.out, f"sweep_{args.algebra}_summary.json")
-    _atomic_write(spath, [json.dumps(summary, indent=2) + "\n"])
+    _write_files([*files, (spath, [json.dumps(summary, indent=2) + "\n"])])
     print(spath)
     return 0
 
@@ -268,13 +277,11 @@ def cmd_lagrangian_section(args) -> int:
         except FloatingPointError as exc:
             raise DomainError(f"--t values too large: the section overflows ({exc})") from exc
     path = os.path.join(args.out, f"section_{args.algebra}.csv")
-    _atomic_write(path, _csv("t,base_tag", t_values, sections))
     report = [{"t": t, "max_omega_residual": r} for t, r in zip(t_values, residuals.tolist())]
-    _atomic_write(
-        os.path.join(args.out, f"section_{args.algebra}_report.json"),
-        [json.dumps(report, indent=2) + "\n"],
-    )
-    # the residual lines follow the writes, so a failed write shows its error alone
+    _write_files([(path, _csv("t,base_tag", t_values, sections)),
+                  (os.path.join(args.out, f"section_{args.algebra}_report.json"),
+                   [json.dumps(report, indent=2) + "\n"])])
+    # the residual lines follow the write, so a failed write shows its error alone
     for t, r in zip(t_values, residuals.tolist()):
         print(f"t={t}: max |Omega(u, v)| over unit section tangents u, v = {r:.3e}", file=sys.stderr)
     print(path)
@@ -337,7 +344,8 @@ def build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
                        exit_on_error=exit_on_error)
     _add_common(p)
     _add_sampling(p, fiber=False)
-    p.add_argument("--t", default="0,0.5,1,2", help="comma-separated section parameters")
+    p.add_argument("--t", default="0,0.5,1,2", help="comma-separated section parameters; a list "
+                                                     "starting with a negative value is written --t=-0.5,1")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fn=cmd_lagrangian_section)
     return parser

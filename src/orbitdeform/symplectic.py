@@ -179,7 +179,8 @@ def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
     t = _semidirect_tangent(ctx.cd, batch.points, fib)
     gram = np.swapaxes(t, -1, -2) @ ctx.omega @ t
     s = np.linalg.svd(make_skew_form(gram), compute_uv=False)
-    min_ratio = float((s[..., -1] / s[..., 0]).min())
+    # a point orbit (rank 0) is vacuously nondegenerate, as max_omega reads 0 there
+    min_ratio = float((s[..., -1] / s[..., 0]).min()) if s.shape[-1] else 1.0
     return {
         "min_sv_ratio": min_ratio,
         "max_fiber_omega": float(max_omega(ctx, fib).max()),

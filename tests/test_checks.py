@@ -266,6 +266,28 @@ def test_suites_pass_at_rank(family, n):
     assert any(r.name == "fiber_isotropic" for r in results) == (cd.alg.j_op is not None)
 
 
+@pytest.mark.parametrize("seed", [1, 4242])
+@pytest.mark.parametrize("spec", ["regular", "wall:0", "wall:1"])
+@pytest.mark.parametrize("descriptor", ["sl3r", "sl3c"])
+def test_suites_pass_at_walls(descriptor, spec, seed):
+    # at a wall the orbit is a partial flag: a smaller n_H^+ and a non-abelian z_H
+    cd = _cartan(descriptor)
+    results = checks.run(cd, al.chamber_element(cd, spec), seed)
+    failed = [(r.name, r.residual, r.threshold) for r in results if not r.passed]
+    assert results and not failed
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_point_orbit_fails_only_isotropy_nonzero(seed):
+    # sl2c's one wall is H = 0, whose orbit is a point: the rank-0 tangent is vacuously
+    # nondegenerate, and every sample has mu = 0, so the mu != 0 criterion has nothing to certify
+    cd = _cartan("sl2c")
+    h = al.chamber_element(cd, "wall:0")
+    assert not h.any()
+    results = checks.run(cd, h, seed)
+    assert [r.name for r in results if not r.passed] == ["isotropy_criterion_nonzero"]
+
+
 @pytest.mark.parametrize("descriptor", ["so3", "so4"])
 def test_suites_decide_their_algebras(descriptor):
     # each suite says itself that it does not apply: no roots, no J

@@ -20,10 +20,10 @@ from orbitdeform import deformation as df
 from orbitdeform.algebra import DESCRIPTORS
 from orbitdeform.cli import (
     _BLOCK_ROWS,
-    _atomic_write,
     _csv,
     _parse_list,
     _resolve_h,
+    _write_files,
     build_parser,
     main,
 )
@@ -303,7 +303,7 @@ def test_atomic_write_failing_generator_keeps_target(tmp_path, existing):
     if existing:
         target.write_text("old\n")
     with pytest.raises(RuntimeError, match="generator failed"):
-        _atomic_write(str(target), _failing_chunks())
+        _write_files([(str(target), _failing_chunks())])
     assert [p.name for p in tmp_path.iterdir()] == (["out.csv"] if existing else [])
     if existing:
         assert target.read_text() == "old\n"
@@ -312,7 +312,7 @@ def test_atomic_write_failing_generator_keeps_target(tmp_path, existing):
 def test_atomic_write_rejects_bare_str(tmp_path):
     # a str is an iterable of characters; it is refused, not written char by char
     with pytest.raises(TypeError):
-        _atomic_write(str(tmp_path / "out.json"), "{}\n")
+        _write_files([(str(tmp_path / "out.json"), "{}\n")])
     assert not list(tmp_path.iterdir())
 
 
@@ -321,7 +321,7 @@ def test_atomic_write_new_file_mode_follows_umask(tmp_path, umask, mode):
     # the mode open(path, "w") would leave, not the temp file's 0o600
     old = os.umask(umask)
     try:
-        _atomic_write(str(tmp_path / "out.csv"), ["a\n"])
+        _write_files([(str(tmp_path / "out.csv"), ["a\n"])])
     finally:
         os.umask(old)
     assert (tmp_path / "out.csv").stat().st_mode & 0o777 == mode
@@ -331,7 +331,7 @@ def test_atomic_write_keeps_existing_mode(tmp_path):
     target = tmp_path / "out.csv"
     target.write_text("old\n")
     target.chmod(0o640)
-    _atomic_write(str(target), ["new\n"])
+    _write_files([(str(target), ["new\n"])])
     assert target.stat().st_mode & 0o777 == 0o640
     assert target.read_text() == "new\n"
 
@@ -343,8 +343,8 @@ def test_export_memory_bounded_by_block(tmp_path):
                                      1, 1000, 20)
     tracemalloc.start()
     try:
-        _atomic_write(str(tmp_path / "sweep.csv"),
-                      _csv("r,base_tag,fiber_tag", [1.0], batch.points[None]))
+        _write_files([(str(tmp_path / "sweep.csv"),
+                       _csv("r,base_tag,fiber_tag", [1.0], batch.points[None]))])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -695,14 +695,46 @@ def test_missing_out_directory_is_named(tmp_path, capsys, command, target):
 
 
 def test_failed_rename_is_named(tmp_path, capsys):
-    # --out an existing directory: the temp file is written, the rename onto the
-    # directory fails, and the one error line names the path given; no temp is left
+    # --out an existing directory: it is refused before any temp file is written,
+    # and the one error line names the path given; no temp is left
     target = tmp_path / "d"
     target.mkdir()
     assert run(["verify", "--algebra", "sl2r", "--suite", "numerics", "--out", str(target)]) == 2
     [err] = capsys.readouterr().err.splitlines()
     assert err == f"error: [Errno 21] Is a directory: {str(target)!r}"
     assert list(tmp_path.iterdir()) == [target] and not any(target.iterdir())
+
+
+@pytest.mark.parametrize("command,blocker", [
+    (["lagrangian-section", "--algebra", "sl2c", "--n-base", "2"], "section_sl2c_report.json"),
+    (["deform-sweep", "--algebra", "sl2r"], "sweep_sl2r_summary.json"),
+])
+def test_blocked_report_leaves_no_csv(tmp_path, capsys, command, blocker):
+    # a command's files are one set: when its report cannot be written, no CSV is either
+    (tmp_path / blocker).mkdir()
+    assert run([*command, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: [Errno 21] Is a directory: {str(tmp_path / blocker)!r}"]
+    assert [p.name for p in tmp_path.iterdir()] == [blocker]
+    assert not any((tmp_path / blocker).iterdir())
+
+
+def _second_fails():
+    yield "new\n"
+    raise RuntimeError("second file failed")
+
+
+def test_write_files_failing_second_file_keeps_both(tmp_path):
+    # the first file is complete before the second's generator raises; neither target moves
+    first, second = tmp_path / "a.csv", tmp_path / "b.json"
+    first.write_text("old a\n")
+    second.write_text("old b\n")
+    with pytest.raises(RuntimeError, match="second file failed"):
+        _write_files([(str(first), ["new a\n"]), (str(second), _second_fails())])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.json"]
+    assert first.read_text() == "old a\n" and second.read_text() == "old b\n"
 
 
 def test_verify_config_rejects_count_key(tmp_path, capsys):
