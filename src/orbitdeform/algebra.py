@@ -34,7 +34,7 @@ acts.  The one dense exponential is exp(t ad_r A) in
 deformation.ad_r_exp_orbit, the deformed action that the ad_r_exponential
 check compares with conjugate.
 Chamber elements H are computed in one place, chamber_element(cd, spec), for
-every preset; CartanData stores none.
+every preset and coefficient list; CartanData stores none.
 The bundle samplers return an OrbitBatch, one set of arrays over (base,
 fiber); the flag sampler returns its base points as a plain array.
 """
@@ -262,8 +262,9 @@ class OrbitBatch:
     sample_k_operators, which act through LieAlgebraData.conjugate;
     consumers read them in stacked calls.  The fiber is stored before any
     deformation map, in the format that kind names: Ad(k)X with X in
-    n_H^+ (point = base + psi_r fiber) for "deformed" batches (r = 1 and
-    r = inf included), the raw fiber coordinate v in s (point = w + [w, v])
+    n_H^+ (point = base + psi_r fiber) for "deformed" batches, which
+    sample_deformed_orbit makes at r = 1 and tilde_psi_r carries to every r
+    (r = inf included), the raw fiber coordinate v in s (point = w + [w, v])
     for "semidirect" batches, which only sample_semidirect_orbit makes.
     """
 
@@ -407,30 +408,42 @@ def cartan_structure(alg: LieAlgebraData) -> CartanData:
     )
 
 
+_H_MAX = 1e300  # largest |coefficient| of H: [w, v] overflows at 5e307, the root values at 1e308
+
+
 def chamber_element(cd: CartanData, spec: str) -> np.ndarray:
-    """Ambient vector of cd's chamber preset spec, the one place each preset is computed.
+    """Ambient vector of the chamber element spec, the one place an H is computed.
 
     "regular" solves alpha(H) = 2 on every simple root (giving
     diag(1,-1) for sl(2), up to roundoff); "wall:k" zeroes the k-th simple root value
     (0-based) and keeps the rest at 2.  The regular element is the H of
     Grajales & Grama (arXiv 2007.14541) that verify checks at; on so(n)
     the simple root functionals form a (0, 0) matrix, so every preset is 0.
+    Any other spec is "c1,...,ck", the coefficients of H on a_basis, each
+    finite and at most _H_MAX in size.  Every H passes check_chamber.
     """
-    simple_set = cd.simple_set
-    targets = np.full(len(simple_set), 2.0)
-    if spec.startswith("wall:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"wall index of {spec!r} is not an integer") from None
-        if not 0 <= k < len(simple_set):
-            raise DomainError(f"wall index {k} out of range")
-        targets[k] = 0.0
-    elif spec != "regular":
-        raise DomainError(f"unknown chamber preset {spec!r}")
-    m = np.array([cd.roots[i].functional for i in simple_set]).reshape(targets.size, cd.a_basis.shape[1])
-    coeffs, *_ = np.linalg.lstsq(m, targets, rcond=None)
-    return cd.a_basis @ coeffs
+    if spec == "regular" or spec.startswith("wall:"):
+        targets = np.full(len(cd.simple_set), 2.0)
+        if spec != "regular":
+            try:
+                k = int(spec.split(":", 1)[1])
+            except ValueError:
+                raise DomainError(f"wall index of {spec!r} is not an integer") from None
+            if not 0 <= k < targets.size:
+                raise DomainError(f"wall index {k} out of range")
+            targets[k] = 0.0
+        m = np.array([cd.roots[i].functional for i in cd.simple_set])
+        coeffs, *_ = np.linalg.lstsq(m.reshape(targets.size, cd.a_basis.shape[1]), targets, rcond=None)
+    else:
+        coeffs = np.array([float(x) for x in spec.split(",")])
+        if coeffs.shape[0] != cd.a_basis.shape[1]:
+            raise DomainError(f"expected {cd.a_basis.shape[1]} chamber coefficients, got {coeffs.shape[0]}")
+        # before any product: inf times a zero entry of a_basis is nan
+        if not np.all(np.abs(coeffs) <= _H_MAX):
+            raise DomainError(f"--H coefficients must be finite and at most {_H_MAX:g} in size")
+    h = cd.a_basis @ coeffs
+    cd.check_chamber(h)
+    return h
 
 
 def h_subspaces(cd: CartanData, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

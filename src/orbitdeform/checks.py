@@ -292,7 +292,7 @@ def semidirect_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[Ch
     out.append(_check("fiber_is_psi_n_plus", "[H,s] = psi(n+_H)",
                       _proj_residual(cd, img, fib), 1e-9))
 
-    dbatch = df.sample_deformed_orbit(ctx_inf, h, seed, 10, 3)
+    dbatch = df.tilde_psi_r(ctx_inf, df.sample_deformed_orbit(cd, h, seed, 10, 3))
     kq = cd.project_k(dbatch.points)
     off_fiber = kq - sd.span_projection(cd, sd.coadjoint_fiber(cd, batch.base_points)[:, None], kq)
     out.append(_check("semidirect_matches_r_inf", "K_ad.H = Ad_inf(G).H",
@@ -325,8 +325,8 @@ def symplectic_suite(cd: al.CartanData, h: np.ndarray, seed: int = 0) -> list[Ch
     out.append(_check("u_isotropic", "Omega|u = 0",
                       np.abs(hc.omega[cd.signs > 0][:, cd.signs > 0]), 1e-12))
 
-    ctx_inf = df.make_context(cd, math.inf)
-    samples = df.sample_deformed_orbit(ctx_inf, h, seed, 25, 3)
+    samples = df.tilde_psi_r(df.make_context(cd, math.inf),
+                             df.sample_deformed_orbit(cd, h, seed, 25, 3))
     report = sp.check_symplectic_on_orbit(hc, samples)
     out.append(_check("orbit_nondegenerate", "Omega restricted to the semidirect orbit is symplectic",
                       1e-8 / max(report["min_sv_ratio"], 1e-300), 1.0))

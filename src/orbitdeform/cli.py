@@ -59,26 +59,6 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
-_H_MAX = 1e300  # largest |--H coefficient|: [w, v] overflows at 5e307, the root values at 1e308
-
-
-def _resolve_h(cd: al.CartanData, h_spec: str) -> np.ndarray:
-    if h_spec == "regular" or h_spec.startswith("wall:"):
-        h = al.chamber_element(cd, h_spec)
-    else:
-        coeffs = np.array([float(x) for x in h_spec.split(",")])
-        if coeffs.shape[0] != cd.a_basis.shape[1]:
-            raise DomainError(
-                f"expected {cd.a_basis.shape[1]} chamber coefficients, got {coeffs.shape[0]}"
-            )
-        # before any product: inf times a zero entry of a_basis is nan
-        if not np.all(np.abs(coeffs) <= _H_MAX):
-            raise DomainError(f"--H coefficients must be finite and at most {_H_MAX:g} in size")
-        h = cd.a_basis @ coeffs
-    cd.check_chamber(h)
-    return h
-
-
 def _load_config(path: str) -> dict:
     cfg = {}
     with open(path) as fh:
@@ -178,7 +158,7 @@ def _build(args) -> tuple[al.CartanData, np.ndarray]:
         if vars(args).get(key, 1) < 1:
             raise DomainError(f"--{key.replace('_', '-')} must be at least 1")
     cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(args.algebra)))
-    return cd, _resolve_h(cd, args.H)
+    return cd, al.chamber_element(cd, args.H)
 
 
 def _sweep_files(args, cd: al.CartanData, h: np.ndarray, r_values: list[float], prefix: str):
@@ -188,8 +168,7 @@ def _sweep_files(args, cd: al.CartanData, h: np.ndarray, r_values: list[float], 
     A text pushes the batch to its r only when first read, so the files
     written one after another hold one pushed batch at a time."""
     contexts = [df.make_context(cd, r) for r in r_values]
-    base = df.sample_deformed_orbit(df.make_context(cd, 1.0), h,
-                                    args.seed, args.n_base, args.n_fiber)
+    base = df.sample_deformed_orbit(cd, h, args.seed, args.n_base, args.n_fiber)
 
     def text(ctx: df.DeformationContext) -> Iterator[str]:
         yield from _csv("r,base_tag,fiber_tag", [ctx.r], df.tilde_psi_r(ctx, base).points[None])

@@ -15,11 +15,12 @@ r = infinity is a first-class context value; operations that only make
 sense at finite r (the deformed bracket, Killing form and ad) reject it
 explicitly instead of approximating with a large parameter.
 
-Samples are "deformed" OrbitBatch arrays at every r, the adjoint orbit
-(r = 1) and r = inf included: one fiber format, Ad(k)X with X in n_H^+,
-conjugated once by the sampler.  psi~_r(Ad(k)(H + X)) = Ad(k)H + psi_r
-Ad(k)X carries one r = 1 batch onto every deformed orbit, so an r-sweep
-samples once; its distance to r = inf is (2/(r+1)) ||Ad(k)X||.
+Samples reach every deformed orbit by one route.  sample_deformed_orbit
+draws the adjoint orbit (r = 1) as a "deformed" OrbitBatch, its fibers
+Ad(k)X with X in n_H^+ conjugated once; tilde_psi_r, the one place psi_r
+acts on a sample, carries it to each r, r = inf included:
+psi~_r(Ad(k)(H + X)) = Ad(k)H + psi_r Ad(k)X.  So an r-sweep samples
+once; its distance to r = inf is (2/(r+1)) ||Ad(k)X||.
 """
 
 from __future__ import annotations
@@ -106,25 +107,22 @@ def ad_r_exp_orbit(ctx: DeformationContext, a: np.ndarray, t: float, y: np.ndarr
 
 
 def sample_deformed_orbit(
-    ctx: DeformationContext, h: np.ndarray, seed: int, n_base: int, n_fiber: int
+    cd: CartanData, h: np.ndarray, seed: int, n_base: int, n_fiber: int
 ) -> OrbitBatch:
-    """Tagged samples Ad(k).H + psi_r(Ad(k).X_c), X_c random in n_H^+.
+    """Tagged samples Ad(k).H + Ad(k).X_c of the adjoint orbit (r = 1), X_c random in n_H^+.
 
-    At r = 1 this samples the adjoint orbit; at r = infinity the
-    semidirect orbit over the flag Ad(K).H.  The batch is "deformed" at
-    every r.  The n_fiber draws X_c are shared by every base point; the
+    The batch is "deformed" with r = 1; tilde_psi_r carries it to every
+    other r, r = infinity (the semidirect orbit over the flag Ad(K).H)
+    included.  The n_fiber draws X_c are shared by every base point; the
     batch stores their images Ad(k).X_c, each pair conjugated once.
     """
-    cd = ctx.cd
     n_plus, _, _ = h_subspaces(cd, h)
     k = sample_k_operators(cd, seed, n_base)
     coeffs = np.random.default_rng([seed, 0x5F1BE]).standard_normal((n_fiber, n_plus.shape[1]))
     fibers = cd.alg.conjugate(k[:, None], apply(n_plus, coeffs))
     base = cd.alg.conjugate(k, h)
-    return OrbitBatch(
-        points=base[:, None] + ctx.psi_r * fibers, base_points=base, k=k,
-        fibers=fibers, kind="deformed", r=ctx.r,
-    )
+    return OrbitBatch(points=base[:, None] + fibers, base_points=base, k=k,
+                      fibers=fibers, kind="deformed", r=1.0)
 
 
 def _require_tags(batch: OrbitBatch):

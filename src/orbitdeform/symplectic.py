@@ -170,8 +170,9 @@ def check_symplectic_on_orbit(ctx: HermitianContext, batch: OrbitBatch) -> dict:
     Omega to the orbit tangent space has full rank (smallest singular
     value > 1e-8 * largest; the ratio is constant along each K-orbit), the
     fiber tangents are isotropic, and they are maximal isotropic
-    (2 dim fiber = dim tangent).  The batch may come from either r = inf
-    sampler; only its points are read, and a batch at finite r raises.
+    (2 dim fiber = dim tangent).  The batch is sample_semidirect_orbit's or
+    a deformed batch that tilde_psi_r carried to r = inf; only its points
+    are read, and a batch at finite r raises.
     """
     if math.isfinite(batch.r):
         raise RepresentationError("need a batch of the semidirect orbit (r = inf)")

@@ -58,8 +58,7 @@ def test_criterion_01_cylinder(sl2r):
 def test_criterion_02_hyperboloid(sl2r):
     _, cd = sl2r
     h = np.array([1.0, 0.0, 0.0])
-    ctx = df.make_context(cd, 1.0)
-    samples = df.sample_deformed_orbit(ctx, h, SEED, n_base=100, n_fiber=10)
+    samples = df.sample_deformed_orbit(cd, h, SEED, n_base=100, n_fiber=10)
     assert samples.points.shape == (100, 10, 3)
     x, y, z = np.moveaxis(samples.points, -1, 0)
     worst = float(np.max(np.abs(x**2 + y**2 - z**2 - 1.0)))
@@ -71,9 +70,10 @@ def test_criterion_03_deformed_invariance(sl2r):
     h = np.array([1.0, 0.0, 0.0])
     target = alg.killing_form(h, h)
     worst_k, worst_q = 0.0, 0.0
+    adjoint = df.sample_deformed_orbit(cd, h, SEED, n_base=20, n_fiber=5)
     for r in (0.1, 0.5, 2.0, 10.0, 100.0):
         ctx = df.make_context(cd, r)
-        batch = df.sample_deformed_orbit(ctx, h, SEED, n_base=20, n_fiber=5)
+        batch = df.tilde_psi_r(ctx, adjoint)
         for q in batch.points.reshape(-1, 3):
             worst_k = max(worst_k, abs(df.killing_r(ctx, q, q) - target) / (1 + q @ q))
             x, y, z = q
@@ -86,8 +86,7 @@ def test_criterion_03_deformed_invariance(sl2r):
 def test_criterion_04_limit_convergence(sl2r):
     _, cd = sl2r
     h = np.array([1.0, 0.0, 0.0])
-    ctx1 = df.make_context(cd, 1.0)
-    samples = df.sample_deformed_orbit(ctx1, h, SEED, n_base=10, n_fiber=4)
+    samples = df.sample_deformed_orbit(cd, h, SEED, n_base=10, n_fiber=4)
     # c of the fibers c E12, from the sampler's seeded draw in n_H^+ (|E12| = 1/sqrt 2)
     n_plus, _, _ = al.h_subspaces(cd, h)
     coeffs = np.random.default_rng([SEED, 0x5F1BE]).standard_normal((4, n_plus.shape[1]))
@@ -163,9 +162,8 @@ def test_criterion_06_psi_r_eigenvectors():
 def test_criterion_07_symplectic_nondegeneracy(sl2c, sl3c):
     ok, detail = True, []
     for cd, hc in (sl2c, sl3c):
-        ctx = df.make_context(cd, math.inf)
-        samples = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
-                                           SEED, n_base=25, n_fiber=4)
+        samples = df.tilde_psi_r(df.make_context(cd, math.inf), df.sample_deformed_orbit(
+            cd, al.chamber_element(cd, "regular"), SEED, n_base=25, n_fiber=4))
         assert samples.points.shape[:2] == (25, 4)
         report = sp.check_symplectic_on_orbit(hc, samples)
         ok = ok and report["full_rank"] and report["max_fiber_omega"] < 1e-10
@@ -197,8 +195,7 @@ def test_criterion_09_pullback_symplectomorphism(sl2c):
     # with Omega_1 the bracketed term and Omega_2 = Omega(x_v, x_w).
     cd, hc = sl2c
     h = al.chamber_element(cd, "regular")
-    ctx1 = df.make_context(cd, 1.0)
-    samples = df.sample_deformed_orbit(ctx1, h, SEED, n_base=25, n_fiber=2)
+    samples = df.sample_deformed_orbit(cd, h, SEED, n_base=25, n_fiber=2)
     assert samples.points.shape[:2] == (25, 2)
     n_plus, _, _ = al.h_subspaces(cd, h)
     # the fiber coefficients of the batch: the sampler's own seeded draw

@@ -10,6 +10,7 @@ import pytest
 from orbitdeform import algebra as al
 from orbitdeform import symplectic as sp
 from orbitdeform.numerics import DimensionError, StructureError, cutoff, matrix_exp, nullspace
+from conftest import cartan
 
 # canonical sl(2,R) coordinates: (x, y, z) = x H + y S + z A
 H, S, A = np.eye(3)
@@ -178,6 +179,40 @@ def test_chamber_wall_preset():
     n_plus, _, z_h = al.h_subspaces(cd, h_wall)
     assert n_plus.shape[1] == 2
     assert z_h.shape[1] == 8 - 2 * n_plus.shape[1]
+
+
+@pytest.mark.parametrize("spec,error,match", [
+    ("1,2", al.DomainError, "expected 1 chamber coefficients, got 2"),
+    ("inf", al.DomainError, r"finite and at most 1e\+300"),
+    ("-inf", al.DomainError, r"finite and at most 1e\+300"),
+    ("nan", al.DomainError, r"finite and at most 1e\+300"),
+    ("1e301", al.DomainError, r"finite and at most 1e\+300"),
+    ("-1", al.DomainError, "outside the closed positive Weyl chamber"),
+    ("x", ValueError, "could not convert"),
+])
+def test_chamber_element_refuses_bad_coefficients(sl2r, spec, error, match):
+    # the size bound is checked before any product: inf times a zero entry of
+    # a_basis is nan, which errstate would raise as FloatingPointError
+    _, cd = sl2r
+    with np.errstate(all="raise"), pytest.raises(error, match=match):
+        al.chamber_element(cd, spec)
+
+
+def test_chamber_element_accepts_largest_coefficient(sl2r):
+    _, cd = sl2r
+    with np.errstate(all="raise"):
+        h = al.chamber_element(cd, "1e300")
+    assert np.array_equal(h, cd.a_basis @ [1e300])
+
+
+@pytest.mark.parametrize("descriptor", ["sl2r", "sl3r", "sl2c", "sl3c"])
+def test_chamber_element_coefficients_round_trip(descriptor):
+    # the coefficient form of a preset's a_basis coordinates gives the preset back
+    cd = cartan(descriptor)
+    for spec in ["regular", *(f"wall:{k}" for k in range(len(cd.simple_set)))]:
+        h = al.chamber_element(cd, spec)
+        coeffs = ",".join(repr(float(c)) for c in cd.a_coefficients(h))
+        assert np.allclose(al.chamber_element(cd, coeffs), h, rtol=0, atol=1e-14)
 
 
 def test_h_subspaces_sl2r(sl2r):

@@ -26,18 +26,14 @@ from orbitdeform import deformation as df
 from orbitdeform import semidirect as sd
 from orbitdeform import symplectic as sp
 from orbitdeform.numerics import bilinear, matrix_exp, nullspace
+from conftest import cartan
 
 SEEDS = (1, 7, 4242)
 
 
-@functools.lru_cache(maxsize=None)
-def _cartan(descriptor):
-    return al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
-
-
 def _run(descriptor, suite):
     # one suite at seed 1 and the regular chamber element, as verify runs it
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     return checks.run(cd, al.chamber_element(cd, "regular"), 1, suite)
 
 
@@ -234,7 +230,7 @@ def test_numerics_checks_match_loops(seed):
     # the eigenspaces of the caller's ad(a), the empty family on so(n), fill g
     ref = {**_numerics_loops(seed), "eigenspace_completeness": 0.0}
     for descriptor in sorted(al.DESCRIPTORS):
-        cd = _cartan(descriptor)
+        cd = cartan(descriptor)
         _assert_bits(_residuals(checks.numerics_suite(cd, al.chamber_element(cd, "regular"), seed)), ref)
 
 
@@ -242,7 +238,7 @@ def test_numerics_checks_match_loops(seed):
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
 def test_stacked_checks_match_loops(descriptor, seed):
     # the suites verify runs on each descriptor, against their loops
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     h = al.chamber_element(cd, "regular")
     _assert_bits(_residuals(checks.algebra_suite(cd, h, seed)), _algebra_loops(cd, seed))
     if cd.roots:
@@ -271,7 +267,7 @@ def test_suites_pass_at_rank(family, n):
 @pytest.mark.parametrize("descriptor", ["sl3r", "sl3c"])
 def test_suites_pass_at_walls(descriptor, spec, seed):
     # at a wall the orbit is a partial flag: a smaller n_H^+ and a non-abelian z_H
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     results = checks.run(cd, al.chamber_element(cd, spec), seed)
     failed = [(r.name, r.residual, r.threshold) for r in results if not r.passed]
     assert results and not failed
@@ -281,7 +277,7 @@ def test_suites_pass_at_walls(descriptor, spec, seed):
 def test_point_orbit_fails_only_isotropy_nonzero(seed):
     # sl2c's one wall is H = 0, whose orbit is a point: the rank-0 tangent is vacuously
     # nondegenerate, and every sample has mu = 0, so the mu != 0 criterion has nothing to certify
-    cd = _cartan("sl2c")
+    cd = cartan("sl2c")
     h = al.chamber_element(cd, "wall:0")
     assert not h.any()
     results = checks.run(cd, h, seed)
@@ -291,7 +287,7 @@ def test_point_orbit_fails_only_isotropy_nonzero(seed):
 @pytest.mark.parametrize("descriptor", ["so3", "so4"])
 def test_suites_decide_their_algebras(descriptor):
     # each suite says itself that it does not apply: no roots, no J
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     assert not cd.roots and cd.alg.j_op is None
     h = al.chamber_element(cd, "regular")
     assert checks.deformation_suite(cd, h) == []
@@ -307,8 +303,8 @@ def _smallest_restriction(cd, seed):
     vals, vecs = np.linalg.eigh(cd.b_theta)
     root, inv_root = (vecs * vals ** 0.5) @ vecs.T, (vecs * vals ** -0.5) @ vecs.T
     omega = inv_root @ hc.omega @ inv_root
-    samples = df.sample_deformed_orbit(df.make_context(cd, math.inf),
-                                       al.chamber_element(cd, "regular"), seed, 25, 3)
+    samples = df.tilde_psi_r(df.make_context(cd, math.inf),
+                             df.sample_deformed_orbit(cd, al.chamber_element(cd, "regular"), seed, 25, 3))
     smallest = math.inf
     for x in samples.points.reshape(-1, cd.alg.dim)[:20]:
         if np.linalg.norm(sp.u_moment(hc, x)) > 1e-3:
@@ -324,7 +320,7 @@ def test_isotropy_nonzero_reports_smallest_restriction(descriptor):
     # the spectral norm of Omega on B_theta-orthonormal tangents of the compact orbit.
     # It is at most |Omega| = 1 and reaches it here (T meets JT at these points), so
     # the residual reads 1e-8 to roundoff and is pinned to the per-point reference
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     result = _residuals(checks.symplectic_suite(cd, al.chamber_element(cd, "regular"), seed=1))
     smallest = _smallest_restriction(cd, seed=1)
     assert smallest <= 1.0 + 1e-12
@@ -342,7 +338,7 @@ def test_isotropy_nonzero_fails_without_nonzero_moments(monkeypatch):
 @given(descriptor=st.sampled_from(sorted(al.DESCRIPTORS)), seed=st.integers(0, 2**32 - 1),
        n=st.integers(1, 12), r=st.sampled_from(df.R_GRID))
 def test_stacked_laws_property(descriptor, seed, n, r):
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     alg, ctx = cd.alg, df.make_context(cd, r)
     x, y, z = np.random.default_rng(seed).standard_normal((3, n, alg.dim))
     # stacked calls give the bits of the per-vector calls
@@ -405,7 +401,7 @@ def test_verify_sl3c_call_counts(monkeypatch, tmp_path):
         assert 0 < counts["matrix_exp"] <= 25
         # K acts as n x n elements through conjugate: the one (dim, dim) exponential is
         # the deformed action exp(t ad_r A), the left side of ad_r_exponential, once per r
-        dim = _cartan(descriptor).alg.dim
+        dim = cartan(descriptor).alg.dim
         dense = [orbit for shape, orbit in calls if shape[-2:] == (dim, dim)]
         assert dense == [True] * 3 and sum(orbit for _, orbit in calls) == 3, (descriptor, calls)
 
@@ -414,7 +410,7 @@ def test_verify_sl3c_call_counts(monkeypatch, tmp_path):
 def test_section_residual_forms_one_tangent_basis_per_block(descriptor, monkeypatch):
     # the points' Y = P_x N and the tangents' P_x [A, N] share each block's
     # orbit_tangent_at call; three blocks of 4, 4 and 2 base points
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     hc = sp.make_hermitian_context(cd)
     x = al.flag_orbit_sample(cd, al.chamber_element(cd, "regular"), 1, 10)
     counts = collections.Counter()
@@ -429,7 +425,7 @@ def test_lagrangian_section_command_forms_one_tangent_basis_per_block(descriptor
     # the command's points and residuals come from one pass: one orbit_tangent_at
     # call per block of 4, 4 and 2 base points, and the points are the section
     # x + t J Y(x) with the gradient of the whole flag stack at once
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     hc = sp.make_hermitian_context(cd)
     h = al.chamber_element(cd, "regular")
     counts = collections.Counter()
@@ -531,7 +527,7 @@ def test_verify_runs_the_suite_table(monkeypatch, tmp_path):
 @pytest.mark.parametrize("descriptor", ["sl2r", "sl3r", "sl2c", "sl3c"])
 def test_ad_r_of_chamber_element_is_conjugated_ad(descriptor):
     # H lies in s, so T_r^-1 H = H: deformation_suite forms ad(H) once for every r
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     ad_h = cd.alg.ad(al.chamber_element(cd, "regular"))
     for r in df.R_GRID:
         ctx = df.make_context(cd, r)

@@ -1,5 +1,4 @@
 import argparse
-import functools
 import json
 import math
 import os
@@ -22,11 +21,11 @@ from orbitdeform.cli import (
     _BLOCK_ROWS,
     _csv,
     _parse_list,
-    _resolve_h,
     _write_files,
     build_parser,
     main,
 )
+from conftest import cartan
 
 
 def run(args):
@@ -338,8 +337,8 @@ def test_atomic_write_keeps_existing_mode(tmp_path):
 
 def test_export_memory_bounded_by_block(tmp_path):
     # writing a 2e4-row sl2c CSV holds one block of text, not the file's 9 MB
-    cd = _cartan("sl2c")
-    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), al.chamber_element(cd, "regular"),
+    cd = cartan("sl2c")
+    batch = df.sample_deformed_orbit(cd, al.chamber_element(cd, "regular"),
                                      1, 1000, 20)
     tracemalloc.start()
     try:
@@ -355,10 +354,10 @@ def test_export_memory_bounded_by_block(tmp_path):
 def test_orbit_sample_memory_holds_one_pushed_batch(tmp_path, capsys):
     # orbit-sample pushes and writes one r at a time: beyond the sampling's own
     # peak it holds about one pushed batch and one block, not all five batches
-    cd = _cartan("sl2c")
+    cd = cartan("sl2c")
     tracemalloc.start()
     try:
-        batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), al.chamber_element(cd, "regular"),
+        batch = df.sample_deformed_orbit(cd, al.chamber_element(cd, "regular"),
                                          1, 1000, 20)
         sampled_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
@@ -530,22 +529,17 @@ def test_orbit_sample_rejects_wall_without_simple_roots(tmp_path, capsys, algebr
     assert not list(tmp_path.iterdir())
 
 
-@functools.lru_cache(maxsize=None)
-def _cartan(descriptor):
-    return al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
-
-
 @settings(derandomize=True, deadline=None, database=None)
 @given(descriptor=st.sampled_from(sorted(DESCRIPTORS)), k=st.integers(-3, 6))
 def test_resolve_h_wall_index_property(descriptor, k):
     # "wall:k" is refused exactly when k is not the index of a simple root
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     if 0 <= k < len(cd.simple_set):
-        h = _resolve_h(cd, f"wall:{k}")
+        h = al.chamber_element(cd, f"wall:{k}")
         assert abs(cd.root_values(h)[cd.simple_set[k]]) < 1e-12
     else:
         with pytest.raises(al.DomainError):
-            _resolve_h(cd, f"wall:{k}")
+            al.chamber_element(cd, f"wall:{k}")
 
 
 @settings(derandomize=True, deadline=None, database=None)

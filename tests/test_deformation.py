@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -9,6 +8,7 @@ from orbitdeform import algebra as al
 from orbitdeform import deformation as df
 from orbitdeform import semidirect as sd
 from orbitdeform.numerics import apply, matrix_exp, simultaneous_eigenspaces
+from conftest import cartan, fiber_draws
 from test_algebra import structure_tensor
 
 H, S, A = np.eye(3)
@@ -190,7 +190,7 @@ def test_ad_r_exp_orbit_matches_rescaled_flow(sl2r):
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_ad_r_exp_orbit_rejects_a_non_finite_generator(value):
     # a NaN s-part fails the comparison, so the guard let it through to matrix_exp
-    ctx = df.make_context(_cartan("sl2c"), 2.0)
+    ctx = df.make_context(cartan("sl2c"), 2.0)
     with pytest.raises(al.DomainError):
         df.ad_r_exp_orbit(ctx, np.full(ctx.cd.alg.dim, value), 1.0, np.ones(ctx.cd.alg.dim))
 
@@ -222,16 +222,16 @@ def test_exp_ad_a_rotates_h_s_plane(sl2r):
 
 def test_adjoint_orbit_is_hyperboloid(sl2r):
     _, cd = sl2r
-    ctx = df.make_context(cd, 1.0)
-    batch = df.sample_deformed_orbit(ctx, H, seed=5, n_base=25, n_fiber=4)
+    batch = df.sample_deformed_orbit(cd, H, seed=5, n_base=25, n_fiber=4)
+    assert (batch.kind, batch.r) == ("deformed", 1.0)
     for x, y, z in batch.points.reshape(-1, 3):
         assert abs(x * x + y * y - z * z - 1.0) < 1e-8
 
 
 def test_semidirect_limit_is_cylinder(sl2r):
     _, cd = sl2r
-    ctx = df.make_context(cd, math.inf)
-    batch = df.sample_deformed_orbit(ctx, H, seed=5, n_base=25, n_fiber=4)
+    batch = df.tilde_psi_r(df.make_context(cd, math.inf),
+                           df.sample_deformed_orbit(cd, H, seed=5, n_base=25, n_fiber=4))
     for x, y, z in batch.points.reshape(-1, 3):
         assert abs(x * x + y * y - 1.0) < 1e-9
 
@@ -243,27 +243,27 @@ def test_deformed_orbit_killing_invariance():
         cd = al.cartan_structure(alg)
         h = al.chamber_element(cd, "regular")
         target = alg.killing_form(h, h)
+        adjoint = df.sample_deformed_orbit(cd, h, seed=6, n_base=10, n_fiber=3)
         for r in (0.1, 0.5, 2.0, 10.0, 100.0):
             ctx = df.make_context(cd, r)
-            batch = df.sample_deformed_orbit(ctx, h, seed=6, n_base=10, n_fiber=3)
+            batch = df.tilde_psi_r(ctx, adjoint)
             for q in batch.points.reshape(-1, alg.dim):
                 assert abs(df.killing_r(ctx, q, q) - target) < 1e-6 * (1 + q @ q)
 
 
 def test_deformed_quadric_sl2r(sl2r):
     _, cd = sl2r
+    adjoint = df.sample_deformed_orbit(cd, H, seed=6, n_base=10, n_fiber=3)
     for r in (0.1, 0.5, 2.0, 10.0, 100.0):
-        ctx = df.make_context(cd, r)
-        batch = df.sample_deformed_orbit(ctx, H, seed=6, n_base=10, n_fiber=3)
+        batch = df.tilde_psi_r(df.make_context(cd, r), adjoint)
         for x, y, z in batch.points.reshape(-1, 3):
             assert abs(x * x + y * y - z * z / r**2 - 1.0) < 1e-6
 
 
 def test_tilde_psi_identity_at_r1(sl2r):
     _, cd = sl2r
-    ctx1 = df.make_context(cd, 1.0)
-    batch = df.sample_deformed_orbit(ctx1, H, seed=7, n_base=5, n_fiber=2)
-    assert np.allclose(df.tilde_psi_r(ctx1, batch).points, batch.points, atol=1e-14)
+    batch = df.sample_deformed_orbit(cd, H, seed=7, n_base=5, n_fiber=2)
+    assert np.allclose(df.tilde_psi_r(df.make_context(cd, 1.0), batch).points, batch.points, atol=1e-14)
 
 
 def test_tilde_psi_coordinates(sl2r):
@@ -310,9 +310,8 @@ def test_limit_deviation_rejects_semidirect_batch(sl2r):
 
 def test_limit_deviation_closed_form(sl2r):
     _, cd = sl2r
-    ctx1 = df.make_context(cd, 1.0)
-    samples = df.sample_deformed_orbit(ctx1, H, seed=8, n_base=10, n_fiber=4)
-    c_max = math.sqrt(2.0) * np.linalg.norm(_fiber_draws(cd, H, seed=8, n_fiber=4), axis=-1).max()
+    samples = df.sample_deformed_orbit(cd, H, seed=8, n_base=10, n_fiber=4)
+    c_max = math.sqrt(2.0) * np.linalg.norm(fiber_draws(cd, H, seed=8, n_fiber=4), axis=-1).max()
     prev = math.inf
     for r in (10.0, 100.0, 1000.0):
         dev = df.limit_deviation(df.make_context(cd, r), samples)
@@ -324,9 +323,8 @@ def test_limit_deviation_closed_form(sl2r):
 
 def test_sampling_deterministic(sl2r):
     _, cd = sl2r
-    ctx = df.make_context(cd, 2.0)
-    a = df.sample_deformed_orbit(ctx, H, seed=9, n_base=5, n_fiber=2)
-    b = df.sample_deformed_orbit(ctx, H, seed=9, n_base=5, n_fiber=2)
+    a = df.sample_deformed_orbit(cd, H, seed=9, n_base=5, n_fiber=2)
+    b = df.sample_deformed_orbit(cd, H, seed=9, n_base=5, n_fiber=2)
     assert np.array_equal(a.points, b.points)
 
 
@@ -347,18 +345,11 @@ def test_bracket_r_matches_deformed_structure_tensor(descriptor):
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def _fiber_draws(cd, h, seed, n_fiber):
-    # the sampler's seeded fiber elements X_c in n_H^+, before any Ad(k)
-    n_plus, _, _ = al.h_subspaces(cd, h)
-    coeffs = np.random.default_rng([seed, 0x5F1BE]).standard_normal((n_fiber, n_plus.shape[1]))
-    return coeffs @ n_plus.T
-
-
 def _loop_deformed_orbit(ctx, h, seed, n_base, n_fiber):
     # reference: the per-sample loop sample_deformed_orbit ran before it returned a batch;
     # the stored fiber is Ad(k)X_c, the fiber at its base point
     cd = ctx.cd
-    draws = _fiber_draws(cd, h, seed, n_fiber)
+    draws = fiber_draws(cd, h, seed, n_fiber)
     samples = []
     for b_tag, k in enumerate(al.sample_k_operators(cd, seed, n_base)):
         base = cd.alg.conjugate(k, h)
@@ -378,10 +369,11 @@ def _close(a, b, rel=1e-14):
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
 def test_deformed_batch_matches_per_sample_loop(descriptor):
     cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
+    adjoint = df.sample_deformed_orbit(cd, al.chamber_element(cd, "regular"), seed=13, n_base=6, n_fiber=4)
+    assert (adjoint.kind, adjoint.r) == ("deformed", 1.0)
     for r in (1.0, 2.0, math.inf):
         ctx = df.make_context(cd, r)
-        batch = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
-                                         seed=13, n_base=6, n_fiber=4)
+        batch = df.tilde_psi_r(ctx, adjoint)
         reference = _loop_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
                                          seed=13, n_base=6, n_fiber=4)
         assert batch.points.shape == (6, 4, cd.alg.dim) and len(reference) == 24
@@ -403,10 +395,9 @@ def test_deformed_sampler_memory_at_rank(sl6c):
     # the batch holds n x n group elements, and Ad(k) acts by conjugation: with
     # (n_base, dim, dim) Ad(k) matrices from a Kronecker readout the peak was 273 MiB
     cd = sl6c
-    ctx = df.make_context(cd, 1.0)
     tracemalloc.start()
     try:
-        batch = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
+        batch = df.sample_deformed_orbit(cd, al.chamber_element(cd, "regular"),
                                          seed=1, n_base=2000, n_fiber=5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -419,7 +410,7 @@ def test_tilde_psi_memory_at_rank(sl6c):
     # the batch stores Ad(k)X, so psi~_r forms psi_r Ad(k)X and the sum with the
     # base points: two arrays the size of the points.  Conjugating the fibers
     # again at each r peaked near 4x
-    batch = df.sample_deformed_orbit(df.make_context(sl6c, 1.0), al.chamber_element(sl6c, "regular"),
+    batch = df.sample_deformed_orbit(sl6c, al.chamber_element(sl6c, "regular"),
                                      seed=1, n_base=2000, n_fiber=5)
     ctx = df.make_context(sl6c, 2.0)
     tracemalloc.start()
@@ -450,9 +441,9 @@ def test_limit_deviation_exact_law(descriptor):
     # tilde_psi_r(p) - tilde_psi_inf(p) = (q - 1) theta Ad(k)X, so the deviation
     # times (r+1)/2 does not depend on r
     cd = al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
-    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), al.chamber_element(cd, "regular"),
+    batch = df.sample_deformed_orbit(cd, al.chamber_element(cd, "regular"),
                                      seed=8, n_base=10, n_fiber=4)
-    draws = _fiber_draws(cd, al.chamber_element(cd, "regular"), seed=8, n_fiber=4)
+    draws = fiber_draws(cd, al.chamber_element(cd, "regular"), seed=8, n_fiber=4)
     scaled = []
     for r in (1.0, 2.0, 10.0, 100.0):
         ctx = df.make_context(cd, r)
@@ -497,18 +488,13 @@ def test_deformed_maps_stack_matches_single(descriptor):
         assert isinstance(df.killing_r(ctx, x[0, 0], y[0, 0]), float)
 
 
-@functools.lru_cache(maxsize=None)
-def _cartan(descriptor):
-    return al.cartan_structure(al.build_algebra(*al.parse_descriptor(descriptor)))
-
-
 @pytest.mark.parametrize("r", df.R_GRID_FULL)
 @pytest.mark.parametrize("descriptor", sorted(al.DESCRIPTORS))
 def test_diagonal_route_matches_dense_matrices(descriptor, r):
     # theta is a +-1 diagonal, so T_r, T_r^-1 and psi_r are stored as (dim,) diagonals
     # and the k/s split selects coordinates; the dense (dim, dim) route they replace,
     # theta read off the basis as cartan_structure reads it, is the reference
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     alg, dim = cd.alg, cd.alg.dim
     theta = alg.to_vector(-np.conj(np.swapaxes(alg.basis, -1, -2))).T
     eye = np.eye(dim)

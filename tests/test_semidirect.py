@@ -7,13 +7,9 @@ from orbitdeform import algebra as al
 from orbitdeform import deformation as df
 from orbitdeform import semidirect as sd
 from orbitdeform.numerics import matrix_exp
+from conftest import cartan
 
 H, S, A = np.eye(3)
-
-
-def _cartan(desc):
-    family, n = desc if isinstance(desc, tuple) else al.parse_descriptor(desc)
-    return al.cartan_structure(al.build_algebra(family, n))
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +120,7 @@ def test_near_wall_root_is_read_as_a_wall(desc, value):
     # a simple root value within cutoff of the largest is zero for check_chamber, so
     # h_subspaces counts its root space in z_H: n_H^+, the flag tangent and the fiber
     # have one width, the wall's.  h_subspaces used to count it in n_H^+, not in z_H
-    cd = _cartan(desc)
+    cd = cartan(desc)
     simple = np.stack([cd.roots[i].functional for i in cd.simple_set])
     for k in range(len(cd.simple_set)):
         targets = np.full(len(cd.simple_set), 2.0)
@@ -164,8 +160,8 @@ def test_fiber_disjointness(sl2r):
 def test_semidirect_matches_deformed_at_infinity(sl2r):
     _, cd = sl2r
     ssd = sd.sample_semidirect_orbit(cd, H, seed=4, n_base=10, n_fiber=3)
-    ctx = df.make_context(cd, math.inf)
-    sdf = df.sample_deformed_orbit(ctx, H, seed=4, n_base=10, n_fiber=3)
+    sdf = df.tilde_psi_r(df.make_context(cd, math.inf),
+                         df.sample_deformed_orbit(cd, H, seed=4, n_base=10, n_fiber=3))
     for b, f in np.ndindex(10, 3):
         assert np.linalg.norm(ssd.base_points[b] - sdf.base_points[b]) < 1e-12
         fib = sd.coadjoint_fiber(cd, ssd.base_points[b])
@@ -195,7 +191,7 @@ def test_phi_pairs_fiber_with_tangent(sl2r):
 
 def test_phi_fiber_map_is_isomorphism():
     for desc in ("sl2r", "sl2c", "sl3c"):
-        cd = _cartan(desc)
+        cd = cartan(desc)
         batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
                                            seed=6, n_base=10, n_fiber=2)
         for w in batch.base_points:
@@ -207,7 +203,7 @@ def test_phi_fiber_map_is_isomorphism():
 
 def test_moment_inverts_phi():
     for desc in ("sl2r", "sl3r", "sl2c", "sl3c"):
-        cd = _cartan(desc)
+        cd = cartan(desc)
         batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
                                            seed=7, n_base=10, n_fiber=3)
         m = sd.cotangent_moment(cd, *sd.phi_cotangent(cd, batch))
@@ -241,7 +237,7 @@ def test_moment_equivariance(sl2r):
 
 @pytest.fixture(scope="module")
 def sl2c():
-    return _cartan("sl2c")
+    return cartan("sl2c")
 
 
 def test_sl2c_mu_formula(sl2c):
@@ -294,7 +290,7 @@ def _loop_semidirect_orbit(cd, h, seed, n_base, n_fiber):
 
 @pytest.mark.parametrize("descriptor", ["sl2r", "sl2c", "sl3c"])
 def test_semidirect_batch_matches_per_sample_loop(descriptor):
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
                                        seed=14, n_base=6, n_fiber=4)
     reference = _loop_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
@@ -311,7 +307,7 @@ def test_semidirect_batch_matches_per_sample_loop(descriptor):
 
 
 def test_orbit_tangent_stack_matches_single():
-    cd = _cartan("sl3c")
+    cd = cartan("sl3c")
     w = al.flag_orbit_sample(cd, al.chamber_element(cd, "regular"), seed=15, count=5)
     stack = sd.orbit_tangent_at(cd, w)
     for w_i, t_i in zip(w, stack):
@@ -321,7 +317,7 @@ def test_orbit_tangent_stack_matches_single():
 
 @pytest.mark.parametrize("descriptor", ["sl2r", "sl2c", "sl3c"])
 def test_phi_cotangent_matches_per_sample_loop(descriptor):
-    cd = _cartan(descriptor)
+    cd = cartan(descriptor)
     batch = sd.sample_semidirect_orbit(cd, al.chamber_element(cd, "regular"),
                                        seed=16, n_base=6, n_fiber=4)
     bases, covs = sd.phi_cotangent(cd, batch)
@@ -337,18 +333,18 @@ def test_phi_cotangent_matches_per_sample_loop(descriptor):
 
 def test_phi_cotangent_rejects_adjoint_batch(sl2r):
     _, cd = sl2r
-    batch = df.sample_deformed_orbit(df.make_context(cd, 1.0), H, seed=17, n_base=2, n_fiber=2)
+    batch = df.sample_deformed_orbit(cd, H, seed=17, n_base=2, n_fiber=2)
     with pytest.raises(al.RepresentationError):
         sd.phi_cotangent(cd, batch)
 
 
 def test_phi_cotangent_rejects_deformed_batch_at_r_inf():
-    # the deformed sampler's r = inf batch lies on the same orbit, but its fibers are
+    # a deformed batch pushed to r = inf lies on the same orbit, but its fibers are
     # Ad(k)X with X in n_H^+, not v in s: their k-part reaches 0.18 on sl2c at seed 1,
     # and read as v the point w + [w, v] misses p by 0.33
-    cd = _cartan("sl2c")
-    batch = df.sample_deformed_orbit(df.make_context(cd, math.inf), al.chamber_element(cd, "regular"),
-                                     1, 4, 2)
+    cd = cartan("sl2c")
+    batch = df.tilde_psi_r(df.make_context(cd, math.inf),
+                           df.sample_deformed_orbit(cd, al.chamber_element(cd, "regular"), 1, 4, 2))
     with pytest.raises(al.RepresentationError):
         sd.phi_cotangent(cd, batch)
 
@@ -356,7 +352,7 @@ def test_phi_cotangent_rejects_deformed_batch_at_r_inf():
 @pytest.mark.parametrize("desc", ["sl2r", "sl3r", "sl2c", "sl3c"])
 def test_block_matrices_stack_matches_single(desc):
     # ad_rho_matrix and coad_star_matrix of a stacked element give the per-element bits
-    cd = _cartan(desc)
+    cd = cartan(desc)
     rng = np.random.default_rng(6)
     k_part = rng.standard_normal((3, 4, cd.k_basis.shape[1])) @ cd.k_basis.T
     s_part = rng.standard_normal((3, 4, cd.s_basis.shape[1])) @ cd.s_basis.T
@@ -399,7 +395,7 @@ WIDER = [*sorted(al.DESCRIPTORS), ("sl_complex", 4), ("sl_real", 5)]
 def test_ambient_formulas_match_pair_formulas(desc):
     # theta and the structure constants are exact, so the ambient formulas give the
     # pair formulas' bits: the sum of the parts, and the k-part back under project_k
-    cd = _cartan(desc)
+    cd = cartan(desc)
     rng = np.random.default_rng(10)
     x, y = rng.standard_normal((2, 50, cd.k_basis.shape[1])) @ cd.k_basis.T
     v, w = rng.standard_normal((2, 50, cd.s_basis.shape[1])) @ cd.s_basis.T

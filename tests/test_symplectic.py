@@ -17,6 +17,7 @@ from orbitdeform.numerics import (
     DimensionError, StructureError, apply, bilinear, cutoff, matrix_exp, nullspace,
     orthonormal_range, rank,
 )
+from conftest import fiber_draws
 
 
 @pytest.fixture(scope="module")
@@ -167,17 +168,16 @@ def test_orbit_tangent_dimensions(sl2c):
     h = al.chamber_element(cd, "regular")
     flag = al.flag_orbit_sample(cd, h, seed=6, count=5)
     assert sp.orbit_tangent_basis(hc, flag, "flag").shape == (5, 6, 2)
-    ctx = df.make_context(cd, math.inf)
-    batch = df.sample_deformed_orbit(ctx, h, seed=6, n_base=5, n_fiber=2)
+    batch = df.tilde_psi_r(df.make_context(cd, math.inf),
+                           df.sample_deformed_orbit(cd, h, seed=6, n_base=5, n_fiber=2))
     assert sp.orbit_tangent_basis(hc, batch.points, "semidirect").shape == (5, 2, 6, 4)
     assert sp.orbit_tangent_basis(hc, np.zeros(6), "flag").shape[1] == 0
 
 
 def test_symplectic_certificate_sl2c(sl2c):
     cd, hc = sl2c
-    ctx = df.make_context(cd, math.inf)
-    samples = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
-                                       seed=7, n_base=25, n_fiber=4)
+    samples = df.tilde_psi_r(df.make_context(cd, math.inf), df.sample_deformed_orbit(
+        cd, al.chamber_element(cd, "regular"), seed=7, n_base=25, n_fiber=4))
     report = sp.check_symplectic_on_orbit(hc, samples)
     assert report["full_rank"]
     assert report["max_fiber_omega"] < 1e-10
@@ -189,18 +189,17 @@ def test_symplectic_certificate_rejects_other_kinds(sl2c):
     # the fiber [w, s] of the certificate belongs to the semidirect orbit only:
     # a batch at finite r, the adjoint orbit at r = 1 included, raises
     cd, hc = sl2c
+    adjoint = df.sample_deformed_orbit(cd, al.chamber_element(cd, "regular"), 7, 3, 2)
     for r in (1.0, 2.0):
-        batch = df.sample_deformed_orbit(df.make_context(cd, r), al.chamber_element(cd, "regular"),
-                                         7, 3, 2)
+        batch = df.tilde_psi_r(df.make_context(cd, r), adjoint)
         with pytest.raises(al.RepresentationError):
             sp.check_symplectic_on_orbit(hc, batch)
 
 
 def test_symplectic_certificate_sl3c(sl3c):
     cd, hc = sl3c
-    ctx = df.make_context(cd, math.inf)
-    samples = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
-                                       seed=7, n_base=20, n_fiber=3)
+    samples = df.tilde_psi_r(df.make_context(cd, math.inf), df.sample_deformed_orbit(
+        cd, al.chamber_element(cd, "regular"), seed=7, n_base=20, n_fiber=3))
     report = sp.check_symplectic_on_orbit(hc, samples)
     assert report["full_rank"]
     assert report["tangent_dims"] == [12]  # 2 |positive roots| over C
@@ -412,17 +411,9 @@ def test_gradient_hamiltonian_residual(sl2c):
 def test_pullback_identity_at_r1(sl2c):
     cd, hc = sl2c
     h = al.chamber_element(cd, "regular")
-    ctx1 = df.make_context(cd, 1.0)
-    samples = df.sample_deformed_orbit(ctx1, h, seed=12, n_base=5, n_fiber=2)
+    samples = df.sample_deformed_orbit(cd, h, seed=12, n_base=5, n_fiber=2)
     n_plus, _, _ = al.h_subspaces(cd, h)
     assert sp.pullback_check(hc, 1.0, samples, n_plus) < 1e-12
-
-
-def _fiber_draws(cd, h, seed, n_fiber):
-    # the sampler's seeded fiber elements X_c in n_H^+, before any Ad(k)
-    n_plus, _, _ = al.h_subspaces(cd, h)
-    coeffs = np.random.default_rng([seed, 0x5F1BE]).standard_normal((n_fiber, n_plus.shape[1]))
-    return coeffs @ n_plus.T
 
 
 def _fd_pullback_check(hc, r, samples, fiber_dirs, draws, step=1e-5):
@@ -459,8 +450,8 @@ def _fd_pullback_check(hc, r, samples, fiber_dirs, draws, step=1e-5):
 def test_pullback_exact_tangents_match_finite_differences(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
     h = al.chamber_element(cd, "regular")
-    samples = df.sample_deformed_orbit(df.make_context(cd, 1.0), h, seed=17, n_base=4, n_fiber=2)
-    draws = _fiber_draws(cd, h, seed=17, n_fiber=2)
+    samples = df.sample_deformed_orbit(cd, h, seed=17, n_base=4, n_fiber=2)
+    draws = fiber_draws(cd, h, seed=17, n_fiber=2)
     n_plus, _, _ = al.h_subspaces(cd, h)
     # with 10 n_plus the pairs involving a fiber direction carry the maximum
     for fiber_dirs, r in itertools.product((n_plus, 10 * n_plus), (1.0, 2.0, 10.0, math.inf)):
@@ -588,8 +579,7 @@ def test_unique_isotropic_orbit_sl3c(sl3c):
 def test_adjoint_and_deformed_tangents(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
     h = al.chamber_element(cd, "regular")
-    ctx1 = df.make_context(cd, 1.0)
-    adjoint = df.sample_deformed_orbit(ctx1, h, seed=9, n_base=4, n_fiber=2)
+    adjoint = df.sample_deformed_orbit(cd, h, seed=9, n_base=4, n_fiber=2)
     assert (adjoint.kind, adjoint.r) == ("deformed", 1.0)
     t_adj = sp.orbit_tangent_basis(hc, adjoint.points, adjoint.kind, adjoint.r)
     # at r = 1 the deformed tangents are the adjoint orbit's ad(g).x, bit for bit
@@ -600,8 +590,7 @@ def test_adjoint_and_deformed_tangents(fixture, request):
     adjoint_dim = t_adj.shape[-1]
     assert adjoint_dim == cd.alg.dim - al.h_subspaces(cd, h)[2].shape[1]
     for r in (2.0, 10.0):
-        ctx = df.make_context(cd, r)
-        batch = df.sample_deformed_orbit(ctx, h, seed=9, n_base=4, n_fiber=2)
+        batch = df.tilde_psi_r(df.make_context(cd, r), adjoint)
         assert batch.kind == "deformed"
         tangents = sp.orbit_tangent_basis(hc, batch.points, batch.kind, batch.r)
         assert tangents.shape == (4, 2, cd.alg.dim, adjoint_dim)
@@ -629,8 +618,9 @@ def _batches(cd, seed):
     h = al.chamber_element(cd, "regular")
     # the flag points as a (6, 1, dim) batch of one fiber each
     out = [(al.flag_orbit_sample(cd, h, seed, 6)[:, None], "flag", math.inf)]
+    adjoint = df.sample_deformed_orbit(cd, h, seed, 5, 3)
     for r in (1.0, 2.0, math.inf):
-        batch = df.sample_deformed_orbit(df.make_context(cd, r), h, seed, 5, 3)
+        batch = df.tilde_psi_r(df.make_context(cd, r), adjoint)
         # at r = inf the batch is "deformed", the label of its fiber format Ad(k)X;
         # its points are on the semidirect orbit
         out.append((batch.points, "semidirect" if math.isinf(r) else batch.kind, batch.r))
@@ -690,9 +680,8 @@ def _loop_certificate(hc, samples, kind):
 @pytest.mark.parametrize("seed", [1, 7, 4242])
 def test_symplectic_certificate_matches_per_sample_loop(fixture, seed, request):
     cd, hc = request.getfixturevalue(fixture)
-    ctx = df.make_context(cd, math.inf)
-    samples = df.sample_deformed_orbit(ctx, al.chamber_element(cd, "regular"),
-                                       seed, n_base=25, n_fiber=3)
+    samples = df.tilde_psi_r(df.make_context(cd, math.inf), df.sample_deformed_orbit(
+        cd, al.chamber_element(cd, "regular"), seed, n_base=25, n_fiber=3))
     report = sp.check_symplectic_on_orbit(hc, samples)
     assert report == _loop_certificate(hc, samples, "semidirect")
 
@@ -702,8 +691,8 @@ def test_symplectic_certificate_is_k_invariant(sl3c, seed):
     # B_theta and Omega are Ad(K)-invariant, so the samples Ad(k) y of one fiber draw y
     # read y's singular-value ratio; in Euclidean coefficient bases it spread by up to 0.86
     cd, hc = sl3c
-    samples = df.sample_deformed_orbit(df.make_context(cd, math.inf), al.chamber_element(cd, "regular"),
-                                       seed, 25, 3)
+    samples = df.tilde_psi_r(df.make_context(cd, math.inf),
+                             df.sample_deformed_orbit(cd, al.chamber_element(cd, "regular"), seed, 25, 3))
     t = sp.orbit_tangent_basis(hc, samples.points, "semidirect")
     s = np.linalg.svd(sp.make_skew_form(np.swapaxes(t, -1, -2) @ hc.omega @ t), compute_uv=False)
     ratio = s[..., -1] / s[..., 0]  # (n_base, n_fiber)
@@ -733,8 +722,8 @@ def _loop_pullback_check(hc, r, samples, fiber_dirs, draws):
 def test_pullback_check_matches_per_sample_loop(fixture, request):
     cd, hc = request.getfixturevalue(fixture)
     h = al.chamber_element(cd, "regular")
-    samples = df.sample_deformed_orbit(df.make_context(cd, 1.0), h, seed=19, n_base=6, n_fiber=3)
-    draws = _fiber_draws(cd, h, seed=19, n_fiber=3)
+    samples = df.sample_deformed_orbit(cd, h, seed=19, n_base=6, n_fiber=3)
+    draws = fiber_draws(cd, h, seed=19, n_fiber=3)
     n_plus, _, _ = al.h_subspaces(cd, h)
     for fiber_dirs, r in itertools.product((n_plus, 10 * n_plus), (2.0, 10.0, math.inf)):
         stacked = sp.pullback_check(hc, r, samples, fiber_dirs)
